@@ -5,24 +5,22 @@ trace — per-epoch aggregation, problem-cluster detection, and the
 critical-cluster phase-transition search — plus a full single-metric
 day of pipeline. These are the costs that dominate every experiment.
 
-``bench_pipeline_engine_json`` additionally records an end-to-end
-comparison of the three engines — legacy serial, legacy epoch-parallel,
-and trace-indexed serial — (sessions/sec, speedups, per-phase timings)
-to ``benchmarks/results/BENCH_pipeline.json`` so future changes have a
-perf trajectory to compare against.
+``bench_pipeline_json`` additionally records a serial day of the full
+pipeline (sessions/sec, per-phase timings) and the sections listed in
+its docstring to ``benchmarks/results/BENCH_pipeline.json`` so future
+changes have a perf trajectory to compare against.
 """
 
 import dataclasses
 import json
 import math
 import os
-import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.aggregation import EpochLeafIndex, KeyCodec, aggregate_epoch
+from repro.core.aggregation import KeyCodec, aggregate_epoch
 from repro.core.critical import find_critical_clusters
 from repro.core.epoching import split_into_epochs
 from repro.core.index import TraceClusterIndex
@@ -30,11 +28,6 @@ from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
 from repro.core.pipeline import AnalysisConfig, analyze_trace
 from repro.core.problems import find_problem_clusters
 from repro.core.sessions import SessionTable
-from repro.core.shm import (
-    make_worker_payload,
-    payload_pickled_bytes,
-    shared_memory_available,
-)
 from repro.core.substrate import AnalysisSubstrate, StreamingSubstrate, analyze_sweep
 from repro.io.snapshot import load_substrate, save_substrate
 from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
@@ -80,26 +73,10 @@ def bench_full_pipeline_one_day(benchmark, week_context):
     assert analysis.grid.n_epochs == 24
 
 
-def bench_shared_leaf_index(benchmark, epoch_inputs):
-    """Shared pack/unique once + four metric restrictions (the new path)."""
-    table, rows = epoch_inputs
-    codec = KeyCodec.from_table(table)
-
-    def shared():
-        index = EpochLeafIndex.build(table, rows, codec=codec)
-        return [
-            aggregate_epoch(table, rows, metric, leaf_index=index)
-            for metric in ALL_METRICS
-        ]
-
-    aggs = benchmark(shared)
-    assert len(aggs) == len(ALL_METRICS)
-
-
 def bench_indexed_epoch_view(benchmark, epoch_inputs):
     """Epoch view + four metric aggregations through a prebuilt
-    trace-global index (the indexed engine's steady-state per-epoch
-    cost, directly comparable to ``bench_shared_leaf_index``)."""
+    trace-global index (the engine's steady-state per-epoch cost,
+    directly comparable to ``bench_per_metric_packing``)."""
     table, rows = epoch_inputs
     index = TraceClusterIndex.build(table)
     index.warm_metric_masks(ALL_METRICS)
@@ -113,7 +90,8 @@ def bench_indexed_epoch_view(benchmark, epoch_inputs):
 
 
 def bench_per_metric_packing(benchmark, epoch_inputs):
-    """Per-metric pack/unique (the old path), for direct comparison."""
+    """Per-metric pack/unique (the direct path the test reference
+    uses), for direct comparison with ``bench_indexed_epoch_view``."""
     table, rows = epoch_inputs
     codec = KeyCodec.from_table(table)
 
@@ -127,17 +105,12 @@ def bench_per_metric_packing(benchmark, epoch_inputs):
     assert len(aggs) == len(ALL_METRICS)
 
 
-def bench_pipeline_engine_json(week_context, results_dir):
-    """End-to-end engine comparison, recorded to BENCH_pipeline.json.
+def bench_pipeline_json(week_context, results_dir):
+    """End-to-end pipeline sections, recorded to BENCH_pipeline.json.
 
-    Not a microbench: one timed pass per engine configuration — legacy
-    serial (``engine="epoch", workers=0``), legacy parallel
-    (``workers="auto"``), and trace-indexed serial
-    (``engine="indexed"``) — over a day of the week trace, all four
-    metrics, with the per-phase counters the instrumented pipeline
-    collects. Asserts all configurations return identical results.
-
-    Two further sections record the substrate work:
+    Not a microbench: one timed serial pass (``workers=0``) over a day
+    of the week trace, all four metrics, with the per-phase counters
+    the instrumented pipeline collects. Further sections:
 
     * ``sweep`` — a 5-config threshold sweep over the same day, timed
       as five independent ``analyze_trace`` calls vs one
@@ -145,9 +118,6 @@ def bench_pipeline_engine_json(week_context, results_dir):
       The sweep builds the packed table / cluster index / epoch views
       once instead of five times, so its speedup is CPU-count
       independent.
-    * ``worker_transport`` — what one worker's hand-off costs under
-      each transport: pickled payload bytes and creation/attach times
-      for the pickle path vs the shared-memory path.
     * ``observability`` — instrumentation overhead of a live span
       tracer + metrics registry vs the no-op default: a paired
       end-to-end comparison (informational) plus a deterministic
@@ -167,8 +137,8 @@ def bench_pipeline_engine_json(week_context, results_dir):
       times, and asserts identical result fingerprints. The
       peak-memory gate (sharded parent <= 0.5x monolithic) runs on the
       week workload; the wall-clock gate (shard-parallel >= 1.3x
-      faster than single-process indexed) additionally needs >= 4
-      CPUs, and the payload says which gates were enforced.
+      faster than single-process) additionally needs >= 4 CPUs, and
+      the payload says which gates were enforced.
 
     * ``mechanistic`` — the vectorized batch simulation engine: scalar
       vs batch wall time generating the ``mechanistic_day`` trace
@@ -185,7 +155,7 @@ def bench_pipeline_engine_json(week_context, results_dir):
       content-addressed invalidation is a correctness property).
 
     * ``profiling`` — the SIGPROF statistical sampler at 97 Hz over
-      the indexed day run: overhead via the deterministic
+      the serial day run: overhead via the deterministic
       samples x handler-cost bound (gated < 3 % on the week workload),
       the collapsed-stack flamegraph written to
       ``BENCH_profile.flame.txt``, and the hottest sampled stack
@@ -195,11 +165,6 @@ def bench_pipeline_engine_json(week_context, results_dir):
     ``results/BENCH_journal`` and every gate above is re-evaluated
     **from the journal record alone** (``repro.obs.gate``); the run
     fails if the journal verdicts disagree with the inline asserts.
-
-    The parallel comparison is only meaningful with more than one CPU;
-    on a 1-CPU box the recorded "speedup" measures pure process-pool
-    overhead, and the payload says so (``parallel_comparison_note``).
-    The indexed-engine speedups are CPU-count independent.
     """
     workload = os.environ.get("REPRO_BENCH_WORKLOAD", "week")
     table = week_context.trace.table
@@ -207,25 +172,8 @@ def bench_pipeline_engine_json(week_context, results_dir):
     n_cpus = os.cpu_count() or 1
 
     start = time.perf_counter()
-    serial = analyze_trace(day, workers=0, engine="epoch")
+    serial = analyze_trace(day, workers=0)
     serial_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    parallel = analyze_trace(day, workers="auto", engine="epoch")
-    parallel_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    indexed = analyze_trace(day, workers=0, engine="indexed")
-    indexed_s = time.perf_counter() - start
-
-    for name in serial.metric_names:
-        assert serial[name].epochs == parallel[name].epochs, name
-        assert serial[name].epochs == indexed[name].epochs, name
-
-    st, it = serial.timings, indexed.timings
-
-    def phase_ratio(legacy_s: float, indexed_phase_s: float) -> float:
-        return legacy_s / indexed_phase_s if indexed_phase_s > 0 else float("inf")
 
     # --- sweep amortization: N configs through one substrate ----------
     scales = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -257,45 +205,6 @@ def bench_pipeline_engine_json(week_context, results_dir):
     if workload == "week":  # the acceptance workload; tiny smoke only records
         assert sweep_speedup >= 2.0, sweep_speedup
 
-    # --- worker hand-off: what each transport ships and costs ---------
-    shm_ok = shared_memory_available()
-    transport_index = TraceClusterIndex.build(day)
-    transport_index.warm_metric_masks(ALL_METRICS)
-
-    start = time.perf_counter()
-    pickle_payload = make_worker_payload(day, transport_index, transport="pickle")
-    pickle_create_s = time.perf_counter() - start
-    pickle_bytes = payload_pickled_bytes(pickle_payload)
-
-    worker_transport = {
-        "shm_available": shm_ok,
-        "pickle_payload_bytes": pickle_bytes,
-        "pickle_create_seconds": pickle_create_s,
-    }
-    if shm_ok:
-        start = time.perf_counter()
-        shm_payload = make_worker_payload(day, transport_index, transport="shm")
-        shm_create_s = time.perf_counter() - start
-        shm_bytes = payload_pickled_bytes(shm_payload)
-        worker_clone = pickle.loads(
-            pickle.dumps(shm_payload, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        start = time.perf_counter()
-        worker_clone.restore()
-        shm_attach_s = time.perf_counter() - start
-        worker_clone.release()
-        segment_bytes = shm_payload.manifest.nbytes
-        shm_payload.release()
-        worker_transport.update(
-            {
-                "shm_payload_bytes": shm_bytes,
-                "shm_segment_bytes": segment_bytes,
-                "payload_bytes_ratio": pickle_bytes / shm_bytes,
-                "shm_create_seconds": shm_create_s,
-                "shm_attach_seconds": shm_attach_s,
-            }
-        )
-
     # --- observability: live tracer+metrics vs the no-op default ------
     # Two views of the same question. (a) An interleaved paired
     # end-to-end comparison (min over pairs), recorded for the trend
@@ -318,14 +227,14 @@ def bench_pipeline_engine_json(week_context, results_dir):
     metric_ops = 0
     for _ in range(3):
         start = time.perf_counter()
-        analyze_trace(day, workers=0, engine="indexed")
+        analyze_trace(day, workers=0)
         plain_s = min(plain_s, time.perf_counter() - start)
 
         tracer = Tracer(name="bench")
         counting = _CountingMetrics()
         with use_tracer(tracer), use_metrics(counting):
             start = time.perf_counter()
-            analyze_trace(day, workers=0, engine="indexed")
+            analyze_trace(day, workers=0)
             traced_s = min(traced_s, time.perf_counter() - start)
         tracer.finish()
         traced_spans = sum(1 for _ in tracer.root.walk())
@@ -450,7 +359,7 @@ if mode == "mono":
     from repro.io.binary import read_sessions_npz
     table = read_sessions_npz(path)
     t0 = time.perf_counter()
-    analysis = analyze_trace(table, workers=0, engine="indexed")
+    analysis = analyze_trace(table, workers=0)
 else:
     from repro.core.shards import ShardStore, analyze_shards
     store = ShardStore.open(path)
@@ -699,7 +608,7 @@ print(json.dumps({
         with use_tracer(prof_tracer), use_metrics(MetricsRegistry()):
             with profiler:
                 start = time.perf_counter()
-                analyze_trace(day, workers=0, engine="indexed")
+                analyze_trace(day, workers=0)
                 profiled_s = time.perf_counter() - start
         prof_root = prof_tracer.finish()
         run_span_names = {s.name for s in prof_root.walk()}
@@ -734,7 +643,7 @@ print(json.dumps({
         profiling = {
             "available": True,
             "hz": 97,
-            "engine": "indexed, workers=0",
+            "workers": 0,
             "plain_seconds": plain_s,
             "profiled_seconds": profiled_s,
             "end_to_end_delta_pct": 100.0 * (profiled_s / plain_s - 1.0),
@@ -749,7 +658,7 @@ print(json.dumps({
         }
 
     payload = {
-        "schema_version": 4,
+        "schema_version": 5,
         "generated_at_unix": time.time(),
         "generated_by": "benchmarks/bench_pipeline_core.py",
         "workload": f"{workload} (first 24 h)",
@@ -759,30 +668,7 @@ print(json.dumps({
         "cpus": n_cpus,
         "serial_seconds": serial_s,
         "serial_sessions_per_sec": len(day) / serial_s,
-        "parallel_workers": n_cpus,
-        "parallel_seconds": parallel_s,
-        "parallel_sessions_per_sec": len(day) / parallel_s,
-        "speedup": serial_s / parallel_s,
-        "parallel_comparison_note": (
-            "meaningful: ran on > 1 CPU"
-            if n_cpus > 1
-            else "NOT meaningful: 1 CPU — 'speedup' here measures "
-            "process-pool overhead only"
-        ),
-        "indexed_seconds": indexed_s,
-        "indexed_sessions_per_sec": len(day) / indexed_s,
-        "indexed_speedup_vs_serial": serial_s / indexed_s,
-        "indexed_phase_speedups": {
-            "aggregate": phase_ratio(st.aggregate_s, it.aggregate_s),
-            "aggregate_plus_problems": phase_ratio(
-                st.aggregate_s + st.problems_s, it.aggregate_s + it.problems_s
-            ),
-            "problems": phase_ratio(st.problems_s, it.problems_s),
-            "critical": phase_ratio(st.critical_s, it.critical_s),
-        },
         "serial_phases": serial.timings.as_dict(),
-        "parallel_phases": parallel.timings.as_dict(),
-        "indexed_phases": indexed.timings.as_dict(),
         "sweep": {
             "configs": len(configs),
             "threshold_scales": list(scales),
@@ -791,9 +677,8 @@ print(json.dumps({
             "sweep_speedup": sweep_speedup,
             "identical_outputs": True,
         },
-        "worker_transport": worker_transport,
         "observability": {
-            "engine": "indexed, workers=0",
+            "workers": 0,
             "plain_seconds": plain_s,
             "traced_seconds": traced_s,
             "end_to_end_delta_pct": 100.0 * (traced_s / plain_s - 1.0),
@@ -852,10 +737,6 @@ print(json.dumps({
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {path}: "
           f"{payload['serial_sessions_per_sec']:.0f} sess/s serial, "
-          f"{payload['parallel_sessions_per_sec']:.0f} sess/s parallel "
-          f"({payload['speedup']:.2f}x on {n_cpus} CPUs), "
-          f"{payload['indexed_sessions_per_sec']:.0f} sess/s indexed "
-          f"({payload['indexed_speedup_vs_serial']:.2f}x vs legacy serial), "
           f"{len(configs)}-config sweep {sweep_speedup:.2f}x vs independent runs, "
           f"tracer overhead {obs_overhead_pct:.4f}%, "
           f"streamed append+detect {append_detect_speedup:.1f}x vs per-epoch "

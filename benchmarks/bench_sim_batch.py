@@ -6,7 +6,7 @@ bench times both paths on the same workload, asserts they are
 bit-identical, and records sessions/sec for each.
 
 ``mechanistic_engine_section`` is shared with
-``bench_pipeline_core.bench_pipeline_engine_json``, which stores it
+``bench_pipeline_core.bench_pipeline_json``, which stores it
 under the ``"mechanistic"`` key of ``BENCH_pipeline.json`` — that is
 where the >= 10x day-workload speedup gate lives. The CI ``sim-smoke``
 job runs this file on the tiny workload (identity asserted, speedup
@@ -98,7 +98,7 @@ def bench_mechanistic_trace_feeds_pipeline():
 
     ``mechanistic_week`` end to end on real runs (tiny smoke uses the
     tiny trace): generate under the default (batch) path, then run the
-    indexed clustering pipeline over the result — the acceptance check
+    clustering pipeline over the result — the acceptance check
     that batch-generated traces are first-class pipeline inputs.
     """
     workload = _workload()
@@ -113,7 +113,6 @@ def bench_mechanistic_trace_feeds_pipeline():
     analysis = analyze_trace(
         trace.table,
         config=AnalysisConfig(metrics=(JOIN_FAILURE,)),
-        engine="indexed",
     )
     analyze_s = time.perf_counter() - start
     assert analysis.grid.n_epochs == spec.n_epochs

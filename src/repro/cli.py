@@ -115,25 +115,6 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_engine_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine", choices=("auto", "epoch", "indexed"), default="auto",
-        help="analysis engine: 'indexed' builds one trace-global cluster "
-        "index (what 'auto' resolves to), 'epoch' is the legacy "
-        "per-epoch path; results are identical either way",
-    )
-
-
-def _add_transport_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--transport", choices=("auto", "shm", "pickle"), default="auto",
-        help="how parallel runs hand the table/index to workers: 'shm' "
-        "publishes one shared-memory segment (zero-copy attach), "
-        "'pickle' serializes per worker, 'auto' prefers shm; results "
-        "are identical either way",
-    )
-
-
 def _add_substrate_cache_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--substrate-cache", metavar="PATH", default=None,
@@ -291,8 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="trace path (.jsonl, .csv or .npz); omit when "
                      "--shard-dir is given")
     _add_workers_arg(ana)
-    _add_engine_arg(ana)
-    _add_transport_arg(ana)
     _add_substrate_cache_arg(ana)
     _add_shard_dir_arg(ana)
     _add_result_cache_arg(ana)
@@ -325,7 +304,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="epoch lengths in seconds to sweep (e.g. 1800,3600,7200)",
     )
     _add_workers_arg(swp)
-    _add_transport_arg(swp)
     _add_substrate_cache_arg(swp)
     _add_shard_dir_arg(swp)
     _add_result_cache_arg(swp)
@@ -343,7 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--workload", choices=WORKLOAD_NAMES, default="small")
     exp.add_argument("--seed", type=int, default=42)
     _add_workers_arg(exp)
-    _add_engine_arg(exp)
 
     val = sub.add_parser("validate", help="score detector vs planted ground truth")
     val.add_argument("--workload", choices=WORKLOAD_NAMES, default="tiny")
@@ -354,7 +331,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--seed", type=int, default=42)
     rep.add_argument("-o", "--output", required=True, help="markdown path")
     _add_workers_arg(rep)
-    _add_engine_arg(rep)
     _add_substrate_cache_arg(rep)
     _add_shard_dir_arg(rep)
     _add_result_cache_arg(rep)
@@ -669,8 +645,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             raise ValueError("a trace path or --shard-dir is required")
         table, substrate = _resolve_substrate(args)
         analysis = analyze_trace(
-            table, workers=args.workers, engine=args.engine,
-            transport=args.transport, substrate=substrate,
+            table, workers=args.workers, substrate=substrate
         )
         n_sessions, source = len(table), args.trace
     rows = []
@@ -751,7 +726,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             [config for _, config in variants],
             substrate=substrate,
             workers=args.workers,
-            transport=args.transport,
         )
         n_sessions, source = len(table), args.trace
     rows = []
@@ -789,8 +763,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     ctx = ExperimentContext.generate(
-        workload=args.workload, seed=args.seed, workers=args.workers,
-        engine=args.engine,
+        workload=args.workload, seed=args.seed, workers=args.workers
     )
     ids = sorted(EXPERIMENTS) if args.experiment_id == "all" else [args.experiment_id]
     for experiment_id in ids:
@@ -823,7 +796,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         _, substrate = _resolve_substrate(args, table=trace.table)
         analysis = _analyze(
             trace.table, grid=trace.grid, workers=args.workers,
-            engine=args.engine, substrate=substrate,
+            substrate=substrate,
         )
     path = write_report(
         args.output, trace.table, analysis, catalog=trace.catalog,

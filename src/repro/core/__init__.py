@@ -31,7 +31,6 @@ from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.aggregation import (
     ClusterStats,
     EpochAggregate,
-    EpochLeafIndex,
     KeyCodec,
     aggregate_epoch,
 )
@@ -60,14 +59,7 @@ from repro.core.pipeline import (
     PipelineTimings,
     TraceAnalysis,
     analyze_trace,
-    resolve_engine,
     resolve_worker_count,
-)
-from repro.core.shm import (
-    SharedArrayPack,
-    make_worker_payload,
-    resolve_transport,
-    shared_memory_available,
 )
 from repro.core.substrate import (
     AnalysisSubstrate,
@@ -110,7 +102,6 @@ __all__ = [
     "split_into_epochs",
     "ClusterStats",
     "EpochAggregate",
-    "EpochLeafIndex",
     "KeyCodec",
     "TraceClusterIndex",
     "aggregate_epoch",
@@ -134,7 +125,6 @@ __all__ = [
     "PipelineTimings",
     "TraceAnalysis",
     "analyze_trace",
-    "resolve_engine",
     "resolve_worker_count",
     "AnalysisSubstrate",
     "StreamingSubstrate",
@@ -147,10 +137,6 @@ __all__ = [
     "merge_shard_analyses",
     "shard_boundaries",
     "sweep_shards",
-    "SharedArrayPack",
-    "make_worker_payload",
-    "resolve_transport",
-    "shared_memory_available",
     "AlertEvent",
     "ClusterAlert",
     "OnlineDetector",

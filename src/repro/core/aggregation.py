@@ -176,81 +176,6 @@ class KeyCodec:
         return ClusterKey(tuple(pairs))
 
 
-class EpochLeafIndex:
-    """Shared leaf index for one epoch's rows, reused across metrics.
-
-    Packing the session code matrix and reducing it with ``np.unique``
-    is the dominant per-epoch aggregation cost, and it is
-    metric-independent: every metric sees the same attribute
-    combinations and only weighs them with its own validity and problem
-    flags. Building the index once per epoch and restricting it per
-    metric (:meth:`restrict`) removes the redundant per-metric packing
-    the serial pipeline used to pay (4x with the paper's four metrics).
-
-    ``restrict`` is exact: it returns the same leaf keys/counts as
-    packing the metric's valid rows directly, including dropping leaf
-    combinations with no valid session.
-    """
-
-    __slots__ = ("codec", "n_rows", "leaf_keys", "inverse")
-
-    def __init__(
-        self,
-        codec: KeyCodec,
-        n_rows: int,
-        leaf_keys: np.ndarray,
-        inverse: np.ndarray,
-    ) -> None:
-        self.codec = codec
-        self.n_rows = n_rows
-        self.leaf_keys = leaf_keys
-        self.inverse = inverse
-
-    @classmethod
-    def build(
-        cls,
-        table: SessionTable,
-        rows: np.ndarray,
-        codec: KeyCodec | None = None,
-    ) -> "EpochLeafIndex":
-        """Pack ``table.codes[rows]`` once and reduce to distinct leaves."""
-        codec = codec or KeyCodec.from_table(table)
-        packed = codec.pack(table.codes[np.asarray(rows)])
-        leaf_keys, inverse = np.unique(packed, return_inverse=True)
-        return cls(
-            codec=codec,
-            n_rows=packed.size,
-            leaf_keys=leaf_keys,
-            inverse=inverse,
-        )
-
-    def restrict(
-        self, valid: np.ndarray, problem: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Leaf keys/session counts/problem counts over the valid rows.
-
-        ``valid`` and ``problem`` are boolean arrays aligned with the
-        rows the index was built from; leaves with no valid session are
-        dropped so the result matches a direct pack of the valid rows.
-        """
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != (self.n_rows,):
-            raise ValueError(
-                f"valid mask shape {valid.shape} != rows {(self.n_rows,)}"
-            )
-        inv = self.inverse[valid]
-        sessions = np.bincount(inv, minlength=self.leaf_keys.size).astype(np.int64)
-        problems = np.bincount(
-            inv,
-            weights=np.asarray(problem, dtype=np.float64)[valid],
-            minlength=self.leaf_keys.size,
-        ).astype(np.int64)
-        keep = sessions > 0
-        if keep.all():
-            return self.leaf_keys, sessions, problems
-        return self.leaf_keys[keep], sessions[keep], problems[keep]
-
-
 @dataclass
 class MaskAggregate:
     """Aggregated counts for all clusters of one attribute mask.
@@ -370,7 +295,6 @@ def aggregate_epoch(
     thresholds: MetricThresholds | None = None,
     codec: KeyCodec | None = None,
     problem_flags: np.ndarray | None = None,
-    leaf_index: EpochLeafIndex | None = None,
     cluster_index=None,
 ) -> EpochAggregate:
     """Aggregate one epoch's sessions for one metric.
@@ -382,15 +306,16 @@ def aggregate_epoch(
     problem classification for the selected rows (used by what-if
     simulations); it must align with ``rows``.
 
-    ``leaf_index``, when given, must have been built from the same
-    ``rows`` (see :class:`EpochLeafIndex`); the expensive pack/unique
-    pass is then shared instead of recomputed, with identical results.
-
     ``cluster_index``, when given, must be a
     :class:`~repro.core.index.TraceClusterIndex` built from the same
     ``table``; aggregation then reduces to bincounts over the index's
     precomputed inverses (see that class for the exact-equivalence
-    argument) and ``leaf_index``/``codec`` are ignored.
+    argument) and ``codec`` is ignored.
+
+    Without an index this is the direct per-metric path: pack the
+    valid rows, ``np.unique`` them into leaves and project every mask.
+    The online detector's schema-mismatch fallback and the HHH ablation
+    use it, and the test suite's reference analysis is built on it.
     """
     if cluster_index is not None:
         return cluster_index.aggregate(
@@ -400,10 +325,7 @@ def aggregate_epoch(
             thresholds=thresholds,
             problem_flags=problem_flags,
         )
-    if leaf_index is not None:
-        codec = leaf_index.codec
-    else:
-        codec = codec or KeyCodec.from_table(table)
+    codec = codec or KeyCodec.from_table(table)
     valid = metric.valid_mask(table)[rows]
     if problem_flags is None:
         problems_all = metric.problem_mask(table, thresholds)[rows]
@@ -415,22 +337,17 @@ def aggregate_epoch(
             )
         problems_all = problem_flags & valid
 
-    if leaf_index is not None:
-        leaf_keys, leaf_sessions, leaf_problems = leaf_index.restrict(
-            valid, problems_all
-        )
-    else:
-        use = np.asarray(rows)[valid]
-        problem = problems_all[valid].astype(np.int64)
-        packed = codec.pack(table.codes[use])
+    use = np.asarray(rows)[valid]
+    problem = problems_all[valid].astype(np.int64)
+    packed = codec.pack(table.codes[use])
 
-        leaf_keys, inverse = np.unique(packed, return_inverse=True)
-        leaf_sessions = np.bincount(inverse, minlength=leaf_keys.size).astype(
-            np.int64
-        )
-        leaf_problems = np.bincount(
-            inverse, weights=problem, minlength=leaf_keys.size
-        ).astype(np.int64)
+    leaf_keys, inverse = np.unique(packed, return_inverse=True)
+    leaf_sessions = np.bincount(inverse, minlength=leaf_keys.size).astype(
+        np.int64
+    )
+    leaf_problems = np.bincount(
+        inverse, weights=problem, minlength=leaf_keys.size
+    ).astype(np.int64)
 
     field_masks = codec.field_masks()
     per_mask: dict[int, MaskAggregate] = {}

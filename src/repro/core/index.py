@@ -26,18 +26,20 @@ shared by every metric): the epoch's *active* subset of each mask's
 global cluster table, found with one ``np.unique`` over small int32
 cluster ids (never over int64 keys), plus localized leaf projections
 and lattice fold indices obtained by gathers through the global cache.
-The compact tables are exactly the clusters the legacy engine would
-enumerate for the epoch, so downstream phases touch the same amount of
-data — minus every per-unit ``np.unique``/``searchsorted``.
+The compact tables are exactly the clusters a direct per-epoch
+:func:`~repro.core.aggregation.aggregate_epoch` would enumerate, so
+downstream phases touch the same amount of data — minus every per-unit
+``np.unique``/``searchsorted``.
 
 With a view, aggregating one (epoch, metric) unit collapses to two
 ``np.bincount`` calls at the leaf level plus two per mask, folded down
 the lattice from the cheapest finer mask. The resulting aggregates may
 retain leaf combinations whose sessions are all invalid for the metric
-(the legacy engine drops them); such zero-count clusters can never be
+(the direct path drops them); such zero-count clusters can never be
 problem clusters, never disqualify an ancestor, and never receive
-attribution, so problem/critical outputs are identical to the legacy
-engine (pinned by ``tests/property/test_parallel_equivalence.py``).
+attribution, so problem/critical outputs are identical to the direct
+per-epoch reference (pinned by
+``tests/property/test_parallel_equivalence.py``).
 
 Memory footprint: one int32 per (mask, leaf) pair for the global
 inverse tables — ``(2^n - 1) * n_leaves * 4`` bytes dominate (about
@@ -702,7 +704,7 @@ class EpochClusterView:
         Output-equivalent to :func:`repro.core.aggregation.aggregate_epoch`
         over the same rows, except leaf combinations with no *valid*
         session for the metric are retained with zero counts (the
-        legacy engine drops them) — which downstream detection provably
+        direct path drops them) — which downstream detection provably
         ignores. Two leaf-level bincounts plus two per mask, folded
         down the lattice; no per-epoch key packing at all. The
         threshold-independent half (validity and session counts) is

@@ -114,12 +114,12 @@ class OnlineDetector:
         and the :class:`TraceClusterIndex` grow incrementally — and the
         epoch is reduced through the same
         :class:`~repro.core.index.EpochClusterView` path the batch
-        indexed engine uses. Any schema-compatible table keeps the fast
+        engine uses. Any schema-compatible table keeps the fast
         path (equivalent tables from the same collector, a fresh table
         object per epoch, per-epoch slices of one big table — all
-        stream); only a schema change falls back to the legacy
-        per-epoch path for that observation. Detection output is
-        identical either way."""
+        stream); only a schema change falls back to the direct
+        per-epoch :func:`~repro.core.aggregation.aggregate_epoch` for
+        that observation. Detection output is identical either way."""
         if confirm_after < 1:
             raise ValueError("confirm_after must be >= 1")
         if clear_after < 1:
@@ -152,7 +152,7 @@ class OnlineDetector:
         object identity: a fresh but equivalent table every epoch (the
         case a real collector produces) streams through the same index,
         with vocabularies merged on append. A table with a different
-        schema falls back to the legacy per-epoch path (decoded
+        schema falls back to the direct per-epoch path (decoded
         identities still interoperate).
         """
         if not self.use_cluster_index:

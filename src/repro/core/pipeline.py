@@ -4,27 +4,21 @@
 :class:`~repro.core.sessions.SessionTable`:
 
 1. split sessions into one-hour epochs (Section 3.1),
-2. per epoch: build one shared leaf index (pack + ``np.unique`` once),
-   then per metric aggregate cluster counts, flag problem clusters and
-   run the critical-cluster phase-transition search,
+2. build one :class:`~repro.core.index.TraceClusterIndex` for the whole
+   trace, then per epoch and metric aggregate cluster counts (a handful
+   of ``bincount`` calls over the index), flag problem clusters and run
+   the critical-cluster phase-transition search,
 3. summarise each epoch compactly (decoded cluster identities with
    stats/attribution) so week-scale traces stay memory-friendly.
 
-Two orthogonal execution knobs shape how step 2 runs:
-
-* ``engine`` selects the per-epoch reduction strategy. ``"epoch"`` is
-  the legacy path (rebuild a leaf index per epoch); ``"indexed"``
-  (what ``"auto"`` resolves to) builds one
-  :class:`~repro.core.index.TraceClusterIndex` for the whole trace and
-  reduces each (epoch, metric) unit to a handful of ``bincount``
-  calls. Both engines produce bit-identical problem and critical
-  clusters (pinned by ``tests/property/test_parallel_equivalence.py``).
-* ``workers`` fans epochs out over a process pool: ``0``/``1`` run
-  serially in-process, ``"auto"`` uses every CPU, and any worker count
-  produces results identical to the serial path (same cluster
-  identities, same stats, same attribution). With the indexed engine
-  the trace index is built once in the parent and shipped to each
-  worker through the pool initializer.
+``analyze_trace`` is :func:`~repro.core.substrate.analyze_sweep` over a
+single config, so there is one engine and one unit of work
+(:func:`~repro.core.substrate._sweep_epoch`). The ``workers`` call
+argument fans epochs out over a process pool: ``0``/``1`` run serially
+in-process, ``"auto"`` uses every CPU, and any worker count produces
+results identical to the serial path (same cluster identities, same
+stats, same attribution), pinned against a naive per-epoch reference
+by ``tests/property/test_parallel_equivalence.py``.
 
 Per-phase wall-time counters (pack/index-build/aggregate/problems/
 critical) are accumulated on :class:`PipelineTimings` and surfaced via
@@ -38,36 +32,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
-import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.aggregation import (
-    ClusterStats,
-    EpochLeafIndex,
-    KeyCodec,
-    aggregate_epoch,
-)
+from repro.core.aggregation import ClusterStats
 from repro.core.clusters import ClusterKey
-from repro.core.critical import CriticalAttribution, find_critical_clusters
-from repro.core.epoching import EpochGrid, split_into_epochs
-from repro.core.index import TraceClusterIndex
+from repro.core.critical import CriticalAttribution
+from repro.core.epoching import EpochGrid
 from repro.core.metrics import (
     ALL_METRICS,
     MetricThresholds,
     QualityMetric,
     metric_by_name,
 )
-from repro.core.problems import ProblemClusterConfig, find_problem_clusters
+from repro.core.problems import ProblemClusterConfig
 from repro.core.sessions import SessionTable
-from repro.core.shm import TRANSPORTS, make_worker_payload, resolve_transport
 from repro.core.streaks import ClusterTimeline, build_timelines
-from repro.obs import current_metrics, current_tracer, record_degradation
+from repro.obs import current_metrics, current_tracer
 
 
 def resolve_worker_count(workers: int | str | None) -> int:
@@ -90,73 +74,30 @@ def resolve_worker_count(workers: int | str | None) -> int:
     return workers
 
 
-#: Valid values of the ``engine`` knob.
-ENGINES = ("auto", "epoch", "indexed")
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Resolve the ``engine`` knob to a concrete engine name.
-
-    ``None``/``"auto"`` pick the trace-global indexed engine (the fast
-    default); ``"epoch"`` forces the legacy per-epoch leaf-index path;
-    ``"indexed"`` is explicit. Engine choice never changes results,
-    only wall time and memory.
-    """
-    if engine is None or engine == "auto":
-        return "indexed"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
-    """Knobs for the full pipeline (paper defaults).
+    """What an analysis computes (paper defaults).
 
-    ``workers`` selects the epoch-parallel executor: ``0`` (default)
-    and ``1`` run serially in-process, ``"auto"`` uses every CPU, any
-    other int that many worker processes. ``engine`` selects the
-    reduction strategy: ``"auto"`` (default, resolves to
-    ``"indexed"``), ``"indexed"`` (one trace-global
-    :class:`~repro.core.index.TraceClusterIndex`, per-epoch bincounts)
-    or ``"epoch"`` (legacy per-epoch leaf index). ``transport``
-    selects how parallel runs ship the table/index to workers:
-    ``"auto"`` (default) uses POSIX shared memory when available,
-    ``"shm"`` insists on it, ``"pickle"`` forces per-worker
-    serialization. Results are identical for every combination of the
-    three knobs.
+    Every field changes results, and :meth:`config_digest` covers every
+    field. How a run executes — the ``workers`` count — is a call
+    argument, not config: it never changes results.
     """
 
     metrics: tuple[QualityMetric, ...] = ALL_METRICS
     thresholds: MetricThresholds = field(default_factory=MetricThresholds)
     problem_config: ProblemClusterConfig = field(default_factory=ProblemClusterConfig)
     epoch_seconds: float = 3600.0
-    workers: int | str = 0
-    engine: str = "auto"
-    transport: str = "auto"
-
-    def __post_init__(self) -> None:
-        resolve_worker_count(self.workers)  # validate eagerly
-        resolve_engine(self.engine)
-        if self.transport not in TRANSPORTS:
-            raise ValueError(
-                f"transport must be one of {TRANSPORTS}, got {self.transport!r}"
-            )
 
     def config_digest(self) -> str:
         """Canonical SHA-256 of everything that can change results.
 
-        The digest covers the metric tuple (by registry name), the
-        thresholds, the problem-cluster config and the epoch length —
-        and deliberately **excludes** the execution knobs ``workers``,
-        ``engine`` and ``transport``, which are property-tested to
-        never change output. Two configs with equal digests therefore
-        produce bit-identical analyses of the same data, which is what
-        lets the per-shard result cache
-        (:mod:`repro.core.resultcache`) share entries across execution
-        strategies and across sweeps whose variants overlap.
+        The digest covers every field (:meth:`digest_spec`): the metric
+        tuple (by registry name), the thresholds, the problem-cluster
+        config and the epoch length. Two configs with equal digests
+        therefore produce bit-identical analyses of the same data, at
+        any worker count, which is what lets the per-shard result cache
+        (:mod:`repro.core.resultcache`) share entries across runs and
+        across sweeps whose variants overlap.
 
         Metrics are identified by registry name (custom metrics must be
         registered via
@@ -166,6 +107,13 @@ class AnalysisConfig:
         for unregistered metrics, which have no stable identity to
         address results by.
         """
+        payload = json.dumps(
+            self.digest_spec(), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def digest_spec(self) -> dict:
+        """The canonical, JSON-ready record :meth:`config_digest` hashes."""
         for metric in self.metrics:
             try:
                 registered = metric_by_name(metric.name)
@@ -177,25 +125,22 @@ class AnalysisConfig:
                     "content-addressable identity; call register_metric() "
                     "on it first"
                 )
-        spec = {
+        return {
             "digest_version": 1,
             "metrics": [m.name for m in self.metrics],
             "thresholds": asdict(self.thresholds),
             "problem_config": asdict(self.problem_config),
             "epoch_seconds": float(self.epoch_seconds),
         }
-        payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 @dataclass
 class PipelineTimings:
     """Per-phase wall-time counters for one ``analyze_trace`` run.
 
-    ``pack_s`` counts per-epoch shared-structure construction — the
-    legacy engine's leaf index or the indexed engine's epoch view —
-    once per epoch; ``index_build_s`` counts trace-global index
-    construction (once per run, indexed engine only);
+    ``pack_s`` counts per-epoch epoch-view construction, once per
+    epoch; ``index_build_s`` counts trace-global index construction
+    (once per run);
     ``aggregate_s``/``problems_s``/``critical_s`` accumulate per
     (epoch, metric) unit. Sharded runs additionally count ``load_s``
     (mmap-loading shard snapshots) and ``merge_s`` (folding per-shard
@@ -432,10 +377,10 @@ def assemble_trace_analysis(
     """Fold per-epoch summaries into the final :class:`TraceAnalysis`.
 
     ``per_epoch[e][j]`` is the summary of epoch ``e`` for the ``j``-th
-    metric of ``config.metrics``. Shared by :func:`analyze_trace`,
+    metric of ``config.metrics``. Shared by
     :func:`~repro.core.substrate.analyze_sweep` and the shard merge
-    layer (:mod:`repro.core.shards`), so every execution strategy
-    assembles results identically.
+    layer (:mod:`repro.core.shards`), so both assemble results
+    identically.
     """
     metric_analyses: dict[str, MetricAnalysis] = {}
     for j, metric in enumerate(config.metrics):
@@ -466,351 +411,47 @@ def _epoch_summary(agg, problems, critical, epoch: int) -> EpochAnalysis:
     )
 
 
-def analyze_epoch(
-    table: SessionTable,
-    rows: np.ndarray,
-    metric: QualityMetric,
-    epoch: int,
-    config: AnalysisConfig,
-    codec: KeyCodec | None = None,
-    leaf_index: EpochLeafIndex | None = None,
-) -> EpochAnalysis:
-    """Run the full per-epoch methodology for one metric."""
-    agg = aggregate_epoch(
-        table,
-        rows,
-        metric,
-        epoch=epoch,
-        thresholds=config.thresholds,
-        codec=codec,
-        leaf_index=leaf_index,
-    )
-    problems = find_problem_clusters(agg, config.problem_config)
-    critical = find_critical_clusters(problems)
-    return _epoch_summary(agg, problems, critical, epoch)
-
-
-def _analyze_epoch_metrics(
-    table: SessionTable,
-    rows: np.ndarray,
-    epoch: int,
-    config: AnalysisConfig,
-    codec: KeyCodec,
-    cluster_index: TraceClusterIndex | None = None,
-) -> tuple[list[EpochAnalysis], PipelineTimings]:
-    """All metrics of one epoch, sharing a single per-epoch structure.
-
-    This is the unit of work both the serial loop and the process pool
-    execute, which is what guarantees serial/parallel equality. The
-    legacy engine shares an :class:`EpochLeafIndex` (pack + unique once
-    per epoch); the indexed engine shares an epoch view of the
-    trace-global ``cluster_index`` instead — both are timed as
-    ``pack_s``, the per-epoch shared-structure phase.
-    """
-    timings = PipelineTimings(n_epochs=1)
-    leaf_index = None
-    view = None
-    t0 = time.perf_counter()
-    if cluster_index is None:
-        leaf_index = EpochLeafIndex.build(table, rows, codec=codec)
-    else:
-        view = cluster_index.epoch_view(rows, epoch=epoch)
-    timings.pack_s += time.perf_counter() - t0
-
-    summaries: list[EpochAnalysis] = []
-    for metric in config.metrics:
-        t1 = time.perf_counter()
-        if view is not None:
-            agg = view.aggregate(metric, thresholds=config.thresholds)
-        else:
-            agg = aggregate_epoch(
-                table,
-                rows,
-                metric,
-                epoch=epoch,
-                thresholds=config.thresholds,
-                leaf_index=leaf_index,
-            )
-        t2 = time.perf_counter()
-        problems = find_problem_clusters(agg, config.problem_config)
-        t3 = time.perf_counter()
-        critical = find_critical_clusters(problems)
-        t4 = time.perf_counter()
-        timings.aggregate_s += t2 - t1
-        timings.problems_s += t3 - t2
-        timings.critical_s += t4 - t3
-        timings.n_units += 1
-        summaries.append(_epoch_summary(agg, problems, critical, epoch))
-    return summaries, timings
-
-
-# Worker-process state, installed once per worker by the pool
-# initializer so each epoch batch avoids re-pickling the session table.
-_WORKER_STATE: dict = {}
-
-
-def _worker_init(payload, config: AnalysisConfig) -> None:
-    # The payload carries the table (+ prebuilt trace index with the
-    # indexed engine) across the process boundary. On the shm transport
-    # only segment names/dtypes/shapes pickle and ``restore`` attaches
-    # zero-copy views; on the pickle transport restore is the identity.
-    # The payload stays in worker state so the attached mapping (and
-    # thus every view) lives for the worker's lifetime.
-    table, cluster_index = payload.restore()
-    codec = cluster_index.codec if cluster_index is not None else KeyCodec.from_table(table)
-    codec.field_masks()  # warm the per-codec cache once per worker
-    _WORKER_STATE["payload"] = payload
-    _WORKER_STATE["table"] = table
-    _WORKER_STATE["config"] = config
-    _WORKER_STATE["codec"] = codec
-    _WORKER_STATE["cluster_index"] = cluster_index
-
-
-def _worker_run_batch(batch: list[tuple[int, np.ndarray]]) -> dict:
-    """One batch of epochs in a worker; results plus self-timing stats.
-
-    The stats travel back with the results so the parent can attach
-    per-worker spans (busy time, queue wait, row counts) to its trace —
-    the worker's own tracer is the no-op default.
-    """
-    started_unix = time.time()
-    t0 = time.perf_counter()
-    table = _WORKER_STATE["table"]
-    config = _WORKER_STATE["config"]
-    codec = _WORKER_STATE["codec"]
-    cluster_index = _WORKER_STATE.get("cluster_index")
-    results = [
-        (
-            epoch,
-            _analyze_epoch_metrics(
-                table, rows, epoch, config, codec, cluster_index=cluster_index
-            ),
-        )
-        for epoch, rows in batch
-    ]
-    return {
-        "results": results,
-        "pid": os.getpid(),
-        "started_unix": started_unix,
-        "busy_s": time.perf_counter() - t0,
-        "epochs": len(batch),
-        "rows": int(sum(rows.size for _, rows in batch)),
-    }
-
-
-def _chunk_epochs(
-    per_epoch_rows: list[np.ndarray], n_workers: int
-) -> list[list[tuple[int, np.ndarray]]]:
-    """Contiguous epoch batches, ~4 per worker for load balance."""
-    n = len(per_epoch_rows)
-    chunk = max(1, math.ceil(n / (n_workers * 4)))
-    pairs = list(enumerate(per_epoch_rows))
-    return [pairs[i : i + chunk] for i in range(0, n, chunk)]
-
-
-def _fold_worker_stats(
-    agg: dict[int, dict], out: dict, submitted_unix: float
-) -> None:
-    """Fold one batch's worker-side stats into a per-pid summary."""
-    stats = agg.setdefault(
-        out["pid"],
-        {"batches": 0, "epochs": 0, "rows": 0, "busy_s": 0.0,
-         "queue_wait_s": 0.0},
-    )
-    stats["batches"] += 1
-    stats["epochs"] += out["epochs"]
-    stats["rows"] += out["rows"]
-    stats["busy_s"] += out["busy_s"]
-    # Wall-clock delta between parent-side submit and worker-side start:
-    # same host, so the clocks agree to well under scheduling noise.
-    stats["queue_wait_s"] += max(0.0, out["started_unix"] - submitted_unix)
-
-
-def _record_worker_spans(tracer, worker_stats: dict[int, dict]) -> None:
-    """Attach one ``worker`` span per pool process to the current span."""
-    for pid, stats in sorted(worker_stats.items()):
-        tracer.record(
-            "worker",
-            duration_s=stats["busy_s"],
-            pid=pid,
-            batches=stats["batches"],
-            epochs=stats["epochs"],
-            rows=stats["rows"],
-            queue_wait_s=round(stats["queue_wait_s"], 6),
-        )
-
-
 def analyze_trace(
     table: SessionTable,
     config: AnalysisConfig | None = None,
     grid: EpochGrid | None = None,
     progress: Callable[[int, int], None] | None = None,
     workers: int | str | None = None,
-    engine: str | None = None,
-    transport: str | None = None,
     substrate=None,
 ) -> TraceAnalysis:
     """Analyse a whole trace for every configured metric.
 
-    ``workers`` overrides ``config.workers`` when given: ``0``/``1``
-    run serially in-process, ``"auto"`` uses every CPU, ``n`` uses
-    ``n`` worker processes. ``engine`` overrides ``config.engine``:
-    ``"indexed"`` (what ``"auto"`` resolves to) builds one trace-global
-    cluster index and reduces every epoch through it, ``"epoch"`` is
-    the legacy per-epoch path. ``transport`` overrides
-    ``config.transport`` for parallel runs: ``"shm"`` publishes the
-    table/index arrays through one shared-memory segment (workers
-    attach zero-copy), ``"pickle"`` serializes them per worker,
-    ``"auto"`` prefers shm when available. Every combination of the
-    three knobs returns identical results. ``substrate`` (optional) is
-    a prebuilt :class:`~repro.core.substrate.AnalysisSubstrate` over
-    the same table; the indexed engine then reuses its trace index
-    instead of building one. ``progress`` (optional) is called with
-    ``(done_units, total_units)`` — units are (epoch, metric) pairs —
-    after each epoch completes across all its metrics.
+    Exactly ``analyze_sweep(table, [config], ...)[0]``, run under its
+    own ``analyze_trace`` span. ``workers``: ``None``/``0``/``1`` run
+    serially in-process, ``"auto"`` uses every CPU, ``n`` uses ``n``
+    worker processes; results are identical at any count.
+    ``substrate`` (optional) is a prebuilt
+    :class:`~repro.core.substrate.AnalysisSubstrate` over the same
+    table whose trace index is reused instead of rebuilt. ``progress``
+    (optional) is called with ``(done_units, total_units)`` — units are
+    (epoch, metric) pairs — after each epoch completes across all its
+    metrics.
     """
+    from repro.core.substrate import _run_sweep  # substrate imports us
+
     config = config or AnalysisConfig()
-    n_workers = resolve_worker_count(
-        config.workers if workers is None else workers
-    )
-    engine_name = resolve_engine(
-        config.engine if engine is None else engine
-    )
-    transport_requested = config.transport if transport is None else transport
-    transport_name = resolve_transport(transport_requested)
     tracer = current_tracer()
-    run_span_cm = tracer.span(
-        "analyze_trace",
-        sessions=len(table),
-        engine=engine_name,
-        workers=n_workers,
-        transport=transport_name,
-    )
-    with run_span_cm as run_span:
-        if grid is None:
-            grid = EpochGrid.covering(table, epoch_seconds=config.epoch_seconds)
-        grid, per_epoch_rows = split_into_epochs(table, grid)
-        run_span.set(epochs=grid.n_epochs)
-
-        n_metrics = len(config.metrics)
-        total_units = grid.n_epochs * n_metrics
-        timings = PipelineTimings()
-        per_epoch: list[list[EpochAnalysis] | None] = [None] * grid.n_epochs
-        done = 0
-        wall_start = time.perf_counter()
-
-        cluster_index = None
-        if engine_name == "indexed" and grid.n_epochs > 0:
-            with tracer.span("index_build", reused=substrate is not None) as span:
-                t0 = time.perf_counter()
-                if substrate is not None:
-                    cluster_index = substrate.index
-                else:
-                    cluster_index = TraceClusterIndex.build(table)
-                cluster_index.warm_metric_masks(config.metrics, config.thresholds)
-                timings.index_build_s += time.perf_counter() - t0
-                span.set(leaves=int(cluster_index.leaf_keys.size))
-            codec = cluster_index.codec
-        else:
-            codec = KeyCodec.from_table(table)
-
-        def run_serial(missing_only: bool) -> None:
-            nonlocal done
-            for epoch, rows in enumerate(per_epoch_rows):
-                if missing_only and per_epoch[epoch] is not None:
-                    continue
-                summaries, epoch_timings = _analyze_epoch_metrics(
-                    table, rows, epoch, config, codec, cluster_index=cluster_index
-                )
-                per_epoch[epoch] = summaries
-                timings.merge(epoch_timings)
-                done += n_metrics
-                if progress is not None:
-                    progress(done, total_units)
-
-        if n_workers <= 1 or grid.n_epochs <= 1:
-            with tracer.span("epochs", mode="serial", epochs=grid.n_epochs):
-                run_serial(missing_only=False)
-        else:
-            batches = _chunk_epochs(per_epoch_rows, n_workers)
-            failure: Exception | None = None
-            # Pass the *requested* transport through: make_worker_payload
-            # owns the auto-resolution and records the degradation when
-            # shm is requested implicitly but unavailable.
-            with tracer.span("worker_payload") as pspan:
-                payload = make_worker_payload(
-                    table, cluster_index, transport=transport_requested
-                )
-                pspan.set(transport=payload.transport)
-                if payload.transport == "shm":
-                    pspan.set(segment_bytes=payload.manifest.nbytes)
-            # The ``with payload`` guarantees the owner's shared-memory
-            # segment is released however the pool ends — clean shutdown,
-            # worker crash, or KeyboardInterrupt (the atexit net in
-            # core/shm covers even harder exits).
-            with payload:
-                with tracer.span(
-                    "fanout", workers=min(n_workers, len(batches)),
-                    batches=len(batches),
-                ) as fanout:
-                    worker_stats: dict[int, dict] = {}
-                    try:
-                        with ProcessPoolExecutor(
-                            max_workers=min(n_workers, len(batches)),
-                            initializer=_worker_init,
-                            initargs=(payload, config),
-                        ) as pool:
-                            submitted: dict = {}
-                            futures = []
-                            for batch in batches:
-                                future = pool.submit(_worker_run_batch, batch)
-                                submitted[future] = time.time()
-                                futures.append(future)
-                            for future in as_completed(futures):
-                                out = future.result()
-                                _fold_worker_stats(
-                                    worker_stats, out, submitted[future]
-                                )
-                                for epoch, (summaries, epoch_timings) in out[
-                                    "results"
-                                ]:
-                                    per_epoch[epoch] = summaries
-                                    timings.merge(epoch_timings)
-                                    done += n_metrics
-                                    if progress is not None:
-                                        progress(done, total_units)
-                    except Exception as exc:
-                        # A worker crash (BrokenProcessPool, a raise
-                        # inside a batch, a pickling failure) degrades
-                        # to the serial path below instead of aborting:
-                        # the serial loop is the reference
-                        # implementation, so any genuine per-epoch bug
-                        # resurfaces there with a clean traceback.
-                        failure = exc
-                    _record_worker_spans(tracer, worker_stats)
-                    fanout.set(completed_epochs=sum(
-                        1 for s in per_epoch if s is not None
-                    ))
-            if failure is not None:
-                record_degradation(
-                    "parallel_to_serial",
-                    "worker pool failed "
-                    f"({type(failure).__name__}: {failure}); completing "
-                    f"{sum(1 for s in per_epoch if s is None)} remaining "
-                    "epoch(s) serially",
-                )
-                with tracer.span("epochs", mode="serial-fallback"):
-                    run_serial(missing_only=True)
-        timings.wall_s = time.perf_counter() - wall_start
+    with tracer.span(
+        "analyze_trace", sessions=len(table), workers=resolve_worker_count(workers)
+    ) as span:
+        (analysis,) = _run_sweep(
+            table, [config], grid, substrate, workers, progress
+        )
+        timings = analysis.timings
+        span.set(epochs=analysis.grid.n_epochs)
         tracer.record(
             "aggregate", duration_s=timings.aggregate_s, units=timings.n_units
         )
         tracer.record("problems", duration_s=timings.problems_s)
         tracer.record("critical", duration_s=timings.critical_s)
         current_metrics().inc("pipeline.runs")
-        current_metrics().inc("pipeline.epochs", grid.n_epochs)
-
-    return assemble_trace_analysis(grid, config, per_epoch, timings)
+        current_metrics().inc("pipeline.epochs", analysis.grid.n_epochs)
+    return analysis
 
 
 def restrict_epochs(analysis: MetricAnalysis, epochs: Sequence[int]) -> MetricAnalysis:

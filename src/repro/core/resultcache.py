@@ -16,8 +16,8 @@ binding everything that determines the result:
   ``save_substrate`` time, so keying never re-hashes array bytes),
 * the store's attribute-schema digest,
 * :meth:`~repro.core.pipeline.AnalysisConfig.config_digest` — which
-  deliberately excludes the execution knobs ``workers`` / ``engine`` /
-  ``transport``, since results are identical across them,
+  covers every config field; the ``workers`` count is a call argument,
+  not config, since results are identical at any count,
 * the shard's epoch grid (origin + epoch count): identical payload
   bytes analyzed over different epoch ranges (e.g. empty gap shards)
   produce different results,

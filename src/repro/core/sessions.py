@@ -99,7 +99,7 @@ def grow_append(
     fronts the buffer (the steady-state append pattern) only ``part``
     is copied; when it does not — first append, dtype change, or the
     caller rewrote the prefix (e.g. a leaf-id remap) — the prefix is
-    (re)copied into the buffer. Works for read-only inputs (shm or
+    (re)copied into the buffer. Works for read-only inputs (e.g.
     mmap-backed views): the buffer is always freshly owned storage.
     """
     n, m = current.shape[0], part.shape[0]

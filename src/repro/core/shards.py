@@ -11,8 +11,9 @@ partitioning a trace into **epoch-range shards**:
   RPROSUB1 substrate snapshot (:mod:`repro.io.snapshot`) plus one
   store-level JSON manifest (``manifest.json``: epoch grid, shard
   boundaries, schema hash, per-shard session counts).
-* :func:`analyze_shards` / :func:`sweep_shards` map shards across a
-  process pool — each worker mmap-loads only its shard's snapshot
+* :func:`analyze_shards` / :func:`sweep_shards` map shards across the
+  process pool of :func:`~repro.core.fanout.fan_out` — each worker
+  mmap-loads only its shard's snapshot
   (the zero-copy load path), so the parent's peak memory stays
   O(largest shard), not O(trace) — then fold the per-shard results
   through the exact **merge layer**:
@@ -41,7 +42,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -54,6 +54,7 @@ from repro.core.epoching import (
     EpochGrid,
     split_into_epochs,
 )
+from repro.core.fanout import fan_out
 from repro.core.pipeline import (
     AnalysisConfig,
     PipelineTimings,
@@ -607,14 +608,9 @@ def _analyze_shard_configs(
     return analyses
 
 
-def _shard_result(
-    store: ShardStore,
-    shard_index: int,
-    configs: Sequence[AnalysisConfig],
-    config_indices: Sequence[int] | None = None,
-) -> dict:
-    """One shard's analyses plus self-timing stats (serial and worker
-    paths return the same shape, like ``pipeline._worker_run_batch``).
+def _shard_task(state, task: tuple[int, tuple[int, ...]]) -> dict:
+    """The fan-out task: one shard's missing configs, plus self-timing
+    stats (serial and pool paths return the same shape).
 
     ``config_indices`` selects which of ``configs`` to actually run —
     the result cache dispatches only a shard's missing configs, so a
@@ -622,46 +618,23 @@ def _shard_result(
     (shard, config) pairs. ``analyses[j]`` corresponds to
     ``configs[config_indices[j]]``.
     """
-    started_unix = time.time()
+    store, configs = state
+    shard_index, config_indices = task
     t0 = time.perf_counter()
-    if config_indices is None:
-        config_indices = range(len(configs))
-    config_indices = tuple(int(ci) for ci in config_indices)
-    subset = [configs[ci] for ci in config_indices]
-    analyses = _analyze_shard_configs(store, shard_index, subset)
+    analyses = _analyze_shard_configs(
+        store, shard_index, [configs[ci] for ci in config_indices]
+    )
     info = store.shards[shard_index]
     return {
         "shard": shard_index,
         "config_indices": config_indices,
         "analyses": analyses,
         "pid": os.getpid(),
-        "started_unix": started_unix,
         "busy_s": time.perf_counter() - t0,
         "epochs": info.n_epochs,
         "rows": info.sessions,
         "peak_rss_bytes": peak_rss_bytes(),
     }
-
-
-# Worker-process state, installed once per worker by the pool
-# initializer: each worker re-opens the store from its manifest (cheap
-# JSON) and loads only the shards it is handed.
-_SHARD_WORKER_STATE: dict = {}
-
-
-def _shard_worker_init(store_path: str, configs: tuple) -> None:
-    _SHARD_WORKER_STATE["store"] = ShardStore.open(store_path)
-    _SHARD_WORKER_STATE["configs"] = list(configs)
-
-
-def _shard_worker_run(task: tuple[int, tuple[int, ...] | None]) -> dict:
-    shard_index, config_indices = task
-    return _shard_result(
-        _SHARD_WORKER_STATE["store"],
-        shard_index,
-        _SHARD_WORKER_STATE["configs"],
-        config_indices,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -785,9 +758,7 @@ def sweep_shards(
     still bounded-memory, shards load one at a time) and merges exactly.
     Every config's ``epoch_seconds`` must equal the store's: shard
     boundaries are fixed at build time, so re-gridding requires
-    rebuilding the store. Per-config ``workers``/``engine``/
-    ``transport`` fields are ignored here — sharded execution is
-    output-identical to every engine. ``progress`` is called with
+    rebuilding the store. ``progress`` is called with
     ``(done_units, total_units)`` where units are (shard, config)
     pairs.
 
@@ -859,16 +830,13 @@ def sweep_shards(
 
         # Shards with at least one missing (shard, config) pair; each
         # is dispatched with only its missing config subset.
-        def missing_configs(i: int) -> tuple[int, ...]:
-            return tuple(
-                ci for ci in range(n_configs) if per_shard[i][ci] is None
-            )
-
-        pending = {
-            i: cis
+        tasks = [
+            (i, cis)
             for i in range(n_shards)
-            if (cis := missing_configs(i))
-        }
+            if (cis := tuple(
+                ci for ci in range(n_configs) if per_shard[i][ci] is None
+            ))
+        ]
 
         def fold(out: dict) -> None:
             nonlocal done
@@ -893,55 +861,14 @@ def sweep_shards(
             if progress is not None:
                 progress(done, total_units)
 
-        def run_serial(missing_only: bool) -> None:
-            for i, cis in pending.items():
-                if missing_only:
-                    cis = missing_configs(i)
-                    if not cis:
-                        continue
-                fold(_shard_result(store, i, configs, cis))
-
-        if not pending:
-            pass  # fully warm: nothing to map
-        elif n_workers <= 1 or len(pending) <= 1:
-            with tracer.span("shards", mode="serial", shards=len(pending)):
-                run_serial(missing_only=False)
-        else:
-            failure: Exception | None = None
-            with tracer.span(
-                "fanout",
-                workers=min(n_workers, len(pending)),
-                shards=len(pending),
-            ):
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(n_workers, len(pending)),
-                        initializer=_shard_worker_init,
-                        initargs=(str(store.path), tuple(configs)),
-                    ) as pool:
-                        futures = [
-                            pool.submit(_shard_worker_run, (i, cis))
-                            for i, cis in pending.items()
-                        ]
-                        for future in as_completed(futures):
-                            fold(future.result())
-                except Exception as exc:
-                    # Same ladder as analyze_trace: a worker crash
-                    # degrades to the serial map (the reference path)
-                    # instead of aborting the run.
-                    failure = exc
-            if failure is not None:
-                remaining = sum(
-                    1 for i in pending if missing_configs(i)
-                )
-                record_degradation(
-                    "parallel_to_serial",
-                    "shard worker pool failed "
-                    f"({type(failure).__name__}: {failure}); analyzing "
-                    f"{remaining} remaining shard(s) serially",
-                )
-                with tracer.span("shards", mode="serial-fallback"):
-                    run_serial(missing_only=True)
+        fan_out(
+            tasks,
+            _shard_task,
+            (store, configs),
+            fold,
+            workers=n_workers,
+            serial_span="shards",
+        )
 
         t_merge = time.perf_counter()
         merged = [

@@ -32,9 +32,9 @@ all configs of each epoch. Outputs are bit-identical to N independent
 ``tests/property/test_sweep_equivalence.py``); only the wall time
 changes.
 
-Parallel sweeps fan epochs out over a process pool exactly like
-``analyze_trace`` does, shipping the substrate through the same
-shared-memory transport (:mod:`repro.core.shm`).
+This is the only analysis engine: ``analyze_trace`` is a one-config
+sweep, and :func:`_sweep_epoch` is the only unit of work, run in-process
+or over the process pool of :func:`~repro.core.fanout.fan_out`.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from repro.core.epoching import (
     EpochGrid,
     split_into_epochs,
 )
+from repro.core.fanout import fan_out
 from repro.core.index import TraceClusterIndex
 from repro.core.pipeline import (
     AnalysisConfig,
@@ -59,18 +60,21 @@ from repro.core.pipeline import (
     PipelineTimings,
     TraceAnalysis,
     _epoch_summary,
-    _fold_worker_stats,
-    _record_worker_spans,
     analyze_trace,
     assemble_trace_analysis,
-    resolve_transport,
     resolve_worker_count,
 )
 from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
 from repro.core.problems import find_problem_clusters
-from repro.core.sessions import Session, SessionTable, grow_append
-from repro.core.shm import arrays_nbytes, export_arrays, make_worker_payload
-from repro.obs import current_tracer, record_degradation
+from repro.core.sessions import METRIC_COLUMNS, Session, SessionTable, grow_append
+from repro.obs import current_tracer
+
+
+def _table_nbytes(table: SessionTable) -> int:
+    """Bytes of a table's packed code matrix and metric columns."""
+    return int(
+        table.codes.nbytes + sum(getattr(table, c).nbytes for c in METRIC_COLUMNS)
+    )
 
 
 class AnalysisSubstrate:
@@ -126,7 +130,7 @@ class AnalysisSubstrate:
         columns, index arrays (incl. caches) and cached per-grid
         epoch-row splits — the true footprint shard-size budgeting
         needs, not just the index."""
-        total = arrays_nbytes(export_arrays(self.table, None))
+        total = _table_nbytes(self.table)
         total += self.index.memory_bytes()
         total += sum(
             int(rows.nbytes)
@@ -140,16 +144,10 @@ class AnalysisSubstrate:
         config: AnalysisConfig | None = None,
         grid: EpochGrid | None = None,
         workers: int | str | None = None,
-        transport: str | None = None,
     ) -> TraceAnalysis:
         """Run one config through :func:`analyze_trace`, reusing the index."""
         return analyze_trace(
-            self.table,
-            config=config,
-            grid=grid,
-            workers=workers,
-            transport=transport,
-            substrate=self,
+            self.table, config=config, grid=grid, workers=workers, substrate=self
         )
 
     def sweep(
@@ -157,7 +155,6 @@ class AnalysisSubstrate:
         configs: Sequence[AnalysisConfig],
         grid: EpochGrid | None = None,
         workers: int | str | None = None,
-        transport: str | None = None,
         progress: Callable[[int, int], None] | None = None,
     ) -> list[TraceAnalysis]:
         """Run many configs, amortizing this substrate across all of them."""
@@ -167,7 +164,6 @@ class AnalysisSubstrate:
             grid=grid,
             substrate=self,
             workers=workers,
-            transport=transport,
             progress=progress,
         )
 
@@ -296,7 +292,7 @@ class StreamingSubstrate:
 
     def epoch_view(self, rows: np.ndarray, epoch: int = 0):
         """Per-epoch cluster view over ``rows`` — the same reduction
-        path the batch indexed engine uses."""
+        path the batch engine uses."""
         return self.index.epoch_view(rows, epoch=epoch)
 
     def as_substrate(self) -> AnalysisSubstrate:
@@ -310,27 +306,21 @@ class StreamingSubstrate:
         self,
         config: AnalysisConfig | None = None,
         workers: int | str | None = None,
-        transport: str | None = None,
     ) -> TraceAnalysis:
         """Batch-analyze everything appended so far (on :attr:`grid`)."""
         return self.as_substrate().analyze(
-            config=config, grid=self.grid, workers=workers, transport=transport
+            config=config, grid=self.grid, workers=workers
         )
 
     def sweep(
         self,
         configs: Sequence[AnalysisConfig],
         workers: int | str | None = None,
-        transport: str | None = None,
         progress: Callable[[int, int], None] | None = None,
     ) -> list[TraceAnalysis]:
         """Sweep configs over everything appended so far (on :attr:`grid`)."""
         return self.as_substrate().sweep(
-            configs,
-            grid=self.grid,
-            workers=workers,
-            transport=transport,
-            progress=progress,
+            configs, grid=self.grid, workers=workers, progress=progress
         )
 
     def memory_bytes(self) -> int:
@@ -338,7 +328,7 @@ class StreamingSubstrate:
         columns, index arrays (incl. caches) and per-epoch row splits.
         Doubling growth buffers can transiently hold up to 2x the
         column/split bytes beyond this logical figure."""
-        total = arrays_nbytes(export_arrays(self.table, None))
+        total = _table_nbytes(self.table)
         total += self.index.memory_bytes()
         total += sum(int(a.nbytes) for a in self._epoch_rows.values())
         return int(total)
@@ -352,8 +342,8 @@ def _sweep_epoch(
 ) -> list[tuple[list[EpochAnalysis], PipelineTimings]]:
     """All configs x metrics of one epoch, sharing one epoch view.
 
-    The unit of work both the serial sweep loop and the process pool
-    execute — the single code path is what guarantees serial/parallel
+    The only unit of analysis work: the serial loop and the process
+    pool both run it, which is what guarantees serial/parallel
     equality. One :class:`EpochClusterView` serves every config; the
     view caches session folds per metric, and distinct (metric,
     thresholds) pairs share one aggregate through ``agg_cache``, so a
@@ -390,41 +380,13 @@ def _sweep_epoch(
     return out
 
 
-# Worker-process state for parallel sweeps, installed once per worker
-# by the pool initializer (mirrors pipeline._WORKER_STATE).
-_SWEEP_STATE: dict = {}
-
-
-def _sweep_worker_init(payload, groups: list[list[AnalysisConfig]]) -> None:
-    table, index = payload.restore()
-    if index is None:  # pragma: no cover - sweeps always ship the index
-        index = TraceClusterIndex.build(table)
-    _SWEEP_STATE["payload"] = payload
-    _SWEEP_STATE["index"] = index
-    _SWEEP_STATE["groups"] = groups
-
-
-def _sweep_worker_run_batch(batch: list[tuple[int, int, np.ndarray]]) -> dict:
-    """One batch of sweep units in a worker; results plus timing stats
-    (the sweep twin of ``pipeline._worker_run_batch``)."""
-    import os
-
-    started_unix = time.time()
-    t0 = time.perf_counter()
-    index = _SWEEP_STATE["index"]
-    groups = _SWEEP_STATE["groups"]
-    results = [
+def _sweep_batch(state, batch: list[tuple[int, int, np.ndarray]]) -> list:
+    """A batch of (grid group, epoch, rows) units; the fan-out task."""
+    index, groups = state
+    return [
         (gi, epoch, _sweep_epoch(index, groups[gi], rows, epoch))
         for gi, epoch, rows in batch
     ]
-    return {
-        "results": results,
-        "pid": os.getpid(),
-        "started_unix": started_unix,
-        "busy_s": time.perf_counter() - t0,
-        "epochs": len(batch),
-        "rows": int(sum(rows.size for _, _, rows in batch)),
-    }
 
 
 def analyze_sweep(
@@ -433,7 +395,6 @@ def analyze_sweep(
     grid: EpochGrid | None = None,
     substrate: AnalysisSubstrate | None = None,
     workers: int | str | None = None,
-    transport: str | None = None,
     progress: Callable[[int, int], None] | None = None,
 ) -> list[TraceAnalysis]:
     """Analyse one trace under many configs, building the substrate once.
@@ -448,14 +409,12 @@ def analyze_sweep(
     per distinct (metric, thresholds), and only the problem predicate
     and the critical DP run per config.
 
-    ``workers`` fans epochs out over a process pool (default serial);
-    ``transport`` picks how the substrate reaches workers (see
-    :func:`~repro.core.pipeline.analyze_trace`). The per-config
-    ``workers``/``engine``/``transport`` fields are ignored by the
-    sweep executor — the sweep always reduces through the trace index,
-    which is output-identical to every engine. ``progress`` is called
-    with ``(done_units, total_units)`` where units are (config, epoch,
-    metric) triples, after each epoch completes across all configs.
+    ``workers`` fans epochs out over a process pool: ``None``/``0``/``1``
+    run serially in-process, ``"auto"`` uses every CPU, ``n`` uses
+    ``n`` processes; results are identical at any count. ``progress``
+    is called with ``(done_units, total_units)`` where units are
+    (config, epoch, metric) triples, after each epoch completes across
+    all configs.
 
     Timing attribution: phases measured per config where possible
     (aggregate/problems/critical); shared costs — substrate build,
@@ -464,10 +423,28 @@ def analyze_sweep(
     analyses reproduces the sweep's true totals.
     """
     configs = list(configs)
+    with current_tracer().span(
+        "analyze_sweep",
+        configs=len(configs),
+        sessions=len(table),
+        workers=resolve_worker_count(workers),
+    ):
+        return _run_sweep(table, configs, grid, substrate, workers, progress)
+
+
+def _run_sweep(
+    table: SessionTable,
+    configs: list[AnalysisConfig],
+    grid: EpochGrid | None,
+    substrate: AnalysisSubstrate | None,
+    workers: int | str | None,
+    progress: Callable[[int, int], None] | None,
+) -> list[TraceAnalysis]:
+    """The body of :func:`analyze_sweep`, without its span; ``analyze_trace``
+    runs it under its own."""
     if not configs:
         return []
-    n_workers = resolve_worker_count(0 if workers is None else workers)
-    transport_name = resolve_transport(transport)
+    n_workers = resolve_worker_count(workers)
     wall_start = time.perf_counter()
 
     # Group configs by epoch grid; one epoch split (and one set of
@@ -480,146 +457,65 @@ def analyze_sweep(
             else EpochGrid.covering(table, epoch_seconds=config.epoch_seconds)
         )
         grouped.setdefault(g, []).append((i, config))
-
     group_grids = list(grouped)
-    group_members = [grouped[g] for g in group_grids]
-    group_rows: list[list[np.ndarray]] = []
-    need_index = False
-    for g in group_grids:
-        if substrate is not None:
-            rows_list = substrate.epoch_rows(g)
-        else:
-            _, rows_list = split_into_epochs(table, g)
-        group_rows.append(rows_list)
-        if g.n_epochs > 0:
-            need_index = True
+    group_configs = [[c for _, c in grouped[g]] for g in group_grids]
+    group_rows = [
+        substrate.epoch_rows(g)
+        if substrate is not None
+        else split_into_epochs(table, g)[1]
+        for g in group_grids
+    ]
 
+    index = None
     build_share = 0.0
-    if need_index:
-        if substrate is None:
-            substrate = AnalysisSubstrate.build(table)
+    if any(g.n_epochs for g in group_grids):
+        tracer = current_tracer()
+        with tracer.span("index_build", reused=substrate is not None) as span:
+            if substrate is None:
+                substrate = AnalysisSubstrate.build(table)
+            index = substrate.index
+            for config in configs:
+                index.warm_metric_masks(config.metrics, config.thresholds)
+            span.set(leaves=int(index.leaf_keys.size))
         build_share = substrate.build_seconds / len(configs)
-        for config in configs:
-            substrate.index.warm_metric_masks(config.metrics, config.thresholds)
 
-    units_per_epoch = [
-        sum(len(c.metrics) for _, c in members) for members in group_members
-    ]
-    total_units = sum(
-        n * g.n_epochs for n, g in zip(units_per_epoch, group_grids)
-    )
-    done = 0
-
-    # results[gi][epoch] -> per-config-in-group (summaries, timings)
-    results: list[list] = [
-        [None] * g.n_epochs for g in group_grids
-    ]
-    flat_units = [
+    units_per_epoch = [sum(len(c.metrics) for c in cs) for cs in group_configs]
+    total_units = sum(n * g.n_epochs for n, g in zip(units_per_epoch, group_grids))
+    units = [
         (gi, epoch, rows)
         for gi, rows_list in enumerate(group_rows)
         for epoch, rows in enumerate(rows_list)
     ]
+    # ~4 contiguous batches per worker balance load without paying a
+    # round trip per epoch; the serial path runs unit by unit.
+    chunk = max(1, math.ceil(len(units) / (n_workers * 4))) if n_workers > 1 else 1
+    batches = [units[i : i + chunk] for i in range(0, len(units), chunk)]
 
-    tracer = current_tracer()
-    index = substrate.index if substrate is not None else None
+    # results[gi][epoch] -> per-config-in-group (summaries, timings)
+    results: list[list] = [[None] * g.n_epochs for g in group_grids]
+    done = 0
 
-    def run_serial(missing_only: bool) -> None:
+    def fold(batch_out: list) -> None:
         nonlocal done
-        for gi, epoch, rows in flat_units:
-            if missing_only and results[gi][epoch] is not None:
-                continue
-            results[gi][epoch] = _sweep_epoch(
-                index, [c for _, c in group_members[gi]], rows, epoch
-            )
+        for gi, epoch, epoch_out in batch_out:
+            results[gi][epoch] = epoch_out
             done += units_per_epoch[gi]
             if progress is not None:
                 progress(done, total_units)
 
-    with tracer.span(
-        "analyze_sweep",
-        configs=len(configs),
-        sessions=len(table),
+    fan_out(
+        batches,
+        _sweep_batch,
+        (index, group_configs),
+        fold,
         workers=n_workers,
-        transport=transport_name,
-        total_units=total_units,
-    ):
-        if n_workers <= 1 or len(flat_units) <= 1:
-            with tracer.span("epochs", mode="serial", units=len(flat_units)):
-                run_serial(missing_only=False)
-        else:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-
-            failure: Exception | None = None
-            with tracer.span("worker_payload") as pspan:
-                payload = make_worker_payload(
-                    table, substrate.index, transport=transport
-                )
-                pspan.set(transport=payload.transport)
-                if payload.transport == "shm":
-                    pspan.set(segment_bytes=payload.manifest.nbytes)
-            chunk = max(1, math.ceil(len(flat_units) / (n_workers * 4)))
-            batches = [
-                flat_units[i : i + chunk]
-                for i in range(0, len(flat_units), chunk)
-            ]
-            groups_cfg = [[c for _, c in members] for members in group_members]
-            # ``with payload`` guarantees the owner's shared-memory
-            # segment is released however the pool ends (see
-            # pipeline.analyze_trace for the same pattern).
-            with payload:
-                with tracer.span(
-                    "fanout", workers=min(n_workers, len(batches)),
-                    batches=len(batches),
-                ) as fanout:
-                    worker_stats: dict[int, dict] = {}
-                    try:
-                        with ProcessPoolExecutor(
-                            max_workers=min(n_workers, len(batches)),
-                            initializer=_sweep_worker_init,
-                            initargs=(payload, groups_cfg),
-                        ) as pool:
-                            submitted: dict = {}
-                            futures = []
-                            for batch in batches:
-                                future = pool.submit(
-                                    _sweep_worker_run_batch, batch
-                                )
-                                submitted[future] = time.time()
-                                futures.append(future)
-                            for future in as_completed(futures):
-                                out = future.result()
-                                _fold_worker_stats(
-                                    worker_stats, out, submitted[future]
-                                )
-                                for gi, epoch, epoch_out in out["results"]:
-                                    results[gi][epoch] = epoch_out
-                                    done += units_per_epoch[gi]
-                                    if progress is not None:
-                                        progress(done, total_units)
-                    except Exception as exc:
-                        # Degrade to the serial reference path instead of
-                        # aborting; genuine per-unit bugs resurface there
-                        # with a clean traceback.
-                        failure = exc
-                    _record_worker_spans(tracer, worker_stats)
-                    fanout.set(completed_units=done)
-            if failure is not None:
-                missing = sum(
-                    1 for per_group in results for r in per_group if r is None
-                )
-                record_degradation(
-                    "parallel_to_serial",
-                    "sweep worker pool failed "
-                    f"({type(failure).__name__}: {failure}); completing "
-                    f"{missing} remaining unit(s) serially",
-                )
-                with tracer.span("epochs", mode="serial-fallback"):
-                    run_serial(missing_only=True)
+        serial_span="epochs",
+    )
 
     wall_share = (time.perf_counter() - wall_start) / len(configs)
     analyses: list[TraceAnalysis | None] = [None] * len(configs)
-    for gi, (g, members) in enumerate(zip(group_grids, group_members)):
-        for ci, (orig_i, config) in enumerate(members):
+    for gi, g in enumerate(group_grids):
+        for ci, (orig_i, config) in enumerate(grouped[g]):
             timings = PipelineTimings(index_build_s=build_share)
             per_epoch: list[list[EpochAnalysis]] = []
             for epoch in range(g.n_epochs):

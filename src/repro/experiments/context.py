@@ -17,7 +17,6 @@ from repro.core.pipeline import (
     MetricAnalysis,
     TraceAnalysis,
     analyze_trace,
-    resolve_engine,
     restrict_epochs,
 )
 from repro.core.substrate import AnalysisSubstrate, analyze_sweep
@@ -29,10 +28,10 @@ from repro.trace.workloads import StandardWorkloads
 class ExperimentContext:
     """A trace, its ground truth, and the full pipeline analysis.
 
-    When the analysis ran through the indexed engine the context also
-    keeps the :class:`AnalysisSubstrate`, so follow-up config variants
-    (:meth:`sweep`, :meth:`reanalyze`) reuse the packed table and
-    cluster index instead of rebuilding them.
+    The context also keeps the :class:`AnalysisSubstrate` the analysis
+    ran over, so follow-up config variants (:meth:`sweep`,
+    :meth:`reanalyze`) reuse the packed table and cluster index instead
+    of rebuilding them.
     """
 
     trace: GeneratedTrace
@@ -46,24 +45,18 @@ class ExperimentContext:
         seed: int = 42,
         config: AnalysisConfig | None = None,
         workers: int | str | None = None,
-        engine: str | None = None,
-        transport: str | None = None,
     ) -> "ExperimentContext":
         """Generate a workload and analyze it.
 
-        ``workers`` selects the epoch-parallel executor, ``engine`` the
-        reduction strategy and ``transport`` the worker hand-off (see
-        :func:`repro.core.pipeline.analyze_trace`); all three change
-        wall time only, never results.
+        ``workers`` selects the epoch-parallel executor (see
+        :func:`repro.core.pipeline.analyze_trace`); it changes wall
+        time only, never results.
         """
         trace = generate_trace(StandardWorkloads.by_name(workload, seed=seed))
-        config = config or AnalysisConfig()
-        substrate = None
-        if resolve_engine(engine if engine is not None else config.engine) == "indexed":
-            substrate = AnalysisSubstrate.build(trace.table)
+        substrate = AnalysisSubstrate.build(trace.table)
         analysis = analyze_trace(
             trace.table, config=config, grid=trace.grid, workers=workers,
-            engine=engine, transport=transport, substrate=substrate,
+            substrate=substrate,
         )
         return cls(trace=trace, analysis=analysis, substrate=substrate)
 
@@ -71,7 +64,6 @@ class ExperimentContext:
         self,
         configs: Sequence[AnalysisConfig],
         workers: int | str | None = None,
-        transport: str | None = None,
     ) -> list[TraceAnalysis]:
         """Analyze config variants, reusing this context's substrate.
 
@@ -83,17 +75,15 @@ class ExperimentContext:
             configs,
             substrate=self.substrate,
             workers=workers,
-            transport=transport,
         )
 
     def reanalyze(
         self,
         config: AnalysisConfig,
         workers: int | str | None = None,
-        transport: str | None = None,
     ) -> TraceAnalysis:
         """One config variant over the cached substrate."""
-        return self.sweep([config], workers=workers, transport=transport)[0]
+        return self.sweep([config], workers=workers)[0]
 
     @property
     def n_epochs(self) -> int:

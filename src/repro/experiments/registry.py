@@ -68,7 +68,7 @@ EXPERIMENTS: dict[str, Experiment] = {
                    runners.run_ablation_engines),
         Experiment("abl-scale", "Scale ablation", "(ablation)", "week",
                    runners.run_ablation_scale),
-        Experiment("abl-parallel", "Pipeline engine ablation", "(ablation)", "week",
+        Experiment("abl-parallel", "Parallel ablation", "(ablation)", "week",
                    runners.run_ablation_parallel),
         Experiment("abl-epoch", "Epoch-length sensitivity", "(ablation)", "week",
                    runners.run_ablation_epoch_length),

@@ -761,15 +761,13 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def run_ablation_parallel(ctx: ExperimentContext) -> ExperimentResult:
-    """Engine ablation: legacy serial vs epoch-parallel vs trace-indexed.
+    """Parallel ablation: serial vs a process pool over every CPU.
 
-    Re-analyzes a slice of the context's trace three ways — the legacy
-    per-epoch engine serially (``workers=0, engine="epoch"``), the same
-    engine fanned over a process pool (``workers="auto"``), and the
-    trace-global indexed engine serially (``engine="indexed"``) — and
-    reports wall time, sessions/second and the per-phase counters the
-    instrumented pipeline collects. Results of all runs are verified
-    identical before reporting.
+    Re-analyzes a slice of the context's trace twice — serially
+    (``workers=0``) and fanned over a process pool
+    (``workers="auto"``) — and reports wall time, sessions/second and
+    the per-phase counters the instrumented pipeline collects. Results
+    of both runs are verified identical before reporting.
     """
     import os
     import time
@@ -782,14 +780,10 @@ def run_ablation_parallel(ctx: ExperimentContext) -> ExperimentResult:
     rows = []
     data: dict = {"cpus": n_cpus, "sessions": len(table)}
     analyses = {}
-    variants = (
-        ("serial", 0, "epoch"),
-        (f"parallel(auto={n_cpus})", "auto", "epoch"),
-        ("indexed", 0, "indexed"),
-    )
-    for label, workers, engine in variants:
+    parallel_label = f"parallel(auto={n_cpus})"
+    for label, workers in (("serial", 0), (parallel_label, "auto")):
         start = time.perf_counter()
-        analysis = analyze_trace(table, workers=workers, engine=engine)
+        analysis = analyze_trace(table, workers=workers)
         elapsed = time.perf_counter() - start
         analyses[label] = analysis
         t = analysis.timings
@@ -803,36 +797,29 @@ def run_ablation_parallel(ctx: ExperimentContext) -> ExperimentResult:
             "sessions_per_second": len(table) / elapsed,
             **t.as_dict(),
         }
-    serial = analyses["serial"]
+    serial, parallel = analyses["serial"], analyses[parallel_label]
     identical = all(
-        serial[name].epochs == other[name].epochs
-        for label, other in analyses.items()
-        if label != "serial"
+        serial[name].epochs == parallel[name].epochs
         for name in serial.metric_names
     )
-    parallel_speedup = (
-        data["serial"]["seconds"] / data[f"parallel(auto={n_cpus})"]["seconds"]
-    )
-    indexed_speedup = data["serial"]["seconds"] / data["indexed"]["seconds"]
-    data["speedup"] = parallel_speedup
-    data["indexed_speedup"] = indexed_speedup
+    speedup = data["serial"]["seconds"] / data[parallel_label]["seconds"]
+    data["speedup"] = speedup
     data["identical_results"] = identical
-    parallel_note = (
-        f"{parallel_speedup:.2f}x"
+    speedup_note = (
+        f"{speedup:.2f}x"
         if n_cpus > 1
-        else f"{parallel_speedup:.2f}x (1 CPU: overhead only, not a speedup)"
+        else f"{speedup:.2f}x (1 CPU: overhead only, not a speedup)"
     )
     text = render_table(
-        ["Engine", "Seconds", "Sessions/s", "Pack/index s", "Aggregate s",
+        ["Run", "Seconds", "Sessions/s", "Pack/index s", "Aggregate s",
          "Problems s", "Critical s"],
         rows,
-        title=f"Ablation — pipeline engines ({n_cpus} CPUs, "
+        title=f"Ablation — serial vs parallel ({n_cpus} CPUs, "
         f"first {sub_hours} h)",
     )
     text += "\n\n" + render_kv(
-        {"speedup (serial/parallel)": parallel_note,
-         "speedup (serial/indexed)": f"{indexed_speedup:.2f}x",
+        {"speedup (serial/parallel)": speedup_note,
          "results identical": str(identical)},
-        title="Engine ablation (identical output is a hard invariant)",
+        title="Parallel ablation (identical output is a hard invariant)",
     )
-    return ExperimentResult("abl-parallel", "Pipeline engine ablation", text, data)
+    return ExperimentResult("abl-parallel", "Parallel ablation", text, data)

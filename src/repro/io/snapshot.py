@@ -3,7 +3,7 @@
 Packing a :class:`~repro.core.sessions.SessionTable` and building its
 :class:`~repro.core.index.TraceClusterIndex` is config-independent work
 that every CLI invocation over the same trace used to re-pay — roughly
-40% of indexed-engine wall time. A snapshot persists the whole substrate
+40% of analysis wall time. A snapshot persists the whole substrate
 (packed columns, leaf universe, per-mask cluster tables, inverses,
 prewarmed lattice projections, validity masks) in an mmap-friendly
 single file so repeated ``analyze``/``sweep``/``report`` runs deserialize
@@ -17,13 +17,12 @@ File layout (all integers little-endian)::
     ...        zero padding to a 64-byte boundary
     data       raw array bytes, each array at a 64-byte-aligned offset
 
-The manifest reuses the :mod:`repro.core.shm` layout — one
-``(key, dtype, shape, offset)`` record per array, with the same
-structured keys ``("table", column)`` / ``("index", kind, *detail)``
-that the shared-memory transport ships — plus the small non-array state
-(schema, vocabularies, codec widths/offsets, fold tables). Array
-offsets are relative to the data section, which starts at the first
-64-byte boundary after the manifest.
+The manifest holds one ``(key, dtype, shape, offset)`` record per
+array, under structured keys ``("table", column)`` /
+``("index", kind, *detail)`` (:func:`export_arrays`), plus the small
+non-array state (schema, vocabularies, codec widths/offsets, fold
+tables). Array offsets are relative to the data section, which starts
+at the first 64-byte boundary after the manifest.
 
 Cached problem masks are *not* persisted: their cache keys embed
 :class:`~repro.core.metrics.MetricThresholds` instances (config state),
@@ -40,7 +39,7 @@ cache (:mod:`repro.core.resultcache`) keys on, so cache keys never
 re-hash payloads at lookup time.
 
 ``load_substrate`` maps the file read-only; restored arrays are views
-into the mapping (like shm-attached worker views). An appended-to
+into the mapping. An appended-to
 substrate allocates fresh buffers on first growth, so
 ``StreamingSubstrate(index=loaded.index)`` works on a loaded snapshot.
 """
@@ -52,17 +51,14 @@ import json
 import mmap as _mmap
 import struct
 from pathlib import Path
+from typing import Hashable, Mapping
 
 import numpy as np
 
 from repro.core.aggregation import KeyCodec
 from repro.core.attributes import AttributeSchema
-from repro.core.shm import (
-    _ALIGN,
-    export_arrays,
-    index_from_arrays,
-    table_from_arrays,
-)
+from repro.core.index import TraceClusterIndex
+from repro.core.sessions import METRIC_COLUMNS, SessionTable
 from repro.core.substrate import AnalysisSubstrate
 from repro.obs import current_metrics, current_tracer
 
@@ -71,19 +67,99 @@ MAGIC = b"RPROSUB1"
 
 _HEADER = struct.Struct("<8sQ")  # magic + manifest length
 
+#: Byte alignment of the data section and of every array in it.
+_ALIGN = 64
+
+_TABLE_COLUMNS = ("codes",) + METRIC_COLUMNS
+
 
 def _align(offset: int) -> int:
     return -(-offset // _ALIGN) * _ALIGN
 
 
-def _persistable(key) -> bool:
-    """Whether an exported array belongs in a snapshot.
+def export_arrays(
+    table: SessionTable, index: TraceClusterIndex
+) -> dict[Hashable, np.ndarray]:
+    """Every numpy array of a table and its index, under stable keys.
 
-    Problem-mask cache keys embed ``MetricThresholds`` objects — config
-    state that neither serializes to JSON nor belongs in a
-    config-independent snapshot.
+    Cached problem masks are left out: their cache keys embed
+    ``MetricThresholds`` objects — config state that neither serializes
+    to JSON nor belongs in a config-independent snapshot.
     """
-    return not (key[0] == "index" and key[1] == "problem")
+    arrays: dict[Hashable, np.ndarray] = {
+        ("table", col): getattr(table, col) for col in _TABLE_COLUMNS
+    }
+    arrays[("index", "leaf_keys")] = index.leaf_keys
+    arrays[("index", "row_to_leaf")] = index.row_to_leaf
+    for m, keys in index.mask_keys.items():
+        arrays[("index", "mask_keys", m)] = keys
+    for m, inverse in index.leaf_to_cluster.items():
+        arrays[("index", "leaf_to_cluster", m)] = inverse
+    for (fine, coarse), idx in index._project_index.items():
+        arrays[("index", "project", fine, coarse)] = idx
+    for name, valid in index._valid_masks.items():
+        arrays[("index", "valid", name)] = valid
+    return arrays
+
+
+def table_from_arrays(
+    schema: AttributeSchema, vocabs, arrays: Mapping[Hashable, np.ndarray]
+) -> SessionTable:
+    """Rebuild a :class:`SessionTable` around mapped arrays.
+
+    Bypasses ``__init__`` deliberately: the arrays were validated when
+    the original table was built, and re-running the O(n·attrs)
+    code-range scans would defeat the zero-copy load.
+    """
+    table = SessionTable.__new__(SessionTable)
+    table.schema = schema
+    table.vocabs = [list(v) for v in vocabs]
+    for col in _TABLE_COLUMNS:
+        setattr(table, col, arrays[("table", col)])
+    table._decoders = None
+    table._encoders = None
+    table._buffers = None
+    return table
+
+
+def index_from_arrays(
+    table: SessionTable,
+    codec: KeyCodec,
+    fold_source: dict[int, int],
+    fold_order: list[int],
+    arrays: Mapping[Hashable, np.ndarray],
+) -> TraceClusterIndex:
+    """Rebuild a :class:`TraceClusterIndex` around mapped arrays,
+    including the prewarmed projection and validity-mask caches."""
+    mask_keys: dict[int, np.ndarray] = {}
+    leaf_to_cluster: dict[int, np.ndarray] = {}
+    project: dict[tuple[int, int], np.ndarray] = {}
+    valid: dict[str, np.ndarray] = {}
+    for key, arr in arrays.items():
+        if key[0] != "index":
+            continue
+        kind = key[1]
+        if kind == "mask_keys":
+            mask_keys[key[2]] = arr
+        elif kind == "leaf_to_cluster":
+            leaf_to_cluster[key[2]] = arr
+        elif kind == "project":
+            project[(key[2], key[3])] = arr
+        elif kind == "valid":
+            valid[key[2]] = arr
+    index = TraceClusterIndex(
+        table=table,
+        codec=codec,
+        leaf_keys=arrays[("index", "leaf_keys")],
+        row_to_leaf=arrays[("index", "row_to_leaf")],
+        mask_keys=mask_keys,
+        leaf_to_cluster=leaf_to_cluster,
+        fold_source=fold_source,
+        fold_order=fold_order,
+    )
+    index._project_index.update(project)
+    index._valid_masks.update(valid)
+    return index
 
 
 def _little_endian(arr: np.ndarray) -> np.ndarray:
@@ -139,7 +215,6 @@ def save_substrate(
     arrays = {
         key: _little_endian(arr)
         for key, arr in export_arrays(table, index).items()
-        if _persistable(key)
     }
 
     entries = []

@@ -5,11 +5,11 @@
 :class:`~repro.core.pipeline.PipelineTimings` counters into:
 
 * a **span tree** (:class:`Tracer` / :class:`Span`) covering ingestion,
-  index builds, shared-memory pack/attach/release, snapshot load/save,
-  worker fan-out (per-worker timing and queue wait) and aggregation;
+  index builds, snapshot load/save, worker fan-out (per-worker timing
+  and queue wait) and aggregation;
 * a **metrics registry** (:class:`MetricsRegistry`) of counters, gauges
-  and histogram summaries (segment bytes, attach counts, degraded
-  paths, leaked-segment detections);
+  and histogram summaries (snapshot bytes, cache hits and misses,
+  degraded paths);
 * **sinks**: ``--trace-out`` JSON (:func:`write_trace_json`), the run
   manifest written next to results (:func:`write_run_manifest`), and
   the human span tree (``Tracer.render``, the upgraded ``--timings``).
@@ -20,9 +20,9 @@ instrumented hot paths cost one global read + one empty call until
 CLI does both when ``--trace-out`` is given; tests do it to assert on
 spans and counters).
 
-Degraded-but-successful paths — shm transport falling back to pickle,
-a crashed worker pool completing serially, a corrupt snapshot being
-rebuilt — are reported through :func:`record_degradation`, which logs a
+Degraded-but-successful paths — a crashed worker pool completing
+serially, a corrupt snapshot being rebuilt, a corrupt cache entry being
+recomputed — are reported through :func:`record_degradation`, which logs a
 warning (always), increments ``degraded.<kind>`` (when a registry is
 installed) and records a ``degraded`` trace event (when a tracer is
 installed). Failure *handling* lives at the call sites; this module
@@ -82,6 +82,7 @@ __all__ = [
     "current_tracer",
     "degradation_reasons",
     "diff_records",
+    "install_null_collectors",
     "manifest_path_for",
     "peak_rss_bytes",
     "profiler_available",
@@ -101,8 +102,9 @@ __all__ = [
 log = logging.getLogger("repro.obs")
 
 # Process-wide active collectors. Plain module globals rather than
-# contextvars: the pipeline parallelizes across processes, not threads,
-# and forked workers exiting via os._exit never flush these anyway.
+# contextvars: the pipeline parallelizes across processes, not threads.
+# A forked pool worker inherits them, so workers install the no-op
+# pair first (install_null_collectors).
 _TRACER: Union[Tracer, NullTracer] = NULL_TRACER
 _METRICS: Union[MetricsRegistry, NullMetrics] = NULL_METRICS
 
@@ -139,11 +141,23 @@ def use_metrics(metrics: Union[MetricsRegistry, NullMetrics]) -> Iterator:
         _METRICS = previous
 
 
+def install_null_collectors() -> None:
+    """Make the no-op tracer and registry this process's collectors.
+
+    Pool workers call this before any work: a forked worker inherits
+    the parent's live collectors, and whatever it recorded into that
+    copy would be thrown away with the process. Worker timings reach
+    the parent's trace through the results instead.
+    """
+    global _TRACER, _METRICS
+    _TRACER, _METRICS = NULL_TRACER, NULL_METRICS
+
+
 def record_degradation(kind: str, reason: str) -> None:
     """Report a degraded-but-successful path (see module docstring).
 
-    ``kind`` is a stable dotted-name suffix (``shm_to_pickle``,
-    ``parallel_to_serial``, ``snapshot_rebuild``, ``shm_leak``);
+    ``kind`` is a stable dotted-name suffix (``parallel_to_serial``,
+    ``snapshot_rebuild``, ``cache_corrupt``, ``cache_bypass``);
     ``reason`` is the human-readable explanation that ends up in logs,
     the trace event and the run manifest.
     """

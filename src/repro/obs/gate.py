@@ -88,9 +88,6 @@ PIPELINE_GATES: tuple[GateSpec, ...] = (
         "profiler_overhead_max_3pct",
         "bench.profiling.overhead_pct", MAX, 3.0,
     ),
-    # Report-only trend line: never enforced (CPU-count dependent, and
-    # on one CPU it measures pool overhead, not parallelism).
-    GateSpec("parallel_speedup_trend", "bench.speedup", MIN, 0.0),
 )
 
 
@@ -143,7 +140,6 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
 
     week = str(payload.get("workload", "")).startswith("week")
     put("bench.cpus", payload.get("cpus"))
-    put("bench.speedup", payload.get("speedup"))
     put("bench.sweep.sweep_speedup", payload.get("sweep", {}).get("sweep_speedup"))
     put(
         "bench.observability.overhead_pct",
@@ -189,7 +185,6 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
         "profiler_overhead_max_3pct": bool(
             profiling.get("gates_enforced", {}).get("overhead_max_3pct")
         ),
-        "parallel_speedup_trend": False,
     }
     for name, flag in enforced.items():
         gauges[f"bench.gate.{name}.enforced"] = 1.0 if flag else 0.0

@@ -52,7 +52,7 @@ def config_digest(command: str, args: dict[str, Any] | None) -> str:
     Covers the command and every argument except pure output paths and
     observability flags (:data:`_DIGEST_EXCLUDED_ARGS`): two runs with
     equal digests computed the same thing over the same inputs with the
-    same engine knobs, so their timings are directly comparable.
+    same execution knobs, so their timings are directly comparable.
     """
     payload = {
         "command": command,

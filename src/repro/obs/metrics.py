@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 The default registry is the no-op :data:`NULL_METRICS` singleton, so
-instrumented code (``metrics.inc("shm.attach")``) costs one global read
+instrumented code (``metrics.inc("cache.hit")``) costs one global read
 and one empty method call unless a real :class:`MetricsRegistry` is
 installed with :func:`use_metrics` — the CLI does this alongside the
 tracer when ``--trace-out`` is given, and tests install one to assert

@@ -23,7 +23,7 @@ Two recording styles coexist:
 
 The tracer is deliberately not thread-safe: the pipeline parallelizes
 across *processes*, and worker-side span data travels back to the
-parent with the results (see ``_worker_run_batch``).
+parent with the results (see :func:`repro.core.fanout.fan_out`).
 """
 
 from __future__ import annotations

@@ -166,47 +166,6 @@ class TestBufferingAggregation:
         assert agg.total_problems == 2  # ratios 0.10 and 0.20
 
 
-class TestEpochLeafIndex:
-    def test_matches_direct_aggregation(self, small_table):
-        from repro.core.aggregation import EpochLeafIndex
-
-        rows = np.arange(len(small_table))
-        index = EpochLeafIndex.build(small_table, rows)
-        for metric in (JOIN_FAILURE, BUFFERING_RATIO, JOIN_TIME):
-            direct = aggregate_epoch(small_table, rows, metric)
-            shared = aggregate_epoch(
-                small_table, rows, metric, leaf_index=index
-            )
-            for mask in direct.per_mask:
-                d, s = direct.per_mask[mask], shared.per_mask[mask]
-                assert np.array_equal(d.keys, s.keys), (metric.name, mask)
-                assert np.array_equal(d.sessions, s.sessions)
-                assert np.array_equal(d.problems, s.problems)
-
-    def test_drops_leaves_with_no_valid_sessions(self):
-        from repro.core.aggregation import EpochLeafIndex
-
-        # (AS1, cdn_a) sessions all fail -> invalid for join_time, so
-        # that leaf must vanish from the shared-index aggregate.
-        sessions = [make_session(asn="AS1", cdn="cdn_a", join_failed=True)
-                    for _ in range(5)]
-        sessions += [make_session(asn="AS2", cdn="cdn_b") for _ in range(5)]
-        table = SessionTable.from_sessions(sessions)
-        rows = np.arange(len(table))
-        index = EpochLeafIndex.build(table, rows)
-        direct = aggregate_epoch(table, rows, JOIN_TIME)
-        shared = aggregate_epoch(table, rows, JOIN_TIME, leaf_index=index)
-        assert len(shared.leaf) == len(direct.leaf)
-        assert np.array_equal(shared.leaf.keys, direct.leaf.keys)
-
-    def test_valid_mask_shape_checked(self, small_table):
-        from repro.core.aggregation import EpochLeafIndex
-
-        index = EpochLeafIndex.build(small_table, np.arange(len(small_table)))
-        with pytest.raises(ValueError, match="valid mask"):
-            index.restrict(np.ones(3, dtype=bool), np.ones(3))
-
-
 class TestKeyCodecEncode:
     def test_encode_key_roundtrip(self, small_table):
         codec = KeyCodec.from_table(small_table)

@@ -1,33 +1,36 @@
-"""Transport and pool degradation: every rung lands on identical results.
+"""Pool degradation: a failing fan-out lands on identical results.
 
-The ladder is shm -> pickle -> serial. These tests force each failure
-(shared memory unavailable, segment allocation failure, a worker raising
-mid-pool, a worker dying hard via ``os._exit``) and assert three things:
-the run completes with results bit-identical to the serial reference,
-the degradation reason is observable (metrics counter + trace event),
-and no shared-memory segment leaks.
+The ladder has one rung, parallel -> serial. These tests force each
+failure (a worker raising mid-pool, a worker dying hard via
+``os._exit``) in both fan-outs that share the pool helper — the
+monolithic sweep behind ``analyze_trace``/``analyze_sweep`` and the
+shard map behind ``analyze_shards`` — and assert that the run completes
+with results bit-identical to the serial reference and that the
+degradation reason is observable (metrics counter + trace event). They
+also pin that pool workers run with the no-op collectors while the
+parent's trace keeps one ``worker`` span per pool process.
 """
 
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
-import repro.core.pipeline as pipeline_mod
-import repro.core.shm as shm_mod
+import repro.core.shards as shards_mod
 import repro.core.substrate as substrate_mod
+from repro.core.fanout import fan_out
 from repro.core.pipeline import AnalysisConfig, analyze_trace
 from repro.core.sessions import SessionTable
-from repro.core.shm import (
-    PickleWorkerPayload,
-    SharedArrayPack,
-    make_worker_payload,
-    shared_memory_available,
-)
+from repro.core.shards import analyze_shards, build_shard_store
 from repro.core.substrate import analyze_sweep
 from repro.obs import (
     MetricsRegistry,
+    NullMetrics,
+    NullTracer,
     Tracer,
+    current_metrics,
+    current_tracer,
     degradation_reasons,
     use_metrics,
     use_tracer,
@@ -64,111 +67,62 @@ def collectors():
         yield tracer, metrics
 
 
-def created_segments(monkeypatch) -> list:
-    """Record every SharedArrayPack created under the patch."""
-    packs = []
-    original = SharedArrayPack.create.__func__
-
-    def tracking(cls, arrays):
-        pack = original(cls, arrays)
-        packs.append(pack)
-        return pack
-
-    monkeypatch.setattr(
-        SharedArrayPack, "create", classmethod(tracking)
-    )
-    return packs
+# The injected faults fire only inside pool workers, so the serial
+# fallback (which runs the same task function in-process) succeeds.
+_sweep_batch = substrate_mod._sweep_batch
+_shard_task = shards_mod._shard_task
 
 
-def assert_no_leaks(packs) -> None:
-    from multiprocessing import shared_memory
+def _in_pool_worker() -> bool:
+    return multiprocessing.parent_process() is not None
 
-    for pack in packs:
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=pack.shm.name)
+
+def _explode_in_worker():
+    if _in_pool_worker():
+        raise RuntimeError("worker exploded")
+
+
+def _die_in_worker():
+    if _in_pool_worker():
+        os._exit(17)
 
 
 # Module-level so the pool can pickle them by qualified name.
-def _exploding_batch(batch):
-    raise RuntimeError("worker exploded")
+def _exploding_sweep_batch(state, batch):
+    _explode_in_worker()
+    return _sweep_batch(state, batch)
 
 
-def _dying_batch(batch):
-    os._exit(17)
+def _dying_sweep_batch(state, batch):
+    _die_in_worker()
+    return _sweep_batch(state, batch)
 
 
-def _exploding_sweep_batch(batch):
-    raise RuntimeError("sweep worker exploded")
+def _exploding_shard_task(state, task):
+    _explode_in_worker()
+    return _shard_task(state, task)
 
 
-class TestShmUnavailable:
-    def test_auto_falls_back_to_pickle_with_reason(
-        self, table, collectors, monkeypatch
-    ):
-        tracer, metrics = collectors
-        monkeypatch.setattr(shm_mod, "shared_memory_available", lambda: False)
-        payload = make_worker_payload(table, transport="auto")
-        assert isinstance(payload, PickleWorkerPayload)
-        assert metrics.get("degraded.shm_to_pickle") == 1
-        assert degradation_reasons(tracer)[0]["kind"] == "shm_to_pickle"
-
-    def test_explicit_shm_still_raises(self, table, monkeypatch):
-        monkeypatch.setattr(shm_mod, "shared_memory_available", lambda: False)
-        with pytest.raises(ValueError):
-            make_worker_payload(table, transport="shm")
-
-    def test_pack_failure_falls_back_under_auto(
-        self, table, collectors, monkeypatch
-    ):
-        tracer, metrics = collectors
-
-        def broken_create(cls, arrays):
-            raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(
-            SharedArrayPack, "create", classmethod(broken_create)
-        )
-        payload = make_worker_payload(table, transport="auto")
-        assert isinstance(payload, PickleWorkerPayload)
-        assert metrics.get("degraded.shm_to_pickle") == 1
-        assert "no space left" in degradation_reasons(tracer)[0]["reason"]
-
-    def test_pack_failure_raises_under_explicit_shm(self, table, monkeypatch):
-        def broken_create(cls, arrays):
-            raise OSError("no space left on /dev/shm")
-
-        monkeypatch.setattr(
-            SharedArrayPack, "create", classmethod(broken_create)
-        )
-        with pytest.raises(OSError):
-            make_worker_payload(table, transport="shm")
-
-    def test_parallel_run_without_shm_matches_serial(
-        self, table, collectors, monkeypatch
-    ):
-        _, metrics = collectors
-        monkeypatch.setattr(shm_mod, "shared_memory_available", lambda: False)
-        parallel = analyze_trace(table, workers=2, transport="auto")
-        monkeypatch.undo()
-        serial = analyze_trace(table, workers=0)
-        assert_equal_analyses(parallel, serial)
-        assert metrics.get("degraded.shm_to_pickle") >= 1
+def _dying_shard_task(state, task):
+    _die_in_worker()
+    return _shard_task(state, task)
 
 
-@pytest.mark.skipif(
-    not shared_memory_available(), reason="no POSIX shared memory"
-)
+def _collector_types(state, task):
+    return (
+        os.getpid(),
+        type(current_tracer()).__name__,
+        type(current_metrics()).__name__,
+    )
+
+
 class TestWorkerCrash:
     def test_raising_worker_degrades_to_serial(
         self, table, collectors, monkeypatch
     ):
         tracer, metrics = collectors
-        packs = created_segments(monkeypatch)
-
-        monkeypatch.setattr(
-            pipeline_mod, "_worker_run_batch", _exploding_batch
-        )
-        parallel = analyze_trace(table, workers=2, transport="shm")
+        monkeypatch.setattr(substrate_mod, "_sweep_batch", _exploding_sweep_batch)
+        parallel = analyze_trace(table, workers=2)
         monkeypatch.undo()
         serial = analyze_trace(table, workers=0)
         assert_equal_analyses(parallel, serial)
@@ -179,41 +133,66 @@ class TestWorkerCrash:
             s.attrs.get("mode") == "serial-fallback"
             for s in tracer.find("epochs")
         )
-        assert packs and len(packs) == 1
-        assert_no_leaks(packs)
 
     def test_hard_worker_death_degrades_to_serial(
         self, table, collectors, monkeypatch
     ):
         _, metrics = collectors
-        packs = created_segments(monkeypatch)
-
-        monkeypatch.setattr(pipeline_mod, "_worker_run_batch", _dying_batch)
-        parallel = analyze_trace(table, workers=2, transport="shm")
+        monkeypatch.setattr(substrate_mod, "_sweep_batch", _dying_sweep_batch)
+        parallel = analyze_trace(table, workers=2)
         monkeypatch.undo()
         serial = analyze_trace(table, workers=0)
         assert_equal_analyses(parallel, serial)
         assert metrics.get("degraded.parallel_to_serial") == 1
-        assert_no_leaks(packs)
 
     def test_sweep_worker_crash_degrades_to_serial(
         self, table, collectors, monkeypatch
     ):
         _, metrics = collectors
-        packs = created_segments(monkeypatch)
         configs = [
             AnalysisConfig(),
             AnalysisConfig(epoch_seconds=1800.0),
         ]
-
-        monkeypatch.setattr(
-            substrate_mod, "_sweep_worker_run_batch", _exploding_sweep_batch
-        )
-        parallel = analyze_sweep(table, configs, workers=2, transport="shm")
+        monkeypatch.setattr(substrate_mod, "_sweep_batch", _exploding_sweep_batch)
+        parallel = analyze_sweep(table, configs, workers=2)
         monkeypatch.undo()
         serial = analyze_sweep(table, configs, workers=0)
         assert len(parallel) == len(serial) == 2
         for p, s in zip(parallel, serial):
             assert_equal_analyses(p, s)
         assert metrics.get("degraded.parallel_to_serial") == 1
-        assert_no_leaks(packs)
+
+    @pytest.mark.parametrize("task", [_exploding_shard_task, _dying_shard_task])
+    def test_shard_worker_crash_degrades_to_serial(
+        self, table, tmp_path, collectors, monkeypatch, task
+    ):
+        tracer, metrics = collectors
+        store = build_shard_store(table, tmp_path / "store", n_shards=3)
+        monkeypatch.setattr(shards_mod, "_shard_task", task)
+        parallel = analyze_shards(store, workers=2)
+        monkeypatch.undo()
+        assert_equal_analyses(parallel, analyze_trace(table, workers=0))
+        assert metrics.get("degraded.parallel_to_serial") == 1
+        assert any(
+            s.attrs.get("mode") == "serial-fallback"
+            for s in tracer.find("shards")
+        )
+
+
+class TestWorkerCollectors:
+    def test_workers_run_with_null_collectors(self, collectors):
+        tracer, _ = collectors
+        seen = []
+        fan_out(
+            list(range(8)), _collector_types, None, seen.append,
+            workers=2, serial_span="tasks",
+        )
+        assert len(seen) == 8
+        assert {(t, m) for _, t, m in seen} == {
+            (NullTracer.__name__, NullMetrics.__name__)
+        }
+        pids = {pid for pid, _, _ in seen}
+        assert os.getpid() not in pids
+        spans = tracer.find("worker")
+        assert sorted(s.attrs["pid"] for s in spans) == sorted(pids)
+        assert sum(s.attrs["tasks"] for s in spans) == 8

@@ -182,7 +182,7 @@ class TestPipelineTimings:
         assert t.n_epochs == 2
         assert t.n_units == 2  # 2 epochs x 1 metric
         assert t.pack_s > 0
-        assert t.index_build_s > 0  # default engine is the indexed one
+        assert t.index_build_s > 0  # one trace-global index build
         assert t.aggregate_s > 0
         assert t.problems_s > 0
         assert t.critical_s > 0
@@ -211,13 +211,21 @@ class TestConfigDigest:
         assert set(digest) <= set("0123456789abcdef")
 
     def test_execution_knobs_never_change_the_digest(self):
+        """Execution knobs are call arguments, not config fields, so no
+        config can carry (and hash) one."""
         import dataclasses
 
-        base = AnalysisConfig()
-        varied = dataclasses.replace(
-            base, workers="auto", engine="epoch", transport="pickle"
-        )
-        assert varied.config_digest() == base.config_digest()
+        for knob, value in (("workers", 2), ("engine", "epoch"),
+                            ("transport", "pickle")):
+            with pytest.raises(TypeError):
+                dataclasses.replace(AnalysisConfig(), **{knob: value})
+
+    def test_fields_are_exactly_the_digest_keys(self):
+        import dataclasses
+
+        fields = {f.name for f in dataclasses.fields(AnalysisConfig)}
+        spec = AnalysisConfig().digest_spec()
+        assert set(spec) - {"digest_version"} == fields
 
     @pytest.mark.parametrize(
         "override",

@@ -112,8 +112,8 @@ class TestDiffRecords:
         assert rss(diff_records(a, b_real)).verdict == REGRESSED
 
     def test_degraded_counters_regress_outright(self):
-        a = record("r1", counters={"degraded.shm_to_pickle": 0})
-        b = record("r2", counters={"degraded.shm_to_pickle": 1})
+        a = record("r1", counters={"degraded.parallel_to_serial": 0})
+        b = record("r2", counters={"degraded.parallel_to_serial": 1})
         result = diff_records(a, b)
         degraded = next(v for v in result.verdicts if v.kind == "counter")
         assert degraded.verdict == REGRESSED

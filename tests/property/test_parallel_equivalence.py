@@ -1,28 +1,35 @@
-"""Engine-equivalence properties of the analysis pipeline.
+"""Equivalence properties of the analysis pipeline.
 
-``analyze_trace`` must return indistinguishable results across every
-execution strategy: serial vs epoch-parallel (``workers``) and legacy
-per-epoch vs trace-indexed reduction (``engine``) — identical per-epoch
-problem-cluster dicts (same :class:`ClusterKey` -> same stats) and
-identical critical-cluster attribution, for every metric. These tests
-pin that invariant on generated traces and on the edge cases the
-executors special-case (empty epochs, single epoch, empty trace).
+``analyze_trace`` must return indistinguishable results serially and
+over a process pool (``workers``), and both must equal a naive
+reference (:func:`reference_analysis`): per (epoch, metric), the direct
+``aggregate_epoch`` (no index) -> ``find_problem_clusters`` ->
+``find_critical_clusters``. Identical means the same per-epoch
+problem-cluster dicts (same :class:`ClusterKey` -> same stats) and the
+same critical-cluster attribution, for every metric. These tests pin
+that on generated traces and on the edge cases the executor
+special-cases (empty epochs, single epoch, empty trace).
 """
 
 import dataclasses
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.aggregation import aggregate_epoch
+from repro.core.critical import find_critical_clusters
+from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE
 from repro.core.pipeline import (
     AnalysisConfig,
+    EpochAnalysis,
+    PipelineTimings,
+    TraceAnalysis,
     analyze_trace,
-    resolve_engine,
+    assemble_trace_analysis,
     resolve_worker_count,
 )
-from repro.core.problems import ProblemClusterConfig
+from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
 
@@ -34,9 +41,46 @@ SMALL_CONFIG = AnalysisConfig(
     ),
 )
 
-#: Same knobs over all four paper metrics (indexed-engine equivalence
+#: Same knobs over all four paper metrics (equivalence to the reference
 #: must hold for every metric's validity pattern, not just join failure).
 ALL_METRICS_CONFIG = dataclasses.replace(SMALL_CONFIG, metrics=ALL_METRICS)
+
+
+def reference_epoch(table, rows, metric, epoch, config) -> EpochAnalysis:
+    """One (epoch, metric) unit the direct way: pack the epoch's valid
+    rows, detect problem clusters, run the critical-cluster search."""
+    agg = aggregate_epoch(
+        table, rows, metric, epoch=epoch, thresholds=config.thresholds
+    )
+    problems = find_problem_clusters(agg, config.problem_config)
+    critical = find_critical_clusters(problems)
+    return EpochAnalysis(
+        epoch=epoch,
+        total_sessions=agg.total_sessions,
+        total_problems=agg.total_problems,
+        min_sessions=problems.min_sessions,
+        problem_cluster_coverage=problems.coverage,
+        problem_clusters={
+            agg.decode(mask, packed): stats
+            for mask, packed, stats in problems.iter_clusters()
+        },
+        critical_clusters=critical.decoded(),
+    )
+
+
+def reference_analysis(
+    table: SessionTable, config: AnalysisConfig, grid: EpochGrid | None = None
+) -> TraceAnalysis:
+    """The test oracle: every (epoch, metric) unit through
+    :func:`reference_epoch`, with no index and no pool."""
+    if grid is None:
+        grid = EpochGrid.covering(table, epoch_seconds=config.epoch_seconds)
+    grid, per_epoch_rows = split_into_epochs(table, grid)
+    per_epoch = [
+        [reference_epoch(table, rows, m, epoch, config) for m in config.metrics]
+        for epoch, rows in enumerate(per_epoch_rows)
+    ]
+    return assemble_trace_analysis(grid, config, per_epoch, PipelineTimings())
 
 
 def assert_equal_analyses(a, b):
@@ -131,18 +175,17 @@ def test_empty_trace():
     assert_equal_analyses(serial, parallel)
 
 
-def test_config_workers_used_when_argument_omitted():
-    table = build_table([(e, a % 3, a % 2, a % 3 == 0) for e in range(2)
-                         for a in range(30)])
-    parallel_config = dataclasses.replace(SMALL_CONFIG, workers=2)
-    serial = analyze_trace(table, config=SMALL_CONFIG)
-    parallel = analyze_trace(table, config=parallel_config)
-    assert_equal_analyses(serial, parallel)
-
-
 class TestIndexedEngineEquivalence:
-    """The trace-indexed engine must be output-identical to the legacy
-    per-epoch engine — bit-identical problem and critical clusters."""
+    """The production engine (the trace-global index, serial or over a
+    pool) must be output-identical to the naive reference."""
+
+    @staticmethod
+    def assert_matches_reference(table, config, grid=None):
+        expected = reference_analysis(table, config, grid=grid)
+        for workers in (0, 2):
+            got = analyze_trace(table, config=config, grid=grid, workers=workers)
+            assert_equal_analyses(expected, got)
+        return expected
 
     @settings(
         max_examples=6,
@@ -150,110 +193,61 @@ class TestIndexedEngineEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(session_rows)
-    def test_indexed_equals_legacy_on_random_traces(self, rows):
-        table = build_table(rows)
-        legacy = analyze_trace(table, config=SMALL_CONFIG, engine="epoch")
-        indexed = analyze_trace(table, config=SMALL_CONFIG, engine="indexed")
-        assert_equal_analyses(legacy, indexed)
+    def test_indexed_equals_oracle_on_random_traces(self, rows):
+        self.assert_matches_reference(build_table(rows), SMALL_CONFIG)
 
-    def test_indexed_equals_legacy_on_generated_trace(self, tiny_trace):
+    def test_indexed_equals_oracle_on_generated_trace(self, tiny_trace, tiny_analysis):
         """Full four-metric equality on a trace with planted events."""
-        legacy = analyze_trace(
-            tiny_trace.table, grid=tiny_trace.grid, engine="epoch"
+        expected = reference_analysis(
+            tiny_trace.table, AnalysisConfig(), grid=tiny_trace.grid
         )
-        indexed = analyze_trace(
-            tiny_trace.table, grid=tiny_trace.grid, engine="indexed"
-        )
-        assert_equal_analyses(legacy, indexed)
+        assert_equal_analyses(expected, tiny_analysis)
         assert any(
             e.n_critical_clusters
-            for ma in indexed.metrics.values()
+            for ma in expected.metrics.values()
             for e in ma.epochs
         )
 
     def test_all_metrics_validity_patterns(self):
         """Every metric's valid-session subset reduces identically —
-        the indexed engine keeps zero-valid leaves the legacy engine
-        drops, which must never show in the output."""
+        the index keeps zero-valid leaves the direct path drops, which
+        must never show in the output."""
         rows = [
             (e, a % 3, a % 2, (a + e) % 4 == 0)
             for e in range(3)
             for a in range(40)
         ]
-        table = build_table(rows)
-        legacy = analyze_trace(table, config=ALL_METRICS_CONFIG, engine="epoch")
-        indexed = analyze_trace(
-            table, config=ALL_METRICS_CONFIG, engine="indexed"
+        expected = self.assert_matches_reference(
+            build_table(rows), ALL_METRICS_CONFIG
         )
-        assert legacy.metric_names == [m.name for m in ALL_METRICS]
-        assert_equal_analyses(legacy, indexed)
+        assert expected.metric_names == [m.name for m in ALL_METRICS]
 
     def test_empty_middle_epoch(self):
         rows = [(0, 0, 0, True)] * 20 + [(2, 1, 1, False)] * 20
-        table = build_table(rows)
-        legacy = analyze_trace(table, config=SMALL_CONFIG, engine="epoch")
-        indexed = analyze_trace(table, config=SMALL_CONFIG, engine="indexed")
-        assert indexed["join_failure"].epochs[1].total_sessions == 0
-        assert_equal_analyses(legacy, indexed)
+        expected = self.assert_matches_reference(build_table(rows), SMALL_CONFIG)
+        assert expected["join_failure"].epochs[1].total_sessions == 0
 
     def test_single_epoch_trace(self):
         table = build_table([(0, a % 3, a % 2, a % 4 == 0) for a in range(40)])
-        legacy = analyze_trace(table, config=SMALL_CONFIG, engine="epoch")
-        indexed = analyze_trace(table, config=SMALL_CONFIG, engine="indexed")
-        assert legacy.grid.n_epochs == 1
-        assert_equal_analyses(legacy, indexed)
+        expected = self.assert_matches_reference(table, SMALL_CONFIG)
+        assert expected.grid.n_epochs == 1
 
     def test_empty_trace(self):
-        table = SessionTable.empty()
-        legacy = analyze_trace(table, config=SMALL_CONFIG, engine="epoch")
-        indexed = analyze_trace(table, config=SMALL_CONFIG, engine="indexed")
-        assert legacy.grid.n_epochs == 0
-        assert_equal_analyses(legacy, indexed)
+        expected = self.assert_matches_reference(SessionTable.empty(), SMALL_CONFIG)
+        assert expected.grid.n_epochs == 0
 
-    def test_indexed_parallel_equals_legacy_serial(self):
-        """Both knobs at once: indexed engine over a process pool."""
+    def test_indexed_parallel_equals_oracle(self):
+        """All four metrics over a process pool."""
         rows = [
             (e, a % 3, a % 2, (a * 7 + e) % 5 == 0)
             for e in range(3)
             for a in range(35)
         ]
         table = build_table(rows)
-        legacy = analyze_trace(
-            table, config=ALL_METRICS_CONFIG, engine="epoch", workers=0
-        )
-        indexed = analyze_trace(
-            table, config=ALL_METRICS_CONFIG, engine="indexed", workers=2
-        )
-        assert_equal_analyses(legacy, indexed)
-
-    def test_config_engine_used_when_argument_omitted(self):
-        table = build_table([(e, a % 3, a % 2, a % 3 == 0) for e in range(2)
-                             for a in range(30)])
-        legacy_config = dataclasses.replace(SMALL_CONFIG, engine="epoch")
-        indexed_config = dataclasses.replace(SMALL_CONFIG, engine="indexed")
         assert_equal_analyses(
-            analyze_trace(table, config=legacy_config),
-            analyze_trace(table, config=indexed_config),
+            reference_analysis(table, ALL_METRICS_CONFIG),
+            analyze_trace(table, config=ALL_METRICS_CONFIG, workers=2),
         )
-
-
-class TestResolveEngine:
-    def test_auto_resolves_to_indexed(self):
-        assert resolve_engine(None) == "indexed"
-        assert resolve_engine("auto") == "indexed"
-
-    def test_explicit_values(self):
-        assert resolve_engine("epoch") == "epoch"
-        assert resolve_engine("indexed") == "indexed"
-
-    @pytest.mark.parametrize("bad", ["fast", "", "EPOCH", 3])
-    def test_invalid_rejected(self, bad):
-        with pytest.raises(ValueError):
-            resolve_engine(bad)
-
-    def test_config_validates_engine(self):
-        with pytest.raises(ValueError):
-            AnalysisConfig(engine="bogus")
 
 
 class TestResolveWorkerCount:
@@ -276,7 +270,9 @@ class TestResolveWorkerCount:
             resolve_worker_count(bad)
 
     def test_config_validates_workers(self):
+        """``workers`` is a call argument, validated where it is used;
+        the config no longer carries it."""
+        with pytest.raises(TypeError):
+            AnalysisConfig(workers=2)
         with pytest.raises(ValueError):
-            AnalysisConfig(workers="bogus")
-        with pytest.raises(ValueError):
-            AnalysisConfig(workers=-3)
+            analyze_trace(SessionTable.empty(), workers=-3)

@@ -4,15 +4,14 @@
 its per-config results are bit-identical to independent
 ``analyze_trace`` calls — same problem-cluster dicts, same critical
 attribution, same grid — regardless of how configs share or differ in
-thresholds, problem knobs, epoch lengths, metrics, worker counts, or
-transport. These tests pin that invariant on randomized config lists
+thresholds, problem knobs, epoch lengths, metrics or worker counts.
+These tests pin that invariant on randomized config lists
 and on the executor edge cases (empty trace, single epoch, duplicate
 configs).
 """
 
 import dataclasses
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.metrics import ALL_METRICS, MetricThresholds
@@ -185,8 +184,7 @@ class TestSubstrateReuse:
 
 
 class TestParallelSweep:
-    @pytest.mark.parametrize("transport", ["pickle", "shm"])
-    def test_workers_and_transport_do_not_change_results(self, transport):
+    def test_workers_do_not_change_results(self):
         table = build_table(
             [(e, a % 3, a % 2, (a * 7 + e) % 5 == 0) for e in range(3)
              for a in range(35)]
@@ -199,7 +197,7 @@ class TestParallelSweep:
             dataclasses.replace(ALL_METRICS_SMALL, epoch_seconds=1800.0),
         ]
         serial = analyze_sweep(table, configs)
-        parallel = analyze_sweep(table, configs, workers=2, transport=transport)
+        parallel = analyze_sweep(table, configs, workers=2)
         for a, b in zip(serial, parallel):
             assert_equal_analyses(a, b)
 

@@ -114,6 +114,13 @@ class TestWorkersFlag:
         main(["generate", "--workload", "tiny", "--seed", "3", "-o", str(out)])
         assert main(["analyze", str(out), "--workers", "auto"]) == 0
 
+    @pytest.mark.parametrize("flag", [["--engine", "epoch"],
+                                      ["--transport", "shm"]])
+    def test_removed_execution_flags_exit_2(self, tmp_path, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(tmp_path / "t.jsonl"), *flag])
+        assert exc.value.code == 2
+
 
 class TestSubstrateCache:
     def test_analyze_builds_then_loads_cache(self, tmp_path, capsys):
@@ -229,13 +236,10 @@ class TestTraceOut:
         data = json.loads(out.read_text())
         names = self._span_names(data["trace"])
         for expected in ("ingest", "analyze_trace", "index_build",
-                         "worker_payload", "fanout", "worker", "aggregate",
-                         "shm.pack"):
+                         "fanout", "worker", "aggregate"):
             assert expected in names, f"span {expected!r} missing"
         counters = data["metrics"]["counters"]
         assert counters["pipeline.runs"] == 1
-        assert counters["shm.segments_created"] == \
-            counters["shm.segments_released"]
         assert counters["ingest.rows"] > 0
 
         manifest = json.loads(
@@ -269,8 +273,7 @@ class TestTraceOut:
         workers = find(data["trace"], "worker", [])
         assert workers
         assert all(w["attrs"]["pid"] > 0 for w in workers)
-        packs = find(data["trace"], "shm.pack", [])
-        assert packs and packs[0]["attrs"]["bytes"] > 0
+        assert all(w["attrs"]["tasks"] > 0 for w in workers)
 
     def test_sweep_trace_out(self, tmp_path, capsys):
         import json

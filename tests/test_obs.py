@@ -122,12 +122,12 @@ class TestInstallation:
         tracer, metrics = Tracer(), MetricsRegistry()
         with use_tracer(tracer), use_metrics(metrics):
             with caplog.at_level(logging.WARNING, logger="repro.obs"):
-                record_degradation("shm_to_pickle", "because reasons")
+                record_degradation("parallel_to_serial", "because reasons")
         assert "because reasons" in caplog.text
-        assert metrics.get("degraded.shm_to_pickle") == 1
+        assert metrics.get("degraded.parallel_to_serial") == 1
         reasons = degradation_reasons(tracer)
         assert reasons == [
-            {"kind": "shm_to_pickle", "reason": "because reasons"}
+            {"kind": "parallel_to_serial", "reason": "because reasons"}
         ]
 
     def test_record_degradation_without_collectors_only_logs(self, caplog):
