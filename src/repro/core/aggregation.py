@@ -308,8 +308,8 @@ def aggregate_epoch(
 
     ``cluster_index``, when given, must be a
     :class:`~repro.core.index.TraceClusterIndex` built from the same
-    ``table``; aggregation then reduces to bincounts over the index's
-    precomputed inverses (see that class for the exact-equivalence
+    ``table``; aggregation then reduces to bincounts over the epoch
+    view's lattice (see :mod:`repro.core.index` for the exact-equivalence
     argument) and ``codec`` is ignored.
 
     Without an index this is the direct per-metric path: pack the

@@ -25,10 +25,10 @@ combination, not in the ASN. The implementation runs a bottom-up
 dynamic program over the per-mask cluster tables (one boolean per
 cluster, failing children folded onto parents with one ``bincount``
 per lattice edge), so the cost stays near-linear in the number of
-distinct clusters. When the aggregate carries a
-:class:`~repro.core.index.TraceClusterIndex`, the child -> parent fold
-indices are the index's trace-global cached projections — computed
-once, reused across every epoch and metric.
+distinct clusters. When the aggregate carries an
+:class:`~repro.core.index.EpochClusterView`, the child -> parent fold
+indices are the view's cached projections — computed once per epoch,
+shared by every metric and config of that epoch.
 """
 
 from __future__ import annotations
@@ -118,10 +118,11 @@ class CriticalClusters:
 def _project_index(agg, fine: int, coarse: int) -> np.ndarray:
     """Positions of mask ``fine``'s clusters within mask ``coarse``'s keys.
 
-    Reuses the trace-global cache when the aggregate carries a
-    :class:`~repro.core.index.TraceClusterIndex` (one ``searchsorted``
-    per (fine, coarse) pair for the whole trace, all epochs and
-    metrics); falls back to a per-epoch ``searchsorted`` otherwise.
+    Reuses the epoch view's cache when the aggregate carries an
+    :class:`~repro.core.index.EpochClusterView` (at most one
+    ``searchsorted`` per (fine, coarse) pair per epoch, shared by every
+    metric and config of the epoch); falls back to a ``searchsorted``
+    per call otherwise.
     """
     if agg.index is not None:
         return agg.index.project_index(fine, coarse)

@@ -295,9 +295,9 @@ def find_problem_clusters(
     clusters — so the predicate is evaluated once over the *significant*
     clusters of all masks concatenated flat, and the results scattered
     back into full-size per-mask flag arrays. Session counts are
-    threshold-independent, so when the aggregate came from a
-    :class:`~repro.core.index.TraceClusterIndex` the significant subset
-    is cached on the epoch view and shared by every thresholds variant
+    threshold-independent, so when the aggregate came from an
+    :class:`~repro.core.index.EpochClusterView` the significant subset
+    is cached on the view and shared by every thresholds variant
     of a config sweep (the leaf-projection index matrix likewise comes
     precomputed from the view — no per-epoch ``searchsorted`` at all).
     """
@@ -339,8 +339,7 @@ def find_problem_clusters(
 
     if agg.index is not None:
         # Indexed aggregate: the leaf -> cluster inverses were computed
-        # once per epoch (shared by every metric) through the
-        # trace-global index.
+        # once per epoch view, shared by every metric.
         leaf_proj_index = agg.index.leaf_to_cluster
     else:
         leaf_proj_index = {}

@@ -9,10 +9,11 @@ computes is the *same* across those variants:
 
 * the packed :class:`~repro.core.sessions.SessionTable` and its
   :class:`~repro.core.aggregation.KeyCodec`,
-* the :class:`~repro.core.index.TraceClusterIndex` — leaf universe,
-  per-mask cluster tables, lattice projections,
-* per-epoch :class:`~repro.core.index.EpochClusterView`\\ s (active
-  cluster subsets; depend on the epoch grid, not on thresholds),
+* the :class:`~repro.core.index.TraceClusterIndex` — the sorted leaf
+  universe and the row -> leaf inverse,
+* per-epoch :class:`~repro.core.index.EpochClusterView`\\ s (the
+  lattice of the epoch's active leaves; depend on the epoch grid, not
+  on thresholds),
 * raw per-leaf validity/session folds (cached per metric on each view).
 
 **Config-dependent** (cheap, re-run per variant):
@@ -185,8 +186,9 @@ class StreamingSubstrate:
     (``floor(start_time / epoch_seconds)``), so the grid grows to cover
     whatever has arrived and :attr:`grid` always equals
     ``EpochGrid.covering`` over the accumulated table. Per-epoch row
-    arrays grow by doubling; appends are amortized O(chunk rows) once
-    the trace's leaf universe has saturated.
+    arrays grow by doubling. An append costs the chunk's rows plus, when
+    it brings unseen leaves, one sorted leaf merge and a ``row_to_leaf``
+    renumbering; no per-mask state is kept between epochs.
 
     Per-epoch streamed detection goes through the same
     :class:`~repro.core.index.EpochClusterView` path the batch engine

@@ -4,10 +4,10 @@ Packing a :class:`~repro.core.sessions.SessionTable` and building its
 :class:`~repro.core.index.TraceClusterIndex` is config-independent work
 that every CLI invocation over the same trace used to re-pay — roughly
 40% of analysis wall time. A snapshot persists the whole substrate
-(packed columns, leaf universe, per-mask cluster tables, inverses,
-prewarmed lattice projections, validity masks) in an mmap-friendly
-single file so repeated ``analyze``/``sweep``/``report`` runs deserialize
-a few hundred bytes of JSON and map the arrays zero-copy.
+(packed columns, leaf universe, row -> leaf inverse, validity masks) in
+an mmap-friendly single file so repeated ``analyze``/``sweep``/``report``
+runs deserialize a few hundred bytes of JSON and map the arrays
+zero-copy.
 
 File layout (all integers little-endian)::
 
@@ -20,9 +20,9 @@ File layout (all integers little-endian)::
 The manifest holds one ``(key, dtype, shape, offset)`` record per
 array, under structured keys ``("table", column)`` /
 ``("index", kind, *detail)`` (:func:`export_arrays`), plus the small
-non-array state (schema, vocabularies, codec widths/offsets, fold
-tables). Array offsets are relative to the data section, which starts
-at the first 64-byte boundary after the manifest.
+non-array state (schema, vocabularies, codec widths/offsets). Array
+offsets are relative to the data section, which starts at the first
+64-byte boundary after the manifest.
 
 Cached problem masks are *not* persisted: their cache keys embed
 :class:`~repro.core.metrics.MetricThresholds` instances (config state),
@@ -37,6 +37,11 @@ silent snapshot bit-rot into a :class:`ValueError` (pass
 re-loads); the stamp is also the content-address the per-shard result
 cache (:mod:`repro.core.resultcache`) keys on, so cache keys never
 re-hash payloads at lookup time.
+
+Snapshots written before the index became leaf-only also carry per-mask
+cluster tables, lattice projections and manifest fold tables. Loading
+ignores those entries (the content stamp still covers their bytes), so
+such files keep loading and analyze to the same results.
 
 ``load_substrate`` maps the file read-only; restored arrays are views
 into the mapping. An appended-to
@@ -91,12 +96,6 @@ def export_arrays(
     }
     arrays[("index", "leaf_keys")] = index.leaf_keys
     arrays[("index", "row_to_leaf")] = index.row_to_leaf
-    for m, keys in index.mask_keys.items():
-        arrays[("index", "mask_keys", m)] = keys
-    for m, inverse in index.leaf_to_cluster.items():
-        arrays[("index", "leaf_to_cluster", m)] = inverse
-    for (fine, coarse), idx in index._project_index.items():
-        arrays[("index", "project", fine, coarse)] = idx
     for name, valid in index._valid_masks.items():
         arrays[("index", "valid", name)] = valid
     return arrays
@@ -125,40 +124,22 @@ def table_from_arrays(
 def index_from_arrays(
     table: SessionTable,
     codec: KeyCodec,
-    fold_source: dict[int, int],
-    fold_order: list[int],
     arrays: Mapping[Hashable, np.ndarray],
 ) -> TraceClusterIndex:
     """Rebuild a :class:`TraceClusterIndex` around mapped arrays,
-    including the prewarmed projection and validity-mask caches."""
-    mask_keys: dict[int, np.ndarray] = {}
-    leaf_to_cluster: dict[int, np.ndarray] = {}
-    project: dict[tuple[int, int], np.ndarray] = {}
-    valid: dict[str, np.ndarray] = {}
-    for key, arr in arrays.items():
-        if key[0] != "index":
-            continue
-        kind = key[1]
-        if kind == "mask_keys":
-            mask_keys[key[2]] = arr
-        elif kind == "leaf_to_cluster":
-            leaf_to_cluster[key[2]] = arr
-        elif kind == "project":
-            project[(key[2], key[3])] = arr
-        elif kind == "valid":
-            valid[key[2]] = arr
+    including the validity-mask cache. Any other ``("index", ...)``
+    entry (the per-mask tables of older snapshots) is ignored."""
     index = TraceClusterIndex(
         table=table,
         codec=codec,
         leaf_keys=arrays[("index", "leaf_keys")],
         row_to_leaf=arrays[("index", "row_to_leaf")],
-        mask_keys=mask_keys,
-        leaf_to_cluster=leaf_to_cluster,
-        fold_source=fold_source,
-        fold_order=fold_order,
     )
-    index._project_index.update(project)
-    index._valid_masks.update(valid)
+    index._valid_masks.update(
+        (key[2], arr)
+        for key, arr in arrays.items()
+        if key[:2] == ("index", "valid")
+    )
     return index
 
 
@@ -243,8 +224,6 @@ def save_substrate(
         "n_rows": len(table),
         "widths": [int(w) for w in codec.widths],
         "codec_offsets": [int(o) for o in codec.offsets],
-        "fold_source": [[int(m), int(s)] for m, s in index.fold_source.items()],
-        "fold_order": [int(m) for m in index.fold_order],
         "content_sha256": content_hash.hexdigest(),
         "content_bytes": offset,
         "arrays": entries,
@@ -487,11 +466,5 @@ def _restore_from_buffer(path: Path, buf) -> AnalysisSubstrate:
         widths=np.asarray(manifest["widths"], dtype=np.int64),
         offsets=np.asarray(manifest["codec_offsets"], dtype=np.int64),
     )
-    index = index_from_arrays(
-        table,
-        codec,
-        fold_source={int(m): int(s) for m, s in manifest["fold_source"]},
-        fold_order=[int(m) for m in manifest["fold_order"]],
-        arrays=arrays,
-    )
+    index = index_from_arrays(table, codec, arrays)
     return AnalysisSubstrate(table=table, index=index, build_seconds=0.0)

@@ -1,8 +1,8 @@
 """Journal-backed perf-regression gate over the pipeline bench.
 
 ``benchmarks/bench_pipeline_core.py`` computes a dozen speed and memory
-claims (sweep amortization, streaming append, shard map/merge, batch
-simulation, cached re-analysis, instrumentation and profiler overhead)
+claims (sweep amortization, snapshot load, shard map/merge, batch
+simulation, cached re-analysis, profiler overhead)
 and historically asserted each inline. This module makes those gates a
 *data* problem: the bench payload is flattened into one
 :class:`~repro.obs.journal.RunJournal` record (command
@@ -56,14 +56,6 @@ class GateSpec:
 #: recorded per-run by :func:`flatten_payload`.
 PIPELINE_GATES: tuple[GateSpec, ...] = (
     GateSpec("sweep_speedup_min_2", "bench.sweep.sweep_speedup", MIN, 2.0),
-    GateSpec(
-        "observability_overhead_max_2pct",
-        "bench.observability.overhead_pct", MAX, 2.0,
-    ),
-    GateSpec(
-        "streaming_append_detect_min_2",
-        "bench.streaming.append_detect_speedup", MIN, 2.0,
-    ),
     GateSpec(
         "snapshot_load_min_5",
         "bench.streaming.snapshot_load_speedup", MIN, 5.0,
@@ -141,13 +133,7 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
     week = str(payload.get("workload", "")).startswith("week")
     put("bench.cpus", payload.get("cpus"))
     put("bench.sweep.sweep_speedup", payload.get("sweep", {}).get("sweep_speedup"))
-    put(
-        "bench.observability.overhead_pct",
-        payload.get("observability", {}).get("overhead_pct"),
-    )
     streaming = payload.get("streaming", {})
-    put("bench.streaming.append_detect_speedup",
-        streaming.get("append_detect_speedup"))
     put("bench.streaming.snapshot_load_speedup",
         streaming.get("snapshot_load_speedup"))
     sharding = payload.get("sharding", {})
@@ -167,8 +153,6 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
     cache_gates = cache.get("gates_enforced", {})
     enforced = {
         "sweep_speedup_min_2": week,
-        "observability_overhead_max_2pct": week,
-        "streaming_append_detect_min_2": week,
         "snapshot_load_min_5": week,
         "shard_parent_peak_rss_max_0.5": bool(
             shard_gates.get("parent_peak_rss_ratio_max_0.5")

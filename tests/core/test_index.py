@@ -39,53 +39,70 @@ class TestBuild:
             index.leaf_keys[index.row_to_leaf], packed
         )
 
-    def test_mask_keys_are_sorted_projections(self, index):
+    def test_mask_keys_are_sorted_projections(self, table, index):
+        view = index.epoch_view(np.arange(len(table)))
         field_masks = index.codec.field_masks()
         for m in range(1, index.codec.full_mask + 1):
             expected = np.unique(index.leaf_keys & field_masks[m])
-            np.testing.assert_array_equal(index.mask_keys[m], expected)
+            np.testing.assert_array_equal(view.keys(m), expected)
 
-    def test_leaf_to_cluster_inverts_projection(self, index):
+    def test_leaf_to_cluster_inverts_projection(self, table, index):
+        view = index.epoch_view(np.arange(len(table)))
         field_masks = index.codec.field_masks()
+        leaves = view.keys(index.codec.full_mask)
         for m in range(1, index.codec.full_mask + 1):
             np.testing.assert_array_equal(
-                index.mask_keys[m][index.leaf_to_cluster[m]],
-                index.leaf_keys & field_masks[m],
+                view.keys(m)[view.leaf_to_cluster[m]],
+                leaves & field_masks[m],
             )
 
-    def test_fold_source_is_one_attribute_finer(self, index):
-        for m, src in index.fold_source.items():
+    def test_fold_source_is_one_attribute_finer(self, table, index):
+        view = index.epoch_view(np.arange(0, len(table), 2))
+        full = index.codec.full_mask
+        assert set(view.fold_source) == set(range(1, full))
+        folded = {full}
+        for m, src in view.fold_source.items():
             extra = src ^ m
             assert src & m == m and extra and (extra & (extra - 1)) == 0
+            # fold order: a source is complete before it is folded from
+            assert src in folded
+            folded.add(m)
+            finer = [m | 1 << i for i in range(index.codec.n_attrs)
+                     if not m >> i & 1]
+            assert view.keys(src).size == min(view.keys(f).size for f in finer)
 
     def test_counts(self, index, table):
         assert index.n_leaves == index.leaf_keys.size
-        assert index.n_clusters_total == sum(
-            k.size for k in index.mask_keys.values()
+        assert index.memory_bytes() >= (
+            index.leaf_keys.nbytes + index.row_to_leaf.nbytes
         )
         assert index.memory_bytes() > 0
 
 
+@pytest.fixture(scope="module")
+def view(table, index) -> EpochClusterView:
+    return index.epoch_view(np.arange(0, len(table), 3))
+
+
 class TestProjectIndex:
-    def test_matches_searchsorted(self, index):
+    def test_matches_searchsorted(self, index, view):
         field_masks = index.codec.field_masks()
         full = index.codec.full_mask
         for fine, coarse in [(full, 1), (3, 1), (7, 5), (full, full >> 1)]:
-            got = index.project_index(fine, coarse)
+            got = view.project_index(fine, coarse)
             expected = np.searchsorted(
-                index.mask_keys[coarse],
-                index.mask_keys[fine] & field_masks[coarse],
+                view.keys(coarse), view.keys(fine) & field_masks[coarse]
             )
             np.testing.assert_array_equal(got, expected)
 
-    def test_cached_identity(self, index):
-        assert index.project_index(7, 1) is index.project_index(7, 1)
+    def test_cached_identity(self, view):
+        assert view.project_index(7, 1) is view.project_index(7, 1)
 
-    def test_rejects_non_submask(self, index):
+    def test_rejects_non_submask(self, view):
         with pytest.raises(ValueError):
-            index.project_index(3, 3)
+            view.project_index(3, 3)
         with pytest.raises(ValueError):
-            index.project_index(1, 2)
+            view.project_index(1, 2)
 
 
 class TestMetricMasks:
@@ -212,14 +229,16 @@ class TestEpochViewAggregate:
 
 
 class TestViewConstruction:
-    def test_active_ids_sorted_subsets(self, index, table):
+    def test_active_keys_sorted_subsets(self, index, table):
         view = index.epoch_view(np.arange(0, 300))
-        for m, ids in view.active_ids.items():
-            assert np.all(np.diff(ids) > 0)
-            assert ids.size <= index.mask_keys[m].size
+        whole = index.epoch_view(np.arange(len(table)))
+        for m in range(1, index.codec.full_mask + 1):
+            keys = view.keys(m)
+            assert np.all(np.diff(keys) > 0)
+            assert np.isin(keys, whole.keys(m)).all()
 
     def test_single_row(self, index):
         view = index.epoch_view(np.array([7]))
         assert view.n_leaves == 1
-        for m in view.active_ids:
-            assert view.active_ids[m].size == 1
+        for m in range(1, index.codec.full_mask + 1):
+            assert view.keys(m).size == 1

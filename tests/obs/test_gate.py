@@ -51,6 +51,11 @@ class TestFlatten:
         assert gauges["bench.gate.shard_analyze_speedup_min_1.3.enforced"] \
             == 0.0
         assert not any("parallel_speedup" in name for name in gauges)
+        # Retired gates: a payload that still carries their numbers is
+        # flattened without them.
+        assert not any("observability" in name for name in gauges)
+        assert "bench.streaming.append_detect_speedup" not in gauges
+        assert gauges["bench.streaming.snapshot_load_speedup"] == 9.0
 
     def test_tiny_workload_disarms_week_gates(self):
         gauges = flatten_payload(make_bench_payload(workload="tiny"))

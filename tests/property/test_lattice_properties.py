@@ -1,14 +1,19 @@
-"""Property-based tests of the attribute/cluster lattice."""
+"""Property-based tests of the attribute/cluster lattice and epoch views."""
 
-from hypothesis import given, strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.attributes import (
     DEFAULT_SCHEMA,
+    AttributeSchema,
     iter_submasks,
     iter_supermasks,
     popcount,
 )
 from repro.core.clusters import ClusterKey
+from repro.core.index import TraceClusterIndex
+from repro.core.sessions import SessionTable
 
 FULL = DEFAULT_SCHEMA.full_mask
 
@@ -100,3 +105,86 @@ def test_parents_have_depth_minus_one(mapping):
 def test_mask_matches_depth(mapping):
     key = ClusterKey.from_mapping(mapping)
     assert popcount(key.mask()) == key.depth
+
+
+# -- Epoch views: the lattice of a row subset's active leaves ----------------
+REGION_SCHEMA = AttributeSchema(names=DEFAULT_SCHEMA.names + ("region",))
+
+
+def coded_table(schema: AttributeSchema, codes: np.ndarray) -> SessionTable:
+    """A table over ``codes`` with placeholder labels and metrics."""
+    n = codes.shape[0]
+    vocabs = [
+        [f"{name}{v}" for v in range(int(codes[:, i].max(initial=0)) + 1)]
+        for i, name in enumerate(schema.names)
+    ]
+    zeros = np.zeros(n)
+    return SessionTable(
+        schema=schema, vocabs=vocabs, codes=codes, start_time=zeros,
+        duration_s=zeros + 600.0, buffering_s=zeros, join_time_s=zeros + 2.0,
+        bitrate_kbps=zeros + 2000.0, join_failed=np.zeros(n, dtype=bool),
+    )
+
+
+@st.composite
+def tables_with_rows(draw):
+    schema = draw(st.sampled_from([DEFAULT_SCHEMA, REGION_SCHEMA]))
+    n = draw(st.integers(0, 40))
+    flat = draw(st.lists(st.integers(0, 3), min_size=n * len(schema),
+                         max_size=n * len(schema)))
+    codes = np.asarray(flat, dtype=np.int32).reshape(n, len(schema))
+    picked = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return coded_table(schema, codes), np.flatnonzero(picked)
+
+
+def assert_view_is_row_lattice(table: SessionTable, rows: np.ndarray) -> None:
+    """The view over ``rows`` holds exactly the clusters of those rows."""
+    index = TraceClusterIndex.build(table)
+    view = index.epoch_view(rows)
+    codec = index.codec
+    packed = codec.pack(table.codes)[rows]
+    field_masks = codec.field_masks()
+    full = codec.full_mask
+    for m in range(1, full + 1):
+        np.testing.assert_array_equal(
+            view.keys(m), np.unique(packed & field_masks[m])
+        )
+        np.testing.assert_array_equal(
+            view.keys(m)[view.leaf_to_cluster[m]], view.keys(full) & field_masks[m]
+        )
+    # Every one-attribute edge of the lattice, plus every mask onto the
+    # root-most single attributes: each fine key lands on its projection.
+    pairs = {(m | 1 << i, m) for m in range(1, full) for i in range(codec.n_attrs)
+             if not m >> i & 1}
+    pairs |= {(full, 1 << i) for i in range(codec.n_attrs)}
+    for fine, coarse in pairs:
+        idx = view.project_index(fine, coarse)
+        np.testing.assert_array_equal(
+            view.keys(coarse)[idx], view.keys(fine) & field_masks[coarse]
+        )
+
+
+@settings(max_examples=30, deadline=None)
+@given(tables_with_rows())
+def test_view_keys_are_row_projections(case):
+    table, rows = case
+    assert_view_is_row_lattice(table, rows)
+
+
+@pytest.mark.parametrize("schema", [DEFAULT_SCHEMA, REGION_SCHEMA],
+                         ids=["7attrs", "8attrs"])
+@pytest.mark.parametrize("rows", [[], [5], [0, 5, 9]], ids=["empty", "one", "three"])
+def test_view_edge_row_sets(schema, rows):
+    rng = np.random.default_rng(len(schema))
+    codes = rng.integers(0, 4, size=(12, len(schema))).astype(np.int32)
+    assert_view_is_row_lattice(coded_table(schema, codes), np.asarray(rows, dtype=np.int64))
+
+
+def test_view_on_generated_region_trace():
+    """The paper's §6 eighth attribute on a generated trace."""
+    from repro.trace import StandardWorkloads, generate_trace
+
+    table = generate_trace(StandardWorkloads.tiny_with_region(seed=3)).table
+    assert len(table.schema) == 8
+    epoch_of = np.floor(table.start_time / 3600.0).astype(np.int64)
+    assert_view_is_row_lattice(table, np.flatnonzero(epoch_of == epoch_of[0]))

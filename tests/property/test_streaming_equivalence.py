@@ -6,11 +6,12 @@ different computation:
 * ``SessionTable.extend`` over any chunking is bit-identical to
   building the table from all rows at once (same vocabularies in
   first-appearance order, same codes, same metric columns);
-* ``TraceClusterIndex.append`` leaves every index structure — leaf
-  universe, per-mask cluster tables and inverses, cached lattice
-  projections, fold tables, warmed metric masks — bit-identical to a
-  from-scratch ``build`` over the concatenated table, including across
-  vocabulary growth that changes the packed key widths;
+* ``TraceClusterIndex.append`` leaves the leaf-level index — codec,
+  leaf universe, row -> leaf inverse, warmed metric masks — and its
+  byte footprint bit-identical to a from-scratch ``build`` over the
+  concatenated table, including across vocabulary growth that changes
+  the packed key widths, and every epoch's view over the streamed index
+  has the same per-mask keys and counts as the batch index's;
 * ``StreamingSubstrate`` fed epoch-sized (or arbitrary) chunks yields
   the same analysis as batch ``analyze_trace``;
 * substrate snapshots round-trip exactly, and corrupted or
@@ -24,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
 from repro.core.pipeline import analyze_trace
@@ -51,26 +53,28 @@ def assert_equal_tables(a: SessionTable, b: SessionTable) -> None:
 
 
 def assert_equal_indexes(a: TraceClusterIndex, b: TraceClusterIndex) -> None:
-    """Bit-identical index structures (tables, codec, lattice caches)."""
+    """Bit-identical leaf-level state, and the same lattice per epoch:
+    every hourly epoch's view has identical per-mask keys, session
+    counts and problem counts on both indexes."""
     assert_equal_tables(a.table, b.table)
     assert np.array_equal(a.codec.widths, b.codec.widths)
     assert np.array_equal(a.codec.offsets, b.codec.offsets)
     assert np.array_equal(a.leaf_keys, b.leaf_keys)
     assert np.array_equal(a.row_to_leaf, b.row_to_leaf)
-    assert set(a.mask_keys) == set(b.mask_keys)
-    for m in a.mask_keys:
-        assert np.array_equal(a.mask_keys[m], b.mask_keys[m]), f"mask {m}"
-        assert np.array_equal(
-            a.leaf_to_cluster[m], b.leaf_to_cluster[m]
-        ), f"inverse {m}"
-    assert a.fold_source == b.fold_source
-    assert a.fold_order == b.fold_order
-    # every projection cached on either side must agree with the other
-    # side's (possibly freshly computed) projection
-    for fine, coarse in set(a._project_index) | set(b._project_index):
-        assert np.array_equal(
-            a.project_index(fine, coarse), b.project_index(fine, coarse)
-        ), f"projection {fine}->{coarse}"
+    assert a.row_to_leaf.dtype == b.row_to_leaf.dtype
+    if not len(a.table):
+        return
+    _, per_epoch = split_into_epochs(
+        a.table, EpochGrid.covering(a.table, epoch_seconds=3600.0)
+    )
+    for epoch, rows in enumerate(per_epoch):
+        agg_a = a.epoch_view(rows, epoch).aggregate(JOIN_FAILURE)
+        agg_b = b.epoch_view(rows, epoch).aggregate(JOIN_FAILURE)
+        for m, ma in agg_a.per_mask.items():
+            mb = agg_b.per_mask[m]
+            assert np.array_equal(ma.keys, mb.keys), (epoch, m)
+            assert np.array_equal(ma.sessions, mb.sessions), (epoch, m)
+            assert np.array_equal(ma.problems, mb.problems), (epoch, m)
 
 
 def chunked_tables(rows, n_chunks: int) -> list[SessionTable]:
@@ -172,6 +176,43 @@ def test_index_append_single_sessions():
     for i in range(len(full)):
         incremental.append(full.select(np.array([i])))
     assert_equal_indexes(incremental, TraceClusterIndex.build(full))
+
+
+@pytest.mark.parametrize("n_chunks", [1, 3, 7])
+def test_streamed_index_memory_equals_fresh_build(n_chunks):
+    """Appends keep no state a fresh build lacks: the footprint of an
+    index streamed over N chunks equals a build over the same table."""
+    rows = [(e, a % 5, a % 3, (a + e) % 4 == 0) for e in range(3)
+            for a in range(60)]
+    incremental = TraceClusterIndex.build(SessionTable.empty())
+    incremental.warm_metric_masks(ALL_METRICS, MetricThresholds())
+    for chunk in chunked_tables(rows, n_chunks):
+        incremental.append(chunk)
+    batch = TraceClusterIndex.build(build_table(rows))
+    batch.warm_metric_masks(ALL_METRICS, MetricThresholds())
+    assert incremental.memory_bytes() == batch.memory_bytes()
+    assert incremental.memory_bytes() == (
+        batch.leaf_keys.nbytes
+        + batch.row_to_leaf.nbytes
+        + 2 * len(ALL_METRICS) * len(batch.table)  # valid + problem masks
+    )
+
+
+def test_streaming_substrate_memory_counts_everything(tiny_trace):
+    """Table columns, index and epoch splits: the streamed substrate
+    reports exactly what a batch substrate holding the same state does."""
+    table, grid = tiny_trace.table, tiny_trace.grid
+    stream = StreamingSubstrate(
+        schema=table.schema, epoch_seconds=grid.epoch_seconds
+    )
+    stream.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
+    epoch_of = np.floor(table.start_time / grid.epoch_seconds).astype(np.int64)
+    for epoch in np.unique(epoch_of):
+        stream.append(table.select(np.flatnonzero(epoch_of == epoch)))
+    batch = AnalysisSubstrate.build(table)
+    batch.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
+    batch.epoch_rows(grid)
+    assert stream.memory_bytes() == batch.memory_bytes()
 
 
 def test_index_append_empty_chunk_is_noop():

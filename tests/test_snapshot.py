@@ -1,6 +1,10 @@
-"""Snapshot provenance, staleness detection, and load-failure hygiene."""
+"""Snapshot provenance, staleness detection, load-failure hygiene, and
+compatibility with the older per-mask snapshot layout."""
 
+import hashlib
+import json
 import os
+import struct
 import warnings
 
 import numpy as np
@@ -179,3 +183,120 @@ class TestContentAddress:
         _verify_content(
             __import__("pathlib").Path("old.sub"), b"anything", {}, 0
         )
+
+
+def legacy_lattice(index) -> tuple[dict, dict[int, int], list[int]]:
+    """The per-mask state older snapshots persisted beside the leaves:
+    cluster tables, leaf -> cluster inverses, one-attribute lattice
+    projections and the fold tables."""
+    codec = index.codec
+    field_masks, full = codec.field_masks(), codec.full_mask
+    arrays, mask_keys = {}, {full: index.leaf_keys}
+    arrays[("index", "mask_keys", full)] = index.leaf_keys
+    arrays[("index", "leaf_to_cluster", full)] = np.arange(
+        index.leaf_keys.size, dtype=np.int32
+    )
+    for m in range(1, full):
+        keys, inverse = np.unique(index.leaf_keys & field_masks[m], return_inverse=True)
+        mask_keys[m] = keys
+        arrays[("index", "mask_keys", m)] = keys
+        arrays[("index", "leaf_to_cluster", m)] = inverse.astype(np.int32)
+    fold_source = {}
+    for m in range(1, full):
+        finer = [m | 1 << i for i in range(codec.n_attrs) if not m >> i & 1]
+        fold_source[m] = min(finer, key=lambda f: mask_keys[f].size)
+        for f in finer:
+            arrays[("index", "project", f, m)] = np.searchsorted(
+                mask_keys[m], mask_keys[f] & field_masks[m]
+            ).astype(np.int32)
+    fold_order = sorted(range(1, full), key=lambda m: -bin(m).count("1"))
+    return arrays, fold_source, fold_order
+
+
+def to_legacy_layout(path) -> None:
+    """Rewrite a snapshot in place in the older layout: the per-mask
+    arrays appended to the data section, fold tables in the manifest,
+    and a content stamp over the grown data section."""
+    raw = path.read_bytes()
+    _, length = struct.unpack_from("<8sQ", raw)
+    manifest = json.loads(raw[16 : 16 + length])
+    start = -(-(16 + length) // 64) * 64
+    data = bytearray(raw[start : start + manifest["content_bytes"]])
+    arrays, fold_source, fold_order = legacy_lattice(load_substrate(path).index)
+    for key, arr in arrays.items():
+        offset = -(-len(data) // 64) * 64
+        data += bytes(offset - len(data)) + arr.tobytes()
+        manifest["arrays"].append({
+            "key": list(key), "dtype": arr.dtype.str,
+            "shape": list(arr.shape), "offset": offset,
+        })
+    manifest["fold_source"] = [[m, s] for m, s in fold_source.items()]
+    manifest["fold_order"] = fold_order
+    manifest["content_sha256"] = hashlib.sha256(data).hexdigest()
+    manifest["content_bytes"] = len(data)
+    payload = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    start = -(-(16 + len(payload)) // 64) * 64
+    path.write_bytes(
+        struct.pack("<8sQ", MAGIC, len(payload)) + payload
+        + bytes(start - 16 - len(payload)) + bytes(data)
+    )
+
+
+class TestLegacyLayout:
+    """Snapshots and shard stores written before the index became
+    leaf-only still load, verify and analyze to the same results."""
+
+    def test_snapshot_loads_verifies_and_analyzes_identically(
+        self, tmp_path, substrate
+    ):
+        from repro.core.pipeline import AnalysisConfig
+        from tests.property.test_parallel_equivalence import assert_equal_analyses
+
+        path = save_substrate(substrate, tmp_path / "s.sub")
+        to_legacy_layout(path)
+        manifest = read_snapshot_manifest(path)
+        assert "fold_source" in manifest
+        assert any(e["key"][1] == "project" for e in manifest["arrays"])
+
+        loaded = load_substrate(path, verify=True)
+        np.testing.assert_array_equal(
+            loaded.index.row_to_leaf, substrate.index.row_to_leaf
+        )
+        config = AnalysisConfig()
+        assert_equal_analyses(substrate.analyze(config), loaded.analyze(config))
+
+    def test_corrupted_legacy_snapshot_still_fails_verification(
+        self, tmp_path, substrate
+    ):
+        path = save_substrate(substrate, tmp_path / "s.sub")
+        to_legacy_layout(path)
+        blob = bytearray(path.read_bytes())
+        blob[-1] ^= 0xFF  # inside the last legacy projection array
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ValueError, match="content"):
+            load_substrate(path)
+
+    def test_shard_store_analyzes_identically(self, tmp_path):
+        from repro.core.pipeline import analyze_trace
+        from repro.core.resultcache import ResultCache
+        from repro.core.shards import ShardStore, analyze_shards, build_shard_store
+        from tests.property.test_parallel_equivalence import (
+            ALL_METRICS_CONFIG,
+            assert_equal_analyses,
+            build_table,
+        )
+
+        table = build_table(
+            [(e, a % 3, a % 2, (a + e) % 4 == 0) for e in range(3) for a in range(30)]
+        )
+        store = build_shard_store(table, tmp_path / "store", n_shards=3)
+        for i in range(len(store.shards)):
+            to_legacy_layout(store.shard_path(i))
+        store = ShardStore.open(store.path)
+        expected = analyze_trace(table, config=ALL_METRICS_CONFIG, grid=store.grid)
+        cache = ResultCache(tmp_path / "rc")
+        for _ in range(2):  # cold, then warm from the cache
+            assert_equal_analyses(
+                expected,
+                analyze_shards(store, config=ALL_METRICS_CONFIG, result_cache=cache),
+            )
