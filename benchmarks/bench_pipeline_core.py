@@ -140,13 +140,6 @@ def bench_pipeline_json(week_context, results_dir):
       faster than single-process) additionally needs >= 4 CPUs, and
       the payload says which gates were enforced.
 
-    * ``mechanistic`` — the vectorized batch simulation engine: scalar
-      vs batch wall time generating the ``mechanistic_day`` trace
-      (``mechanistic_tiny`` on the smoke run), sessions/sec for each,
-      bit-identity asserted at every workload, and the >= 10x batch
-      speedup gated on the day workload (the tiny batch is
-      setup-dominated, so its ratio is not the claim under test).
-
     * ``result_cache`` — the memoized per-shard path: cold vs warm
       re-analysis of the same store (warm is pure load+merge; gated
       >= 5x on the week workload) and an append-one-period rebuild via
@@ -428,11 +421,6 @@ print(json.dumps({
                 f.unlink()
             store_path.rmdir()
 
-    # --- mechanistic engine: scalar loop vs lockstep batch kernel -----
-    from bench_sim_batch import mechanistic_engine_section
-
-    mechanistic = mechanistic_engine_section(workload)
-
     # --- result cache: memoized per-shard partials --------------------
     # The daily-monitoring story: analyze a store once (cold, populates
     # the cache), re-analyze it warm (pure load+merge; gated >= 5x on
@@ -614,7 +602,7 @@ print(json.dumps({
         }
 
     payload = {
-        "schema_version": 5,
+        "schema_version": 6,
         "generated_at_unix": time.time(),
         "generated_by": "benchmarks/bench_pipeline_core.py",
         "workload": f"{workload} (first 24 h)",
@@ -655,7 +643,6 @@ print(json.dumps({
             "identical_outputs": True,
         },
         "sharding": sharding,
-        "mechanistic": mechanistic,
         "result_cache": result_cache_section,
         "profiling": profiling,
     }
@@ -690,9 +677,6 @@ print(json.dumps({
           f"rebuild, snapshot load {snapshot_speedup:.1f}x vs cold build, "
           f"sharded parent peak {peak_ratio:.2f}x monolithic "
           f"({analyze_speedup:.2f}x analyze wall on {shard_workers} workers), "
-          f"mechanistic batch {mechanistic['speedup']:.1f}x vs scalar "
-          f"({mechanistic['batch_sessions_per_sec']:.0f} sess/s, "
-          f"bit-identical), "
           f"warm cached re-analysis {warm_speedup:.1f}x vs cold "
           f"({result_cache_section['append_one_day']['cache_misses']} miss on "
           "append-one-day), "

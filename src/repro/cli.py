@@ -255,13 +255,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write .npz traces uncompressed (faster to write and "
         "re-read; larger files)",
     )
-    gen.add_argument(
-        "--sim", choices=("auto", "scalar", "batch"), default="auto",
-        help="mechanistic-engine execution path: the vectorized batch "
-        "kernel ('auto'/'batch') or the reference per-session loop "
-        "('scalar'); the paths are bit-identical, so this only matters "
-        "for timing comparisons (ignored by statistical workloads)",
-    )
     _add_trace_out_arg(gen)
     _add_timings_arg(gen)
     _add_journal_arg(gen)
@@ -557,12 +550,10 @@ def _resolve_substrate(args: argparse.Namespace, table=None):
 
 
 def _read_trace(path: str):
-    # Chunked column-wise decode: bit-identical to the row-wise reader,
-    # much faster on week-scale traces.
     if path.endswith(".jsonl"):
-        return read_sessions_jsonl(path, chunked=True)
+        return read_sessions_jsonl(path)
     if path.endswith(".csv"):
-        return read_sessions_csv(path, chunked=True)
+        return read_sessions_csv(path)
     if path.endswith(".npz"):
         return read_sessions_npz(path)
     raise ValueError(
@@ -571,11 +562,7 @@ def _read_trace(path: str):
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    import dataclasses
-
     spec = StandardWorkloads.by_name(args.workload, seed=args.seed)
-    if args.sim != spec.sim:
-        spec = dataclasses.replace(spec, sim=args.sim)
     trace = generate_trace(spec)
     if args.output.endswith(".jsonl"):
         n = write_sessions_jsonl(trace.table, args.output)

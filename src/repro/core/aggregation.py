@@ -295,7 +295,6 @@ def aggregate_epoch(
     thresholds: MetricThresholds | None = None,
     codec: KeyCodec | None = None,
     problem_flags: np.ndarray | None = None,
-    cluster_index=None,
 ) -> EpochAggregate:
     """Aggregate one epoch's sessions for one metric.
 
@@ -306,25 +305,14 @@ def aggregate_epoch(
     problem classification for the selected rows (used by what-if
     simulations); it must align with ``rows``.
 
-    ``cluster_index``, when given, must be a
-    :class:`~repro.core.index.TraceClusterIndex` built from the same
-    ``table``; aggregation then reduces to bincounts over the epoch
-    view's lattice (see :mod:`repro.core.index` for the exact-equivalence
-    argument) and ``codec`` is ignored.
-
-    Without an index this is the direct per-metric path: pack the
-    valid rows, ``np.unique`` them into leaves and project every mask.
-    The online detector's schema-mismatch fallback and the HHH ablation
-    use it, and the test suite's reference analysis is built on it.
+    This is the direct per-metric path: pack the valid rows,
+    ``np.unique`` them into leaves and project every mask. The analysis
+    engine and the online detector's stream reduce epochs through a
+    :class:`~repro.core.index.EpochClusterView` instead (the same
+    counts; see :mod:`repro.core.index`). This path serves the online
+    detector's schema-change fallback and the HHH ablation, and the
+    test suite's reference analysis is built on it.
     """
-    if cluster_index is not None:
-        return cluster_index.aggregate(
-            rows,
-            metric,
-            epoch=epoch,
-            thresholds=thresholds,
-            problem_flags=problem_flags,
-        )
     codec = codec or KeyCodec.from_table(table)
     valid = metric.valid_mask(table)[rows]
     if problem_flags is None:

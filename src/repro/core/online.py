@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.aggregation import aggregate_epoch
 from repro.core.clusters import ClusterKey
 from repro.core.critical import find_critical_clusters
-from repro.core.index import TraceClusterIndex
 from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
@@ -101,25 +100,23 @@ class OnlineDetector:
         thresholds: MetricThresholds | None = None,
         confirm_after: int = 2,
         clear_after: int = 1,
-        use_cluster_index: bool = True,
     ) -> None:
         """``clear_after`` adds hysteresis: an alert clears only after
         its cluster has been absent for that many consecutive epochs.
         Structural causes hover around the significance threshold and
         would otherwise flap raise/clear every other hour.
 
-        ``use_cluster_index`` enables the streamed fast path: every
-        observed epoch is appended to an internal
+        Every observed epoch is appended to an internal
         :class:`~repro.core.substrate.StreamingSubstrate` — the table
-        and the :class:`TraceClusterIndex` grow incrementally — and the
-        epoch is reduced through the same
-        :class:`~repro.core.index.EpochClusterView` path the batch
-        engine uses. Any schema-compatible table keeps the fast
-        path (equivalent tables from the same collector, a fresh table
-        object per epoch, per-epoch slices of one big table — all
-        stream); only a schema change falls back to the direct
-        per-epoch :func:`~repro.core.aggregation.aggregate_epoch` for
-        that observation. Detection output is identical either way."""
+        and its leaf index grow incrementally — and reduced through the
+        same :class:`~repro.core.index.EpochClusterView` path the batch
+        engine uses. Any table with the stream's schema streams
+        (equivalent tables from the same collector, a fresh table
+        object per epoch, per-epoch slices of one big table); an epoch
+        with a different schema is reduced by the direct per-epoch
+        :func:`~repro.core.aggregation.aggregate_epoch` instead and
+        leaves the stream untouched. Detection output is identical
+        either way."""
         if confirm_after < 1:
             raise ValueError("confirm_after must be >= 1")
         if clear_after < 1:
@@ -129,7 +126,6 @@ class OnlineDetector:
         self.thresholds = thresholds or MetricThresholds()
         self.confirm_after = confirm_after
         self.clear_after = clear_after
-        self.use_cluster_index = use_cluster_index
         self.epochs_observed = 0
         self.open_alerts: dict[ClusterKey, ClusterAlert] = {}
         self.closed_alerts: list[ClusterAlert] = []
@@ -138,25 +134,22 @@ class OnlineDetector:
 
     @property
     def substrate(self) -> StreamingSubstrate | None:
-        """The incrementally maintained substrate behind the fast path
-        (``None`` until the first streamed observation). Exposes the
+        """The incrementally maintained substrate every streamed epoch
+        lands in (``None`` until the first observation). Exposes the
         full batch path — ``detector.substrate.analyze(...)`` re-runs
         any config over everything observed so far."""
         return self._stream
 
     def _resolve_stream(self, table: SessionTable) -> StreamingSubstrate | None:
-        """Streamed fast path: schema-compatible tables feed one
-        incrementally maintained index.
+        """The stream ``table`` appends to, or ``None`` on a schema change.
 
         Compatibility is structural — same attribute schema — not
         object identity: a fresh but equivalent table every epoch (the
         case a real collector produces) streams through the same index,
-        with vocabularies merged on append. A table with a different
-        schema falls back to the direct per-epoch path (decoded
-        identities still interoperate).
+        with vocabularies merged on append. The first observation fixes
+        the stream's schema; a table with a different one takes the
+        direct per-epoch path (decoded identities still interoperate).
         """
-        if not self.use_cluster_index:
-            return None
         if self._stream is None:
             self._stream = StreamingSubstrate(schema=table.schema)
             self._stream.index.warm_metric_masks([self.metric], self.thresholds)
@@ -165,21 +158,18 @@ class OnlineDetector:
         return self._stream
 
     def observe_epoch(
-        self,
-        table: SessionTable,
-        rows: np.ndarray | None = None,
-        cluster_index: TraceClusterIndex | None = None,
+        self, table: SessionTable, rows: np.ndarray | None = None
     ) -> EpochObservation:
-        """Consume one epoch of sessions; returns the epoch summary
-        with any alert transitions. ``cluster_index`` (optional) is a
-        prebuilt index over ``table`` to reduce through."""
+        """Consume one epoch of sessions — ``rows`` of ``table``, or all
+        of it — and return the epoch summary with any alert
+        transitions."""
         epoch = self.epochs_observed
         if rows is None:
             rows = np.arange(len(table))
         with current_tracer().span(
             "online.observe_epoch", epoch=epoch, rows=int(rows.size)
         ) as obs_span:
-            observation = self._observe_epoch(table, rows, cluster_index, epoch)
+            observation = self._observe_epoch(table, rows, epoch)
             obs_span.set(
                 problem_clusters=observation.n_problem_clusters,
                 critical_clusters=observation.n_critical_clusters,
@@ -217,23 +207,10 @@ class OnlineDetector:
         metrics.observe("online.epoch_problems", observation.total_problems)
 
     def _observe_epoch(
-        self,
-        table: SessionTable,
-        rows: np.ndarray,
-        cluster_index: TraceClusterIndex | None,
-        epoch: int,
+        self, table: SessionTable, rows: np.ndarray, epoch: int
     ) -> EpochObservation:
-        stream = None if cluster_index is not None else self._resolve_stream(table)
-        if cluster_index is not None:
-            agg = aggregate_epoch(
-                table,
-                rows,
-                self.metric,
-                epoch=epoch,
-                thresholds=self.thresholds,
-                cluster_index=cluster_index,
-            )
-        elif stream is not None:
+        stream = self._resolve_stream(table)
+        if stream is not None:
             new_rows = stream.append(table.select(rows))
             view = stream.epoch_view(new_rows, epoch=epoch)
             agg = view.aggregate(self.metric, thresholds=self.thresholds)

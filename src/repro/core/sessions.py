@@ -69,6 +69,42 @@ class Session:
         return self.buffering_s / self.duration_s
 
 
+def check_sessions(
+    table: SessionTable, source: str, first_row: int = 0
+) -> None:
+    """The :class:`Session` invariants, vectorized over a whole table.
+
+    The same checks ``Session.__post_init__`` makes per record (no
+    negative duration or buffering, buffering within a positive
+    duration) plus a finite ``start_time``, which epoching needs.
+    Raises ``ValueError`` naming ``source``, the column and the first
+    bad row (counted from ``first_row``). Trace readers call it on what
+    they decode; ``SessionTable`` itself does not, because it is
+    rebuilt per shard and per epoch from rows already checked.
+    """
+    start, duration, buffering = (
+        table.start_time, table.duration_s, table.buffering_s
+    )
+    checks = (
+        ("start_time", "is not finite", ~np.isfinite(start)),
+        ("duration_s", "is negative", duration < 0),
+        ("buffering_s", "is negative", buffering < 0),
+        ("buffering_s", "exceeds duration_s",
+         (duration > 0) & (buffering > duration)),
+    )
+    bad = np.vstack([mask for _, _, mask in checks])
+    rows = np.flatnonzero(bad.any(axis=0))
+    if rows.size:
+        row = int(rows[0])
+        column, what, _ = checks[int(np.argmax(bad[:, row]))]
+        raise ValueError(
+            f"{source}: row {first_row + row}: {column} {what} "
+            f"(start_time={float(start[row])}, "
+            f"duration_s={float(duration[row])}, "
+            f"buffering_s={float(buffering[row])})"
+        )
+
+
 #: Quality-measurement columns, in storage order (codes is separate
 #: because it is two-dimensional).
 METRIC_COLUMNS = (

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.attributes import AttributeSchema
-from repro.core.sessions import SessionTable
+from repro.core.sessions import SessionTable, check_sessions
 from repro.io.traceio import _ingest_span, _note_ingest
 
 #: Format version written into every file.
@@ -57,7 +57,8 @@ def read_sessions_npz(path: str | Path) -> SessionTable:
     """Read a table written by :func:`write_sessions_npz`.
 
     Raises :class:`ValueError` (never a bare ``zipfile`` error) when the
-    file is not a well-formed repro npz trace.
+    file is not a well-formed repro npz trace or a row breaks the
+    ``Session`` invariants (:func:`~repro.core.sessions.check_sessions`).
     """
     path = Path(path)
     with _ingest_span(path, "npz") as span:
@@ -89,6 +90,7 @@ def read_sessions_npz(path: str | Path) -> SessionTable:
                 bitrate_kbps=data["bitrate_kbps"],
                 join_failed=data["join_failed"],
             )
+        check_sessions(table, str(path))
         span.set(rows=len(table))
     _note_ingest(len(table))
     return table

@@ -9,13 +9,16 @@ Two row-oriented formats:
 Both round-trip exactly through :class:`SessionTable` (attribute
 labels, metric values including NaN for failed joins, and timestamps).
 
-Both readers have a ``chunked=True`` fast path that decodes the file
-column-wise in fixed-size chunks and streams them into one table via
+Both readers decode column-wise: ``_CHUNK_ROWS`` records at a time are
+transposed into columns, each attribute column is encoded in one
+first-appearance pass, and the chunks stream into one table via
 :meth:`SessionTable.extend` — no per-row :class:`Session` objects, no
-per-row encoder lookups. The result is bit-identical to the row-wise
-path (vocabularies grow in first-appearance order either way); the
-row-wise path remains the default for small inputs and as the
-reference implementation.
+per-row encoder lookups. Every chunk is held to the ``Session``
+invariants (:func:`~repro.core.sessions.check_sessions`), so a
+malformed row fails the read with a ``ValueError`` naming the file,
+column and row. Vocabularies grow in first-appearance order, so the
+result equals building the table from ``Session`` records row by row;
+the test suite keeps that row-wise reader as the reference.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ import csv
 import json
 import math
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from repro.core.attributes import AttributeSchema, DEFAULT_SCHEMA
-from repro.core.sessions import Session, SessionTable
+from repro.core.sessions import (
+    METRIC_COLUMNS,
+    Session,
+    SessionTable,
+    check_sessions,
+)
 from repro.obs import current_metrics, current_tracer
 
 
@@ -48,16 +56,6 @@ def _note_ingest(rows: int) -> None:
     current_metrics().inc("ingest.reads")
     current_metrics().inc("ingest.rows", rows)
 
-#: Metric column order in files.
-_METRIC_COLUMNS = (
-    "start_time",
-    "duration_s",
-    "buffering_s",
-    "join_time_s",
-    "bitrate_kbps",
-    "join_failed",
-)
-
 
 def _session_record(session: Session, schema: AttributeSchema) -> dict:
     record = {name: session.attrs[name] for name in schema.names}
@@ -72,24 +70,9 @@ def _session_record(session: Session, schema: AttributeSchema) -> dict:
     return record
 
 
-def _record_session(record: dict, schema: AttributeSchema) -> Session:
-    missing = [n for n in schema.names if n not in record]
-    if missing:
-        raise ValueError(f"record missing attributes {missing}")
-    return Session(
-        attrs={name: str(record[name]) for name in schema.names},
-        start_time=float(record["start_time"]),
-        duration_s=float(record["duration_s"]),
-        buffering_s=float(record["buffering_s"]),
-        join_time_s=float(record["join_time_s"]),
-        bitrate_kbps=float(record["bitrate_kbps"]),
-        join_failed=_parse_bool(record["join_failed"]),
-    )
-
-
-#: Rows decoded per chunk on the ``chunked=True`` fast paths. Small
-#: enough that a chunk's row buffers stay cache-resident (larger chunks
-#: measure slower, not faster); appends amortize via ``extend``.
+#: Rows decoded per chunk, read at call time so tests can shrink it.
+#: Small enough that a chunk's row buffers stay cache-resident (larger
+#: chunks measure slower, not faster); appends amortize via ``extend``.
 _CHUNK_ROWS = 4096
 
 
@@ -112,7 +95,8 @@ def _encode_labels(labels) -> tuple[list[str], np.ndarray]:
 
 
 def _bool_column(values: list) -> np.ndarray:
-    """Vectorized :func:`_parse_bool` over a column."""
+    """One ``join_failed`` column: JSON booleans, or ``true/1/yes`` and
+    ``false/0/no`` in any case."""
     if all(isinstance(v, bool) for v in values):
         return np.array(values, dtype=bool)
     text = np.char.strip(
@@ -149,7 +133,7 @@ def _chunk_table(columns: dict, schema: AttributeSchema, path) -> SessionTable:
             vocab, chunk_codes = _encode_labels(columns[name])
             vocabs.append(vocab)
             codes[:, i] = chunk_codes
-        for name in _METRIC_COLUMNS:
+        for name in METRIC_COLUMNS:
             if name == "join_failed":
                 metrics[name] = _bool_column(columns[name])
             else:
@@ -162,22 +146,13 @@ def _chunk_table(columns: dict, schema: AttributeSchema, path) -> SessionTable:
 def _read_chunked(
     column_chunks: Iterator[dict], schema: AttributeSchema, path
 ) -> SessionTable:
-    """Stream decoded column chunks into one table via ``extend``."""
+    """Check and stream decoded column chunks into one table."""
     table = SessionTable.empty(schema)
     for columns in column_chunks:
-        table.extend(_chunk_table(columns, schema, path))
+        chunk = _chunk_table(columns, schema, path)
+        check_sessions(chunk, str(path), first_row=len(table))
+        table.extend(chunk)
     return table
-
-
-def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise ValueError(f"cannot parse boolean from {value!r}")
 
 
 def write_sessions_jsonl(table: SessionTable, path: str | Path) -> int:
@@ -197,55 +172,18 @@ def write_sessions_jsonl(table: SessionTable, path: str | Path) -> int:
 
 
 def read_sessions_jsonl(
-    path: str | Path,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    chunked: bool = False,
-    chunk_rows: int = _CHUNK_ROWS,
+    path: str | Path, schema: AttributeSchema = DEFAULT_SCHEMA
 ) -> SessionTable:
-    """Read a JSONL trace back into a table.
-
-    ``chunked=True`` decodes ``chunk_rows`` lines at a time column-wise
-    and streams chunks into the table (bit-identical result, no per-row
-    ``Session`` objects); use it for large traces.
-    """
+    """Read a JSONL trace back into a table (``null`` metrics -> NaN)."""
     with _ingest_span(path, "jsonl") as span:
-        table = _read_jsonl(path, schema, chunked, chunk_rows)
+        table = _read_chunked(_jsonl_record_chunks(Path(path)), schema, path)
         span.set(rows=len(table))
     _note_ingest(len(table))
     return table
 
 
-def _read_jsonl(
-    path: str | Path,
-    schema: AttributeSchema,
-    chunked: bool,
-    chunk_rows: int,
-) -> SessionTable:
-    if chunked:
-        return _read_chunked(
-            _jsonl_record_chunks(Path(path), chunk_rows), schema, path
-        )
-
-    def records() -> Iterator[Session]:
-        with Path(path).open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ValueError(f"{path}:{line_no}: invalid JSON") from exc
-                for key in ("join_time_s", "bitrate_kbps"):
-                    if record.get(key) is None:
-                        record[key] = float("nan")
-                yield _record_session(record, schema)
-
-    return SessionTable.from_sessions(records(), schema=schema)
-
-
-def _jsonl_record_chunks(path: Path, chunk_rows: int) -> Iterator[dict]:
-    loads = json.loads
+def _jsonl_record_chunks(path: Path) -> Iterator[dict]:
+    loads, chunk_rows = json.loads, _CHUNK_ROWS
     with path.open("r", encoding="utf-8") as handle:
         chunk: list[dict] = []
         for line_no, line in enumerate(handle, start=1):
@@ -275,7 +213,7 @@ def _records_to_columns(records: list[dict], path) -> dict:
 def write_sessions_csv(table: SessionTable, path: str | Path) -> int:
     """Write a table as CSV; returns the number of rows written."""
     path = Path(path)
-    fieldnames = list(table.schema.names) + list(_METRIC_COLUMNS)
+    fieldnames = list(table.schema.names) + list(METRIC_COLUMNS)
     count = 0
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=fieldnames)
@@ -287,44 +225,18 @@ def write_sessions_csv(table: SessionTable, path: str | Path) -> int:
 
 
 def read_sessions_csv(
-    path: str | Path,
-    schema: AttributeSchema = DEFAULT_SCHEMA,
-    chunked: bool = False,
-    chunk_rows: int = _CHUNK_ROWS,
+    path: str | Path, schema: AttributeSchema = DEFAULT_SCHEMA
 ) -> SessionTable:
-    """Read a CSV trace back into a table.
-
-    ``chunked=True`` decodes ``chunk_rows`` rows at a time column-wise
-    and streams chunks into the table (bit-identical result, no per-row
-    ``Session`` objects or dicts); use it for large traces.
-    """
+    """Read a CSV trace back into a table."""
     with _ingest_span(path, "csv") as span:
-        table = _read_csv(path, schema, chunked, chunk_rows)
+        table = _read_chunked(_csv_record_chunks(Path(path)), schema, path)
         span.set(rows=len(table))
     _note_ingest(len(table))
     return table
 
 
-def _read_csv(
-    path: str | Path,
-    schema: AttributeSchema,
-    chunked: bool,
-    chunk_rows: int,
-) -> SessionTable:
-    if chunked:
-        return _read_chunked(
-            _csv_record_chunks(Path(path), chunk_rows), schema, path
-        )
-
-    def records() -> Iterable[Session]:
-        with Path(path).open("r", encoding="utf-8", newline="") as handle:
-            for record in csv.DictReader(handle):
-                yield _record_session(record, schema)
-
-    return SessionTable.from_sessions(records(), schema=schema)
-
-
-def _csv_record_chunks(path: Path, chunk_rows: int) -> Iterator[dict]:
+def _csv_record_chunks(path: Path) -> Iterator[dict]:
+    chunk_rows = _CHUNK_ROWS
     with path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:

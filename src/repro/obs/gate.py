@@ -1,9 +1,8 @@
 """Journal-backed perf-regression gate over the pipeline bench.
 
 ``benchmarks/bench_pipeline_core.py`` computes a dozen speed and memory
-claims (sweep amortization, snapshot load, shard map/merge, batch
-simulation, cached re-analysis, profiler overhead)
-and historically asserted each inline. This module makes those gates a
+claims (sweep amortization, snapshot load, shard map/merge, cached
+re-analysis, profiler overhead) and historically asserted each inline. This module makes those gates a
 *data* problem: the bench payload is flattened into one
 :class:`~repro.obs.journal.RunJournal` record (command
 ``bench.pipeline``), and :func:`evaluate_record` re-derives every
@@ -52,8 +51,8 @@ class GateSpec:
 
 
 #: The pipeline bench's gates, as data. Enforcement (week workload,
-#: >= 4 CPUs for the shard wall gate, day workload for mechanistic) is
-#: recorded per-run by :func:`flatten_payload`.
+#: >= 4 CPUs for the shard wall gate) is recorded per-run by
+#: :func:`flatten_payload`.
 PIPELINE_GATES: tuple[GateSpec, ...] = (
     GateSpec("sweep_speedup_min_2", "bench.sweep.sweep_speedup", MIN, 2.0),
     GateSpec(
@@ -67,10 +66,6 @@ PIPELINE_GATES: tuple[GateSpec, ...] = (
     GateSpec(
         "shard_analyze_speedup_min_1.3",
         "bench.sharding.analyze_speedup", MIN, 1.3,
-    ),
-    GateSpec(
-        "mechanistic_batch_speedup_min_10",
-        "bench.mechanistic.speedup", MIN, 10.0,
     ),
     GateSpec(
         "cache_warm_speedup_min_5",
@@ -121,8 +116,8 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
     """The bench payload's gated numbers as flat journal gauges.
 
     Enforcement flags come from the payload itself: the top-level
-    workload decides the week-only gates, and the sharding/mechanistic/
-    cache sections record their own ``gates_enforced`` conditions.
+    workload decides the week-only gates, and the sharding, cache and
+    profiling sections record their own ``gates_enforced`` conditions.
     """
     gauges: dict[str, float] = {}
 
@@ -141,15 +136,12 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
         sharding.get("parent_peak_rss_ratio"))
     put("bench.sharding.analyze_speedup",
         sharding.get("analyze_speedup_vs_indexed"))
-    mechanistic = payload.get("mechanistic", {})
-    put("bench.mechanistic.speedup", mechanistic.get("speedup"))
     cache = payload.get("result_cache", {})
     put("bench.result_cache.warm_speedup", cache.get("warm_speedup"))
     profiling = payload.get("profiling", {})
     put("bench.profiling.overhead_pct", profiling.get("overhead_pct"))
 
     shard_gates = sharding.get("gates_enforced", {})
-    mech_gates = mechanistic.get("gates_enforced", {})
     cache_gates = cache.get("gates_enforced", {})
     enforced = {
         "sweep_speedup_min_2": week,
@@ -159,9 +151,6 @@ def flatten_payload(payload: dict[str, Any]) -> dict[str, float]:
         ),
         "shard_analyze_speedup_min_1.3": bool(
             shard_gates.get("analyze_speedup_min_1.3")
-        ),
-        "mechanistic_batch_speedup_min_10": bool(
-            mech_gates.get("batch_speedup_min_10")
         ),
         "cache_warm_speedup_min_5": bool(
             cache_gates.get("warm_speedup_min_5")

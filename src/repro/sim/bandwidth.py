@@ -13,9 +13,9 @@ Two consumption styles coexist (DESIGN.md §9):
   segment at a time (interactive simulations, failover experiments);
 * the array API — :meth:`MarkovBandwidth.sample_path` pre-draws a whole
   session's rates as two fixed-size blocks (one uniform block for the
-  transitions, one normal block for the jitter). Both QoE engine paths
-  (scalar loop and lockstep batch) consume this exact layout, which is
-  what makes them bit-identical.
+  transitions, one normal block for the jitter). ``simulate_session``
+  and the mechanistic engine's lockstep kernel both consume this exact
+  layout, which is what makes them bit-identical.
 
 The lockstep helpers :func:`markov_state_path` (one chain, many steps)
 and :func:`markov_states_step` (many chains, one step) share the same
@@ -142,8 +142,9 @@ class MarkovBandwidth:
 
         Consumes exactly ``rng.random(n)`` (transition uniforms) then
         ``rng.normal(0, jitter_sigma, n)`` (jitter) — the fixed
-        per-session substream layout shared by the scalar and batch QoE
-        engines. Advances ``self.state`` to the path's final state.
+        per-session substream layout ``simulate_session`` shares with
+        the mechanistic engine's batch kernel. Advances ``self.state``
+        to the path's final state.
         """
         if n < 0:
             raise ValueError("n must be non-negative")

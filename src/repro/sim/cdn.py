@@ -60,7 +60,7 @@ def join_failure_probability(
     and convert back, ``odds / (1 + odds)``. Callers comparing against a
     pre-drawn uniform get the same verdict as the scalar method, draw
     for draw (the engine floors ``failure_prob`` at 1e-4, so the scalar
-    path's zero-probability no-draw shortcut never triggers there).
+    method's zero-probability no-draw shortcut never triggers there).
     """
     odds = failure_probs / (1.0 - failure_probs) * odds_multipliers
     return odds / (1.0 + odds)

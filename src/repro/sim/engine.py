@@ -3,23 +3,20 @@
 
 Implements the same contract as
 :class:`repro.trace.qoe.StatisticalQoEEngine` but derives every metric
-from chunk-level playback dynamics (:mod:`repro.sim.playback`). Two
-interchangeable execution paths sit behind ``generate``:
-
-* ``sim="scalar"`` — one :func:`simulate_session` Python loop per
-  session (the reference semantics);
-* ``sim="batch"`` — the lockstep vectorized kernel
-  (:mod:`repro.sim.batch`), which steps whole live/VOD groups through
-  segments together and is ~an order of magnitude faster;
-* ``sim="auto"`` (default) — currently the batch path: the two are
-  bit-identical, so there is never a reason to fall back.
+from chunk-level playback dynamics. ``generate`` runs the lockstep
+vectorized kernel (:mod:`repro.sim.batch`), which steps whole live/VOD
+groups through segments together. Its semantics are those of
+:func:`repro.sim.playback.simulate_session` run once per session; the
+test suite keeps that per-session loop as the kernel's bit-for-bit
+reference (``tests/sim/scalar_reference.py``).
 
 Bit-identity rests on per-session RNG substreams (DESIGN.md §9): each
 ``generate`` call consumes exactly one draw from the shared stream to
 seed a ``SeedSequence``, whose spawned children give every batch row
-its own generator. Both paths consume each child in the same blocked
-layout — watch draw, join uniform, transition uniforms, jitter block —
-so every random number lands in the same place regardless of path.
+its own generator. The kernel and the reference consume each child in
+the same blocked layout — watch draw, join uniform, transition
+uniforms, jitter block — so every random number lands in the same
+place on either side.
 
 Event-effect mapping (documented in DESIGN.md):
 
@@ -40,21 +37,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.obs import current_metrics
-from repro.sim.abr import FixedBitrateABR, RateBasedABR
 from repro.sim.bandwidth import (
     DEFAULT_JITTER_SIGMA,
     DEFAULT_STATE_FACTORS,
     DEFAULT_TRANSITIONS,
-    MarkovBandwidth,
 )
 from repro.sim.batch import markov_rate_matrix, simulate_batch
-from repro.sim.cdn import CDNServer, join_failure_probability
-from repro.sim.playback import simulate_session
+from repro.sim.cdn import join_failure_probability
 from repro.sim.segments import VideoManifest
 from repro.trace.entities import CONNECTION_BANDWIDTH_KBPS, CONNECTION_TYPES, World
 from repro.trace.qoe import EffectArrays, QoEBatch
-
-SIM_MODES = ("auto", "scalar", "batch")
 
 
 @dataclass(frozen=True)
@@ -78,13 +70,9 @@ class MechanisticQoEEngine:
         self,
         world: World,
         params: MechanisticParams | None = None,
-        sim: str = "auto",
     ) -> None:
-        if sim not in SIM_MODES:
-            raise ValueError(f"sim must be one of {SIM_MODES}, got {sim!r}")
         self.world = world
         self.params = params or MechanisticParams()
-        self.sim = sim
         self._conn_base = np.array(
             [CONNECTION_BANDWIDTH_KBPS[c] for c in CONNECTION_TYPES]
         )
@@ -94,8 +82,9 @@ class MechanisticQoEEngine:
         self._cdn_coverage = np.array([c.region_coverage for c in world.cdns])
         self._cdn_rtt_s = np.array([c.base_rtt_ms / 1000.0 for c in world.cdns])
         # Join-failure probabilities floored at 1e-4: a zero would take
-        # the scalar path's no-draw shortcut in CDNServer.join_fails and
-        # desynchronise it from the batch path's pre-drawn uniform.
+        # the no-draw shortcut in CDNServer.join_fails inside the
+        # per-session reference (tests/sim/scalar_reference.py) and
+        # desynchronise it from the kernel's pre-drawn join uniform.
         self._cdn_fail = np.array(
             [max(c.failure_prob, 1e-4) for c in world.cdns]
         )
@@ -108,21 +97,18 @@ class MechanisticQoEEngine:
         for i, ladder in enumerate(ladders):
             self._ladder_pad[i, : ladder.size] = ladder
         self._site_n_rungs = np.array([ladder.size for ladder in ladders])
-        self._manifests = {
-            (site_idx, live): VideoManifest(
-                ladder_kbps=world.sites[site_idx].ladder,
+        # Every site's videos share one segment grid per class (VOD,
+        # live); only the ladders differ.
+        self._segment_grids = {
+            live: VideoManifest(
+                ladder_kbps=world.sites[0].ladder,
                 segment_duration_s=self.params.segment_s,
                 total_duration_s=(
                     self.params.live_video_s if live else self.params.vod_video_s
                 ),
-            )
-            for site_idx in range(len(world.sites))
+            ).segment_durations_s
             for live in (False, True)
         }
-        # Cap-limited manifests, keyed by allowed-rung count (ladders
-        # are ascending, so any cap keeps a prefix); a cap below the
-        # lowest rung (k == 0) serves a degraded stream at the cap rate.
-        self._capped_manifests: dict[tuple, VideoManifest] = {}
         self._mk_cum = np.cumsum(np.asarray(DEFAULT_TRANSITIONS), axis=1)
         self._mk_factors = np.asarray(DEFAULT_STATE_FACTORS)
 
@@ -140,24 +126,6 @@ class MechanisticQoEEngine:
         return np.minimum(
             (rows <= caps[:, None]).sum(axis=1), self._site_n_rungs[sites]
         )
-
-    def _capped_manifest(
-        self, site_idx: int, live: bool, k: int, cap: float
-    ) -> VideoManifest:
-        if k == self._site_n_rungs[site_idx]:
-            return self._manifests[(site_idx, live)]
-        key = (site_idx, live, k) if k > 0 else (site_idx, live, 0, cap)
-        manifest = self._capped_manifests.get(key)
-        if manifest is None:
-            base = self._manifests[(site_idx, live)]
-            ladder = base.ladder_kbps[:k] if k > 0 else (float(cap),)
-            manifest = VideoManifest(
-                ladder_kbps=ladder,
-                segment_duration_s=base.segment_duration_s,
-                total_duration_s=base.total_duration_s,
-            )
-            self._capped_manifests[key] = manifest
-        return manifest
 
     def _effective_ladders(
         self, sites: np.ndarray, caps: np.ndarray, k: np.ndarray
@@ -177,9 +145,9 @@ class MechanisticQoEEngine:
         """Per-session substreams plus their watch-duration draws.
 
         Consumes exactly one integer from the shared ``rng`` (keeping
-        the caller's stream position independent of ``n`` and of the
-        sim path), then seeds one child generator per batch row. The
-        watch draw is each child's first block in both paths.
+        the caller's stream position independent of ``n``), then seeds
+        one child generator per batch row. The watch draw is each
+        child's first block.
         """
         entropy = int(rng.integers(0, 2**63))
         children = np.random.SeedSequence(entropy).spawn(n)
@@ -191,15 +159,16 @@ class MechanisticQoEEngine:
         watch = np.empty(n)
         for i, gen in enumerate(gens):
             watch[i] = gen.normal(log_median, params.watch_sigma)
-        # One vectorized exp over the normals: both sim paths read the
-        # same array, so the scalar-vs-SIMD transcendental concern does
-        # not apply here.
+        # One vectorized exp over the normals: the kernel and the
+        # per-session reference read the same array, so the
+        # scalar-vs-SIMD transcendental concern does not apply here.
         return gens, np.exp(watch)
 
     def _shared_inputs(
         self, codes: np.ndarray, effects: EffectArrays
     ) -> dict[str, np.ndarray]:
-        """Vectorized per-session quantities used by both sim paths."""
+        """Vectorized per-session quantities the kernel (and the tests'
+        per-session reference) read."""
         asn, cdn = codes[:, 0], codes[:, 1]
         region = self._asn_region[asn]
         coverage = self._cdn_coverage[cdn, region]
@@ -236,117 +205,15 @@ class MechanisticQoEEngine:
         metrics.inc("generate.sessions", n)
         gens, watch = self._session_streams(n, rng)
         shared = self._shared_inputs(codes, effects)
-        if self.sim == "scalar":
-            batch, segments = self._generate_scalar(
-                codes, effects, shared, gens, watch
-            )
-        else:
-            batch, segments = self._generate_batch(
-                codes, effects, shared, gens, watch
-            )
-        metrics.inc("generate.segments", segments)
-        return batch
-
-    def _generate_scalar(
-        self,
-        codes: np.ndarray,
-        effects: EffectArrays,
-        shared: dict[str, np.ndarray],
-        gens: list[np.random.Generator],
-        watch: np.ndarray,
-    ) -> tuple[QoEBatch, int]:
-        n = codes.shape[0]
-        params = self.params
-        duration = np.empty(n)
-        buffering = np.empty(n)
-        join_time = np.empty(n)
-        bitrate = np.empty(n)
-        failed = np.empty(n, dtype=bool)
-        mean_bw, rtt, overhead, k = (
-            shared["mean_bw"], shared["rtt"], shared["overhead"], shared["k"]
-        )
-        segments = 0
-
-        for i in range(n):
-            site_idx = int(codes[i, 2])
-            live = bool(codes[i, 3])
-            manifest = self._capped_manifest(
-                site_idx, live, int(k[i]), float(effects.bitrate_cap_kbps[i])
-            )
-            cdn_idx = int(codes[i, 1])
-            server = CDNServer(
-                name=self.world.cdns[cdn_idx].name,
-                rtt_s=float(rtt[i]),
-                failure_prob=float(self._cdn_fail[cdn_idx]),
-                throughput_cap_kbps=1e9,
-            )
-            abr = (
-                FixedBitrateABR(rung=0)
-                if manifest.n_rungs == 1
-                else RateBasedABR()
-            )
-            bandwidth = MarkovBandwidth(
-                mean_kbps=float(mean_bw[i]), rng=gens[i], initial_state=0
-            )
-            result = simulate_session(
-                manifest=manifest,
-                abr=abr,
-                bandwidth=bandwidth,
-                server=server,
-                rng=gens[i],
-                watch_duration_s=float(watch[i]),
-                startup_buffer_s=params.startup_buffer_s,
-                failure_odds=float(effects.join_failure_odds[i]),
-                join_overhead_s=float(overhead[i]),
-                max_join_time_s=params.max_join_time_s,
-            )
-            segments += result.segments_downloaded
-            if result.failed:
-                failed[i] = True
-                duration[i] = 0.0
-                buffering[i] = 0.0
-                join_time[i] = np.nan
-                bitrate[i] = np.nan
-                continue
-            failed[i] = False
-            extra = 0.02 * max(effects.buffering_factor[i] - 1.0, 0.0)
-            stall = min(
-                result.buffering_s + extra * result.played_s,
-                max(result.played_s * 0.85, result.buffering_s),
-            )
-            duration[i] = result.played_s + stall
-            buffering[i] = stall
-            join_time[i] = result.join_time_s
-            bitrate[i] = result.avg_bitrate_kbps
-
-        batch = QoEBatch(
-            duration_s=duration,
-            buffering_s=buffering,
-            join_time_s=join_time,
-            bitrate_kbps=bitrate,
-            join_failed=failed,
-        )
-        return batch, segments
-
-    def _generate_batch(
-        self,
-        codes: np.ndarray,
-        effects: EffectArrays,
-        shared: dict[str, np.ndarray],
-        gens: list[np.random.Generator],
-        watch: np.ndarray,
-    ) -> tuple[QoEBatch, int]:
-        n = codes.shape[0]
         params = self.params
         mean_bw, rtt, overhead, fail_p, k = (
             shared["mean_bw"], shared["rtt"], shared["overhead"],
             shared["fail_p"], shared["k"],
         )
 
-        # Join check first — each child's second draw, matching the
-        # scalar path where simulate_session draws it before the rate
-        # path. Failed rows consume nothing further, as in the scalar
-        # loop's early return.
+        # Join check first — each child's second draw, matching
+        # simulate_session, which draws it before the rate path. Failed
+        # rows consume nothing further, as in its early return.
         u_join = np.empty(n)
         for i, gen in enumerate(gens):
             u_join[i] = gen.random()
@@ -375,7 +242,7 @@ class MechanisticQoEEngine:
                 return
             n_segments = durations.size
             # Each row's rate-path blocks are drawn with its *own*
-            # segment count, exactly as the scalar path's sample_path
+            # segment count, exactly as simulate_session's sample_path
             # call; ragged rows leave neutral filler (state-0 uniforms,
             # unit jitter) in the columns they never reach.
             if n_seg_row is None:
@@ -428,11 +295,7 @@ class MechanisticQoEEngine:
         # element work.
         for live_flag in (False, True):
             rows = np.flatnonzero((live == live_flag) & ~failed)
-            run_group(
-                rows,
-                self._manifests[(0, live_flag)].segment_durations_s,
-                None,
-            )
+            run_group(rows, self._segment_grids[live_flag], None)
 
         ok = ~failed
         extra = 0.02 * np.maximum(effects.buffering_factor - 1.0, 0.0)
@@ -447,4 +310,5 @@ class MechanisticQoEEngine:
             bitrate_kbps=np.where(ok, bitrate, np.nan),
             join_failed=failed,
         )
-        return batch, segments
+        metrics.inc("generate.segments", segments)
+        return batch

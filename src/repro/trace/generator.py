@@ -43,10 +43,11 @@ def _make_engine(spec: WorkloadSpec, world: World) -> QoEEngine:
     if spec.engine == "statistical":
         return StatisticalQoEEngine(world)
     # Imported lazily: the mechanistic engine pulls in the whole player
-    # simulation substrate.
+    # simulation substrate (and tests swap in their per-session
+    # reference engine by patching the module attribute).
     from repro.sim.engine import MechanisticQoEEngine
 
-    return MechanisticQoEEngine(world, sim=spec.sim)
+    return MechanisticQoEEngine(world)
 
 
 def apply_events(
@@ -145,7 +146,6 @@ def generate_trace(
             all_failed.append(batch.join_failed)
         span.set(
             engine=spec.engine,
-            sim=spec.sim,
             n_epochs=spec.n_epochs,
             n_sessions=int(counts.sum()),
         )

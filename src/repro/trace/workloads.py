@@ -32,12 +32,6 @@ class WorkloadSpec:
     events: EventConfig = field(default_factory=EventConfig)
     arrivals: ArrivalModel = field(default_factory=ArrivalModel)
     engine: str = "statistical"
-    #: Mechanistic-engine execution path: ``"auto"`` (the vectorized
-    #: batch kernel), ``"scalar"`` (the reference per-session loop) or
-    #: ``"batch"``. The paths are bit-identical; the knob exists for
-    #: the equivalence suite and benchmarks. Ignored by the
-    #: statistical engine.
-    sim: str = "auto"
     epoch_seconds: float = 3600.0
     #: Paper Section 6 ("hidden attributes"): annotate sessions with
     #: the client's geographic region as an eighth attribute. The
@@ -52,10 +46,6 @@ class WorkloadSpec:
         if self.engine not in ("statistical", "mechanistic"):
             raise ValueError(
                 f"engine must be 'statistical' or 'mechanistic', got {self.engine!r}"
-            )
-        if self.sim not in ("auto", "scalar", "batch"):
-            raise ValueError(
-                f"sim must be 'auto', 'scalar' or 'batch', got {self.sim!r}"
             )
         if self.epoch_seconds <= 0:
             raise ValueError("epoch_seconds must be positive")
@@ -136,11 +126,8 @@ class StandardWorkloads:
 
     @staticmethod
     def mechanistic_day(seed: int = 42) -> WorkloadSpec:
-        """One day at realistic volume on the chunk-level simulation.
-
-        Tractable thanks to the vectorized batch engine; the benchmark
-        harness runs it under both sim paths to gate the speedup.
-        """
+        """One day at realistic volume on the chunk-level simulation
+        (tractable thanks to the vectorized batch kernel)."""
         return WorkloadSpec(
             name="mechanistic_day",
             seed=seed,

@@ -138,6 +138,48 @@ class TestOnlineMatchesBatch:
             assert online_keys == batch_keys, f"epoch {epoch}"
 
 
+class TestSchemaChange:
+    def test_schema_change_epoch_takes_direct_path(self, tiny_trace):
+        """An epoch whose schema differs from the stream's (8 attributes
+        after 7) is reduced by the direct per-epoch pipeline and does
+        not touch the stream."""
+        from dataclasses import replace
+
+        from repro.core.aggregation import aggregate_epoch
+        from repro.core.critical import find_critical_clusters
+        from repro.core.problems import find_problem_clusters
+        from repro.trace import StandardWorkloads, generate_trace
+
+        table = tiny_trace.table
+        _, per_epoch = split_into_epochs(table, tiny_trace.grid)
+        detector = OnlineDetector(JOIN_FAILURE)
+        for epoch in range(3):
+            detector.observe_epoch(table, per_epoch[epoch])
+        streamed = len(detector.substrate)
+        assert streamed == sum(per_epoch[e].size for e in range(3))
+
+        region = generate_trace(replace(
+            StandardWorkloads.tiny_with_region(seed=3), n_epochs=1
+        )).table
+        assert len(region.schema) == len(table.schema) + 1
+        rows = np.arange(len(region))
+        observation = detector.observe_epoch(region, rows)
+        assert len(detector.substrate) == streamed
+
+        agg = aggregate_epoch(
+            region, rows, JOIN_FAILURE, epoch=3,
+            thresholds=detector.thresholds,
+        )
+        problems = find_problem_clusters(agg, detector.problem_config)
+        critical = find_critical_clusters(problems)
+        assert observation.total_sessions == agg.total_sessions
+        assert observation.total_problems == agg.total_problems
+        assert observation.n_problem_clusters == problems.n_clusters
+        assert observation.n_critical_clusters == critical.n_clusters
+        assert critical.n_clusters > 0
+        assert detector.critical_keys_at(3) == set(critical.decoded())
+
+
 class TestHysteresis:
     def test_clear_after_bridges_gaps(self):
         """With clear_after=2, a one-epoch dip does not clear the alert."""

@@ -54,6 +54,7 @@ class TestFlatten:
         # Retired gates: a payload that still carries their numbers is
         # flattened without them.
         assert not any("observability" in name for name in gauges)
+        assert not any("mechanistic" in name for name in gauges)
         assert "bench.streaming.append_detect_speedup" not in gauges
         assert gauges["bench.streaming.snapshot_load_speedup"] == 9.0
 

@@ -1,25 +1,30 @@
-"""Scalar-vs-batch equivalence of the mechanistic engine.
+"""The mechanistic engine's batch kernel against its per-session reference.
 
-The lockstep batch kernel (``repro.sim.batch``) must be *bit-identical*
-to the per-session reference loop (``repro.sim.playback``) — not merely
+The lockstep batch kernel (``repro.sim.batch``) behind
+``MechanisticQoEEngine.generate`` must be *bit-identical* to the
+per-session reference loop (``tests/sim/scalar_reference.py``, one
+``repro.sim.playback.simulate_session`` call per row) — not merely
 statistically close. Every test here runs the same workload (or the
-same engine call) under ``sim="scalar"`` and ``sim="batch"`` and
-compares the outputs with ``np.array_equal`` (NaNs equal), exercising
-each exit path of the kernel: join failure, join timeout, watch-limit
-truncation, and running the grid dry.
+same engine call) through both and compares the outputs with
+``np.array_equal`` (NaNs equal), exercising each exit path of the
+kernel: join failure, join timeout, watch-limit truncation, and running
+the grid dry.
 """
 
 import numpy as np
 import pytest
 
+import repro.sim.engine
 from repro.sim.engine import MechanisticParams, MechanisticQoEEngine
 from repro.trace.entities import WorldConfig, build_world
-from repro.trace.generator import generate_trace
+from repro.trace.generator import _make_engine, generate_trace
 from repro.trace.population import AttributeSampler
 from repro.trace.qoe import EffectArrays
 from repro.trace.workloads import StandardWorkloads
+from tests.sim.scalar_reference import ScalarReferenceEngine
 
-from dataclasses import replace
+#: (reference, production): the order of ``run_both``'s outputs.
+ENGINES = (ScalarReferenceEngine, MechanisticQoEEngine)
 
 
 FLOAT_COLUMNS = (
@@ -41,14 +46,13 @@ def make_world(seed=0, n_asns=8, n_cdns=4, n_sites=6):
 
 
 def run_both(world, codes, effects, seed, params=None):
-    """One engine call per sim path, identical inputs and RNG seed."""
-    out = []
-    for sim in ("scalar", "batch"):
-        engine = MechanisticQoEEngine(world, params=params, sim=sim)
-        out.append(
-            engine.generate(codes, effects, np.random.default_rng(seed))
+    """One call per engine, identical inputs and RNG seed."""
+    return [
+        engine(world, params=params).generate(
+            codes, effects, np.random.default_rng(seed)
         )
-    return out
+        for engine in ENGINES
+    ]
 
 
 def sample_codes(world, n, seed=0):
@@ -57,10 +61,15 @@ def sample_codes(world, n, seed=0):
 
 class TestTraceLevel:
     @pytest.mark.parametrize("seed", [1, 7, 1234])
-    def test_full_trace_bit_identical(self, seed):
+    def test_full_trace_bit_identical(self, seed, monkeypatch):
         spec = StandardWorkloads.mechanistic_tiny(seed=seed)
-        scalar = generate_trace(replace(spec, sim="scalar")).table
-        batch = generate_trace(replace(spec, sim="batch")).table
+        trace = generate_trace(spec)
+        batch = trace.table
+        monkeypatch.setattr(
+            repro.sim.engine, "MechanisticQoEEngine", ScalarReferenceEngine
+        )
+        assert isinstance(_make_engine(spec, trace.world), ScalarReferenceEngine)
+        scalar = generate_trace(spec).table
         assert np.array_equal(scalar.codes, batch.codes)
         assert np.array_equal(scalar.start_time, batch.start_time)
         for col in FLOAT_COLUMNS:
@@ -68,15 +77,6 @@ class TestTraceLevel:
                 getattr(scalar, col), getattr(batch, col), equal_nan=True
             ), f"{col} differs"
         assert np.array_equal(scalar.join_failed, batch.join_failed)
-
-    def test_auto_is_batch_identical_to_scalar(self):
-        spec = StandardWorkloads.mechanistic_tiny(seed=5)
-        auto = generate_trace(spec).table
-        scalar = generate_trace(replace(spec, sim="scalar")).table
-        assert np.array_equal(
-            auto.bitrate_kbps, scalar.bitrate_kbps, equal_nan=True
-        )
-        assert np.array_equal(auto.join_failed, scalar.join_failed)
 
 
 class TestEngineLevel:
@@ -121,7 +121,7 @@ class TestEngineLevel:
 
     def test_join_timeout_exit(self):
         """Starving the link makes startup exceed max_join_time_s, which
-        converts the session into a join failure on both paths."""
+        converts the session into a join failure on both sides."""
         world = make_world(seed=3)
         n = 200
         codes = sample_codes(world, n, seed=3)
@@ -160,14 +160,13 @@ class TestEngineLevel:
         assert_batches_identical(a, b)
 
     def test_shared_rng_position_is_path_independent(self):
-        """Both paths consume exactly one draw from the caller's stream,
-        so downstream draws (e.g. arrival jitter) stay aligned."""
+        """Both engines consume exactly one draw from the caller's
+        stream, so downstream draws (e.g. arrival jitter) stay aligned."""
         world = make_world(seed=7)
         codes = sample_codes(world, 50, seed=7)
         after = []
-        for sim in ("scalar", "batch"):
+        for engine in ENGINES:
             rng = np.random.default_rng(21)
-            engine = MechanisticQoEEngine(world, sim=sim)
-            engine.generate(codes, EffectArrays.neutral(50), rng)
+            engine(world).generate(codes, EffectArrays.neutral(50), rng)
             after.append(rng.random(5))
         assert np.array_equal(after[0], after[1])

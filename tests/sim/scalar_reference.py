@@ -1,0 +1,131 @@
+"""Per-session reference for the mechanistic engine's batch kernel.
+
+:class:`ScalarReferenceEngine` is a :class:`MechanisticQoEEngine` whose
+``generate`` runs :func:`repro.sim.playback.simulate_session` once per
+row — the readable semantics the lockstep kernel (``repro.sim.batch``)
+re-expresses. It reuses the engine's ``_session_streams`` and
+``_shared_inputs``, so both sides draw from the same per-session RNG
+substreams in the same blocked layout and the kernel must match it bit
+for bit.
+
+Trace-level tests swap it in with ``monkeypatch.setattr(
+repro.sim.engine, "MechanisticQoEEngine", ScalarReferenceEngine)``:
+``generate_trace`` imports the engine class at call time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.sim.abr import FixedBitrateABR, RateBasedABR
+from repro.sim.bandwidth import MarkovBandwidth
+from repro.sim.cdn import CDNServer
+from repro.sim.engine import MechanisticQoEEngine
+from repro.sim.playback import simulate_session
+from repro.sim.segments import VideoManifest
+from repro.trace.qoe import EffectArrays, QoEBatch
+
+
+class ScalarReferenceEngine(MechanisticQoEEngine):
+    """The mechanistic engine with one Python loop per session."""
+
+    def __init__(self, world, params=None) -> None:
+        super().__init__(world, params)
+        self._manifest_cache: dict[tuple, VideoManifest] = {}
+
+    def _capped_manifest(
+        self, site_idx: int, live: bool, k: int, cap: float
+    ) -> VideoManifest:
+        """The site's video cut to the first ``k`` rungs of its ladder.
+
+        Ladders ascend, so any bitrate cap keeps a prefix; a cap below
+        the lowest rung (``k == 0``) serves a single synthetic rung at
+        the cap rate. Manifests are cached: each caches its own segment
+        tables.
+        """
+        key = (site_idx, live, k, cap if k == 0 else None)
+        cache = self._manifest_cache
+        if key not in cache:
+            params = self.params
+            cache[key] = VideoManifest(
+                ladder_kbps=(
+                    self.world.sites[site_idx].ladder[:k] if k > 0 else (cap,)
+                ),
+                segment_duration_s=params.segment_s,
+                total_duration_s=(
+                    params.live_video_s if live else params.vod_video_s
+                ),
+            )
+        return cache[key]
+
+    def generate(
+        self,
+        codes: np.ndarray,
+        effects: EffectArrays,
+        rng: np.random.Generator,
+    ) -> QoEBatch:
+        n = codes.shape[0]
+        gens, watch = self._session_streams(n, rng)
+        shared = self._shared_inputs(codes, effects)
+        mean_bw, rtt, overhead, k = (
+            shared["mean_bw"], shared["rtt"], shared["overhead"], shared["k"]
+        )
+        params = self.params
+        duration = np.zeros(n)
+        buffering = np.zeros(n)
+        join_time = np.full(n, np.nan)
+        bitrate = np.full(n, np.nan)
+        failed = np.zeros(n, dtype=bool)
+
+        for i in range(n):
+            manifest = self._capped_manifest(
+                int(codes[i, 2]), bool(codes[i, 3]), int(k[i]),
+                float(effects.bitrate_cap_kbps[i]),
+            )
+            cdn_idx = int(codes[i, 1])
+            server = CDNServer(
+                name=self.world.cdns[cdn_idx].name,
+                rtt_s=float(rtt[i]),
+                failure_prob=float(self._cdn_fail[cdn_idx]),
+                throughput_cap_kbps=1e9,
+            )
+            abr = (
+                FixedBitrateABR(rung=0)
+                if manifest.n_rungs == 1
+                else RateBasedABR()
+            )
+            bandwidth = MarkovBandwidth(
+                mean_kbps=float(mean_bw[i]), rng=gens[i], initial_state=0
+            )
+            result = simulate_session(
+                manifest=manifest,
+                abr=abr,
+                bandwidth=bandwidth,
+                server=server,
+                rng=gens[i],
+                watch_duration_s=float(watch[i]),
+                startup_buffer_s=params.startup_buffer_s,
+                failure_odds=float(effects.join_failure_odds[i]),
+                join_overhead_s=float(overhead[i]),
+                max_join_time_s=params.max_join_time_s,
+            )
+            if result.failed:
+                failed[i] = True
+                continue
+            extra = 0.02 * max(effects.buffering_factor[i] - 1.0, 0.0)
+            stall = min(
+                result.buffering_s + extra * result.played_s,
+                max(result.played_s * 0.85, result.buffering_s),
+            )
+            duration[i] = result.played_s + stall
+            buffering[i] = stall
+            join_time[i] = result.join_time_s
+            bitrate[i] = result.avg_bitrate_kbps
+
+        return QoEBatch(
+            duration_s=duration,
+            buffering_s=buffering,
+            join_time_s=join_time,
+            bitrate_kbps=bitrate,
+            join_failed=failed,
+        )

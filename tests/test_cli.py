@@ -114,12 +114,18 @@ class TestWorkersFlag:
         main(["generate", "--workload", "tiny", "--seed", "3", "-o", str(out)])
         assert main(["analyze", str(out), "--workers", "auto"]) == 0
 
-    @pytest.mark.parametrize("flag", [["--engine", "epoch"],
-                                      ["--transport", "shm"]])
-    def test_removed_execution_flags_exit_2(self, tmp_path, flag):
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "t.jsonl", "--engine", "epoch"],
+        ["analyze", "t.jsonl", "--transport", "shm"],
+        ["generate", "--workload", "tiny", "-o", "t.npz", "--sim", "scalar"],
+    ])
+    def test_removed_execution_flags_exit_2(self, tmp_path, monkeypatch,
+                                            argv):
+        monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as exc:
-            main(["analyze", str(tmp_path / "t.jsonl"), *flag])
+            main(argv)
         assert exc.value.code == 2
+        assert not list(tmp_path.iterdir())
 
 
 class TestSubstrateCache:

@@ -1,21 +1,67 @@
 """Tests for trace and result persistence."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
+import repro.io.traceio as traceio
+from repro.cli import main
+from repro.core.attributes import DEFAULT_SCHEMA
+from repro.core.sessions import Session, SessionTable
 from repro.io import (
     read_sessions_csv,
     read_sessions_jsonl,
+    read_sessions_npz,
     write_sessions_csv,
     write_sessions_jsonl,
+    write_sessions_npz,
     write_series_csv,
     write_table_csv,
 )
-from repro.core.sessions import SessionTable
-from tests.conftest import make_session
+from tests.conftest import BASE_ATTRS, make_session
+
+
+def _parse_bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    text = str(value).strip().lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValueError(f"cannot parse boolean from {value!r}")
+
+
+def _parse_float(value) -> float:
+    return float("nan") if value is None else float(value)
+
+
+def read_row_wise(path, schema=DEFAULT_SCHEMA) -> SessionTable:
+    """The readers' reference: one ``Session`` per record (``csv.DictReader``
+    or ``json.loads`` per line), then ``SessionTable.from_sessions``."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        if str(path).endswith(".csv"):
+            records = list(csv.DictReader(handle))
+        else:
+            records = [json.loads(line) for line in handle if line.strip()]
+    return SessionTable.from_sessions(
+        (
+            Session(
+                attrs={name: str(record[name]) for name in schema.names},
+                start_time=_parse_float(record["start_time"]),
+                duration_s=_parse_float(record["duration_s"]),
+                buffering_s=_parse_float(record["buffering_s"]),
+                join_time_s=_parse_float(record["join_time_s"]),
+                bitrate_kbps=_parse_float(record["bitrate_kbps"]),
+                join_failed=_parse_bool(record["join_failed"]),
+            )
+            for record in records
+        ),
+        schema=schema,
+    )
 
 
 @pytest.fixture()
@@ -138,7 +184,8 @@ class TestGeneratedTraceRoundTrip:
 
 
 class TestChunkedReaders:
-    """``chunked=True`` is a pure fast path: bit-identical tables."""
+    """The column-wise readers equal the row-wise reference at every
+    chunk size."""
 
     @staticmethod
     def _assert_same(a: SessionTable, b: SessionTable) -> None:
@@ -161,24 +208,45 @@ class TestChunkedReaders:
             for i in range(101)
         )
 
+    @staticmethod
+    def _read_in_chunks(monkeypatch, reader, path, chunk_rows):
+        """``reader(path)`` with ``chunk_rows``-row chunks, asserting
+        the file really was decoded in that many chunks."""
+        decoded = []
+        chunk_table = traceio._chunk_table
+
+        def counting(columns, schema, source):
+            decoded.append(1)
+            return chunk_table(columns, schema, source)
+
+        monkeypatch.setattr(traceio, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(traceio, "_chunk_table", counting)
+        table = reader(path)
+        assert len(decoded) == math.ceil(len(table) / chunk_rows)
+        return table
+
     @pytest.mark.parametrize("chunk_rows", [7, 101, 4096])
     def test_csv_chunked_equals_row_wise(self, tmp_path, varied_table,
-                                         chunk_rows):
+                                         chunk_rows, monkeypatch):
         path = tmp_path / "t.csv"
         write_sessions_csv(varied_table, path)
         self._assert_same(
-            read_sessions_csv(path),
-            read_sessions_csv(path, chunked=True, chunk_rows=chunk_rows),
+            read_row_wise(path),
+            self._read_in_chunks(
+                monkeypatch, read_sessions_csv, path, chunk_rows
+            ),
         )
 
     @pytest.mark.parametrize("chunk_rows", [7, 101, 4096])
     def test_jsonl_chunked_equals_row_wise(self, tmp_path, varied_table,
-                                           chunk_rows):
+                                           chunk_rows, monkeypatch):
         path = tmp_path / "t.jsonl"
         write_sessions_jsonl(varied_table, path)
         self._assert_same(
-            read_sessions_jsonl(path),
-            read_sessions_jsonl(path, chunked=True, chunk_rows=chunk_rows),
+            read_row_wise(path),
+            self._read_in_chunks(
+                monkeypatch, read_sessions_jsonl, path, chunk_rows
+            ),
         )
 
     def test_chunked_preserves_nan_for_failed_joins(self, tmp_path,
@@ -189,7 +257,7 @@ class TestChunkedReaders:
         ):
             path = tmp_path / name
             writer(sample_table, path)
-            restored = reader(path, chunked=True)
+            restored = reader(path)
             assert bool(restored.join_failed[1])
             assert math.isnan(restored.join_time_s[1])
             assert math.isnan(restored.bitrate_kbps[1])
@@ -198,7 +266,7 @@ class TestChunkedReaders:
         path = tmp_path / "bad.csv"
         path.write_text("asn,start_time\nAS1,0.0\n")
         with pytest.raises(ValueError, match="missing column"):
-            read_sessions_csv(path, chunked=True)
+            read_sessions_csv(path)
 
     def test_chunked_csv_ragged_row(self, tmp_path, sample_table):
         path = tmp_path / "bad.csv"
@@ -206,7 +274,7 @@ class TestChunkedReaders:
         with path.open("a") as handle:
             handle.write("only,three,fields\n")
         with pytest.raises(ValueError, match="expected .* fields"):
-            read_sessions_csv(path, chunked=True)
+            read_sessions_csv(path)
 
     def test_chunked_jsonl_invalid_json(self, tmp_path, sample_table):
         path = tmp_path / "bad.jsonl"
@@ -214,12 +282,84 @@ class TestChunkedReaders:
         with path.open("a") as handle:
             handle.write("{not json\n")
         with pytest.raises(ValueError, match="invalid JSON"):
-            read_sessions_jsonl(path, chunked=True)
+            read_sessions_jsonl(path)
 
     def test_chunked_empty_files(self, tmp_path):
         csv_path = tmp_path / "e.csv"
         write_sessions_csv(SessionTable.empty(), csv_path)
-        assert len(read_sessions_csv(csv_path, chunked=True)) == 0
+        assert len(read_sessions_csv(csv_path)) == 0
         jsonl_path = tmp_path / "e.jsonl"
         jsonl_path.write_text("")
-        assert len(read_sessions_jsonl(jsonl_path, chunked=True)) == 0
+        assert len(read_sessions_jsonl(jsonl_path)) == 0
+
+
+#: One broken ``Session`` invariant per case: (overrides, bad column).
+MALFORMED = {
+    "negative_duration": ({"duration_s": -5.0}, "duration_s"),
+    "negative_buffering": ({"buffering_s": -1.0}, "buffering_s"),
+    "buffering_over_duration": ({"buffering_s": 9999.0}, "buffering_s"),
+    "nan_start": ({"start_time": float("nan")}, "start_time"),
+}
+
+READERS = {
+    "csv": read_sessions_csv,
+    "jsonl": read_sessions_jsonl,
+    "npz": read_sessions_npz,
+}
+
+
+def write_malformed(tmp_path, fmt: str, overrides: dict):
+    """A two-row trace whose second row (row 1) breaks an invariant.
+
+    Written without ``Session`` (which would reject the row): CSV and
+    JSONL by hand, NPZ from raw columns. NaN is ``null`` in JSONL.
+    """
+    good = dict(BASE_ATTRS, start_time=0.0, duration_s=600.0,
+                buffering_s=6.0, join_time_s=2.0, bitrate_kbps=2000.0,
+                join_failed=False)
+    rows = [good, {**good, "start_time": 60.0, **overrides}]
+    path = tmp_path / f"bad.{fmt}"
+    if fmt == "csv":
+        with path.open("w", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(good))
+            writer.writeheader()
+            writer.writerows(rows)
+    elif fmt == "jsonl":
+        path.write_text("".join(
+            json.dumps({k: None if isinstance(v, float) and math.isnan(v)
+                        else v for k, v in row.items()}) + "\n"
+            for row in rows
+        ))
+    else:
+        names = DEFAULT_SCHEMA.names
+        write_sessions_npz(SessionTable(
+            schema=DEFAULT_SCHEMA,
+            vocabs=[[good[name]] for name in names],
+            codes=np.zeros((2, len(names)), dtype=np.int32),
+            **{col: [row[col] for row in rows]
+               for col in ("start_time", "duration_s", "buffering_s",
+                           "join_time_s", "bitrate_kbps", "join_failed")},
+        ), path)
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+@pytest.mark.parametrize("fmt", sorted(READERS))
+class TestMalformedRows:
+    """Every reader enforces the ``Session`` invariants."""
+
+    def test_reader_raises(self, tmp_path, fmt, case):
+        overrides, column = MALFORMED[case]
+        path = write_malformed(tmp_path, fmt, overrides)
+        with pytest.raises(ValueError) as exc:
+            READERS[fmt](path)
+        message = str(exc.value)
+        assert str(path) in message
+        assert f"row 1: {column}" in message
+
+    def test_analyze_exits_2(self, tmp_path, fmt, case, capsys):
+        path = write_malformed(tmp_path, fmt, MALFORMED[case][0])
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and MALFORMED[case][1] in err
+        assert len(err.strip().splitlines()) == 1
