@@ -232,7 +232,9 @@ def bench_pipeline_json(week_context, results_dir):
         agg = view.aggregate(JOIN_FAILURE, thresholds=thresholds)
         problems = find_problem_clusters(agg)
         find_critical_clusters(problems)
-        return {m: rows.tolist() for m, rows in problems.problem_rows.items()}
+        return list(
+            zip(problems.ids.tolist(), agg.lattice.keys[problems.ids].tolist())
+        )
 
     stream = StreamingSubstrate(
         schema=table.schema,

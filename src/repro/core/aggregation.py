@@ -13,19 +13,23 @@ scale; instead:
    keys with a bitwise AND and re-aggregate with
    ``np.unique``/``np.bincount``.
 
-The result, :class:`EpochAggregate`, answers ``stats(mask, packed)``
-lookups in O(log L) and exposes the per-mask arrays the problem- and
-critical-cluster detectors consume directly.
+The clusters of all masks are laid out flat in one
+:class:`EpochLattice`, and the result, :class:`EpochAggregate`, holds
+one session and one problem count per cluster id — the arrays the
+problem- and critical-cluster detectors consume whole. It answers
+``stats(mask, packed)`` lookups in O(log L).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.core.attributes import AttributeSchema
+from repro.core.attributes import AttributeSchema, iter_submasks
 from repro.core.clusters import ClusterKey
 from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.sessions import SessionTable
@@ -205,50 +209,185 @@ class MaskAggregate:
         result = np.where(found, pos_clipped, -1)
         return int(result[0]) if scalar else result
 
-    def stats_of(self, packed: int) -> ClusterStats | None:
-        idx = self.index_of(packed)
-        if idx < 0:
-            return None
-        return ClusterStats(int(self.sessions[idx]), int(self.problems[idx]))
+
+class EpochLattice:
+    """Every active cluster of one epoch, flat, in ``(mask, key)`` order.
+
+    ``keys`` holds each cluster's packed key, grouped by mask in
+    ascending mask order and sorted within each mask; a cluster's
+    position in it is its *cluster id*. Mask ``m`` owns ids
+    ``starts[m]:starts[m + 1]``. ``leaf_cluster[m, l]`` is the id of
+    leaf ``l``'s cluster on mask ``m`` (row 0, the root, holds -1), and
+    ``rep_leaf[c]`` is one leaf of cluster ``c``, so the ancestor of
+    ``c`` on a submask ``a`` is ``leaf_cluster[a, rep_leaf[c]]``.
+
+    Built from the epoch's leaves by
+    :class:`~repro.core.index.EpochClusterView` (fine to coarse, shared
+    by every metric of the epoch) and by :func:`aggregate_epoch` (one
+    ``np.unique`` per mask). It also memoises what every metric and
+    config of the epoch asks again: decoded keys (:meth:`key_of`) and
+    the significant ids per (metric, floor)
+    (:meth:`EpochAggregate.significant`).
+    """
+
+    __slots__ = (
+        "codec",
+        "keys",
+        "starts",
+        "leaf_cluster",
+        "rep_leaf",
+        "_decoded",
+        "_significant",
+    )
+
+    def __init__(
+        self,
+        codec: KeyCodec,
+        keys: np.ndarray,
+        starts: np.ndarray,
+        leaf_cluster: np.ndarray,
+        rep_leaf: np.ndarray,
+    ) -> None:
+        self.codec = codec
+        self.keys = keys
+        self.starts = starts
+        self.leaf_cluster = leaf_cluster
+        self.rep_leaf = rep_leaf
+        self._decoded: dict[int, ClusterKey] = {}
+        self._significant: dict[tuple[str, int], np.ndarray] = {}
+
+    @classmethod
+    def flatten(
+        cls,
+        codec: KeyCodec,
+        mask_keys: Sequence[np.ndarray],
+        mask_reps: Sequence[np.ndarray],
+        leaf_cluster: np.ndarray,
+    ) -> "EpochLattice":
+        """Lay per-mask cluster tables out flat.
+
+        ``mask_keys[m - 1]`` are mask ``m``'s sorted keys and
+        ``mask_reps[m - 1]`` one leaf of each; row ``m`` of the int32
+        ``leaf_cluster`` holds each leaf's position within the mask's
+        keys and is shifted to cluster ids in place.
+        """
+        starts = np.zeros(len(mask_keys) + 2, dtype=np.int64)
+        np.cumsum([k.size for k in mask_keys], out=starts[2:])
+        leaf_cluster += starts[:-1, None].astype(np.int32)
+        leaf_cluster[0] = -1
+        return cls(
+            codec,
+            np.concatenate(mask_keys),
+            starts,
+            leaf_cluster,
+            np.concatenate(mask_reps).astype(np.int32, copy=False),
+        )
+
+    @property
+    def n_clusters(self) -> int:
+        return int(self.keys.size)
+
+    @property
+    def n_leaves(self) -> int:
+        return int(self.leaf_cluster.shape[1])
+
+    def span(self, mask: int) -> slice:
+        """The cluster ids of ``mask``."""
+        return slice(int(self.starts[mask]), int(self.starts[mask + 1]))
+
+    def mask_of(self, ids: np.ndarray) -> np.ndarray:
+        """The mask of each cluster id."""
+        return np.searchsorted(self.starts, ids, side="right") - 1
+
+    def find(self, mask: int, packed: int) -> int:
+        """Cluster id of ``(mask, packed)``; -1 when it is not active."""
+        if not 0 < mask <= self.codec.full_mask:
+            return -1
+        lo, hi = int(self.starts[mask]), int(self.starts[mask + 1])
+        pos = lo + int(np.searchsorted(self.keys[lo:hi], packed))
+        return pos if pos < hi and self.keys[pos] == packed else -1
+
+    def key_of(self, cluster_id: int) -> ClusterKey:
+        """The decoded identity of one cluster, memoised."""
+        key = self._decoded.get(cluster_id)
+        if key is None:
+            mask = int(self.mask_of(cluster_id))
+            key = self.codec.decode(mask, int(self.keys[cluster_id]))
+            self._decoded[cluster_id] = key
+        return key
+
+    def ancestors(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (cluster, ancestor) pair of ``ids``, flat.
+
+        Returns ``(owner, ancestor)``: cluster ``ids[owner[i]]``
+        projected onto one of its strict non-empty submasks is cluster
+        ``ancestor[i]``.
+        """
+        bounds, submasks = _submask_table(self.codec.n_attrs)
+        masks = self.mask_of(ids)
+        lo = bounds[masks]
+        n = bounds[masks + 1] - lo
+        owner = np.repeat(np.arange(ids.size), n)
+        pos = np.arange(owner.size) + np.repeat(lo - (np.cumsum(n) - n), n)
+        return owner, self.leaf_cluster[submasks[pos], self.rep_leaf[ids[owner]]]
+
+
+@functools.lru_cache(maxsize=None)
+def _submask_table(n_attrs: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every mask's strict non-empty submasks, flat: mask ``m`` owns
+    entries ``bounds[m]:bounds[m + 1]``."""
+    full = (1 << n_attrs) - 1
+    lists = [list(iter_submasks(m)) for m in range(full + 1)]
+    bounds = np.zeros(full + 2, dtype=np.int64)
+    np.cumsum([len(subs) for subs in lists], out=bounds[1:])
+    submasks = np.fromiter(chain.from_iterable(lists), dtype=np.int64)
+    # Shared by every caller of the cache.
+    bounds.flags.writeable = submasks.flags.writeable = False
+    return bounds, submasks
 
 
 class EpochAggregate:
     """All cluster counts for one (epoch, metric) pair.
 
-    ``index`` is set when the aggregate was produced through a
-    :class:`~repro.core.index.TraceClusterIndex` — it then holds the
-    :class:`~repro.core.index.EpochClusterView` the aggregate came
-    from, and downstream detectors reuse the view's precomputed
-    leaf/cluster projections instead of per-epoch ``searchsorted``.
+    ``sessions`` and ``problems`` are indexed by the cluster ids of
+    ``lattice``. ``per_mask`` presents them as one
+    :class:`MaskAggregate` per mask (zero-copy slices, built on first
+    use) for lookups and the HHH baseline.
     """
 
     __slots__ = (
         "epoch",
         "metric_name",
-        "codec",
-        "per_mask",
+        "lattice",
+        "sessions",
+        "problems",
         "total_sessions",
         "total_problems",
-        "index",
+        "_per_mask",
     )
 
     def __init__(
         self,
         epoch: int,
         metric_name: str,
-        codec: KeyCodec,
-        per_mask: dict[int, MaskAggregate],
+        lattice: EpochLattice,
+        sessions: np.ndarray,
+        problems: np.ndarray,
         total_sessions: int,
         total_problems: int,
-        index=None,
     ) -> None:
         self.epoch = epoch
         self.metric_name = metric_name
-        self.codec = codec
-        self.per_mask = per_mask
+        self.lattice = lattice
+        self.sessions = sessions
+        self.problems = problems
         self.total_sessions = total_sessions
         self.total_problems = total_problems
-        self.index = index
+        self._per_mask: dict[int, MaskAggregate] | None = None
+
+    @property
+    def codec(self) -> KeyCodec:
+        return self.lattice.codec
 
     @property
     def global_stats(self) -> ClusterStats:
@@ -259,19 +398,50 @@ class EpochAggregate:
     def global_ratio(self) -> float:
         return self.global_stats.ratio
 
+    def _mask_aggregate(self, mask: int) -> MaskAggregate:
+        span = self.lattice.span(mask)
+        return MaskAggregate(
+            mask=mask,
+            keys=self.lattice.keys[span],
+            sessions=self.sessions[span],
+            problems=self.problems[span],
+        )
+
+    @property
+    def per_mask(self) -> dict[int, MaskAggregate]:
+        if self._per_mask is None:
+            self._per_mask = {
+                m: self._mask_aggregate(m) for m in self.masks()
+            }
+        return self._per_mask
+
     @property
     def leaf(self) -> MaskAggregate:
         """The full-mask aggregate — one entry per distinct combination."""
-        return self.per_mask[self.codec.full_mask]
+        return self._mask_aggregate(self.codec.full_mask)
 
     def masks(self) -> Iterator[int]:
-        return iter(self.per_mask)
+        return iter(range(1, self.codec.full_mask + 1))
+
+    def significant(self, floor: int) -> np.ndarray:
+        """Sorted ids of the clusters with at least ``floor`` sessions.
+
+        Session counts depend on the metric's validity only, never on
+        thresholds, so the ids are cached on the lattice per (metric,
+        floor) and shared by every thresholds variant of a sweep.
+        """
+        key = (self.metric_name, floor)
+        ids = self.lattice._significant.get(key)
+        if ids is None:
+            ids = np.flatnonzero(self.sessions >= floor)
+            self.lattice._significant[key] = ids
+        return ids
 
     def stats(self, mask: int, packed: int) -> ClusterStats | None:
-        agg = self.per_mask.get(mask)
-        if agg is None:
+        cid = self.lattice.find(mask, packed)
+        if cid < 0:
             return None
-        return agg.stats_of(packed)
+        return ClusterStats(int(self.sessions[cid]), int(self.problems[cid]))
 
     def stats_of_key(self, key: ClusterKey) -> ClusterStats | None:
         """Lookup by human-facing key (encodes labels to packed form)."""
@@ -338,29 +508,29 @@ def aggregate_epoch(
     ).astype(np.int64)
 
     field_masks = codec.field_masks()
-    per_mask: dict[int, MaskAggregate] = {}
     full = codec.full_mask
+    leaf_cluster = np.empty((full + 1, leaf_keys.size), dtype=np.int32)
+    mask_keys, mask_reps, sessions, problems = [], [], [], []
     for m in range(1, full + 1):
-        if m == full:
-            keys, sessions, problems = leaf_keys, leaf_sessions, leaf_problems
-        else:
-            proj = leaf_keys & field_masks[m]
-            keys, inv = np.unique(proj, return_inverse=True)
-            sessions = np.bincount(
-                inv, weights=leaf_sessions, minlength=keys.size
-            ).astype(np.int64)
-            problems = np.bincount(
-                inv, weights=leaf_problems, minlength=keys.size
-            ).astype(np.int64)
-        per_mask[m] = MaskAggregate(
-            mask=m, keys=keys, sessions=sessions, problems=problems
+        keys, rep, inv = np.unique(
+            leaf_keys & field_masks[m], return_index=True, return_inverse=True
+        )
+        leaf_cluster[m] = inv
+        mask_keys.append(keys)
+        mask_reps.append(rep)
+        sessions.append(
+            np.bincount(inv, weights=leaf_sessions, minlength=keys.size)
+        )
+        problems.append(
+            np.bincount(inv, weights=leaf_problems, minlength=keys.size)
         )
 
     return EpochAggregate(
         epoch=epoch,
         metric_name=metric.name,
-        codec=codec,
-        per_mask=per_mask,
+        lattice=EpochLattice.flatten(codec, mask_keys, mask_reps, leaf_cluster),
+        sessions=np.concatenate(sessions).astype(np.int64),
+        problems=np.concatenate(problems).astype(np.int64),
         total_sessions=int(leaf_sessions.sum()),
         total_problems=int(leaf_problems.sum()),
     )

@@ -21,14 +21,29 @@ attributes), its problem sessions are attributed in equal shares.
 The descendant condition is evaluated **cluster-globally**: a candidate
 ``ASN1`` is disqualified if any significant ``(ASN1, CDN_k)`` sub-slice
 is healthy — that pattern means the real cause lives in a specific
-combination, not in the ASN. The implementation runs a bottom-up
-dynamic program over the per-mask cluster tables (one boolean per
-cluster, failing children folded onto parents with one ``bincount``
-per lattice edge), so the cost stays near-linear in the number of
-distinct clusters. When the aggregate carries an
-:class:`~repro.core.index.EpochClusterView`, the child -> parent fold
-indices are the view's cached projections — computed once per epoch,
-shared by every metric and config of that epoch.
+combination, not in the ASN.
+
+Every step is a fixed number of whole-lattice array operations on the
+aggregate's :class:`~repro.core.aggregation.EpochLattice`, with no
+loop over masks. The ancestor of cluster ``c`` on a submask ``a`` is
+``leaf_cluster[a, rep_leaf[c]]``, so:
+
+* the *tainted* set (clusters with a bad descendant, a bad cluster being
+  significant but not a problem cluster) is one scatter of every strict
+  non-empty submask projection of every bad cluster;
+* the ancestor-removal test evaluates every (candidate, strict
+  non-empty submask) pair in one predicate call and reduces the
+  failures per candidate with one ``bincount``;
+* minimality is a candidate-mask x leaf boolean matrix; a leaf under
+  several candidates drops each one that has another candidate on a
+  strict submask (one boolean matrix product over those leaves);
+* attribution is one ``bincount`` per quantity over the (candidate
+  mask, leaf) pairs in ascending mask then leaf order, the order a
+  per-mask ``np.add.at`` would add them in, so the sums are
+  bit-identical to it.
+
+The work grows with bad clusters x submasks and with candidate masks x
+leaves, not with the number of masks the lattice spans.
 """
 
 from __future__ import annotations
@@ -39,7 +54,6 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.aggregation import ClusterStats
-from repro.core.attributes import iter_submasks, popcount
 from repro.core.clusters import ClusterKey
 from repro.core.problems import ProblemClusters
 
@@ -61,19 +75,26 @@ class CriticalAttribution:
 
 
 class CriticalClusters:
-    """Critical clusters of one (epoch, metric) pair with attribution."""
+    """Critical clusters of one (epoch, metric) pair with attribution.
 
-    __slots__ = ("problems", "clusters", "unattributed_problem_sessions")
+    ``clusters`` maps ``(mask, packed)`` to the attribution in cluster-id
+    order, and ``ids`` holds the same clusters' ids in the aggregate's
+    lattice.
+    """
+
+    __slots__ = ("problems", "clusters", "unattributed_problem_sessions", "ids")
 
     def __init__(
         self,
         problems: ProblemClusters,
         clusters: dict[tuple[int, int], CriticalAttribution],
         unattributed_problem_sessions: float,
+        ids: np.ndarray | None = None,
     ) -> None:
         self.problems = problems
         self.clusters = clusters
         self.unattributed_problem_sessions = unattributed_problem_sessions
+        self.ids = np.empty(0, dtype=np.int64) if ids is None else ids
 
     @property
     def agg(self):
@@ -105,194 +126,92 @@ class CriticalClusters:
             yield mask, packed, attribution
 
     def cluster_keys(self) -> list[ClusterKey]:
-        return [self.agg.decode(m, p) for (m, p) in self.clusters]
+        return [self.agg.lattice.key_of(cid) for cid in self.ids.tolist()]
 
     def decoded(self) -> dict[ClusterKey, CriticalAttribution]:
         """Attribution keyed by stable, human-facing cluster identity."""
-        return {
-            self.agg.decode(m, p): attribution
-            for (m, p), attribution in self.clusters.items()
-        }
-
-
-def _project_index(agg, fine: int, coarse: int) -> np.ndarray:
-    """Positions of mask ``fine``'s clusters within mask ``coarse``'s keys.
-
-    Reuses the epoch view's cache when the aggregate carries an
-    :class:`~repro.core.index.EpochClusterView` (at most one
-    ``searchsorted`` per (fine, coarse) pair per epoch, shared by every
-    metric and config of the epoch); falls back to a ``searchsorted``
-    per call otherwise.
-    """
-    if agg.index is not None:
-        return agg.index.project_index(fine, coarse)
-    proj = agg.per_mask[fine].keys & agg.codec.field_masks()[coarse]
-    return np.searchsorted(agg.per_mask[coarse].keys, proj)
-
-
-def _tainted_clusters(problems: ProblemClusters) -> dict[int, np.ndarray]:
-    """Per mask: sorted indices of clusters with a *bad* descendant.
-
-    A cluster is bad when it is significant (at/above the session
-    floor) but not a problem cluster; a candidate critical cluster must
-    have no bad descendant (and not be bad itself — it is a problem
-    cluster by construction). Equivalent to the old full-table
-    descendants DP (``desc_ok[m] == cluster not in tainted[m]``), but
-    runs entirely on the sparse bad set: seeds are the significant
-    non-problem clusters of each mask, folded up the lattice one
-    attribute at a time through the cached projection indices. Cost
-    scales with the number of significant clusters — typically a small
-    fraction of the distinct-cluster universe — instead of with the
-    universe itself.
-    """
-    agg = problems.agg
-    codec = agg.codec
-    full = codec.full_mask
-
-    tainted: dict[int, np.ndarray] = {}
-    for m in sorted(range(1, full + 1), key=popcount, reverse=True):
-        sig = problems.significant_rows[m]
-        parts = []
-        if sig.size:
-            bad = sig[~problems.is_problem[m][sig]]
-            if bad.size:
-                parts.append(bad)
-        for i in range(codec.n_attrs):
-            bit = 1 << i
-            child_mask = m | bit
-            if child_mask == m or child_mask > full:
-                continue
-            child_tainted = tainted[child_mask]
-            if child_tainted.size:
-                parts.append(_project_index(agg, child_mask, m)[child_tainted])
-        if parts:
-            tainted[m] = np.unique(np.concatenate(parts))
-        else:
-            tainted[m] = np.empty(0, dtype=np.int64)
-    return tainted
-
-
-def _sorted_exclude(rows: np.ndarray, exclude: np.ndarray) -> np.ndarray:
-    """``rows`` minus ``exclude`` (both sorted ascending)."""
-    if rows.size == 0 or exclude.size == 0:
-        return rows
-    pos = np.minimum(np.searchsorted(exclude, rows), exclude.size - 1)
-    return rows[exclude[pos] != rows]
-
-
-def _removal_ok(
-    problems: ProblemClusters, needed: dict[int, np.ndarray]
-) -> dict[int, np.ndarray]:
-    """Ancestor-removal test for the candidate rows in ``needed``.
-
-    For each candidate cluster ``C`` and each problem-cluster ancestor
-    ``A`` of ``C``: after subtracting ``C``'s counts, ``A`` must no
-    longer satisfy the problem-cluster predicate. Candidates are a
-    handful of rows per mask, so everything is gathered down to them
-    before the predicate runs.
-    """
-    agg = problems.agg
-    out: dict[int, np.ndarray] = {}
-    for m, rows in needed.items():
-        mask_agg = agg.per_mask[m]
-        ok = np.ones(rows.size, dtype=bool)
-        for a in iter_submasks(m):
-            live = np.nonzero(ok)[0]
-            if live.size == 0:
-                break
-            anc_agg = agg.per_mask[a]
-            idx = _project_index(agg, m, a)[rows[live]]
-            rem_sessions = anc_agg.sessions[idx] - mask_agg.sessions[rows[live]]
-            rem_problems = anc_agg.problems[idx] - mask_agg.problems[rows[live]]
-            still_problem = problems.is_problem[a][idx] & problems.counts_are_problem(
-                rem_sessions, rem_problems
-            )
-            ok[live[still_problem]] = False
-        out[m] = rows[ok]
-    return out
+        return dict(zip(self.cluster_keys(), self.clusters.values()))
 
 
 def find_critical_clusters(problems: ProblemClusters) -> CriticalClusters:
     """Run the phase-transition search over one epoch's problem clusters."""
     agg = problems.agg
-    codec = agg.codec
-    full = codec.full_mask
-    n_masks = full + 1
-    leaf = agg.leaf
-    n_leaves = leaf.keys.size
-
-    if n_leaves == 0 or agg.total_problems == 0:
+    lattice = agg.lattice
+    if lattice.n_leaves == 0 or agg.total_problems == 0:
         return CriticalClusters(problems, {}, 0.0)
     if problems.n_clusters == 0:
         # No problem clusters means no candidates: every problem
-        # session is unattributed. Skipping the DP entirely is output-
-        # identical (the candidate matrix would be all-False).
+        # session is unattributed.
         return CriticalClusters(problems, {}, float(agg.total_problems))
+    is_problem = problems.is_problem
 
-    # Cluster-level candidacy: problem cluster + all descendants fine.
-    tainted = _tainted_clusters(problems)
-    pre: dict[int, np.ndarray] = {}
-    for m in range(1, n_masks):
-        rows = _sorted_exclude(problems.problem_rows[m], tainted[m])
-        if rows.size:
-            pre[m] = rows
-    removal = _removal_ok(problems, pre)
+    # Descendants: a problem cluster is tainted when a descendant is
+    # significant but not a problem cluster, i.e. when it is an
+    # ancestor of such a bad cluster (a bad cluster is never a problem
+    # cluster itself).
+    significant = problems.significant
+    bad = significant[~is_problem[significant]]
+    tainted = np.zeros(lattice.n_clusters, dtype=bool)
+    tainted[lattice.ancestors(bad)[1]] = True
+    candidates = problems.ids[~tainted[problems.ids]]
 
-    # Per candidate mask, a boolean over leaves: "this leaf's projection
-    # onto the mask is a candidate". Only candidate masks get a column —
-    # all other masks would be all-False.
-    candidate_at_leaf: dict[int, np.ndarray] = {}
-    for m, rows in removal.items():
-        if rows.size == 0:
-            continue
-        flags = np.zeros(agg.per_mask[m].keys.size, dtype=bool)
-        flags[rows] = True
-        candidate_at_leaf[m] = flags[problems.leaf_proj_index[m]]
+    # Ancestor removal: after subtracting the candidate's counts, no
+    # problem-cluster ancestor may still pass the predicate.
+    owner, ancestor = lattice.ancestors(candidates)
+    own = candidates[owner]
+    still_problem = is_problem[ancestor] & problems.counts_are_problem(
+        agg.sessions[ancestor] - agg.sessions[own],
+        agg.problems[ancestor] - agg.problems[own],
+    )
+    candidates = candidates[
+        np.bincount(owner[still_problem], minlength=candidates.size) == 0
+    ]
 
-    # Minimality under set inclusion ("closest to the root") per leaf;
-    # only candidate masks can disqualify.
-    minimal: dict[int, np.ndarray] = {}
-    for m, at_leaf in candidate_at_leaf.items():
-        keep = at_leaf.copy()
-        for a in iter_submasks(m):
-            anc = candidate_at_leaf.get(a)
-            if anc is None:
-                continue
-            keep &= ~anc
-            if not keep.any():
-                break
-        minimal[m] = keep
+    # Minimality under set inclusion ("closest to the root") per leaf:
+    # a candidate mask x leaves matrix, minus every leaf that also has a
+    # candidate on a strict submask. Only a leaf under several
+    # candidates can lose one.
+    masks = np.unique(lattice.mask_of(candidates))
+    is_candidate = np.zeros(lattice.n_clusters, dtype=bool)
+    is_candidate[candidates] = True
+    leaf_ids = lattice.leaf_cluster[masks]
+    minimal = is_candidate[leaf_ids]
+    strict_submask = ((masks[None, :] & masks[:, None]) == masks[None, :]) & (
+        masks[None, :] != masks[:, None]
+    )
+    shared = np.flatnonzero(np.count_nonzero(minimal, axis=0) > 1)
+    minimal[:, shared] &= ~(strict_submask @ minimal[:, shared])
 
     # Attribute each leaf's problem sessions to its minimal candidates,
-    # splitting equally on ties.
-    n_min = np.zeros(n_leaves, dtype=np.int64)
-    for keep in minimal.values():
-        n_min += keep
+    # splitting equally on ties. The (mask, leaf) pairs are summed in
+    # ascending mask then leaf order.
+    n_min = minimal.sum(axis=0)
+    leaf = agg.leaf
     leaf_problems = leaf.problems.astype(np.float64)
     leaf_sessions = leaf.sessions.astype(np.float64)
-    clusters: dict[tuple[int, int], CriticalAttribution] = {}
     share = np.where(n_min > 0, 1.0 / np.maximum(n_min, 1), 0.0)
-
-    for m in sorted(minimal):
-        rows = np.nonzero(minimal[m])[0]
-        if rows.size == 0:
-            continue
-        mask_agg = agg.per_mask[m]
-        idx = problems.leaf_proj_index[m][rows]
-        prob_acc = np.zeros(mask_agg.keys.size, dtype=np.float64)
-        sess_acc = np.zeros(mask_agg.keys.size, dtype=np.float64)
-        np.add.at(prob_acc, idx, leaf_problems[rows] * share[rows])
-        np.add.at(sess_acc, idx, leaf_sessions[rows] * share[rows])
-        for j in np.unique(idx):
-            key = (m, int(mask_agg.keys[j]))
-            clusters[key] = CriticalAttribution(
-                attributed_problems=float(prob_acc[j]),
-                attributed_sessions=float(sess_acc[j]),
-                own_stats=ClusterStats(
-                    int(mask_agg.sessions[j]), int(mask_agg.problems[j])
-                ),
-            )
+    row, col = np.nonzero(minimal)
+    ids, slot = np.unique(leaf_ids[row, col], return_inverse=True)
+    attributed_problems = np.bincount(
+        slot, weights=leaf_problems[col] * share[col], minlength=ids.size
+    )
+    attributed_sessions = np.bincount(
+        slot, weights=leaf_sessions[col] * share[col], minlength=ids.size
+    )
+    clusters = {
+        (mask, int(lattice.keys[cid])): CriticalAttribution(
+            attributed_problems=p,
+            attributed_sessions=s,
+            own_stats=ClusterStats(int(agg.sessions[cid]), int(agg.problems[cid])),
+        )
+        for cid, mask, p, s in zip(
+            ids.tolist(),
+            lattice.mask_of(ids).tolist(),
+            attributed_problems.tolist(),
+            attributed_sessions.tolist(),
+        )
+    }
 
     attributed = float(leaf_problems[n_min > 0].sum())
     unattributed = float(agg.total_problems) - attributed
-    return CriticalClusters(problems, clusters, unattributed)
+    return CriticalClusters(problems, clusters, unattributed, ids)

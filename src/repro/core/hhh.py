@@ -66,9 +66,7 @@ def find_hierarchical_heavy_hitters(
         return []
     threshold = config.phi * total
 
-    codec = agg.codec
-    full = codec.full_mask
-    field_masks = codec.field_masks()
+    full = agg.codec.full_mask
     leaf = agg.leaf
     # Unclaimed problem mass per leaf; claimed mass is removed as soon
     # as a descendant cluster is reported.
@@ -92,8 +90,7 @@ def find_hierarchical_heavy_hitters(
             apply_claims()
             current_depth = depth
         mask_agg = agg.per_mask[m]
-        proj = leaf.keys & field_masks[m] if m != full else leaf.keys
-        idx = np.searchsorted(mask_agg.keys, proj)
+        idx = agg.lattice.leaf_cluster[m] - agg.lattice.span(m).start
         discounted = np.zeros(mask_agg.keys.size, dtype=np.float64)
         np.add.at(discounted, idx, unclaimed)
         hits = np.nonzero(discounted >= threshold)[0]

@@ -19,11 +19,14 @@ shared by every metric): the cluster lattice of the epoch's *active*
 leaves. Masks are visited from fine to coarse; each one projects the
 smallest one-attribute-finer mask's keys with one ``np.unique``, which
 yields the sorted cluster keys, the finer -> coarser fold index and
-(composed with the finer mask's) the leaf -> cluster inverse. The
+(composed with the finer mask's) each leaf's cluster on the mask. The
 tables are exactly the clusters a direct per-epoch
 :func:`~repro.core.aggregation.aggregate_epoch` would enumerate, and
 each ``np.unique`` runs over a cluster table, never over the epoch's
-rows.
+rows. They are then laid out flat as one
+:class:`~repro.core.aggregation.EpochLattice`: every cluster gets an
+id in ``(mask, key)`` order and every leaf one id per mask, which is
+what lets the detectors work on whole-lattice arrays.
 
 With a view, aggregating one (epoch, metric) unit collapses to two
 ``np.bincount`` calls at the leaf level plus two per mask, folded down
@@ -38,17 +41,21 @@ per-epoch reference (pinned by
 Memory footprint: the trace level holds ``n_leaves * 8`` bytes of leaf
 keys, ``n_rows * 4`` bytes of row -> leaf inverse and one byte per row
 per cached metric mask (:meth:`TraceClusterIndex.memory_bytes`). A view
-holds, per mask, its active cluster keys and a leaf -> cluster inverse
-over the epoch's active leaves, and is dropped with its epoch.
+holds its active cluster keys (8 bytes each) and one representative
+leaf per cluster (4 bytes), each mask's fold index over its source's
+clusters (4 bytes per entry) and an int32 ``(n_masks + 1) x n_leaves``
+leaf -> cluster matrix over the epoch's active leaves, and is dropped
+with its epoch.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Iterable
 
 import numpy as np
 
-from repro.core.aggregation import EpochAggregate, KeyCodec, MaskAggregate
+from repro.core.aggregation import EpochAggregate, EpochLattice, KeyCodec
 from repro.core.attributes import popcount
 from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.sessions import Session, SessionTable, grow_append
@@ -75,6 +82,17 @@ def _merge_sorted_unique(
     merged[old_to_new] = old
     merged[fresh_to_new] = fresh
     return merged, old_to_new
+
+
+@functools.lru_cache(maxsize=None)
+def _fold_order(n_attrs: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Every mask but the full one, fine to coarse (each after all its
+    one-attribute-finer masks), with those finer masks."""
+    full = (1 << n_attrs) - 1
+    return tuple(
+        (m, tuple(m | 1 << i for i in range(n_attrs) if not m >> i & 1))
+        for m in sorted(range(1, full), key=popcount, reverse=True)
+    )
 
 
 class TraceClusterIndex:
@@ -344,17 +362,17 @@ class TraceClusterIndex:
 class EpochClusterView:
     """The cluster lattice of one epoch's active leaves.
 
-    Holds, for every non-empty attribute mask, the sorted keys of the
-    clusters that occur among the epoch's rows (:meth:`keys`), the
-    leaf -> cluster inverse over the epoch's active leaves
-    (``leaf_to_cluster``), the finer mask each mask's counts fold down
-    from (``fold_source``, in fold order) and lazily computed
-    cluster -> cluster projections (:meth:`project_index`).
+    Holds the epoch's :class:`~repro.core.aggregation.EpochLattice`
+    (every active cluster of every non-empty mask, flat, with each
+    leaf's cluster id per mask) and the fold plan that sums leaf counts
+    down it: for every mask but the leaves, the finer mask its counts
+    fold from (``fold_source``, in fold order) and that mask's cluster
+    -> cluster fold index.
 
     The view is metric-independent: aggregate each metric over the same
-    epoch with :meth:`aggregate`, and the problem/critical detectors
-    reuse ``leaf_to_cluster``/:meth:`project_index` via the aggregate's
-    ``index`` attribute.
+    epoch with :meth:`aggregate`. Every aggregate carries the view's
+    lattice, so the problem/critical detectors of every metric and
+    config share its ids and memoised keys.
     """
 
     __slots__ = (
@@ -362,12 +380,10 @@ class EpochClusterView:
         "epoch",
         "rows",
         "row_leaf_local",
-        "leaf_to_cluster",
+        "lattice",
         "fold_source",
-        "_keys",
-        "_project",
+        "_fold_plan",
         "_metric_sessions",
-        "_significant",
     )
 
     def __init__(
@@ -386,88 +402,71 @@ class EpochClusterView:
         codec = index.codec
         full = codec.full_mask
         field_masks = codec.field_masks()
+        local = np.arange(leaf_ids.size, dtype=np.int32)
         keys: dict[int, np.ndarray] = {full: index.leaf_keys[leaf_ids]}
-        leaf_to_cluster: dict[int, np.ndarray] = {
-            full: np.arange(leaf_ids.size, dtype=np.int32)
-        }
+        reps: dict[int, np.ndarray] = {full: local}
+        # Rows hold mask-local cluster positions until flatten() shifts
+        # them to cluster ids.
+        leaf_cluster = np.empty((full + 1, leaf_ids.size), dtype=np.int32)
+        leaf_cluster[full] = local
         fold_source: dict[int, int] = {}
-        project: dict[tuple[int, int], np.ndarray] = {}
-        # Fine to coarse: every one-attribute-finer mask is done before
-        # its submasks. Each mask projects the finer mask with the
-        # fewest active clusters; any finer source gives the same keys
-        # and the same int64-exact fold sums.
-        for m in sorted(range(1, full), key=popcount, reverse=True):
-            src = min(
-                (m | 1 << i for i in range(codec.n_attrs) if not m >> i & 1),
-                key=lambda finer: keys[finer].size,
-            )
+        fold_index: dict[int, np.ndarray] = {}
+        # Each mask projects the finer mask with the fewest active
+        # clusters; any finer source gives the same keys and the same
+        # int64-exact fold sums.
+        for m, finer in _fold_order(codec.n_attrs):
+            src = min(finer, key=lambda f: keys[f].size)
             keys[m], inverse = np.unique(
                 keys[src] & field_masks[m], return_inverse=True
             )
+            # A leaf of any source cluster represents its projection
+            # (scattered through the intp inverse: no index conversion).
+            reps[m] = np.empty(keys[m].size, dtype=np.int32)
+            reps[m][inverse] = reps[src]
             inverse = inverse.astype(np.int32, copy=False)
-            leaf_to_cluster[m] = inverse[leaf_to_cluster[src]]
+            np.take(inverse, leaf_cluster[src], out=leaf_cluster[m])
             fold_source[m] = src
-            project[(src, m)] = inverse
-        self._keys = keys
-        self.leaf_to_cluster = leaf_to_cluster
+            fold_index[m] = inverse
+        masks = range(1, full + 1)
+        self.lattice = EpochLattice.flatten(
+            codec, [keys[m] for m in masks], [reps[m] for m in masks], leaf_cluster
+        )
         self.fold_source = fold_source
-        self._project = project
+        bounds = self.lattice.starts.tolist()
+        self._fold_plan = [
+            (bounds[m], bounds[m + 1], bounds[src], bounds[src + 1], fold_index[m])
+            for m, src in fold_source.items()
+        ]
         self._metric_sessions: dict[
-            str, tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]
+            str, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
-        self._significant: dict[tuple[str, int], dict[int, np.ndarray]] = {}
 
     @property
     def n_leaves(self) -> int:
-        return int(self._keys[self.index.codec.full_mask].size)
+        return self.lattice.n_leaves
 
     def keys(self, mask: int) -> np.ndarray:
         """Sorted packed keys of the epoch's active clusters of ``mask``."""
-        return self._keys[mask]
+        return self.lattice.keys[self.lattice.span(mask)]
 
-    def project_index(self, fine: int, coarse: int) -> np.ndarray:
-        """Positions of mask ``fine``'s clusters projected onto mask
-        ``coarse`` (a strict submask), within ``coarse``'s keys.
-
-        One ``searchsorted`` on first use, cached on the view so every
-        metric of the epoch shares it; each mask's fold-source
-        projection comes free with the view. Every projection of an
-        active fine cluster is itself active (it contains the same
-        active leaf), so the ``searchsorted`` always hits exactly.
-        """
-        key = (fine, coarse)
-        idx = self._project.get(key)
-        if idx is None:
-            if coarse & fine != coarse or coarse == fine:
-                raise ValueError(
-                    f"mask {coarse:#x} is not a strict submask of {fine:#x}"
-                )
-            proj = self._keys[fine] & self.index.codec.field_masks()[coarse]
-            idx = np.searchsorted(self._keys[coarse], proj).astype(
-                np.int32, copy=False
-            )
-            self._project[key] = idx
-        return idx
-
-    def _fold(self, leaf_counts: np.ndarray) -> dict[int, np.ndarray]:
-        """Per-mask cluster counts, folded down the lattice from leaves.
+    def _fold(self, leaf_counts: np.ndarray) -> np.ndarray:
+        """Per-cluster counts, folded down the lattice from leaves.
 
         Counts stay int64-exact: bincount's float64 weights are exact
         for values < 2^53.
         """
-        counts: dict[int, np.ndarray] = {self.index.codec.full_mask: leaf_counts}
-        for m, src in self.fold_source.items():
-            counts[m] = np.bincount(
-                self._project[(src, m)],
-                weights=counts[src],
-                minlength=self._keys[m].size,
-            ).astype(np.int64)
+        counts = np.empty(self.lattice.n_clusters, dtype=np.int64)
+        counts[self.lattice.span(self.index.codec.full_mask)] = leaf_counts
+        for lo, hi, src_lo, src_hi, fold_index in self._fold_plan:
+            counts[lo:hi] = np.bincount(
+                fold_index, weights=counts[src_lo:src_hi], minlength=hi - lo
+            )
         return counts
 
     def _metric_session_folds(
         self, metric: QualityMetric
-    ) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-        """``(valid_rows, leaf_sessions, sessions_per_mask)`` for one metric.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(valid_rows, leaf_sessions, sessions)`` for one metric.
 
         Session counts depend only on the metric's *validity* pattern,
         never on thresholds, so one computation per (epoch, metric) is
@@ -482,33 +481,6 @@ class EpochClusterView:
             ).astype(np.int64, copy=False)
             cached = (valid, leaf_sessions, self._fold(leaf_sessions))
             self._metric_sessions[metric.name] = cached
-        return cached
-
-    def significant_clusters(
-        self, metric_name: str, min_sessions: int
-    ) -> dict[int, np.ndarray] | None:
-        """Per mask: indices of active clusters at or above the session floor.
-
-        Session counts are threshold-independent, so this subset — the
-        only clusters the problem predicate can ever flag and the only
-        seeds the critical-cluster descendants test needs — is computed
-        once per (epoch, metric, floor) and shared by every thresholds
-        variant of a config sweep. Returns ``None`` when the metric's
-        session folds have not been computed yet (callers then fall
-        back to scanning the aggregate's own arrays).
-        """
-        key = (metric_name, int(min_sessions))
-        cached = self._significant.get(key)
-        if cached is None:
-            folds = self._metric_sessions.get(metric_name)
-            if folds is None:
-                return None
-            _, _, sessions = folds
-            cached = {
-                m: np.nonzero(counts >= min_sessions)[0]
-                for m, counts in sessions.items()
-            }
-            self._significant[key] = cached
         return cached
 
     def aggregate(
@@ -529,10 +501,9 @@ class EpochClusterView:
         cached per metric, so re-aggregating the same epoch under new
         thresholds pays only the problem-count bincounts.
         """
-        index = self.index
         valid, leaf_sessions, sessions = self._metric_session_folds(metric)
         if problem_flags is None:
-            problem = index.problem_mask(metric, thresholds)[self.rows]
+            problem = self.index.problem_mask(metric, thresholds)[self.rows]
         else:
             problem_flags = np.asarray(problem_flags, dtype=bool)
             if problem_flags.shape != (self.rows.size,):
@@ -545,23 +516,12 @@ class EpochClusterView:
         leaf_problems = np.bincount(
             self.row_leaf_local[problem], minlength=self.n_leaves
         ).astype(np.int64, copy=False)
-        problems = self._fold(leaf_problems)
-
-        per_mask = {
-            m: MaskAggregate(
-                mask=m,
-                keys=self._keys[m],
-                sessions=sessions[m],
-                problems=problems[m],
-            )
-            for m in range(1, index.codec.full_mask + 1)
-        }
         return EpochAggregate(
             epoch=self.epoch,
             metric_name=metric.name,
-            codec=index.codec,
-            per_mask=per_mask,
+            lattice=self.lattice,
+            sessions=sessions,
+            problems=self._fold(leaf_problems),
             total_sessions=int(leaf_sessions.sum()),
             total_problems=int(leaf_problems.sum()),
-            index=self,
         )

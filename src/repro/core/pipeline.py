@@ -396,17 +396,13 @@ def assemble_trace_analysis(
 
 def _epoch_summary(agg, problems, critical, epoch: int) -> EpochAnalysis:
     """Compact, pickle-friendly summary of one (epoch, metric) result."""
-    problem_clusters = {
-        agg.decode(mask, packed): stats
-        for mask, packed, stats in problems.iter_clusters()
-    }
     return EpochAnalysis(
         epoch=epoch,
         total_sessions=agg.total_sessions,
         total_problems=agg.total_problems,
         min_sessions=problems.min_sessions,
         problem_cluster_coverage=problems.coverage,
-        problem_clusters=problem_clusters,
+        problem_clusters=problems.decoded(),
         critical_clusters=critical.decoded(),
     )
 

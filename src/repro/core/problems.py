@@ -7,9 +7,12 @@ which contains at least ``min_sessions`` sessions (the paper uses 1000
 out of ~900k sessions/epoch; ``"auto"`` scales that proportion to the
 trace at hand).
 
-:class:`ProblemClusters` holds per-mask boolean flags aligned with the
-:class:`~repro.core.aggregation.EpochAggregate` arrays, plus the
-leaf-projection index matrix that the critical-cluster detector reuses.
+:class:`ProblemClusters` holds the problem clusters as sorted cluster
+ids of the aggregate's :class:`~repro.core.aggregation.EpochLattice`
+plus one flag per cluster id, which the critical-cluster detector reads
+whole. Detection is one predicate call over the lattice's significant
+clusters; coverage is one gather of the flags through each problem
+mask's leaf -> cluster row.
 """
 
 from __future__ import annotations
@@ -119,20 +122,22 @@ class ProblemClusterConfig:
 
 
 class ProblemClusters:
-    """Problem-cluster flags for one (epoch, metric) aggregate."""
+    """Problem-cluster flags for one (epoch, metric) aggregate.
+
+    ``significant`` holds the sorted ids of the clusters at or above the
+    session floor, ``ids`` the sorted ids of the problem clusters and
+    ``is_problem`` one flag per cluster id of ``agg.lattice``.
+    """
 
     __slots__ = (
         "agg",
         "config",
         "min_sessions",
         "ratio_threshold",
+        "significant",
+        "ids",
         "is_problem",
-        "leaf_proj_index",
         "_covered_leaves",
-        "_leaf_problem_matrix",
-        "_significant_rows",
-        "_problem_rows",
-        "_n_clusters",
     )
 
     def __init__(
@@ -141,54 +146,23 @@ class ProblemClusters:
         config: ProblemClusterConfig,
         min_sessions: int,
         ratio_threshold: float,
-        is_problem: dict[int, np.ndarray],
-        leaf_proj_index: dict[int, np.ndarray],
+        significant: np.ndarray,
+        ids: np.ndarray,
     ) -> None:
         self.agg = agg
         self.config = config
         self.min_sessions = min_sessions
         self.ratio_threshold = ratio_threshold
-        self.is_problem = is_problem
-        self.leaf_proj_index = leaf_proj_index
+        self.significant = significant
+        self.ids = ids
+        self.is_problem = np.zeros(agg.lattice.n_clusters, dtype=bool)
+        self.is_problem[ids] = True
         self._covered_leaves: np.ndarray | None = None
-        self._leaf_problem_matrix: np.ndarray | None = None
-        self._significant_rows: dict[int, np.ndarray] | None = None
-        self._problem_rows: dict[int, np.ndarray] | None = None
-        self._n_clusters: int | None = None
-
-    @property
-    def significant_rows(self) -> dict[int, np.ndarray]:
-        """Per mask: sorted indices of clusters at/above the session floor.
-
-        The only clusters the predicate can flag; the critical-cluster
-        descendants test seeds from them. Populated for free by
-        :func:`find_problem_clusters` (shared across a config sweep via
-        the epoch view); recomputed here only for hand-built instances.
-        """
-        if self._significant_rows is None:
-            self._significant_rows = {
-                m: np.nonzero(mask_agg.sessions >= self.min_sessions)[0]
-                for m, mask_agg in self.agg.per_mask.items()
-            }
-        return self._significant_rows
-
-    @property
-    def problem_rows(self) -> dict[int, np.ndarray]:
-        """Per mask: sorted indices of the problem clusters."""
-        if self._problem_rows is None:
-            self._problem_rows = {
-                m: np.nonzero(flags)[0] for m, flags in self.is_problem.items()
-            }
-        return self._problem_rows
 
     @property
     def n_clusters(self) -> int:
         """Total number of problem clusters in the epoch."""
-        if self._n_clusters is None:
-            self._n_clusters = int(
-                sum(int(flags.sum()) for flags in self.is_problem.values())
-            )
-        return self._n_clusters
+        return int(self.ids.size)
 
     def counts_are_problem(
         self, sessions: np.ndarray, problems: np.ndarray
@@ -211,64 +185,41 @@ class ProblemClusters:
 
     def iter_clusters(self) -> Iterator[tuple[int, int, ClusterStats]]:
         """Yield ``(mask, packed_key, stats)`` for every problem cluster."""
-        for mask, rows in self.problem_rows.items():
-            agg = self.agg.per_mask[mask]
-            for i in rows:
-                yield (
-                    mask,
-                    int(agg.keys[i]),
-                    ClusterStats(int(agg.sessions[i]), int(agg.problems[i])),
-                )
+        agg = self.agg
+        masks = agg.lattice.mask_of(self.ids).tolist()
+        for mask, cid in zip(masks, self.ids.tolist()):
+            yield (
+                mask,
+                int(agg.lattice.keys[cid]),
+                ClusterStats(int(agg.sessions[cid]), int(agg.problems[cid])),
+            )
+
+    def decoded(self) -> dict[ClusterKey, ClusterStats]:
+        """Problem-cluster counts keyed by stable, human-facing identity."""
+        stats = (stats for _, _, stats in self.iter_clusters())
+        return dict(zip(self.cluster_keys(), stats))
 
     def cluster_keys(self) -> list[ClusterKey]:
         """Decoded identities of every problem cluster."""
-        return [
-            self.agg.decode(mask, packed)
-            for mask, packed, _ in self.iter_clusters()
-        ]
+        return [self.agg.lattice.key_of(cid) for cid in self.ids.tolist()]
 
     def contains(self, mask: int, packed: int) -> bool:
-        agg = self.agg.per_mask.get(mask)
-        if agg is None:
-            return False
-        idx = agg.index_of(packed)
-        return bool(idx >= 0 and self.is_problem[mask][idx])
-
-    def leaf_problem_matrix(self) -> np.ndarray:
-        """(n_leaves, n_masks+1) bool: leaf's projection is a problem cluster.
-
-        Column ``m`` (for non-empty masks) tells, for each distinct leaf
-        combination, whether its projection onto mask ``m`` is a problem
-        cluster. Column 0 (the root) is always False — the root's ratio
-        *is* the global ratio. Computed once and cached; masks with no
-        problem cluster are skipped (their columns stay False).
-        """
-        if self._leaf_problem_matrix is None:
-            full = self.agg.codec.full_mask
-            n_leaves = len(self.agg.leaf)
-            matrix = np.zeros((n_leaves, full + 1), dtype=bool)
-            for m in range(1, full + 1):
-                if self.problem_rows[m].size == 0:
-                    continue
-                matrix[:, m] = self.is_problem[m][self.leaf_proj_index[m]]
-            self._leaf_problem_matrix = matrix
-        return self._leaf_problem_matrix
+        cid = self.agg.lattice.find(mask, packed)
+        return bool(cid >= 0 and self.is_problem[cid])
 
     @property
     def covered_leaves(self) -> np.ndarray:
         """Boolean per leaf: belongs to at least one problem cluster.
 
-        Computed once and cached (``coverage`` and the critical-cluster
-        summary both read it); masks with no problem cluster contribute
-        nothing and are skipped.
+        One gather of the flags through the leaf -> cluster rows of the
+        masks that hold a problem cluster, computed once and cached.
         """
         if self._covered_leaves is None:
-            n_leaves = len(self.agg.leaf)
-            covered = np.zeros(n_leaves, dtype=bool)
-            for m in range(1, self.agg.codec.full_mask + 1):
-                if self.problem_rows[m].size:
-                    covered |= self.is_problem[m][self.leaf_proj_index[m]]
-            self._covered_leaves = covered
+            lattice = self.agg.lattice
+            masks = np.unique(lattice.mask_of(self.ids))
+            self._covered_leaves = self.is_problem[
+                lattice.leaf_cluster[masks]
+            ].any(axis=0)
         return self._covered_leaves
 
     @property
@@ -292,76 +243,29 @@ def find_problem_clusters(
 
     Only clusters at or above the session floor can pass the predicate,
     and they are typically a small fraction of the epoch's distinct
-    clusters — so the predicate is evaluated once over the *significant*
-    clusters of all masks concatenated flat, and the results scattered
-    back into full-size per-mask flag arrays. Session counts are
-    threshold-independent, so when the aggregate came from an
-    :class:`~repro.core.index.EpochClusterView` the significant subset
-    is cached on the view and shared by every thresholds variant
-    of a config sweep (the leaf-projection index matrix likewise comes
-    precomputed from the view — no per-epoch ``searchsorted`` at all).
+    clusters — so the predicate runs once over the significant ids of
+    the whole lattice. Session counts are threshold-independent, so
+    those ids are cached on the aggregate's lattice and shared by every
+    thresholds variant of a config sweep.
     """
     config = config or ProblemClusterConfig()
     min_sessions = config.resolve_min_sessions(agg.total_sessions)
     ratio_threshold = config.ratio_multiplier * agg.global_ratio
-    full = agg.codec.full_mask
-    masks = range(1, full + 1)
-
-    significant = None
-    if agg.index is not None:
-        significant = agg.index.significant_clusters(agg.metric_name, min_sessions)
-    if significant is None:
-        significant = {
-            m: np.nonzero(agg.per_mask[m].sessions >= min_sessions)[0]
-            for m in masks
-        }
-
-    ok_flat = cluster_problem_flags(
-        np.concatenate([agg.per_mask[m].sessions[significant[m]] for m in masks]),
-        np.concatenate([agg.per_mask[m].problems[significant[m]] for m in masks]),
+    significant = agg.significant(min_sessions)
+    ok = cluster_problem_flags(
+        agg.sessions[significant],
+        agg.problems[significant],
         global_ratio=agg.global_ratio,
         ratio_threshold=ratio_threshold,
         min_sessions=min_sessions,
         min_problems=config.min_problems,
         significance_sigmas=config.significance_sigmas,
     )
-    is_problem: dict[int, np.ndarray] = {}
-    problem_rows: dict[int, np.ndarray] = {}
-    start = 0
-    for m in masks:
-        sig = significant[m]
-        ok = ok_flat[start : start + sig.size]
-        start += sig.size
-        flags = np.zeros(agg.per_mask[m].keys.size, dtype=bool)
-        flags[sig] = ok
-        is_problem[m] = flags
-        problem_rows[m] = sig[ok]
-
-    if agg.index is not None:
-        # Indexed aggregate: the leaf -> cluster inverses were computed
-        # once per epoch view, shared by every metric.
-        leaf_proj_index = agg.index.leaf_to_cluster
-    else:
-        leaf_proj_index = {}
-        field_masks = agg.codec.field_masks()
-        leaf_keys = agg.leaf.keys
-        for m in masks:
-            if m == full:
-                leaf_proj_index[m] = np.arange(leaf_keys.size)
-            else:
-                proj = leaf_keys & field_masks[m]
-                # projections always exist by construction
-                leaf_proj_index[m] = np.searchsorted(agg.per_mask[m].keys, proj)
-
-    out = ProblemClusters(
+    return ProblemClusters(
         agg=agg,
         config=config,
         min_sessions=min_sessions,
         ratio_threshold=ratio_threshold,
-        is_problem=is_problem,
-        leaf_proj_index=leaf_proj_index,
+        significant=significant,
+        ids=significant[ok],
     )
-    out._significant_rows = significant
-    out._problem_rows = problem_rows
-    out._n_clusters = int(ok_flat.sum())
-    return out

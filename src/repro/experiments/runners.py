@@ -33,6 +33,7 @@ from repro.analysis.whatif import (
 from repro.core.aggregation import aggregate_epoch
 from repro.core.epoching import split_into_epochs
 from repro.core.hhh import HHHConfig, find_hierarchical_heavy_hitters
+from repro.core.index import TraceClusterIndex
 from repro.core.metrics import MetricThresholds, metric_by_name
 from repro.core.pipeline import AnalysisConfig, analyze_trace
 from repro.core.problems import ProblemClusterConfig
@@ -727,12 +728,17 @@ def run_ablation_epoch_length(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
-    """Pipeline throughput vs per-epoch session volume."""
+    """Pipeline throughput and per-phase seconds vs per-epoch volume.
+
+    Each row also reports the epoch lattice's mean active cluster count,
+    so a phase that grows faster than the lattice the detectors work on
+    shows as rising seconds per cluster.
+    """
     import time
 
     rows = []
     data = {}
-    for per_epoch in (500, 2000, 8000):
+    for per_epoch in (500, 2000, 8000, 32000):
         spec = StandardWorkloads.tiny(seed=9)
         spec = replace(
             spec,
@@ -742,18 +748,33 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
         )
         trace = generate_trace(spec)
         start = time.perf_counter()
-        analyze_trace(trace.table, grid=trace.grid)
+        timings = analyze_trace(trace.table, grid=trace.grid).timings
         elapsed = time.perf_counter() - start
+        index = TraceClusterIndex.build(trace.table)
+        _, per_epoch_rows = split_into_epochs(trace.table, trace.grid)
+        clusters = round(float(np.mean(
+            [index.epoch_view(r).lattice.n_clusters for r in per_epoch_rows]
+        )))
         throughput = trace.n_sessions / elapsed
-        rows.append([per_epoch, trace.n_sessions, elapsed, throughput])
+        phases = {
+            "pack_s": timings.pack_s,
+            "aggregate_s": timings.aggregate_s,
+            "problems_s": timings.problems_s,
+            "critical_s": timings.critical_s,
+        }
+        rows.append([per_epoch, trace.n_sessions, clusters, elapsed, throughput,
+                     *phases.values()])
         data[per_epoch] = {
             "sessions": trace.n_sessions,
+            "clusters_per_epoch": clusters,
             "seconds": elapsed,
             "sessions_per_second": throughput,
+            **phases,
         }
     text = render_table(
-        ["Sessions/epoch", "Total sessions", "Analysis seconds",
-         "Sessions/second"],
+        ["Sessions/epoch", "Total sessions", "Clusters/epoch",
+         "Analysis seconds", "Sessions/second", "Pack s", "Aggregate s",
+         "Problems s", "Critical s"],
         rows,
         title="Ablation — analysis throughput vs trace volume",
     )

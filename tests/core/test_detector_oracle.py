@@ -1,0 +1,266 @@
+"""The whole-lattice detectors against the per-mask reference.
+
+Every test runs :func:`find_problem_clusters` and
+:func:`find_critical_clusters` on an aggregate and
+:func:`tests.core.detector_reference.reference_detect` on the same
+aggregate, and requires ``==`` on the problem ``(mask, key)`` list in
+order, the critical ``(mask, key) -> attribution`` items in order (the
+attribution floats bit for bit), the problem coverage and the
+unattributed problem sessions. Aggregates come from both sources: an
+:class:`~repro.core.index.EpochClusterView` and the direct
+:func:`~repro.core.aggregation.aggregate_epoch`.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.core.aggregation import aggregate_epoch
+from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
+from repro.core.clusters import ClusterKey
+from repro.core.critical import find_critical_clusters
+from repro.core.index import TraceClusterIndex
+from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, JOIN_TIME
+from repro.core.problems import ProblemClusterConfig, find_problem_clusters
+from repro.core.sessions import SessionTable
+from tests.conftest import make_session
+from tests.core.detector_reference import reference_detect
+
+REGION_SCHEMA = AttributeSchema(names=DEFAULT_SCHEMA.names + ("region",))
+
+#: Permissive knobs so small tables form problem and critical clusters.
+LOOSE = ProblemClusterConfig(min_sessions=50, min_problems=3, significance_sigmas=0.0)
+
+
+def assert_matches_reference(agg, config):
+    """Flat detection on ``agg`` equals the per-mask reference."""
+    problems = find_problem_clusters(agg, config)
+    critical = find_critical_clusters(problems)
+    ref = reference_detect(agg, config)
+    assert [(m, k, s) for m, k, s in problems.iter_clusters()] == [
+        (m, k, s) for (m, k), s in ref.problems.items()
+    ]
+    assert problems.coverage == ref.problem_coverage
+    assert list(critical.clusters.items()) == list(ref.critical.items())
+    assert (
+        critical.unattributed_problem_sessions == ref.unattributed_problem_sessions
+    )
+    return problems, critical
+
+
+def both_sources(table, rows, metric, config):
+    """Check both aggregate sources against the reference, and against
+    each other once decoded (the view may keep zero-count clusters the
+    direct path drops, so raw ids and keys can differ)."""
+    rows = np.asarray(rows, dtype=np.int64)
+    view_agg = TraceClusterIndex.build(table).epoch_view(rows).aggregate(metric)
+    direct_agg = aggregate_epoch(table, rows, metric)
+    view_pc, view_cc = assert_matches_reference(view_agg, config)
+    direct_pc, direct_cc = assert_matches_reference(direct_agg, config)
+    assert list(view_pc.decoded().items()) == list(direct_pc.decoded().items())
+    assert list(view_cc.decoded().items()) == list(direct_cc.decoded().items())
+    assert view_pc.coverage == direct_pc.coverage
+    assert (
+        view_cc.unattributed_problem_sessions
+        == direct_cc.unattributed_problem_sessions
+    )
+    return direct_pc, direct_cc
+
+
+def sessions_of(groups):
+    """groups: (attrs, n_sessions, n_failures) -> sessions (failures first)."""
+    return [
+        make_session(join_failed=i < failures, **attrs)
+        for attrs, n, failures in groups
+        for i in range(n)
+    ]
+
+
+def table_of(groups) -> SessionTable:
+    return SessionTable.from_sessions(sessions_of(groups))
+
+
+def key(**pairs) -> ClusterKey:
+    return ClusterKey.from_mapping(pairs)
+
+
+# -- random tables ------------------------------------------------------------
+
+
+@st.composite
+def epochs(draw):
+    """A random table over 7 or 8 attributes, a rows subset and a config."""
+    schema = draw(st.sampled_from([DEFAULT_SCHEMA, REGION_SCHEMA]))
+    n = draw(st.integers(0, 60))
+    sizes = draw(st.lists(st.integers(1, 3), min_size=len(schema), max_size=len(schema)))
+    codes = np.array(
+        [[draw(st.integers(0, size - 1)) for size in sizes] for _ in range(n)],
+        dtype=np.int32,
+    ).reshape(n, len(schema))
+    quality = np.array(draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)))
+    failed = quality == 4
+    vocabs = [[f"{name}{v}" for v in range(size)] for name, size in zip(schema.names, sizes)]
+    table = SessionTable(
+        schema=schema,
+        vocabs=vocabs,
+        codes=codes,
+        start_time=np.zeros(n),
+        duration_s=np.where(failed, 0.0, 600.0),
+        buffering_s=np.where(quality == 1, 120.0, 0.0),
+        join_time_s=np.where(failed, np.nan, np.where(quality == 2, 20.0, 2.0)),
+        bitrate_kbps=np.where(failed, np.nan, np.where(quality == 3, 300.0, 2000.0)),
+        join_failed=failed,
+    )
+    rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    config = ProblemClusterConfig(
+        ratio_multiplier=draw(st.sampled_from([1.0, 1.25, 1.5, 2.0])),
+        min_sessions=draw(st.integers(1, 6)),
+        min_problems=draw(st.integers(1, 3)),
+        significance_sigmas=draw(st.sampled_from([0.0, 1.0])),
+    )
+    return table, rows, config
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(epochs(), st.sampled_from(ALL_METRICS))
+def test_random_epochs_match_reference(case, metric):
+    table, rows, config = case
+    both_sources(table, rows, metric, config)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_planted_epochs_match_reference(seed):
+    """Denser structure than hypothesis finds: one or two planted causes
+    over a few attributes, so candidates, removals and ties all occur."""
+    rng = np.random.default_rng(seed)
+    sessions = []
+    bad = [(str(rng.choice(["cdn", "asn", "site"])), "v0") for _ in range(2)]
+    for _ in range(600):
+        attrs = {
+            "cdn": f"v{rng.integers(0, 3)}",
+            "asn": f"v{rng.integers(0, 4)}",
+            "site": f"v{rng.integers(0, 3)}",
+            "player": f"v{rng.integers(0, 2)}",
+        }
+        hit = sum(attrs[a] == v for a, v in bad[: 1 + seed % 2])
+        fail_p = 0.04 + 0.35 * hit
+        sessions.append(make_session(join_failed=bool(rng.random() < fail_p), **attrs))
+    table = SessionTable.from_sessions(sessions)
+    for config in (
+        LOOSE,
+        ProblemClusterConfig(min_sessions=20, min_problems=2, significance_sigmas=1.0),
+        ProblemClusterConfig(),
+    ):
+        _, critical = both_sources(table, np.arange(len(table)), JOIN_FAILURE, config)
+    assert critical.n_clusters >= 1
+
+
+@pytest.mark.parametrize("epoch", [0, 5])
+def test_generated_region_trace_matches_reference(epoch):
+    """The paper's section 6 eighth attribute on a generated trace."""
+    from repro.trace import StandardWorkloads, generate_trace
+
+    table = generate_trace(StandardWorkloads.tiny_with_region(seed=3)).table
+    assert len(table.schema) == 8
+    epoch_of = np.floor(table.start_time / 3600.0).astype(np.int64)
+    rows = np.flatnonzero(epoch_of == epoch)
+    config = ProblemClusterConfig(min_sessions=10, min_problems=3, significance_sigmas=1.0)
+    for metric in ALL_METRICS:
+        both_sources(table, rows, metric, config)
+
+
+# -- corners ----------------------------------------------------------------
+
+
+class TestCorners:
+    def test_ratio_exactly_at_threshold_is_a_problem(self):
+        # Global ratio 100/400 = 0.25, so 1.5x is exactly 0.375 = 30/80.
+        table = table_of([({"cdn": "edge"}, 80, 30), ({"cdn": "ok"}, 320, 70)])
+        problems, _ = both_sources(table, np.arange(400), JOIN_FAILURE, LOOSE)
+        assert problems.ratio_threshold == 30 / 80
+        assert key(cdn="edge") in problems.cluster_keys()
+
+        below = table_of([({"cdn": "edge"}, 80, 29), ({"cdn": "ok"}, 320, 71)])
+        problems, _ = both_sources(below, np.arange(400), JOIN_FAILURE, LOOSE)
+        assert key(cdn="edge") not in problems.cluster_keys()
+
+    def test_sessions_exactly_at_min_sessions(self):
+        at = table_of([({"cdn": "bad"}, 50, 25), ({"cdn": "ok"}, 1000, 20)])
+        problems, _ = both_sources(at, np.arange(len(at)), JOIN_FAILURE, LOOSE)
+        assert key(cdn="bad") in problems.cluster_keys()
+
+        under = table_of([({"cdn": "bad"}, 49, 25), ({"cdn": "ok"}, 1000, 20)])
+        problems, _ = both_sources(under, np.arange(len(under)), JOIN_FAILURE, LOOSE)
+        assert key(cdn="bad") not in problems.cluster_keys()
+
+    @pytest.mark.parametrize("healthy_sessions, critical", [(50, False), (49, True)])
+    def test_healthy_child_at_min_sessions_taints(self, healthy_sessions, critical):
+        # A healthy (cdn=X, asn=AS2) slice disqualifies cdn=X only when it
+        # is significant, i.e. has at least min_sessions sessions.
+        table = table_of(
+            [
+                ({"cdn": "X", "asn": "AS1"}, 200, 100),
+                ({"cdn": "X", "asn": "AS2"}, healthy_sessions, 0),
+                ({"cdn": "ok", "asn": "AS1"}, 1000, 20),
+                ({"cdn": "ok", "asn": "AS2"}, 1000, 20),
+            ]
+        )
+        _, crit = both_sources(table, np.arange(len(table)), JOIN_FAILURE, LOOSE)
+        assert (key(cdn="X") in crit.decoded()) is critical
+
+    def test_leaf_with_two_minimal_candidates_splits_equally(self):
+        table = table_of(
+            [
+                ({"cdn": "X", "asn": "Y"}, 100, 50),
+                ({"cdn": "X", "asn": "a1"}, 100, 50),
+                ({"cdn": "X", "asn": "a2"}, 100, 50),
+                ({"cdn": "c1", "asn": "Y"}, 100, 50),
+                ({"cdn": "c2", "asn": "Y"}, 100, 50),
+                *[
+                    ({"cdn": c, "asn": a}, 400, 8)
+                    for c in ("c1", "c2")
+                    for a in ("a1", "a2")
+                ],
+            ]
+        )
+        _, crit = both_sources(table, np.arange(len(table)), JOIN_FAILURE, LOOSE)
+        decoded = crit.decoded()
+        assert set(decoded) == {key(cdn="X"), key(asn="Y")}
+        # The (X, Y) leaf's 50 problems and 100 sessions split 1/2 each.
+        for k in decoded:
+            assert decoded[k].attributed_problems == 25 + 50 + 50
+            assert decoded[k].attributed_sessions == 50 + 100 + 100
+        assert crit.unattributed_problem_sessions == 32
+
+    def test_clusters_with_only_invalid_sessions(self):
+        # Every cdn=down session failed to join: invalid for join time,
+        # so the view keeps zero-count clusters the direct path drops.
+        sessions = sessions_of([({"cdn": "down"}, 80, 80)])
+        sessions += [
+            make_session(cdn="slow", asn=f"AS{i % 3}", join_time_s=30.0 if i % 2 else 2.0)
+            for i in range(300)
+        ]
+        sessions += [make_session(cdn="ok", asn=f"AS{i % 3}") for i in range(900)]
+        table = SessionTable.from_sessions(sessions)
+        rows = np.arange(len(table))
+        view_agg = TraceClusterIndex.build(table).epoch_view(rows).aggregate(JOIN_TIME)
+        direct_agg = aggregate_epoch(table, rows, JOIN_TIME)
+        assert view_agg.lattice.n_clusters > direct_agg.lattice.n_clusters
+        _, crit = both_sources(table, rows, JOIN_TIME, LOOSE)
+        assert key(cdn="slow") in crit.decoded()
+        both_sources(table, rows, JOIN_FAILURE, LOOSE)
+
+    @pytest.mark.parametrize("n_rows", [0, 1])
+    def test_empty_and_single_session_epochs(self, n_rows):
+        table = table_of([({"cdn": "bad"}, 5, 5), ({"cdn": "ok"}, 5, 0)])
+        # With a 1x ratio floor every cluster of a lone failed session is
+        # a problem cluster, so its leaf splits seven ways.
+        config = ProblemClusterConfig(
+            ratio_multiplier=1.0, min_sessions=1, min_problems=1, significance_sigmas=0.0
+        )
+        for metric in ALL_METRICS:
+            both_sources(table, np.arange(n_rows), metric, config)
+        _, critical = both_sources(table, np.arange(n_rows), JOIN_FAILURE, config)
+        assert critical.n_clusters == 7 * n_rows
+        for attribution in critical.decoded().values():
+            assert attribution.attributed_problems == 1 / 7

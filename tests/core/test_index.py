@@ -48,12 +48,15 @@ class TestBuild:
 
     def test_leaf_to_cluster_inverts_projection(self, table, index):
         view = index.epoch_view(np.arange(len(table)))
+        lattice = view.lattice
         field_masks = index.codec.field_masks()
         leaves = view.keys(index.codec.full_mask)
         for m in range(1, index.codec.full_mask + 1):
+            ids = lattice.leaf_cluster[m]
+            span = lattice.span(m)
+            assert ((ids >= span.start) & (ids < span.stop)).all()
             np.testing.assert_array_equal(
-                view.keys(m)[view.leaf_to_cluster[m]],
-                leaves & field_masks[m],
+                lattice.keys[ids], leaves & field_masks[m]
             )
 
     def test_fold_source_is_one_attribute_finer(self, table, index):
@@ -85,24 +88,47 @@ def view(table, index) -> EpochClusterView:
 
 
 class TestProjectIndex:
+    """A cluster's ancestor on a submask is its representative leaf's
+    cluster there: ``leaf_cluster[coarse, rep_leaf[ids]]``."""
+
     def test_matches_searchsorted(self, index, view):
+        lattice = view.lattice
         field_masks = index.codec.field_masks()
         full = index.codec.full_mask
         for fine, coarse in [(full, 1), (3, 1), (7, 5), (full, full >> 1)]:
-            got = view.project_index(fine, coarse)
-            expected = np.searchsorted(
+            span = lattice.span(fine)
+            fine_ids = np.arange(span.start, span.stop)
+            got = lattice.leaf_cluster[coarse, lattice.rep_leaf[fine_ids]]
+            expected = lattice.span(coarse).start + np.searchsorted(
                 view.keys(coarse), view.keys(fine) & field_masks[coarse]
             )
             np.testing.assert_array_equal(got, expected)
 
-    def test_cached_identity(self, view):
-        assert view.project_index(7, 1) is view.project_index(7, 1)
+    def test_ancestor_pairs_cover_every_submask(self, index, view):
+        lattice = view.lattice
+        field_masks = index.codec.field_masks()
+        ids = np.arange(0, lattice.n_clusters, 97)
+        owner, ancestor = lattice.ancestors(ids)
+        expected = sorted(
+            (i, a)
+            for i, m in enumerate(lattice.mask_of(ids).tolist())
+            for a in range(1, m)
+            if a & m == a
+        )
+        got = sorted(zip(owner.tolist(), lattice.mask_of(ancestor).tolist()))
+        assert got == expected
+        np.testing.assert_array_equal(
+            lattice.keys[ancestor],
+            lattice.keys[ids[owner]] & field_masks[lattice.mask_of(ancestor)],
+        )
 
-    def test_rejects_non_submask(self, view):
-        with pytest.raises(ValueError):
-            view.project_index(3, 3)
-        with pytest.raises(ValueError):
-            view.project_index(1, 2)
+    def test_cached_identity(self, view):
+        # Session counts do not depend on thresholds: every thresholds
+        # variant of the epoch shares one significant-ids array.
+        a = view.aggregate(JOIN_FAILURE)
+        b = view.aggregate(JOIN_FAILURE, thresholds=MetricThresholds().scaled(2.0))
+        assert a.significant(5) is b.significant(5)
+        assert view.lattice.key_of(3) is view.lattice.key_of(3)
 
 
 class TestMetricMasks:
@@ -162,7 +188,7 @@ class TestEpochViewAggregate:
         view = index.epoch_view(rows, epoch=1)
         for metric in ALL_METRICS:
             agg = view.aggregate(metric)
-            assert agg.index is view
+            assert agg.lattice is view.lattice
             assert_equal_aggregates(
                 aggregate_epoch(table, rows, metric, epoch=1), agg
             )
@@ -190,14 +216,16 @@ class TestEpochViewAggregate:
 
     def test_view_project_index_local(self, index, table):
         view = index.epoch_view(np.arange(0, len(table), 3))
+        lattice = view.lattice
         full = index.codec.full_mask
         for fine, coarse in [(full, 1), (7, 5)]:
-            local = view.project_index(fine, coarse)
-            fine_keys = view.keys(fine)
-            coarse_keys = view.keys(coarse)
+            span = lattice.span(fine)
+            ancestor = lattice.leaf_cluster[
+                coarse, lattice.rep_leaf[span.start : span.stop]
+            ]
             field = index.codec.field_masks()[coarse]
             np.testing.assert_array_equal(
-                coarse_keys[local], fine_keys & field
+                lattice.keys[ancestor], view.keys(fine) & field
             )
 
     def test_downstream_detection_matches_legacy(self, table, index):

@@ -173,23 +173,15 @@ class TestCoverage:
         pc = find(table)
         assert pc.coverage == pytest.approx(100 / 108)
 
-    def test_leaf_problem_matrix_shape(self):
-        table = build_table([({"cdn": "bad"}, 100, 50), ({"cdn": "ok"}, 100, 5)])
-        pc = find(table)
-        matrix = pc.leaf_problem_matrix()
-        n_leaves = len(pc.agg.leaf)
-        assert matrix.shape == (n_leaves, (1 << 7))
-        assert not matrix[:, 0].any()  # root column always False
-
     def test_counts_are_problem_matches_flags(self):
         table = build_table(
             [({"cdn": "bad"}, 200, 100), ({"cdn": "ok"}, 800, 30)]
         )
         pc = find(table)
-        for mask, flags in pc.is_problem.items():
-            mask_agg = pc.agg.per_mask[mask]
-            recomputed = pc.counts_are_problem(mask_agg.sessions, mask_agg.problems)
-            assert np.array_equal(recomputed, flags)
+        recomputed = pc.counts_are_problem(pc.agg.sessions, pc.agg.problems)
+        assert np.array_equal(recomputed, pc.is_problem)
+        assert np.array_equal(np.flatnonzero(pc.is_problem), pc.ids)
+        assert pc.n_clusters > 0
 
 
 class TestConfigRejectsBooleans:

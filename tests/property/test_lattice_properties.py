@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.aggregation import aggregate_epoch
 from repro.core.attributes import (
     DEFAULT_SCHEMA,
     AttributeSchema,
@@ -13,6 +14,7 @@ from repro.core.attributes import (
 )
 from repro.core.clusters import ClusterKey
 from repro.core.index import TraceClusterIndex
+from repro.core.metrics import JOIN_FAILURE
 from repro.core.sessions import SessionTable
 
 FULL = DEFAULT_SCHEMA.full_mask
@@ -138,9 +140,12 @@ def tables_with_rows(draw):
 
 
 def assert_view_is_row_lattice(table: SessionTable, rows: np.ndarray) -> None:
-    """The view over ``rows`` holds exactly the clusters of those rows."""
+    """The view over ``rows`` holds exactly the clusters of those rows,
+    laid out flat in (mask, key) order, and ``aggregate_epoch`` lays
+    the same rows out identically."""
     index = TraceClusterIndex.build(table)
     view = index.epoch_view(rows)
+    lattice = view.lattice
     codec = index.codec
     packed = codec.pack(table.codes)[rows]
     field_masks = codec.field_masks()
@@ -150,18 +155,24 @@ def assert_view_is_row_lattice(table: SessionTable, rows: np.ndarray) -> None:
             view.keys(m), np.unique(packed & field_masks[m])
         )
         np.testing.assert_array_equal(
-            view.keys(m)[view.leaf_to_cluster[m]], view.keys(full) & field_masks[m]
+            lattice.keys[lattice.leaf_cluster[m]], view.keys(full) & field_masks[m]
         )
-    # Every one-attribute edge of the lattice, plus every mask onto the
-    # root-most single attributes: each fine key lands on its projection.
-    pairs = {(m | 1 << i, m) for m in range(1, full) for i in range(codec.n_attrs)
-             if not m >> i & 1}
-    pairs |= {(full, 1 << i) for i in range(codec.n_attrs)}
-    for fine, coarse in pairs:
-        idx = view.project_index(fine, coarse)
-        np.testing.assert_array_equal(
-            view.keys(coarse)[idx], view.keys(fine) & field_masks[coarse]
-        )
+    ids = np.arange(lattice.n_clusters)
+    masks = lattice.mask_of(ids)
+    # Each representative leaf lies in its cluster, and every cluster's
+    # projection onto every strict submask is the ancestor its leaf names.
+    np.testing.assert_array_equal(lattice.leaf_cluster[masks, lattice.rep_leaf], ids)
+    owner, ancestor = lattice.ancestors(ids)
+    np.testing.assert_array_equal(
+        lattice.keys[ancestor],
+        lattice.keys[owner] & field_masks[lattice.mask_of(ancestor)],
+    )
+    # Every rows subset here is valid for join failure (no failed joins),
+    # so the direct path enumerates the same lattice.
+    direct = aggregate_epoch(table, rows, JOIN_FAILURE).lattice
+    np.testing.assert_array_equal(direct.keys, lattice.keys)
+    np.testing.assert_array_equal(direct.starts, lattice.starts)
+    np.testing.assert_array_equal(direct.leaf_cluster, lattice.leaf_cluster)
 
 
 @settings(max_examples=30, deadline=None)

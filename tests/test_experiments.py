@@ -166,5 +166,9 @@ class TestAblations:
 
     def test_scale_ablation_reports_throughput(self, tiny_ctx):
         data = run_experiment("abl-scale", tiny_ctx).data
+        assert set(data) == {500, 2000, 8000, 32000}
         for row in data.values():
             assert row["sessions_per_second"] > 0
+            assert row["clusters_per_epoch"] > 0
+            for phase in ("pack_s", "aggregate_s", "problems_s", "critical_s"):
+                assert row[phase] > 0
