@@ -7,8 +7,8 @@ day of pipeline. These are the costs that dominate every experiment.
 
 ``bench_pipeline_json`` additionally records a serial day of the full
 pipeline (sessions/sec, per-phase timings) and the sections listed in
-its docstring to ``benchmarks/results/BENCH_pipeline.json`` so future
-changes have a perf trajectory to compare against.
+its docstring to ``benchmarks/results/BENCH_pipeline.json``, and is
+the one place the bench's speed and memory gates are evaluated.
 """
 
 import dataclasses
@@ -27,10 +27,9 @@ from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
 from repro.core.pipeline import AnalysisConfig, analyze_trace
 from repro.core.problems import find_problem_clusters
-from repro.core.sessions import SessionTable
-from repro.core.substrate import AnalysisSubstrate, StreamingSubstrate, analyze_sweep
+from repro.core.substrate import AnalysisSubstrate, analyze_sweep
 from repro.io.snapshot import load_substrate, save_substrate
-from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.obs import MetricsRegistry, use_metrics
 
 
 @pytest.fixture(scope="module")
@@ -118,51 +117,33 @@ def bench_pipeline_json(week_context, results_dir):
       The sweep builds the packed table / cluster index / epoch views
       once instead of five times, so its speedup is CPU-count
       independent.
-    * ``observability`` — instrumentation overhead of a live span
-      tracer + metrics registry vs the no-op default: a paired
-      end-to-end comparison, recorded but not gated (the end-to-end
-      benchmark's measured ``trace_overhead_pct`` is the tracked
-      figure).
-    * ``streaming`` — per-epoch append+detect through one
-      incrementally maintained ``StreamingSubstrate`` vs rebuilding the
-      leaf index from scratch every epoch (identical per-epoch problem
-      clusters asserted; recorded, not gated — the e2e benchmark's
-      ``online`` workload measures the streamed path), and
-      mmap-loading a substrate snapshot vs a cold pack+index build.
+    * ``snapshot`` — mmap-loading a substrate snapshot of the full
+      trace vs a cold pack+index build.
     * ``sharding`` — the out-of-core engine: monolithic
       ``analyze_trace`` vs ``analyze_shards`` over a day-per-shard
-      store, each measured in its own **subprocess** (``ru_maxrss`` is
-      a lifetime high-water mark, so peaks are only comparable across
-      process boundaries). Records parent peak RSS, wall and analyze
-      times, and asserts identical result fingerprints. The
-      peak-memory gate (sharded parent <= 0.5x monolithic) runs on the
-      week workload; the wall-clock gate (shard-parallel >= 1.3x
-      faster than single-process) additionally needs >= 4 CPUs, and
-      the payload says which gates were enforced.
-
+      store, each measured in its own **subprocess** so each peak is
+      that process's own. Records parent peak RSS, wall and analyze
+      times, and asserts identical result fingerprints.
     * ``result_cache`` — the memoized per-shard path: cold vs warm
-      re-analysis of the same store (warm is pure load+merge; gated
-      >= 5x on the week workload) and an append-one-period rebuild via
-      ``ShardStoreBuilder`` whose ``cache.miss`` count must equal the
-      number of genuinely new shards (asserted at every workload —
-      content-addressed invalidation is a correctness property).
+      re-analysis of the same store (warm is pure load+merge) and an
+      append-one-period rebuild via ``ShardStoreBuilder`` whose
+      ``cache.miss`` count must equal the number of genuinely new
+      shards (asserted at every workload — content-addressed
+      invalidation is a correctness property).
 
-    * ``profiling`` — the SIGPROF statistical sampler at 97 Hz over
-      the serial day run: overhead via the deterministic
-      samples x handler-cost bound (gated < 3 % on the week workload),
-      the collapsed-stack flamegraph written to
-      ``BENCH_profile.flame.txt``, and the hottest sampled stack
-      asserted to be a real pipeline span.
-
-    Finally the payload is ingested into a ``RunJournal`` under
-    ``results/BENCH_journal`` and every gate above is re-evaluated
-    **from the journal record alone** (``repro.obs.gate``); the run
-    fails if the journal verdicts disagree with the inline asserts.
+    Deterministic checks (identical outputs, cache hit and miss counts)
+    assert inline. The speed and memory gates are one table, evaluated
+    after every section has run: each verdict is written into the
+    payload, the payload is written, and only then does the bench fail,
+    naming every armed gate that did not pass. The week workload arms
+    every gate; the wall-clock shard gate also needs >= 4 CPUs.
     """
     workload = os.environ.get("REPRO_BENCH_WORKLOAD", "week")
+    week = workload == "week"  # the acceptance workload; tiny smoke only records
     table = week_context.trace.table
     day = table.select(np.nonzero(table.start_time < 24 * 3600.0)[0])
     n_cpus = os.cpu_count() or 1
+    gates = []  # (name, value, op, threshold, armed)
 
     start = time.perf_counter()
     serial = analyze_trace(day, workers=0)
@@ -195,79 +176,9 @@ def bench_pipeline_json(week_context, results_dir):
         for name in ref.metric_names:
             assert ref[name].epochs == got[name].epochs, (scale, name)
     sweep_speedup = independent_s / sweep_s
-    if workload == "week":  # the acceptance workload; tiny smoke only records
-        assert sweep_speedup >= 2.0, sweep_speedup
+    gates.append(("sweep_speedup_min_2", sweep_speedup, ">=", 2.0, week))
 
-    # --- observability: live tracer+metrics vs the no-op default ------
-    # An interleaved paired end-to-end comparison (min over pairs),
-    # recorded for the trend line but not gated: scheduler noise on a
-    # shared box runs several percent either way. The end-to-end
-    # benchmark measures the same overhead as ``trace_overhead_pct``.
-    plain_s = math.inf
-    traced_s = math.inf
-    traced_spans = 0
-    for _ in range(3):
-        start = time.perf_counter()
-        analyze_trace(day, workers=0)
-        plain_s = min(plain_s, time.perf_counter() - start)
-
-        tracer = Tracer(name="bench")
-        with use_tracer(tracer), use_metrics(MetricsRegistry()):
-            start = time.perf_counter()
-            analyze_trace(day, workers=0)
-            traced_s = min(traced_s, time.perf_counter() - start)
-        tracer.finish()
-        traced_spans = sum(1 for _ in tracer.root.walk())
-    obs_delta_pct = 100.0 * (traced_s / plain_s - 1.0)
-
-    # --- streaming: amortized append+detect vs per-epoch rebuild ------
-    # Full trace, not just the first day: the rebuild strawman's cost
-    # grows with the prefix length, which is exactly the effect the
-    # incremental index removes for a long-running online detector.
-    _, per_epoch_rows = split_into_epochs(table, week_context.analysis.grid)
-    epoch_chunks = [table.select(rows) for rows in per_epoch_rows]
-    thresholds = MetricThresholds()
-
-    def detect(view):
-        agg = view.aggregate(JOIN_FAILURE, thresholds=thresholds)
-        problems = find_problem_clusters(agg)
-        find_critical_clusters(problems)
-        return list(
-            zip(problems.ids.tolist(), agg.lattice.keys[problems.ids].tolist())
-        )
-
-    stream = StreamingSubstrate(
-        schema=table.schema,
-        epoch_seconds=week_context.analysis.grid.epoch_seconds,
-    )
-    stream.index.warm_metric_masks((JOIN_FAILURE,), thresholds)
-    start = time.perf_counter()
-    streamed_problems = []
-    for epoch, chunk in enumerate(epoch_chunks):
-        new_rows = stream.append(chunk)
-        streamed_problems.append(
-            detect(stream.epoch_view(new_rows, epoch=epoch))
-        )
-    streaming_s = time.perf_counter() - start
-
-    prefix = SessionTable.empty(table.schema)
-    start = time.perf_counter()
-    rebuilt_problems = []
-    for epoch, chunk in enumerate(epoch_chunks):
-        new_rows = prefix.extend(chunk)
-        rebuilt = TraceClusterIndex.build(prefix)
-        rebuilt_problems.append(
-            detect(rebuilt.epoch_view(new_rows, epoch=epoch))
-        )
-    rebuild_s = time.perf_counter() - start
-
-    for epoch, (a, b) in enumerate(zip(streamed_problems, rebuilt_problems)):
-        assert a == b, epoch
-    # Not gated: a leaf-only index rebuild is one pack plus one
-    # np.unique, so the strawman is no longer the cost the append saves.
-    append_detect_speedup = rebuild_s / streaming_s
-
-    # --- streaming: snapshot load vs cold pack+index build ------------
+    # --- snapshot load vs cold pack+index build -----------------------
     cold_build_s = math.inf
     for _ in range(2):
         start = time.perf_counter()
@@ -286,16 +197,15 @@ def bench_pipeline_json(week_context, results_dir):
     finally:
         snapshot_path.unlink(missing_ok=True)
     snapshot_speedup = cold_build_s / load_s
-    if workload == "week":
-        assert snapshot_speedup >= 5.0, snapshot_speedup
+    gates.append(("snapshot_load_min_5", snapshot_speedup, ">=", 5.0, week))
 
     # --- sharding: out-of-core map/merge vs monolithic ----------------
-    # Each side runs in its own subprocess: ru_maxrss is a lifetime
-    # high-water mark, so in-process before/after comparisons would be
-    # meaningless. The shard child always uses a >= 2 worker pool —
-    # worker *processes*, not CPUs, are what keep shard tables out of
-    # the parent — so the bounded-parent-memory claim is measurable
-    # even on a 1-CPU box; only the wall-clock gate needs real cores.
+    # Each side runs in its own subprocess and reports its own peak
+    # (repro.obs.peak_rss_bytes reads VmHWM, which exec resets). The
+    # shard child always uses a >= 2 worker pool — worker *processes*,
+    # not CPUs, are what keep shard tables out of the parent — so the
+    # bounded-parent-memory claim is measurable even on a 1-CPU box;
+    # only the wall-clock gate needs real cores.
     import subprocess
     import sys
 
@@ -304,6 +214,7 @@ def bench_pipeline_json(week_context, results_dir):
 
     child_script = """
 import hashlib, json, sys, time
+from repro.obs import peak_rss_bytes
 mode, path, workers = sys.argv[1], sys.argv[2], int(sys.argv[3])
 start = time.perf_counter()
 if mode == "mono":
@@ -318,19 +229,6 @@ else:
     t0 = time.perf_counter()
     analysis = analyze_shards(store, workers=workers)
 analyze_s = time.perf_counter() - t0
-# getrusage's ru_maxrss survives fork+exec on Linux, so a child of a
-# fat bench process would report its parent's peak; VmHWM is reset at
-# exec and measures only this process.
-def peak_rss_bytes():
-    try:
-        with open("/proc/self/status") as f:
-            for line in f:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) * 1024
-    except OSError:
-        pass
-    from repro.obs import peak_rss_bytes as fallback
-    return fallback()
 h = hashlib.sha256()
 for name in analysis.metric_names:
     ma = analysis[name]
@@ -381,13 +279,11 @@ print(json.dumps({
 
         peak_ratio = sharded["peak_rss_bytes"] / mono["peak_rss_bytes"]
         analyze_speedup = mono["analyze_seconds"] / sharded["analyze_seconds"]
-        gate_memory = workload == "week"
-        gate_wall = workload == "week" and n_cpus >= 4
-        if gate_memory:
-            assert peak_ratio <= 0.5, (
-                sharded["peak_rss_bytes"], mono["peak_rss_bytes"])
-        if gate_wall:
-            assert analyze_speedup >= 1.3, analyze_speedup
+        gates.append(
+            ("shard_parent_peak_rss_max_0.5", peak_ratio, "<=", 0.5, week)
+        )
+        gates.append(("shard_analyze_speedup_min_1.3", analyze_speedup,
+                      ">=", 1.3, week and n_cpus >= 4))
 
         sharding = {
             "workload": f"{workload} (full trace)",
@@ -404,10 +300,6 @@ print(json.dumps({
             "parent_peak_rss_ratio": peak_ratio,
             "analyze_speedup_vs_indexed": analyze_speedup,
             "identical_outputs": True,
-            "gates_enforced": {
-                "parent_peak_rss_ratio_max_0.5": gate_memory,
-                "analyze_speedup_min_1.3": gate_wall,
-            },
             "comparison_note": (
                 "speedup meaningful: ran on >= 4 CPUs"
                 if n_cpus >= 4
@@ -425,12 +317,12 @@ print(json.dumps({
 
     # --- result cache: memoized per-shard partials --------------------
     # The daily-monitoring story: analyze a store once (cold, populates
-    # the cache), re-analyze it warm (pure load+merge; gated >= 5x on
-    # the week workload), then rebuild the store with one extra period
-    # of sessions appended via ShardStoreBuilder and confirm the warm
-    # run recomputes ONLY the new shard (cache.miss == new shards,
-    # asserted at every workload — it is a correctness property of
-    # content addressing, not a perf number).
+    # the cache), re-analyze it warm (pure load+merge), then rebuild the
+    # store with one extra period of sessions appended via
+    # ShardStoreBuilder and confirm the warm run recomputes ONLY the new
+    # shard (cache.miss == new shards, asserted at every workload — it
+    # is a correctness property of content addressing, not a perf
+    # number).
     import shutil
 
     from repro.core.resultcache import ResultCache
@@ -487,8 +379,7 @@ print(json.dumps({
         assert warm_metrics.get("cache.hit") == len(store_a.shards)
         assert warm_metrics.get("cache.miss") == 0
         warm_speedup = cold_s / warm_s
-        if workload == "week":
-            assert warm_speedup >= 5.0, (cold_s, warm_s)
+        gates.append(("cache_warm_speedup_min_5", warm_speedup, ">=", 5.0, week))
 
         # Append one more period (the "new day") into a fresh store:
         # identical chunk sequence for the shared prefix, so the shared
@@ -529,82 +420,26 @@ print(json.dumps({
                 "misses_equal_new_shards": True,
             },
             "identical_outputs": True,
-            "gates_enforced": {
-                "warm_speedup_min_5": workload == "week",
-                "append_misses_equal_new_shards": True,
-            },
         }
     finally:
         for path in (cache_dir, store_a_dir, store_b_dir):
             shutil.rmtree(path, ignore_errors=True)
 
-    # --- profiling: SIGPROF sampler overhead + span attribution -------
-    # The gated number is a deterministic bound: the sampler costs exactly
-    # samples x handler_cost (the handler is an ordinary Python call
-    # between bytecodes), so overhead = n_samples x measured per-sample
-    # cost over the plain run — noise-free where the end-to-end delta
-    # is not. The attribution assert pins the profiler's whole point:
-    # the hottest stack must be a real pipeline span, not (no-span).
-    from repro.obs.profile import NO_SPAN, SamplingProfiler, profiler_available
-
-    profiling = {"available": profiler_available()}
-    if profiler_available():
-        prof_tracer = Tracer(name="bench.profile")
-        profiler = SamplingProfiler(prof_tracer, hz=97)
-        with use_tracer(prof_tracer), use_metrics(MetricsRegistry()):
-            with profiler:
-                start = time.perf_counter()
-                analyze_trace(day, workers=0)
-                profiled_s = time.perf_counter() - start
-        prof_root = prof_tracer.finish()
-        run_span_names = {s.name for s in prof_root.walk()}
-
-        probe_tracer = Tracer(name="probe")
-        probe_profiler = SamplingProfiler(probe_tracer, hz=97)
-        reps = 10_000
-        with probe_tracer.span("a"), probe_tracer.span("b"), \
-                probe_tracer.span("c"):
-            start = time.perf_counter()
-            for _ in range(reps):
-                probe_profiler._handle(None, None)
-            handler_cost_s = (time.perf_counter() - start) / reps
-        probe_tracer.finish()
-
-        prof_overhead_pct = (
-            100.0 * profiler.n_samples * handler_cost_s / plain_s
-        )
-        if workload == "week":
-            assert prof_overhead_pct < 3.0, (
-                profiler.n_samples, handler_cost_s, plain_s)
-
-        top = profiler.top_stack()
-        if profiler.n_samples >= 10:  # tiny smoke may catch few ticks
-            assert top is not None
-            assert top[0][-1] != NO_SPAN, top
-            assert top[0][-1] in run_span_names, (top, run_span_names)
-
-        flame_path = results_dir / "BENCH_profile.flame.txt"
-        profiler.write_collapsed(flame_path)
-
-        profiling = {
-            "available": True,
-            "hz": 97,
-            "workers": 0,
-            "plain_seconds": plain_s,
-            "profiled_seconds": profiled_s,
-            "end_to_end_delta_pct": 100.0 * (profiled_s / plain_s - 1.0),
-            "samples": profiler.n_samples,
-            "unique_stacks": len(profiler.samples),
-            "handler_cost_seconds": handler_cost_s,
-            "overhead_pct": prof_overhead_pct,
-            "top_stack": ";".join(top[0]) if top else None,
-            "top_stack_samples": top[1] if top else 0,
-            "flamegraph": flame_path.name,
-            "gates_enforced": {"overhead_max_3pct": workload == "week"},
+    # ``passed``: the measured value meets the threshold. Only an armed
+    # gate that did not pass fails the bench.
+    verdicts = [
+        {
+            "name": name,
+            "value": value,
+            "op": op,
+            "threshold": threshold,
+            "armed": armed,
+            "passed": value >= threshold if op == ">=" else value <= threshold,
         }
-
+        for name, value, op, threshold, armed in gates
+    ]
     payload = {
-        "schema_version": 6,
+        "schema_version": 7,
         "generated_at_unix": time.time(),
         "generated_by": "benchmarks/bench_pipeline_core.py",
         "workload": f"{workload} (first 24 h)",
@@ -623,66 +458,25 @@ print(json.dumps({
             "sweep_speedup": sweep_speedup,
             "identical_outputs": True,
         },
-        "observability": {
-            "workers": 0,
-            "plain_seconds": plain_s,
-            "traced_seconds": traced_s,
-            "end_to_end_delta_pct": obs_delta_pct,
-            "end_to_end_note": "paired interleaved min-of-3; not gated",
-            "spans_per_run": traced_spans,
-        },
-        "streaming": {
+        "snapshot": {
             "workload": f"{workload} (full trace)",
             "sessions": len(table),
-            "epochs": len(epoch_chunks),
-            "per_epoch_rebuild_seconds": rebuild_s,
-            "streaming_append_detect_seconds": streaming_s,
-            "append_detect_speedup": append_detect_speedup,
             "cold_build_seconds": cold_build_s,
             "snapshot_load_seconds": load_s,
             "snapshot_load_speedup": snapshot_speedup,
             "snapshot_bytes": snapshot_bytes,
-            "identical_outputs": True,
         },
         "sharding": sharding,
         "result_cache": result_cache_section,
-        "profiling": profiling,
+        "gates": verdicts,
     }
-
-    # --- journal-backed gate: the same verdicts from the record alone -
-    # The payload is journaled and every gate re-derived from the
-    # flattened record (repro.obs.gate), with no access to the live
-    # bench objects; an enforced failure here means the journal gate
-    # and the inline asserts above have drifted apart.
-    from repro.obs.gate import evaluate_record, ingest_payload
-    from repro.obs.journal import RunJournal
-
-    bench_journal = RunJournal(results_dir / "BENCH_journal")
-    bench_record = ingest_payload(bench_journal, payload)
-    verdicts = evaluate_record(bench_record)
-    gate_failures = [v for v in verdicts if v.enforced and not v.passed]
-    assert not gate_failures, [v.as_dict() for v in gate_failures]
-    payload["journal_gate"] = {
-        "journal": str(bench_journal.file),
-        "run_id": bench_record["run_id"],
-        "enforced": sum(1 for v in verdicts if v.enforced),
-        "verdicts": [v.as_dict() for v in verdicts],
-    }
-
     path = results_dir / "BENCH_pipeline.json"
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
     print(f"\nwrote {path}: "
-          f"{payload['serial_sessions_per_sec']:.0f} sess/s serial, "
-          f"{len(configs)}-config sweep {sweep_speedup:.2f}x vs independent runs, "
-          f"tracer end-to-end delta {obs_delta_pct:+.1f}%, "
-          f"streamed append+detect {append_detect_speedup:.1f}x vs per-epoch "
-          f"rebuild, snapshot load {snapshot_speedup:.1f}x vs cold build, "
-          f"sharded parent peak {peak_ratio:.2f}x monolithic "
-          f"({analyze_speedup:.2f}x analyze wall on {shard_workers} workers), "
-          f"warm cached re-analysis {warm_speedup:.1f}x vs cold "
-          f"({result_cache_section['append_one_day']['cache_misses']} miss on "
-          "append-one-day), "
-          f"profiler overhead "
-          f"{profiling.get('overhead_pct', float('nan')):.4f}% at 97 Hz, "
-          f"journal gate {payload['journal_gate']['enforced']} enforced / "
-          f"{len(verdicts)} evaluated (all passed)")
+          f"{payload['serial_sessions_per_sec']:.0f} sess/s serial")
+    for v in verdicts:
+        status = ("ok" if v["passed"] else "FAIL") if v["armed"] else "unarmed"
+        print(f"  [{status:>7s}] {v['name']:<32s} {v['value']:10.4g} "
+              f"{v['op']} {v['threshold']:g}")
+    failed = [v["name"] for v in verdicts if v["armed"] and not v["passed"]]
+    assert not failed, f"armed gates failed: {', '.join(failed)}"

@@ -26,10 +26,9 @@ Subcommands:
 * ``obs`` — trace analytics and run-history tooling: render a recorded
   span tree (``view``), compare two runs or a run against its journal
   baseline (``diff``), browse the append-only run journal
-  (``journal list/show/trend``), summarize a collapsed-stack profile
-  (``flame``), and export a run's metrics in Prometheus text format
-  (``export-prom``). Instrumented commands take ``--journal [DIR]`` to
-  record themselves and ``--profile [HZ]`` to sample a flamegraph.
+  (``journal list/show/trend``), and export a run's metrics in
+  Prometheus text format (``export-prom``). Instrumented commands take
+  ``--journal [DIR]`` to record themselves.
 
 Examples::
 
@@ -42,12 +41,10 @@ Examples::
     repro-video-quality cache info rc/
     repro-video-quality cache prune rc/ --max-bytes 256M
     repro-video-quality analyze trace.npz --trace-out run.json --journal
-    repro-video-quality analyze trace.npz --trace-out run.json --profile 97
     repro-video-quality obs view run.json
     repro-video-quality obs diff run1.json run2.json
     repro-video-quality obs diff --baseline 5 latest
     repro-video-quality obs journal list
-    repro-video-quality obs flame run.flame.txt
     repro-video-quality obs export-prom run.json
     repro-video-quality experiment tab1 --workload small
     repro-video-quality validate --workload tiny
@@ -155,17 +152,6 @@ def _add_journal_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_profile_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--profile", metavar="HZ", nargs="?", const=97.0, type=float,
-        default=None, dest="profile",
-        help="sample the run with the SIGPROF statistical profiler at "
-        "HZ (bare flag: 97 Hz) and write the collapsed-stack "
-        "flamegraph next to --trace-out as <stem>.flame.txt "
-        "(requires --trace-out)",
-    )
-
-
 def _add_shard_dir_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--shard-dir", metavar="DIR", default=None, dest="shard_dir",
@@ -258,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_trace_out_arg(gen)
     _add_timings_arg(gen)
     _add_journal_arg(gen)
-    _add_profile_arg(gen)
 
     ana = sub.add_parser("analyze", help="analyze a trace file")
     ana.add_argument("trace", nargs="?", default=None,
@@ -271,7 +256,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_trace_out_arg(ana)
     _add_timings_arg(ana)
     _add_journal_arg(ana)
-    _add_profile_arg(ana)
 
     swp = sub.add_parser(
         "sweep",
@@ -304,7 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--timings", action="store_true",
                      help="print per-variant pipeline timings")
     _add_journal_arg(swp)
-    _add_profile_arg(swp)
 
     exp = sub.add_parser("experiment", help="run a registered experiment")
     exp.add_argument(
@@ -467,13 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="also track one span name's total time")
     ojt.add_argument("--last", type=int, default=20, metavar="N",
                      help="most recent N records (default 20)")
-
-    ofl = obs_sub.add_parser(
-        "flame", help="summarize a collapsed-stack profile (<stem>.flame.txt)"
-    )
-    ofl.add_argument("flame_file", help="collapsed-stack file")
-    ofl.add_argument("--top", type=int, default=10, metavar="N",
-                     help="stacks/spans to show (default 10)")
 
     opr = obs_sub.add_parser(
         "export-prom",
@@ -915,7 +891,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         "view": _cmd_obs_view,
         "diff": _cmd_obs_diff,
         "journal": _cmd_obs_journal,
-        "flame": _cmd_obs_flame,
         "export-prom": _cmd_obs_export_prom,
     }
     return handlers[args.obs_command](args)
@@ -1109,45 +1084,6 @@ def _cmd_obs_journal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_obs_flame(args: argparse.Namespace) -> int:
-    from repro.obs.profile import read_collapsed
-
-    stacks = read_collapsed(args.flame_file)
-    if not stacks:
-        print(f"{args.flame_file}: no samples")
-        return 0
-    total = sum(count for _, count in stacks)
-    top_n = max(0, args.top)
-    ranked = sorted(stacks, key=lambda item: (-item[1], item[0]))[:top_n]
-    print(
-        render_table(
-            ["Stack", "Samples", "Share"],
-            [
-                [";".join(path), count, f"{100.0 * count / total:.1f}%"]
-                for path, count in ranked
-            ],
-            title=f"{args.flame_file}: {total} samples, "
-            f"{len(stacks)} unique stacks",
-        )
-    )
-    leaves: dict[str, int] = {}
-    for path, count in stacks:
-        leaves[path[-1]] = leaves.get(path[-1], 0) + count
-    print()
-    print(
-        render_table(
-            ["Innermost span", "Samples", "Share"],
-            [
-                [name, count, f"{100.0 * count / total:.1f}%"]
-                for name, count in sorted(
-                    leaves.items(), key=lambda item: (-item[1], item[0])
-                )[:top_n]
-            ],
-        )
-    )
-    return 0
-
-
 def _cmd_obs_export_prom(args: argparse.Namespace) -> int:
     from repro.obs.analyze import load_trace_json
     from repro.obs.prom import render_prometheus
@@ -1229,30 +1165,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     trace_out = getattr(args, "trace_out", None)
     journal_dir = getattr(args, "journal", None)
-    profile_hz = getattr(args, "profile", None)
     wants_timings = getattr(args, "timings", False)
-    instrumented = (
-        trace_out is not None
-        or journal_dir is not None
-        or profile_hz is not None
-        or wants_timings
-    )
-    if not instrumented:
+    if trace_out is None and journal_dir is None and not wants_timings:
         return _run_command(args)
-    if profile_hz is not None and trace_out is None:
-        print(
-            "error: --profile requires --trace-out (the collapsed-stack "
-            "flamegraph is written next to it)",
-            file=sys.stderr,
-        )
-        return 2
-    if profile_hz is not None and profile_hz <= 0:
-        print(
-            f"error: --profile frequency must be positive, got "
-            f"{profile_hz:g}",
-            file=sys.stderr,
-        )
-        return 2
 
     from repro.obs import (
         MetricsRegistry,
@@ -1268,31 +1183,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     tracer = Tracer(name=args.command)
     metrics = MetricsRegistry()
-    profiler = None
     with use_tracer(tracer), use_metrics(metrics):
-        if profile_hz is not None:
-            from repro.obs.profile import SamplingProfiler, profiler_available
-
-            if profiler_available():
-                profiler = SamplingProfiler(tracer, hz=profile_hz)
-                profiler.start()
-            else:  # pragma: no cover - non-POSIX platforms
-                from repro.obs import record_degradation
-
-                record_degradation(
-                    "profiler_unavailable",
-                    "no SIGPROF/setitimer on this platform; "
-                    "--profile ignored",
-                )
-        try:
-            code = _run_command(args)
-        finally:
-            if profiler is not None:
-                profiler.stop()
+        code = _run_command(args)
     tracer.finish()
-    if profiler is not None:
-        metrics.inc("profile.samples", profiler.n_samples)
-        metrics.gauge("profile.hz", profiler.hz)
     if wants_timings and code == 0:
         print()
         print(tracer.render())
@@ -1319,14 +1212,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             manifest=manifest,
         )
         print(f"wrote trace to {trace_out} (run manifest: {manifest_path})")
-        if profiler is not None:
-            from repro.obs.profile import flame_path_for
-
-            flame_path = profiler.write_collapsed(flame_path_for(trace_out))
-            print(
-                f"wrote profile to {flame_path} "
-                f"({profiler.n_samples} samples at {profiler.hz:g} Hz)"
-            )
     if journal_dir is not None:
         from repro.obs.journal import RunJournal
 

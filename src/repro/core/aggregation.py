@@ -464,16 +464,13 @@ def aggregate_epoch(
     epoch: int = 0,
     thresholds: MetricThresholds | None = None,
     codec: KeyCodec | None = None,
-    problem_flags: np.ndarray | None = None,
 ) -> EpochAggregate:
     """Aggregate one epoch's sessions for one metric.
 
     ``rows`` indexes the epoch's sessions within ``table``. Sessions
     for which the metric is undefined (e.g. join time of a failed join)
     are excluded — the paper studies each metric over its own valid
-    population. ``problem_flags``, when given, overrides the metric's
-    problem classification for the selected rows (used by what-if
-    simulations); it must align with ``rows``.
+    population.
 
     This is the direct per-metric path: pack the valid rows,
     ``np.unique`` them into leaves and project every mask. The analysis
@@ -485,18 +482,8 @@ def aggregate_epoch(
     """
     codec = codec or KeyCodec.from_table(table)
     valid = metric.valid_mask(table)[rows]
-    if problem_flags is None:
-        problems_all = metric.problem_mask(table, thresholds)[rows]
-    else:
-        problem_flags = np.asarray(problem_flags, dtype=bool)
-        if problem_flags.shape != (len(rows),):
-            raise ValueError(
-                f"problem_flags shape {problem_flags.shape} != rows {(len(rows),)}"
-            )
-        problems_all = problem_flags & valid
-
     use = np.asarray(rows)[valid]
-    problem = problems_all[valid].astype(np.int64)
+    problem = metric.problem_mask(table, thresholds)[use].astype(np.int64)
     packed = codec.pack(table.codes[use])
 
     leaf_keys, inverse = np.unique(packed, return_inverse=True)

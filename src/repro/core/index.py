@@ -340,24 +340,6 @@ class TraceClusterIndex:
         every metric analysed over the same ``rows``."""
         return EpochClusterView(self, rows, epoch=epoch)
 
-    def aggregate(
-        self,
-        rows: np.ndarray,
-        metric: QualityMetric,
-        epoch: int = 0,
-        thresholds: MetricThresholds | None = None,
-        problem_flags: np.ndarray | None = None,
-    ) -> EpochAggregate:
-        """One-shot aggregation of ``rows`` for one metric.
-
-        Convenience for single-metric callers; multi-metric callers
-        should build one :meth:`epoch_view` and aggregate each metric
-        through it.
-        """
-        return self.epoch_view(rows, epoch=epoch).aggregate(
-            metric, thresholds=thresholds, problem_flags=problem_flags
-        )
-
 
 class EpochClusterView:
     """The cluster lattice of one epoch's active leaves.
@@ -437,9 +419,7 @@ class EpochClusterView:
             (bounds[m], bounds[m + 1], bounds[src], bounds[src + 1], fold_index[m])
             for m, src in fold_source.items()
         ]
-        self._metric_sessions: dict[
-            str, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = {}
+        self._metric_sessions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def n_leaves(self) -> int:
@@ -465,13 +445,13 @@ class EpochClusterView:
 
     def _metric_session_folds(
         self, metric: QualityMetric
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(valid_rows, leaf_sessions, sessions)`` for one metric.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(leaf_sessions, sessions)`` for one metric.
 
         Session counts depend only on the metric's *validity* pattern,
         never on thresholds, so one computation per (epoch, metric) is
-        shared by every thresholds variant of a config sweep (and by
-        ``problem_flags`` overrides). Cached on the view.
+        shared by every thresholds variant of a config sweep. Cached on
+        the view.
         """
         cached = self._metric_sessions.get(metric.name)
         if cached is None:
@@ -479,7 +459,7 @@ class EpochClusterView:
             leaf_sessions = np.bincount(
                 self.row_leaf_local[valid], minlength=self.n_leaves
             ).astype(np.int64, copy=False)
-            cached = (valid, leaf_sessions, self._fold(leaf_sessions))
+            cached = (leaf_sessions, self._fold(leaf_sessions))
             self._metric_sessions[metric.name] = cached
         return cached
 
@@ -487,7 +467,6 @@ class EpochClusterView:
         self,
         metric: QualityMetric,
         thresholds: MetricThresholds | None = None,
-        problem_flags: np.ndarray | None = None,
     ) -> EpochAggregate:
         """Aggregate this epoch's rows for one metric.
 
@@ -501,17 +480,8 @@ class EpochClusterView:
         cached per metric, so re-aggregating the same epoch under new
         thresholds pays only the problem-count bincounts.
         """
-        valid, leaf_sessions, sessions = self._metric_session_folds(metric)
-        if problem_flags is None:
-            problem = self.index.problem_mask(metric, thresholds)[self.rows]
-        else:
-            problem_flags = np.asarray(problem_flags, dtype=bool)
-            if problem_flags.shape != (self.rows.size,):
-                raise ValueError(
-                    f"problem_flags shape {problem_flags.shape} != rows "
-                    f"{(self.rows.size,)}"
-                )
-            problem = problem_flags & valid
+        leaf_sessions, sessions = self._metric_session_folds(metric)
+        problem = self.index.problem_mask(metric, thresholds)[self.rows]
 
         leaf_problems = np.bincount(
             self.row_leaf_local[problem], minlength=self.n_leaves

@@ -14,6 +14,12 @@
   manifest written next to results (:func:`write_run_manifest`), and
   the human span tree (``Tracer.render``, the upgraded ``--timings``).
 
+The analytics half (DESIGN.md §10) works over what those sinks wrote:
+span aggregation and the critical path (:mod:`repro.obs.analyze`), the
+append-only run journal (:class:`RunJournal`), run-vs-run and
+run-vs-baseline verdicts (:func:`diff_records`) and the Prometheus
+export (:func:`render_prometheus`).
+
 Both the tracer and the registry default to shared no-op singletons, so
 instrumented hot paths cost one global read + one empty call until
 :func:`use_tracer` / :func:`use_metrics` install real collectors (the
@@ -51,7 +57,6 @@ from repro.obs.metrics import (
     NullMetrics,
     render_histograms,
 )
-from repro.obs.profile import SamplingProfiler, profiler_available
 from repro.obs.prom import render_prometheus
 from repro.obs.sinks import (
     MANIFEST_VERSION,
@@ -73,7 +78,6 @@ __all__ = [
     "NullMetrics",
     "NullTracer",
     "RunJournal",
-    "SamplingProfiler",
     "Span",
     "Tracer",
     "build_run_manifest",
@@ -85,7 +89,6 @@ __all__ = [
     "install_null_collectors",
     "manifest_path_for",
     "peak_rss_bytes",
-    "profiler_available",
     "record_degradation",
     "render_critical_path",
     "render_histograms",

@@ -41,9 +41,7 @@ JOURNAL_VERSION = 1
 #: Manifest args that never affect what a run computes or how fast —
 #: they are excluded from the config digest so output paths and
 #: observability knobs don't fragment the baseline.
-_DIGEST_EXCLUDED_ARGS = frozenset(
-    {"output", "trace_out", "journal", "timings", "profile"}
-)
+_DIGEST_EXCLUDED_ARGS = frozenset({"output", "trace_out", "journal", "timings"})
 
 
 def config_digest(command: str, args: dict[str, Any] | None) -> str:

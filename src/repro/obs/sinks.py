@@ -49,15 +49,27 @@ def _write_atomic(path: Path, text: str) -> Path:
 
 
 def peak_rss_bytes() -> int | None:
-    """Process-lifetime peak resident set size, in bytes.
+    """This process's peak resident set size, in bytes.
 
-    Backed by ``resource.getrusage(RUSAGE_SELF).ru_maxrss`` — a
-    high-water mark, so it only ever grows within a process. Forked
-    worker processes report their own peaks, which is what makes the
-    shard engine's bounded-parent-memory claim observable: the parent's
-    figure stays O(largest shard) while workers account for their own
-    mapping. Returns ``None`` where rusage is unavailable (non-POSIX).
+    Reads the kernel's high-water mark ``VmHWM`` from
+    ``/proc/self/status``. The kernel resets it at ``exec``, so a run
+    launched from a large process (a test runner, a bench driver)
+    reports its own peak. ``getrusage``'s ``ru_maxrss`` is the fallback
+    where ``/proc`` is missing; Linux carries that figure across
+    ``exec`` from the launching process, which is why it is not the
+    first choice. Forked worker processes report their own peaks, which
+    is what makes the shard engine's bounded-parent-memory claim
+    observable: the parent's figure stays O(largest shard) while
+    workers account for their own mapping. Returns ``None`` where
+    neither source exists (non-POSIX).
     """
+    try:
+        with open("/proc/self/status", "rb") as status:
+            for line in status:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) * 1024  # kB
+    except OSError:
+        pass
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms

@@ -93,26 +93,6 @@ class TestAggregation:
         assert agg.total_sessions == 13
         assert agg.total_problems == 0
 
-    def test_problem_flags_override(self, small_table):
-        flags = np.zeros(len(small_table), dtype=bool)
-        flags[:3] = True
-        agg = aggregate_epoch(
-            small_table,
-            np.arange(len(small_table)),
-            JOIN_FAILURE,
-            problem_flags=flags,
-        )
-        assert agg.total_problems == 3
-
-    def test_problem_flags_wrong_shape_rejected(self, small_table):
-        with pytest.raises(ValueError, match="problem_flags shape"):
-            aggregate_epoch(
-                small_table,
-                np.arange(len(small_table)),
-                JOIN_FAILURE,
-                problem_flags=np.zeros(3, dtype=bool),
-            )
-
     def test_rows_subset(self, small_table):
         agg = aggregate_epoch(small_table, np.arange(10), JOIN_FAILURE)
         assert agg.total_sessions == 10

@@ -178,7 +178,7 @@ class TestEpochViewAggregate:
         rows = np.arange(0, len(table), 2)
         for metric in ALL_METRICS:
             legacy = aggregate_epoch(table, rows, metric, epoch=4)
-            indexed = index.aggregate(rows, metric, epoch=4)
+            indexed = index.epoch_view(rows, epoch=4).aggregate(metric)
             assert indexed.epoch == 4
             assert indexed.metric_name == metric.name
             assert_equal_aggregates(legacy, indexed)
@@ -193,24 +193,8 @@ class TestEpochViewAggregate:
                 aggregate_epoch(table, rows, metric, epoch=1), agg
             )
 
-    def test_problem_flags_override(self, table, index):
-        rows = np.arange(200)
-        flags = np.zeros(rows.size, dtype=bool)
-        flags[::3] = True
-        legacy = aggregate_epoch(
-            table, rows, JOIN_FAILURE, problem_flags=flags
-        )
-        indexed = index.aggregate(rows, JOIN_FAILURE, problem_flags=flags)
-        assert_equal_aggregates(legacy, indexed)
-
-    def test_problem_flags_shape_validated(self, index):
-        with pytest.raises(ValueError):
-            index.aggregate(
-                np.arange(10), JOIN_FAILURE, problem_flags=np.zeros(3, bool)
-            )
-
     def test_empty_rows(self, index):
-        agg = index.aggregate(np.arange(0), JOIN_FAILURE)
+        agg = index.epoch_view(np.arange(0)).aggregate(JOIN_FAILURE)
         assert agg.total_sessions == 0
         assert agg.leaf.keys.size == 0
 
@@ -234,7 +218,7 @@ class TestEpochViewAggregate:
             min_sessions=20, min_problems=2, significance_sigmas=0.0
         )
         legacy_agg = aggregate_epoch(table, rows, JOIN_FAILURE)
-        indexed_agg = index.aggregate(rows, JOIN_FAILURE)
+        indexed_agg = index.epoch_view(rows).aggregate(JOIN_FAILURE)
         legacy = find_critical_clusters(find_problem_clusters(legacy_agg, config))
         indexed = find_critical_clusters(
             find_problem_clusters(indexed_agg, config)
@@ -250,8 +234,8 @@ class TestEpochViewAggregate:
     def test_index_survives_pickling(self, index, table):
         clone = pickle.loads(pickle.dumps(index))
         rows = np.arange(0, len(table), 5)
-        a = index.aggregate(rows, JOIN_FAILURE)
-        b = clone.aggregate(rows, JOIN_FAILURE)
+        a = index.epoch_view(rows).aggregate(JOIN_FAILURE)
+        b = clone.epoch_view(rows).aggregate(JOIN_FAILURE)
         assert_equal_aggregates(a, b)
         assert_equal_aggregates(b, a)
 

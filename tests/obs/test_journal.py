@@ -48,11 +48,27 @@ class TestConfigDigest:
     def test_observability_args_excluded(self):
         base = {"workers": 2, "trace": "t.jsonl"}
         noisy = dict(
-            base, trace_out="a.json", journal=".j", timings=True,
-            profile=97.0, output="x",
+            base, trace_out="a.json", journal=".j", timings=True, output="x"
         )
         assert config_digest("analyze", base) == config_digest(
             "analyze", noisy
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "t.jsonl"],
+        ["analyze", "t.jsonl", "--trace-out", "r.json", "--journal",
+         "--timings"],
+    ])
+    def test_cli_digest_matches_older_journals(self, argv):
+        # The digest older CLI versions recorded for `analyze t.jsonl`:
+        # `obs diff --baseline` matches new runs against such records
+        # only while the argument set a run digests stays the same.
+        from repro.cli import _build_parser
+
+        args = vars(_build_parser().parse_args(argv))
+        command = args.pop("command")
+        assert config_digest(command, args) == (
+            "c2f5c6d66f2f4dfdda7b68c03a0a06d6dbb4e2bdd3aee7605df8b7f0af3ab3fc"
         )
 
     def test_computation_args_matter(self):

@@ -118,6 +118,7 @@ class TestWorkersFlag:
         ["analyze", "t.jsonl", "--engine", "epoch"],
         ["analyze", "t.jsonl", "--transport", "shm"],
         ["generate", "--workload", "tiny", "-o", "t.npz", "--sim", "scalar"],
+        ["analyze", "t.jsonl", "--trace-out", "r.json", "--profile", "97"],
     ])
     def test_removed_execution_flags_exit_2(self, tmp_path, monkeypatch,
                                             argv):
@@ -418,6 +419,85 @@ class TestShardCLI:
         assert manifest["peak_rss_bytes"] > 0
 
 
+def _cli_env() -> dict:
+    """Environment for a ``python -m repro.cli`` child of this tree."""
+    import os
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=src if not path else os.pathsep.join([src, path]))
+
+
+class TestPeakRss:
+    """``peak_rss_bytes`` in run manifests is each process's own peak."""
+
+    def test_launcher_peak_not_inherited_across_exec(self, tmp_path):
+        # Linux carries ru_maxrss across exec; a run exec'd from a
+        # process holding a 300 MiB ballast must not report it.
+        import json
+        import os
+        import sys
+
+        trace = tmp_path / "trace.npz"
+        assert main(["generate", "--workload", "tiny", "--seed", "3",
+                     "-o", str(trace)]) == 0
+        ballast = 300 << 20
+        launcher = (
+            "import os, sys\n"
+            f"ballast = b'x' * {ballast}\n"
+            "os.execv(sys.executable, [sys.executable] + sys.argv[1:])\n"
+        )
+        argv = [sys.executable, "-c", launcher, "-m", "repro.cli",
+                "analyze", str(trace), "--trace-out", str(tmp_path / "r.json")]
+        pid = os.posix_spawn(
+            sys.executable, argv, _cli_env(),
+            file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull,
+                           os.O_WRONLY, 0)],
+        )
+        _, status, usage = os.wait4(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        # The ballast was resident: the child's rusage saw it.
+        assert usage.ru_maxrss * 1024 >= ballast
+        manifest = json.loads((tmp_path / "r.manifest.json").read_text())
+        assert 0 < manifest["peak_rss_bytes"] < ballast
+
+    def test_sharded_parent_peak_below_monolithic(self, tmp_path):
+        # The shard-map parent maps no shard table (pool workers do), so
+        # its high-water mark stays below a monolithic run's.
+        import json
+        import subprocess
+        import sys
+
+        trace = tmp_path / "trace.npz"
+        store = tmp_path / "trace.shards"
+        assert main(["generate", "--workload", "small", "--seed", "3",
+                     "-o", str(trace)]) == 0
+        assert main(["shard", "build", str(trace), "-o", str(store),
+                     "--epochs-per-shard", "12"]) == 0
+        runs = {
+            "mono": [str(trace)],
+            "sharded": ["--shard-dir", str(store), "--workers", "2"],
+        }
+        peaks = {}
+        for name, args in runs.items():
+            out = tmp_path / f"{name}.json"
+            subprocess.run(
+                [sys.executable, "-m", "repro.cli", "analyze", *args,
+                 "--trace-out", str(out)],
+                env=_cli_env(), check=True, capture_output=True,
+            )
+            manifest = json.loads(
+                (tmp_path / f"{name}.manifest.json").read_text()
+            )
+            assert manifest["exit_code"] == 0
+            peaks[name] = manifest["peak_rss_bytes"]
+        assert peaks["sharded"] < peaks["mono"], peaks
+
+
 class TestResultCacheCLI:
     def _store(self, tmp_path):
         trace = tmp_path / "trace.npz"
@@ -428,7 +508,8 @@ class TestResultCacheCLI:
               "--epochs-per-shard", "8"])
         return store
 
-    def test_cold_then_warm_analyze(self, tmp_path, capsys):
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    def test_cold_then_warm_analyze(self, tmp_path, capsys, workers):
         import json
 
         store = self._store(tmp_path)
@@ -436,11 +517,11 @@ class TestResultCacheCLI:
         capsys.readouterr()
 
         assert main(["analyze", "--shard-dir", str(store),
-                     "--result-cache", str(cache),
+                     "--workers", workers, "--result-cache", str(cache),
                      "--trace-out", str(tmp_path / "cold.json")]) == 0
         cold_out = capsys.readouterr().out
         assert main(["analyze", "--shard-dir", str(store),
-                     "--result-cache", str(cache),
+                     "--workers", workers, "--result-cache", str(cache),
                      "--trace-out", str(tmp_path / "warm.json")]) == 0
         warm_out = capsys.readouterr().out
 
@@ -455,6 +536,9 @@ class TestResultCacheCLI:
         assert "cache.hit" not in cold["metrics"]["counters"]
         assert warm["metrics"]["counters"]["cache.hit"] == 3
         assert "cache.miss" not in warm["metrics"]["counters"]
+        for manifest in (cold, warm):
+            assert not [name for name in manifest["metrics"]["counters"]
+                        if name.startswith("degraded.")]
 
     def test_result_cache_requires_shard_dir(self, tmp_path, capsys):
         trace = tmp_path / "trace.npz"
@@ -531,10 +615,9 @@ class TestResultCacheCLI:
 
 
 class TestObsCli:
-    """The obs command family and the --journal / --profile flags."""
+    """The obs command family and the --journal flag."""
 
-    def _analyze(self, tmp_path, name="run.json", journal=None,
-                 extra=()):
+    def _analyze(self, tmp_path, name="run.json", journal=None):
         trace = tmp_path / "trace.jsonl"
         if not trace.exists():
             main(["generate", "--workload", "tiny", "--seed", "3",
@@ -543,7 +626,6 @@ class TestObsCli:
                 str(tmp_path / name)]
         if journal is not None:
             argv += ["--journal", str(journal)]
-        argv += list(extra)
         assert main(argv) == 0
         return tmp_path / name
 
@@ -572,7 +654,8 @@ class TestObsCli:
         a = self._analyze(tmp_path, "a.json")
         b = self._analyze(tmp_path, "b.json")
         capsys.readouterr()
-        assert main(["obs", "diff", str(a), str(b)]) == 0
+        assert main(["obs", "diff", str(a), str(b),
+                     "--fail-on-regression"]) == 0
         out = capsys.readouterr().out
         assert "0 regressed" in out
 
@@ -602,7 +685,8 @@ class TestObsCli:
         self._analyze(tmp_path, "b.json", journal=journal)
         capsys.readouterr()
         assert main(["obs", "diff", "latest", "--baseline", "1",
-                     "--journal", str(journal)]) == 0
+                     "--journal", str(journal),
+                     "--fail-on-regression"]) == 0
         assert "baseline[1]" in capsys.readouterr().out
 
     def test_obs_journal_list_show_trend(self, tmp_path, capsys):
@@ -633,30 +717,6 @@ class TestObsCli:
         assert main(["obs", "journal", "show", "r99999",
                      "--journal", str(journal)]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_profile_writes_flamegraph(self, tmp_path, capsys):
-        from repro.obs.profile import profiler_available, read_collapsed
-
-        if not profiler_available():
-            pytest.skip("no SIGPROF on this platform")
-        run = self._analyze(tmp_path, extra=["--profile", "400"])
-        out = capsys.readouterr().out
-        flame = tmp_path / "run.flame.txt"
-        assert flame.exists()
-        assert "wrote profile to" in out
-        read_collapsed(flame)  # parses cleanly (may be empty on tiny)
-
-        capsys.readouterr()
-        assert main(["obs", "flame", str(flame)]) == 0
-
-    def test_profile_requires_trace_out(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        main(["generate", "--workload", "tiny", "-o", str(trace)])
-        capsys.readouterr()
-        assert main(["analyze", str(trace), "--profile"]) == 2
-        assert "--trace-out" in capsys.readouterr().err
-        assert main(["analyze", str(trace), "--profile", "0",
-                     "--trace-out", str(tmp_path / "r.json")]) == 2
 
     def test_obs_export_prom(self, tmp_path, capsys):
         run = self._analyze(tmp_path)
