@@ -27,7 +27,7 @@ from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
 from repro.core.pipeline import AnalysisConfig, analyze_trace
 from repro.core.problems import find_problem_clusters
-from repro.core.substrate import AnalysisSubstrate, analyze_sweep
+from repro.core.substrate import AnalysisSubstrate, analyze_sweep, epoch_floor
 from repro.io.snapshot import load_substrate, save_substrate
 from repro.obs import MetricsRegistry, use_metrics
 
@@ -75,13 +75,17 @@ def bench_full_pipeline_one_day(benchmark, week_context):
 def bench_indexed_epoch_view(benchmark, epoch_inputs):
     """Epoch view + four metric aggregations through a prebuilt
     trace-global index (the engine's steady-state per-epoch cost,
-    directly comparable to ``bench_per_metric_packing``)."""
+    directly comparable to ``bench_per_metric_packing``). The view is
+    the iceberg ``analyze_trace`` builds: at the smallest session floor
+    the default config resolves to over the four metrics."""
     table, rows = epoch_inputs
     index = TraceClusterIndex.build(table)
     index.warm_metric_masks(ALL_METRICS)
+    config = AnalysisConfig()
+    served = [(config.problem_config, metric) for metric in ALL_METRICS]
 
     def indexed():
-        view = index.epoch_view(rows)
+        view = index.epoch_view(rows, floor=epoch_floor(index, rows, served))
         return [view.aggregate(metric) for metric in ALL_METRICS]
 
     aggs = benchmark(indexed)

@@ -81,11 +81,11 @@ def figure_3_and_4():
     print(f"global problem ratio: {agg.global_ratio:.3f} "
           f"(problem threshold: {problems.ratio_threshold:.3f})\n")
 
-    keys = problems.cluster_keys()
-    interesting = [k for k in keys if set(k.attributes) <= {"asn", "cdn"}]
+    found = problems.decoded()
+    interesting = [k for k in found if set(k.attributes) <= {"asn", "cdn"}]
     rows = []
     for key in sorted(interesting, key=lambda k: (k.depth, k.label())):
-        stats = agg.stats_of_key(key)
+        stats = found[key]
         rows.append([key.label(), stats.sessions, stats.problems, stats.ratio])
     print(render_table(["Problem cluster", "Sessions", "Failures", "Ratio"],
                        rows, title="Problem clusters (Figure 4's red boxes)"))
@@ -119,11 +119,14 @@ def figure_5():
     combo = ClusterKey.from_mapping({"asn": "ASN1", "cdn": "CDN1"})
     parent_asn = ClusterKey.from_mapping({"asn": "ASN1"})
     parent_cdn = ClusterKey.from_mapping({"cdn": "CDN1"})
-    rows = []
-    for key in (parent_asn, parent_cdn, combo):
-        stats = agg.stats_of_key(key)
-        flagged = key in problems.cluster_keys()
-        rows.append([key.label(), stats.ratio, "yes" if flagged else "no"])
+    # All three are problem clusters, so the detector's own counts
+    # give their ratios.
+    found = problems.decoded()
+    assert {parent_asn, parent_cdn, combo} <= set(found)
+    rows = [
+        [key.label(), found[key].ratio, "yes"]
+        for key in (parent_asn, parent_cdn, combo)
+    ]
     print(render_table(
         ["Cluster", "Failure ratio", "Problem cluster?"], rows,
         title="Parents are problem clusters only because of the combination",

@@ -9,15 +9,17 @@ scale; instead:
    (:class:`KeyCodec`).
 2. Reduce sessions to distinct *leaf* combinations via ``np.unique``
    (typically thousands of leaves for tens of thousands of sessions).
-3. For each of the ``2^n - 1`` non-empty attribute masks, project leaf
-   keys with a bitwise AND and re-aggregate with
-   ``np.unique``/``np.bincount``.
+3. Count every leaf once and sum the leaf counts into clusters.
 
 The clusters of all masks are laid out flat in one
 :class:`EpochLattice`, and the result, :class:`EpochAggregate`, holds
-one session and one problem count per cluster id — the arrays the
-problem- and critical-cluster detectors consume whole. It answers
-``stats(mask, packed)`` lookups in O(log L).
+one session and one problem count per cluster id plus the per-leaf
+counts — the arrays the problem- and critical-cluster detectors consume
+whole. A lattice may be an *iceberg*: built for a session floor, it
+holds only the clusters with at least that many sessions (see
+:mod:`repro.core.index`), and it refuses questions asked below that
+floor. :func:`aggregate_epoch` is the direct path, which builds the
+whole lattice (floor 1) with one ``np.unique`` per mask.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class KeyCodec:
     trace (vocabularies are global to the table).
     """
 
-    __slots__ = ("schema", "vocabs", "widths", "offsets", "_field_masks", "_code_maps")
+    __slots__ = ("schema", "vocabs", "widths", "offsets", "_field_masks")
 
     def __init__(
         self,
@@ -80,7 +82,6 @@ class KeyCodec:
         self.widths = widths
         self.offsets = offsets
         self._field_masks: np.ndarray | None = None
-        self._code_maps: list[dict[str, int]] | None = None
 
     @classmethod
     def from_table(cls, table: SessionTable) -> "KeyCodec":
@@ -124,50 +125,6 @@ class KeyCodec:
             self._field_masks = out
         return self._field_masks
 
-    def code_maps(self) -> list[dict[str, int]]:
-        """Per-attribute label -> code reverse maps (built once, cached).
-
-        Vocabularies are append-only lists, so looking a label up with
-        ``list.index`` costs O(V) per call; lookups on hot paths
-        (``stats_of_key`` and the what-if query layers) use these maps
-        instead.
-        """
-        if self._code_maps is None:
-            self._code_maps = [
-                {label: code for code, label in enumerate(vocab)}
-                for vocab in self.vocabs
-            ]
-        return self._code_maps
-
-    def note_vocab_growth(self) -> None:
-        """Invalidate label caches after the shared vocabularies grew.
-
-        ``vocabs`` is shared by reference with the source table, so a
-        :meth:`SessionTable.extend` that introduces new labels is
-        visible here automatically — but the cached reverse maps must
-        be rebuilt. Field masks depend only on bit widths; a width
-        change invalidates the codec entirely (the index rebuilds).
-        """
-        self._code_maps = None
-
-    def encode_key(self, key: ClusterKey) -> tuple[int, int] | None:
-        """Encode a :class:`ClusterKey` to its ``(mask, packed)`` pair.
-
-        Returns ``None`` when any label is absent from the codec's
-        vocabularies (the cluster cannot exist in this trace).
-        """
-        maps = self.code_maps()
-        mask = 0
-        packed = 0
-        for name, value in key.pairs:
-            i = self.schema.index(name)
-            code = maps[i].get(value)
-            if code is None:
-                return None
-            mask |= 1 << i
-            packed |= code << int(self.offsets[i])
-        return mask, packed
-
     def decode(self, mask: int, packed: int) -> ClusterKey:
         """Decode a ``(mask, packed)`` pair to a :class:`ClusterKey`."""
         pairs = []
@@ -180,53 +137,33 @@ class KeyCodec:
         return ClusterKey(tuple(pairs))
 
 
-@dataclass
-class MaskAggregate:
-    """Aggregated counts for all clusters of one attribute mask.
-
-    ``keys`` is sorted ascending; ``sessions[i]``/``problems[i]`` belong
-    to ``keys[i]``.
-    """
-
-    mask: int
-    keys: np.ndarray
-    sessions: np.ndarray
-    problems: np.ndarray
-
-    def __len__(self) -> int:
-        return self.keys.size
-
-    def index_of(self, packed: np.ndarray | int) -> np.ndarray | int:
-        """Index of packed key(s) in this aggregate; -1 where absent."""
-        scalar = np.isscalar(packed) or np.ndim(packed) == 0
-        query = np.atleast_1d(np.asarray(packed, dtype=np.int64))
-        pos = np.searchsorted(self.keys, query)
-        pos_clipped = np.minimum(pos, max(self.keys.size - 1, 0))
-        if self.keys.size:
-            found = self.keys[pos_clipped] == query
-        else:
-            found = np.zeros(query.shape, dtype=bool)
-        result = np.where(found, pos_clipped, -1)
-        return int(result[0]) if scalar else result
-
-
 class EpochLattice:
-    """Every active cluster of one epoch, flat, in ``(mask, key)`` order.
+    """The clusters of one epoch, flat, in ``(mask, key)`` order.
 
     ``keys`` holds each cluster's packed key, grouped by mask in
     ascending mask order and sorted within each mask; a cluster's
     position in it is its *cluster id*. Mask ``m`` owns ids
     ``starts[m]:starts[m + 1]``. ``leaf_cluster[m, l]`` is the id of
-    leaf ``l``'s cluster on mask ``m`` (row 0, the root, holds -1), and
-    ``rep_leaf[c]`` is one leaf of cluster ``c``, so the ancestor of
-    ``c`` on a submask ``a`` is ``leaf_cluster[a, rep_leaf[c]]``.
+    leaf ``l``'s cluster on mask ``m``, and ``rep_leaf[c]`` is one leaf
+    of cluster ``c``, so the ancestor of ``c`` on a submask ``a`` is
+    ``leaf_cluster[a, rep_leaf[c]]``.
+
+    ``floor`` is the session floor the lattice was built for: it holds
+    exactly the clusters with at least ``floor`` sessions (all sessions,
+    whatever their validity for a metric). Coarsening a cluster only
+    adds sessions, so the kept clusters are closed under coarsening and
+    every ancestor of a kept cluster is kept. A leaf whose cluster on
+    ``m`` was pruned has ``leaf_cluster[m, l] == -1`` (row 0, the root,
+    is all -1), so a per-cluster flag array read through
+    ``leaf_cluster`` needs one trailing ``False`` slot
+    (:meth:`flags`): numpy reads index -1 as the last element.
 
     Built from the epoch's leaves by
-    :class:`~repro.core.index.EpochClusterView` (fine to coarse, shared
+    :class:`~repro.core.index.EpochClusterView` (coarse to fine, shared
     by every metric of the epoch) and by :func:`aggregate_epoch` (one
-    ``np.unique`` per mask). It also memoises what every metric and
-    config of the epoch asks again: decoded keys (:meth:`key_of`) and
-    the significant ids per (metric, floor)
+    ``np.unique`` per mask, floor 1). It also memoises what every metric
+    and config of the epoch asks again: decoded keys (:meth:`key_of`)
+    and the significant ids per (metric, floor)
     (:meth:`EpochAggregate.significant`).
     """
 
@@ -236,6 +173,7 @@ class EpochLattice:
         "starts",
         "leaf_cluster",
         "rep_leaf",
+        "floor",
         "_decoded",
         "_significant",
     )
@@ -247,12 +185,14 @@ class EpochLattice:
         starts: np.ndarray,
         leaf_cluster: np.ndarray,
         rep_leaf: np.ndarray,
+        floor: int = 1,
     ) -> None:
         self.codec = codec
         self.keys = keys
         self.starts = starts
         self.leaf_cluster = leaf_cluster
         self.rep_leaf = rep_leaf
+        self.floor = floor
         self._decoded: dict[int, ClusterKey] = {}
         self._significant: dict[tuple[str, int], np.ndarray] = {}
 
@@ -264,7 +204,7 @@ class EpochLattice:
         mask_reps: Sequence[np.ndarray],
         leaf_cluster: np.ndarray,
     ) -> "EpochLattice":
-        """Lay per-mask cluster tables out flat.
+        """Lay every mask's whole cluster table out flat (floor 1).
 
         ``mask_keys[m - 1]`` are mask ``m``'s sorted keys and
         ``mask_reps[m - 1]`` one leaf of each; row ``m`` of the int32
@@ -291,6 +231,13 @@ class EpochLattice:
     def n_leaves(self) -> int:
         return int(self.leaf_cluster.shape[1])
 
+    def flags(self, ids: np.ndarray) -> np.ndarray:
+        """One flag per cluster id, set on ``ids``, plus the trailing
+        ``False`` slot that a pruned (-1) ``leaf_cluster`` entry reads."""
+        out = np.zeros(self.n_clusters + 1, dtype=bool)
+        out[ids] = True
+        return out
+
     def span(self, mask: int) -> slice:
         """The cluster ids of ``mask``."""
         return slice(int(self.starts[mask]), int(self.starts[mask + 1]))
@@ -300,7 +247,7 @@ class EpochLattice:
         return np.searchsorted(self.starts, ids, side="right") - 1
 
     def find(self, mask: int, packed: int) -> int:
-        """Cluster id of ``(mask, packed)``; -1 when it is not active."""
+        """Cluster id of ``(mask, packed)``; -1 when it is not kept."""
         if not 0 < mask <= self.codec.full_mask:
             return -1
         lo, hi = int(self.starts[mask]), int(self.starts[mask + 1])
@@ -350,9 +297,9 @@ class EpochAggregate:
     """All cluster counts for one (epoch, metric) pair.
 
     ``sessions`` and ``problems`` are indexed by the cluster ids of
-    ``lattice``. ``per_mask`` presents them as one
-    :class:`MaskAggregate` per mask (zero-copy slices, built on first
-    use) for lookups and the HHH baseline.
+    ``lattice``; ``leaf_sessions`` and ``leaf_problems`` by its leaves
+    (every leaf, kept on the full mask or not), which is what coverage
+    and attribution sum.
     """
 
     __slots__ = (
@@ -361,9 +308,10 @@ class EpochAggregate:
         "lattice",
         "sessions",
         "problems",
+        "leaf_sessions",
+        "leaf_problems",
         "total_sessions",
         "total_problems",
-        "_per_mask",
     )
 
     def __init__(
@@ -373,17 +321,18 @@ class EpochAggregate:
         lattice: EpochLattice,
         sessions: np.ndarray,
         problems: np.ndarray,
-        total_sessions: int,
-        total_problems: int,
+        leaf_sessions: np.ndarray,
+        leaf_problems: np.ndarray,
     ) -> None:
         self.epoch = epoch
         self.metric_name = metric_name
         self.lattice = lattice
         self.sessions = sessions
         self.problems = problems
-        self.total_sessions = total_sessions
-        self.total_problems = total_problems
-        self._per_mask: dict[int, MaskAggregate] | None = None
+        self.leaf_sessions = leaf_sessions
+        self.leaf_problems = leaf_problems
+        self.total_sessions = int(leaf_sessions.sum())
+        self.total_problems = int(leaf_problems.sum())
 
     @property
     def codec(self) -> KeyCodec:
@@ -398,63 +347,26 @@ class EpochAggregate:
     def global_ratio(self) -> float:
         return self.global_stats.ratio
 
-    def _mask_aggregate(self, mask: int) -> MaskAggregate:
-        span = self.lattice.span(mask)
-        return MaskAggregate(
-            mask=mask,
-            keys=self.lattice.keys[span],
-            sessions=self.sessions[span],
-            problems=self.problems[span],
-        )
-
-    @property
-    def per_mask(self) -> dict[int, MaskAggregate]:
-        if self._per_mask is None:
-            self._per_mask = {
-                m: self._mask_aggregate(m) for m in self.masks()
-            }
-        return self._per_mask
-
-    @property
-    def leaf(self) -> MaskAggregate:
-        """The full-mask aggregate — one entry per distinct combination."""
-        return self._mask_aggregate(self.codec.full_mask)
-
-    def masks(self) -> Iterator[int]:
-        return iter(range(1, self.codec.full_mask + 1))
-
     def significant(self, floor: int) -> np.ndarray:
         """Sorted ids of the clusters with at least ``floor`` sessions.
 
-        Session counts depend on the metric's validity only, never on
+        Raises ``ValueError`` when ``floor`` is below the lattice's own:
+        the clusters it pruned could clear a lower floor. Session
+        counts depend on the metric's validity only, never on
         thresholds, so the ids are cached on the lattice per (metric,
         floor) and shared by every thresholds variant of a sweep.
         """
+        if floor < self.lattice.floor:
+            raise ValueError(
+                f"session floor {floor} is below the floor "
+                f"{self.lattice.floor} the epoch lattice was built for"
+            )
         key = (self.metric_name, floor)
         ids = self.lattice._significant.get(key)
         if ids is None:
             ids = np.flatnonzero(self.sessions >= floor)
             self.lattice._significant[key] = ids
         return ids
-
-    def stats(self, mask: int, packed: int) -> ClusterStats | None:
-        cid = self.lattice.find(mask, packed)
-        if cid < 0:
-            return None
-        return ClusterStats(int(self.sessions[cid]), int(self.problems[cid]))
-
-    def stats_of_key(self, key: ClusterKey) -> ClusterStats | None:
-        """Lookup by human-facing key (encodes labels to packed form)."""
-        encoded = self.codec.encode_key(key)
-        if encoded is None:
-            return None
-        mask, packed = encoded
-        if mask == 0:
-            return self.global_stats
-        return self.stats(mask, packed)
-
-    def decode(self, mask: int, packed: int) -> ClusterKey:
-        return self.codec.decode(mask, packed)
 
 
 def aggregate_epoch(
@@ -473,12 +385,14 @@ def aggregate_epoch(
     population.
 
     This is the direct per-metric path: pack the valid rows,
-    ``np.unique`` them into leaves and project every mask. The analysis
-    engine and the online detector's stream reduce epochs through a
+    ``np.unique`` them into leaves and project every mask, which builds
+    the whole lattice (floor 1). The analysis engine and the online
+    detector's stream reduce epochs through a
     :class:`~repro.core.index.EpochClusterView` instead (the same
-    counts; see :mod:`repro.core.index`). This path serves the online
-    detector's schema-change fallback and the HHH ablation, and the
-    test suite's reference analysis is built on it.
+    counts on the clusters it keeps; see :mod:`repro.core.index`). This
+    path serves the online detector's schema-change fallback and the
+    HHH ablation, and the test suite's reference analysis is built on
+    it.
     """
     codec = codec or KeyCodec.from_table(table)
     valid = metric.valid_mask(table)[rows]
@@ -518,6 +432,6 @@ def aggregate_epoch(
         lattice=EpochLattice.flatten(codec, mask_keys, mask_reps, leaf_cluster),
         sessions=np.concatenate(sessions).astype(np.int64),
         problems=np.concatenate(problems).astype(np.int64),
-        total_sessions=int(leaf_sessions.sum()),
-        total_problems=int(leaf_problems.sum()),
+        leaf_sessions=leaf_sessions,
+        leaf_problems=leaf_problems,
     )

@@ -40,10 +40,15 @@ loop over masks. The ancestor of cluster ``c`` on a submask ``a`` is
 * attribution is one ``bincount`` per quantity over the (candidate
   mask, leaf) pairs in ascending mask then leaf order, the order a
   per-mask ``np.add.at`` would add them in, so the sums are
-  bit-identical to it.
+  bit-identical to it. It sums the aggregate's per-leaf counts, which
+  cover every leaf of the epoch whether or not the lattice kept it.
 
-The work grows with bad clusters x submasks and with candidate masks x
-leaves, not with the number of masks the lattice spans.
+The lattice may be an iceberg: the ancestors of a kept cluster are
+kept, so the ancestor pairs never leave it, and the candidate flags
+read through ``leaf_cluster`` carry the trailing ``False`` slot that a
+pruned leaf's -1 entry reads. The work grows with bad clusters x
+submasks and with candidate masks x leaves, not with the number of
+masks the lattice spans.
 """
 
 from __future__ import annotations
@@ -151,8 +156,7 @@ def find_critical_clusters(problems: ProblemClusters) -> CriticalClusters:
     # cluster itself).
     significant = problems.significant
     bad = significant[~is_problem[significant]]
-    tainted = np.zeros(lattice.n_clusters, dtype=bool)
-    tainted[lattice.ancestors(bad)[1]] = True
+    tainted = lattice.flags(lattice.ancestors(bad)[1])
     candidates = problems.ids[~tainted[problems.ids]]
 
     # Ancestor removal: after subtracting the candidate's counts, no
@@ -172,8 +176,7 @@ def find_critical_clusters(problems: ProblemClusters) -> CriticalClusters:
     # candidate on a strict submask. Only a leaf under several
     # candidates can lose one.
     masks = np.unique(lattice.mask_of(candidates))
-    is_candidate = np.zeros(lattice.n_clusters, dtype=bool)
-    is_candidate[candidates] = True
+    is_candidate = lattice.flags(candidates)
     leaf_ids = lattice.leaf_cluster[masks]
     minimal = is_candidate[leaf_ids]
     strict_submask = ((masks[None, :] & masks[:, None]) == masks[None, :]) & (
@@ -186,9 +189,8 @@ def find_critical_clusters(problems: ProblemClusters) -> CriticalClusters:
     # splitting equally on ties. The (mask, leaf) pairs are summed in
     # ascending mask then leaf order.
     n_min = minimal.sum(axis=0)
-    leaf = agg.leaf
-    leaf_problems = leaf.problems.astype(np.float64)
-    leaf_sessions = leaf.sessions.astype(np.float64)
+    leaf_problems = agg.leaf_problems.astype(np.float64)
+    leaf_sessions = agg.leaf_sessions.astype(np.float64)
     share = np.where(n_min > 0, 1.0 / np.maximum(n_min, 1), 0.0)
     row, col = np.nonzero(minimal)
     ids, slot = np.unique(leaf_ids[row, col], return_inverse=True)

@@ -59,18 +59,28 @@ def find_hierarchical_heavy_hitters(
     descendants (each descendant discounted once via leaf-level
     bookkeeping: a leaf's problems are claimed by the deepest reported
     cluster containing it).
+
+    Needs the whole lattice (as :func:`~repro.core.aggregation.aggregate_epoch`
+    builds it): a heavy hitter's discounted count can clear ``phi``
+    while its session count is below any §3.1 floor, so an aggregate
+    over an iceberg lattice raises ``ValueError``.
     """
     config = config or HHHConfig()
+    lattice = agg.lattice
+    if lattice.floor > 1:
+        raise ValueError(
+            f"HHH needs the whole lattice; this one was built for a "
+            f"floor of {lattice.floor} sessions"
+        )
     total = agg.total_problems
     if total == 0:
         return []
     threshold = config.phi * total
 
     full = agg.codec.full_mask
-    leaf = agg.leaf
     # Unclaimed problem mass per leaf; claimed mass is removed as soon
     # as a descendant cluster is reported.
-    unclaimed = leaf.problems.astype(np.float64).copy()
+    unclaimed = agg.leaf_problems.astype(np.float64).copy()
 
     hitters: list[HeavyHitter] = []
     masks_by_depth = sorted(range(1, full + 1), key=popcount, reverse=True)
@@ -89,18 +99,17 @@ def find_hierarchical_heavy_hitters(
             # deeper levels now discount their leaves.
             apply_claims()
             current_depth = depth
-        mask_agg = agg.per_mask[m]
-        idx = agg.lattice.leaf_cluster[m] - agg.lattice.span(m).start
-        discounted = np.zeros(mask_agg.keys.size, dtype=np.float64)
+        span = lattice.span(m)
+        idx = lattice.leaf_cluster[m] - span.start
+        discounted = np.zeros(span.stop - span.start, dtype=np.float64)
         np.add.at(discounted, idx, unclaimed)
         hits = np.nonzero(discounted >= threshold)[0]
         for j in hits:
-            key = agg.decode(m, int(mask_agg.keys[j]))
             hitters.append(
                 HeavyHitter(
-                    key=key,
+                    key=lattice.key_of(span.start + int(j)),
                     discounted_problems=float(discounted[j]),
-                    raw_problems=int(mask_agg.problems[j]),
+                    raw_problems=int(agg.problems[span.start + j]),
                 )
             )
             pending_claims.append(np.nonzero(idx == j)[0])

@@ -15,37 +15,46 @@ building is one pack plus one ``np.unique`` and appending a chunk is
 one sorted leaf merge plus a ``row_to_leaf`` remap.
 
 **Epoch level** (:class:`EpochClusterView`, built once per epoch and
-shared by every metric): the cluster lattice of the epoch's *active*
-leaves. Masks are visited from fine to coarse; each one projects the
-smallest one-attribute-finer mask's keys with one ``np.unique``, which
-yields the sorted cluster keys, the finer -> coarser fold index and
-(composed with the finer mask's) each leaf's cluster on the mask. The
-tables are exactly the clusters a direct per-epoch
-:func:`~repro.core.aggregation.aggregate_epoch` would enumerate, and
-each ``np.unique`` runs over a cluster table, never over the epoch's
-rows. They are then laid out flat as one
-:class:`~repro.core.aggregation.EpochLattice`: every cluster gets an
-id in ``(mask, key)`` order and every leaf one id per mask, which is
-what lets the detectors work on whole-lattice arrays.
+shared by every metric): the *iceberg* lattice of the epoch's active
+leaves — only the clusters with at least ``floor`` sessions, where the
+floor is the smallest §3.1 session floor of the (config, metric) pairs
+the view serves (floor 1 keeps the whole lattice through the same
+code). A cluster's sessions are a subset of its parent's, so the kept
+clusters are closed under coarsening, and every metric's valid
+sessions are a subset of all sessions, so no cluster a detector can
+find significant is pruned. Masks are built coarse to fine: each
+mask's candidates are the leaves under the kept clusters of one
+one-attribute-coarser parent, grouped by (parent cluster, code of the
+added attribute) with one dense ``bincount``; a mask with a parent that
+kept nothing is skipped, and only the kept keys are sorted. The result
+is laid out flat as one :class:`~repro.core.aggregation.EpochLattice`:
+every kept cluster gets an id in ``(mask, key)`` order and every leaf
+one id per mask (-1 where its cluster was pruned), which is what lets
+the detectors work on whole-lattice arrays.
 
 With a view, aggregating one (epoch, metric) unit collapses to two
-``np.bincount`` calls at the leaf level plus two per mask, folded down
-the lattice from the cheapest finer mask. The resulting aggregates may
-retain leaf combinations whose sessions are all invalid for the metric
-(the direct path drops them); such zero-count clusters can never be
-problem clusters, never disqualify an ancestor, and never receive
-attribution, so problem/critical outputs are identical to the direct
-per-epoch reference (pinned by
-``tests/property/test_parallel_equivalence.py``).
+``np.bincount`` calls at the leaf level plus the *residual fold*: a
+kept cluster's count is the sum of its kept children on one finer mask
+plus the leaves under its pruned children there, one ``bincount`` per
+popcount level, fine to coarse. On the kept clusters the counts equal
+the direct per-epoch :func:`~repro.core.aggregation.aggregate_epoch`.
+The direct path also holds every cluster below the floor, which no
+detector at or above the floor reads, and drops leaf combinations
+whose sessions are all invalid for the metric, which the view keeps
+with zero counts; zero-count clusters can never be problem clusters,
+never disqualify an ancestor, and never receive attribution. So
+problem/critical outputs are identical to the direct per-epoch
+reference (pinned by ``tests/property/test_parallel_equivalence.py``
+and ``tests/core/test_detector_oracle.py``).
 
 Memory footprint: the trace level holds ``n_leaves * 8`` bytes of leaf
 keys, ``n_rows * 4`` bytes of row -> leaf inverse and one byte per row
 per cached metric mask (:meth:`TraceClusterIndex.memory_bytes`). A view
-holds its active cluster keys (8 bytes each) and one representative
-leaf per cluster (4 bytes), each mask's fold index over its source's
-clusters (4 bytes per entry) and an int32 ``(n_masks + 1) x n_leaves``
-leaf -> cluster matrix over the epoch's active leaves, and is dropped
-with its epoch.
+holds its kept cluster keys (8 bytes each) and one representative leaf
+per cluster (4 bytes), the residual fold's index arrays (one entry per
+kept child and residual leaf) and an int32 ``(n_masks + 1) x n_leaves``
+leaf -> cluster matrix over the epoch's active leaves; each count
+vector is one int64 per kept cluster. It is dropped with its epoch.
 """
 
 from __future__ import annotations
@@ -84,22 +93,11 @@ def _merge_sorted_unique(
     return merged, old_to_new
 
 
-@functools.lru_cache(maxsize=None)
-def _fold_order(n_attrs: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """Every mask but the full one, fine to coarse (each after all its
-    one-attribute-finer masks), with those finer masks."""
-    full = (1 << n_attrs) - 1
-    return tuple(
-        (m, tuple(m | 1 << i for i in range(n_attrs) if not m >> i & 1))
-        for m in sorted(range(1, full), key=popcount, reverse=True)
-    )
-
-
 class TraceClusterIndex:
     """Leaf universe of one :class:`SessionTable`.
 
-    Build once with :meth:`build`, then call :meth:`epoch_view` (or
-    :meth:`aggregate` directly) for any rows subset of the same table.
+    Build once with :meth:`build`, then call :meth:`epoch_view` for any
+    rows subset of the same table.
     The index snapshots the table's vocabularies through its
     :class:`KeyCodec`, so decoded cluster identities are stable across
     epochs.
@@ -206,7 +204,6 @@ class TraceClusterIndex:
             self.leaf_keys = fresh.leaf_keys
             self.row_to_leaf = fresh.row_to_leaf
         else:
-            self.codec.note_vocab_growth()
             self._append_keys(rows)
         return rows
 
@@ -335,26 +332,32 @@ class TraceClusterIndex:
     # ------------------------------------------------------------------
     # Per-epoch reduction
     # ------------------------------------------------------------------
-    def epoch_view(self, rows: np.ndarray, epoch: int = 0) -> "EpochClusterView":
-        """The cluster lattice of the epoch's active leaves, shared by
-        every metric analysed over the same ``rows``."""
-        return EpochClusterView(self, rows, epoch=epoch)
+    def epoch_view(
+        self, rows: np.ndarray, epoch: int = 0, floor: int = 1
+    ) -> "EpochClusterView":
+        """The lattice of the epoch's clusters with at least ``floor``
+        sessions, shared by every metric analysed over the same
+        ``rows`` whose session floor is ``floor`` or more."""
+        return EpochClusterView(self, rows, epoch=epoch, floor=floor)
 
 
 class EpochClusterView:
-    """The cluster lattice of one epoch's active leaves.
+    """The iceberg cluster lattice of one epoch's active leaves.
 
-    Holds the epoch's :class:`~repro.core.aggregation.EpochLattice`
-    (every active cluster of every non-empty mask, flat, with each
-    leaf's cluster id per mask) and the fold plan that sums leaf counts
-    down it: for every mask but the leaves, the finer mask its counts
-    fold from (``fold_source``, in fold order) and that mask's cluster
-    -> cluster fold index.
+    Holds the epoch's :class:`~repro.core.aggregation.EpochLattice`,
+    built for a session ``floor``: only the clusters with at least
+    ``floor`` sessions are kept, and each leaf's cluster id per mask is
+    -1 where its cluster was pruned. Also holds the level-by-level
+    residual fold that sums any per-leaf count vector into the kept
+    clusters.
 
     The view is metric-independent: aggregate each metric over the same
-    epoch with :meth:`aggregate`. Every aggregate carries the view's
-    lattice, so the problem/critical detectors of every metric and
-    config share its ids and memoised keys.
+    epoch with :meth:`aggregate`. Every metric's valid sessions are a
+    subset of the epoch's sessions, so a view built for the smallest
+    floor any (config, metric) pair resolves to serves all of them.
+    Every aggregate carries the view's lattice, so the problem/critical
+    detectors of every metric and config share its ids and memoised
+    keys.
     """
 
     __slots__ = (
@@ -363,62 +366,30 @@ class EpochClusterView:
         "rows",
         "row_leaf_local",
         "lattice",
-        "fold_source",
-        "_fold_plan",
+        "_levels",
         "_metric_sessions",
     )
 
     def __init__(
-        self, index: TraceClusterIndex, rows: np.ndarray, epoch: int = 0
+        self,
+        index: TraceClusterIndex,
+        rows: np.ndarray,
+        epoch: int = 0,
+        floor: int = 1,
     ) -> None:
         self.index = index
         self.epoch = epoch
         rows = np.asarray(rows)
         self.rows = rows
 
-        leaf_ids, row_leaf_local = np.unique(
-            index.row_to_leaf[rows], return_inverse=True
+        leaf_ids, row_leaf_local, leaf_rows = np.unique(
+            index.row_to_leaf[rows], return_inverse=True, return_counts=True
         )
         self.row_leaf_local = row_leaf_local.astype(np.int32, copy=False)
-
-        codec = index.codec
-        full = codec.full_mask
-        field_masks = codec.field_masks()
-        local = np.arange(leaf_ids.size, dtype=np.int32)
-        keys: dict[int, np.ndarray] = {full: index.leaf_keys[leaf_ids]}
-        reps: dict[int, np.ndarray] = {full: local}
-        # Rows hold mask-local cluster positions until flatten() shifts
-        # them to cluster ids.
-        leaf_cluster = np.empty((full + 1, leaf_ids.size), dtype=np.int32)
-        leaf_cluster[full] = local
-        fold_source: dict[int, int] = {}
-        fold_index: dict[int, np.ndarray] = {}
-        # Each mask projects the finer mask with the fewest active
-        # clusters; any finer source gives the same keys and the same
-        # int64-exact fold sums.
-        for m, finer in _fold_order(codec.n_attrs):
-            src = min(finer, key=lambda f: keys[f].size)
-            keys[m], inverse = np.unique(
-                keys[src] & field_masks[m], return_inverse=True
-            )
-            # A leaf of any source cluster represents its projection
-            # (scattered through the intp inverse: no index conversion).
-            reps[m] = np.empty(keys[m].size, dtype=np.int32)
-            reps[m][inverse] = reps[src]
-            inverse = inverse.astype(np.int32, copy=False)
-            np.take(inverse, leaf_cluster[src], out=leaf_cluster[m])
-            fold_source[m] = src
-            fold_index[m] = inverse
-        masks = range(1, full + 1)
-        self.lattice = EpochLattice.flatten(
-            codec, [keys[m] for m in masks], [reps[m] for m in masks], leaf_cluster
+        self.lattice, covered = _build_iceberg(
+            index.codec, index.leaf_keys[leaf_ids], leaf_rows, floor
         )
-        self.fold_source = fold_source
-        bounds = self.lattice.starts.tolist()
-        self._fold_plan = [
-            (bounds[m], bounds[m + 1], bounds[src], bounds[src + 1], fold_index[m])
-            for m, src in fold_source.items()
-        ]
+        self._levels = _residual_levels(self.lattice, covered)
         self._metric_sessions: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     @property
@@ -426,22 +397,23 @@ class EpochClusterView:
         return self.lattice.n_leaves
 
     def keys(self, mask: int) -> np.ndarray:
-        """Sorted packed keys of the epoch's active clusters of ``mask``."""
+        """Sorted packed keys of the epoch's kept clusters of ``mask``."""
         return self.lattice.keys[self.lattice.span(mask)]
 
     def _fold(self, leaf_counts: np.ndarray) -> np.ndarray:
-        """Per-cluster counts, folded down the lattice from leaves.
+        """Per-cluster counts of a per-leaf count vector.
 
-        Counts stay int64-exact: bincount's float64 weights are exact
-        for values < 2^53.
+        Levels run fine to coarse, so a cluster's kept children on its
+        fold mask are complete before it sums them with its residual
+        leaves. Counts stay int64-exact: bincount's float64 weights are
+        exact for values < 2^53.
         """
-        counts = np.empty(self.lattice.n_clusters, dtype=np.int64)
-        counts[self.lattice.span(self.index.codec.full_mask)] = leaf_counts
-        for lo, hi, src_lo, src_hi, fold_index in self._fold_plan:
-            counts[lo:hi] = np.bincount(
-                fold_index, weights=counts[src_lo:src_hi], minlength=hi - lo
-            )
-        return counts
+        n = self.lattice.n_clusters
+        counts = np.zeros(n, dtype=np.float64)
+        for dst, children, residual in self._levels:
+            weights = np.concatenate((counts[children], leaf_counts[residual]))
+            counts += np.bincount(dst, weights=weights, minlength=n)
+        return counts.astype(np.int64)
 
     def _metric_session_folds(
         self, metric: QualityMetric
@@ -470,15 +442,16 @@ class EpochClusterView:
     ) -> EpochAggregate:
         """Aggregate this epoch's rows for one metric.
 
-        Output-equivalent to :func:`repro.core.aggregation.aggregate_epoch`
-        over the same rows, except leaf combinations with no *valid*
-        session for the metric are retained with zero counts (the
-        direct path drops them) — which downstream detection provably
-        ignores. Two leaf-level bincounts plus two per mask, folded
-        down the lattice; no per-epoch key packing at all. The
+        On every cluster the view keeps, the counts equal
+        :func:`repro.core.aggregation.aggregate_epoch` over the same
+        rows. The direct path also holds the clusters below the view's
+        floor and drops clusters with no *valid* session for the metric,
+        which the view keeps with zero counts; detection at any floor
+        at or above the view's reads neither. Two leaf-level bincounts
+        plus the residual fold; no per-epoch key packing at all. The
         threshold-independent half (validity and session counts) is
         cached per metric, so re-aggregating the same epoch under new
-        thresholds pays only the problem-count bincounts.
+        thresholds pays only the problem counts.
         """
         leaf_sessions, sessions = self._metric_session_folds(metric)
         problem = self.index.problem_mask(metric, thresholds)[self.rows]
@@ -492,6 +465,158 @@ class EpochClusterView:
             lattice=self.lattice,
             sessions=sessions,
             problems=self._fold(leaf_problems),
-            total_sessions=int(leaf_sessions.sum()),
-            total_problems=int(leaf_problems.sum()),
+            leaf_sessions=leaf_sessions,
+            leaf_problems=leaf_problems,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _links(n_attrs: int) -> tuple[tuple, tuple]:
+    """Per mask (indexed by mask): its one-attribute-coarser parents as
+    (parent, added attribute) pairs, and its one-attribute-finer
+    children."""
+    masks = range(1 << n_attrs)
+    parents = tuple(
+        tuple((m ^ 1 << i, i) for i in range(n_attrs) if m >> i & 1) for m in masks
+    )
+    children = tuple(
+        tuple(m | 1 << i for i in range(n_attrs) if not m >> i & 1) for m in masks
+    )
+    return parents, children
+
+
+def _build_iceberg(
+    codec: KeyCodec, leaf_keys: np.ndarray, leaf_rows: np.ndarray, floor: int
+) -> tuple[EpochLattice, list[np.ndarray]]:
+    """The lattice of the clusters with at least ``floor`` sessions.
+
+    ``leaf_keys`` are the epoch's sorted leaf keys and ``leaf_rows``
+    their session counts. Masks are visited in ascending order, so each
+    mask's one-attribute-coarser parents are done before it. A mask is
+    skipped when a parent kept no cluster (each of its clusters would
+    lie under a pruned one). Otherwise its candidates are the leaves
+    under the kept clusters of one parent, grouped by (parent cluster,
+    code of the added attribute) with one dense ``bincount``; the
+    parent is the one that minimises the elements that ``bincount``
+    touches (its covered leaves plus kept clusters x the added
+    attribute's codes). Only the kept keys are sorted.
+
+    Also returns, per mask, the leaves under its kept clusters (its
+    *covered* leaves, ascending), which the residual fold reads.
+    """
+    n_attrs = codec.n_attrs
+    full = codec.full_mask
+    offsets = codec.offsets.tolist()
+    n_leaves = leaf_keys.size
+    codes = [
+        (leaf_keys >> offsets[i]) & ((1 << int(codec.widths[i])) - 1)
+        for i in range(n_attrs)
+    ]
+    n_codes = [int(c.max()) + 1 if n_leaves else 1 for c in codes]
+    weights = leaf_rows.astype(np.float64)
+
+    none = np.empty(0, dtype=np.intp)
+    root = n_leaves > 0 and int(leaf_rows.sum()) >= floor
+    # Per mask: the kept keys, the covered leaves and each covered
+    # leaf's cluster position within the mask. Mask 0 is the root.
+    size = [0] * (full + 1)
+    size[0] = int(root)
+    keys = [np.zeros(size[0], dtype=np.int64)] + [np.empty(0, np.int64)] * full
+    covered = [np.arange(n_leaves) if root else none] + [none] * full
+    local = [np.zeros(n_leaves if root else 0, dtype=np.intp)] + [none] * full
+    leaf_cluster = np.full((full + 1, n_leaves), -1, dtype=np.int32)
+    starts = [0, 0]
+    reps = []
+    parents_of, children_of = _links(n_attrs)
+    for m, parents in enumerate(parents_of[1:], start=1):
+        starts.append(starts[-1])
+        for q, _ in parents_of[m - 1]:
+            if children_of[q][-1] == m - 1:
+                local[q] = none  # every child of q is built
+        if not all(size[p] for p, _ in parents):
+            continue
+        p, i = min(
+            parents, key=lambda pi: covered[pi[0]].size + size[pi[0]] * n_codes[pi[1]]
+        )
+        cand = covered[p]
+        group = local[p] * n_codes[i] + codes[i][cand]
+        counts = np.bincount(
+            group, weights=weights[cand], minlength=size[p] * n_codes[i]
+        )
+        kept = np.flatnonzero(counts >= floor)
+        if not kept.size:
+            continue
+        unsorted = keys[p][kept // n_codes[i]] | (kept % n_codes[i]) << offsets[i]
+        order = np.argsort(unsorted)
+        slot = np.full(counts.size, -1, dtype=np.intp)
+        slot[kept[order]] = np.arange(kept.size)
+        pos = slot[group]
+        inside = pos >= 0
+        if not inside.all():
+            cand, pos = cand[inside], pos[inside]
+        size[m], keys[m], covered[m], local[m] = kept.size, unsorted[order], cand, pos
+        starts[-1] += kept.size
+        leaf_cluster[m, cand] = pos + starts[m]
+        rep = np.empty(kept.size, dtype=np.int32)
+        rep[pos] = cand
+        reps.append(rep)
+    lattice = EpochLattice(
+        codec,
+        np.concatenate(keys[1:]),
+        np.array(starts, dtype=np.int64),
+        leaf_cluster,
+        np.concatenate(reps) if reps else np.empty(0, dtype=np.int32),
+        floor=floor,
+    )
+    return lattice, covered
+
+
+def _residual_levels(
+    lattice: EpochLattice, covered: list[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The residual fold, one ``(dst, children, residual)`` per level.
+
+    A kept cluster's count is the sum of its kept children on one
+    one-attribute-finer mask ``f`` plus the leaves under its pruned
+    children there. A leaf covered on ``f`` is covered on ``m``, so
+    those residual leaves number ``covered(m) - covered(f)`` and ``f``
+    is chosen to minimise kept children plus residual leaves without a
+    pass over the leaves (no finer mask with a kept cluster: every
+    covered leaf is residual). Levels are popcounts, finest first; each
+    one sums the kept clusters ``children`` and the leaves ``residual``
+    into the cluster ids ``dst`` (children first, then leaves).
+    """
+    leaf_cluster = lattice.leaf_cluster
+    rep_leaf = lattice.rep_leaf
+    n_attrs = lattice.codec.n_attrs
+    children = _links(n_attrs)[1]
+    starts = lattice.starts.tolist()
+    size = [hi - lo for lo, hi in zip(starts, starts[1:])]
+    none = np.empty(0, dtype=np.intp)
+    levels = []
+    for depth in range(n_attrs, 0, -1):
+        child_dst, kids, residual_dst, residual = [], [], [], []
+        for m in range(1, len(size)):
+            if not size[m] or popcount(m) != depth:
+                continue
+            leaves = covered[m]
+            finer = [f for f in children[m] if size[f]]
+            if finer:
+                f = min(finer, key=lambda f: size[f] - covered[f].size)
+                ids = np.arange(starts[f], starts[f + 1])
+                child_dst.append(leaf_cluster[m, rep_leaf[ids]])
+                kids.append(ids)
+                if covered[f].size == leaves.size:
+                    continue
+                leaves = leaves[leaf_cluster[f, leaves] < 0]
+            residual_dst.append(leaf_cluster[m, leaves])
+            residual.append(leaves)
+        if child_dst or residual_dst:
+            levels.append(
+                (
+                    np.concatenate(child_dst + residual_dst),
+                    np.concatenate(kids + [none]),
+                    np.concatenate(residual + [none]),
+                )
+            )
+    return levels

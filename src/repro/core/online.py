@@ -36,7 +36,7 @@ from repro.core.critical import find_critical_clusters
 from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
-from repro.core.substrate import StreamingSubstrate
+from repro.core.substrate import StreamingSubstrate, epoch_floor
 from repro.obs import current_metrics, current_tracer
 
 
@@ -212,7 +212,10 @@ class OnlineDetector:
         stream = self._resolve_stream(table)
         if stream is not None:
             new_rows = stream.append(table.select(rows))
-            view = stream.epoch_view(new_rows, epoch=epoch)
+            floor = epoch_floor(
+                stream.index, new_rows, [(self.problem_config, self.metric)]
+            )
+            view = stream.epoch_view(new_rows, epoch=epoch, floor=floor)
             agg = view.aggregate(self.metric, thresholds=self.thresholds)
         else:
             agg = aggregate_epoch(

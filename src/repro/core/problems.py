@@ -12,7 +12,12 @@ ids of the aggregate's :class:`~repro.core.aggregation.EpochLattice`
 plus one flag per cluster id, which the critical-cluster detector reads
 whole. Detection is one predicate call over the lattice's significant
 clusters; coverage is one gather of the flags through each problem
-mask's leaf -> cluster row.
+mask's leaf -> cluster row, summing the aggregate's per-leaf problem
+counts. The lattice may be an iceberg that pruned the clusters below
+its floor: the flags carry one trailing ``False`` slot, which is what a
+pruned (-1) leaf -> cluster entry reads, and a config whose floor is
+below the lattice's raises ``ValueError``
+(:meth:`~repro.core.aggregation.EpochAggregate.significant`).
 """
 
 from __future__ import annotations
@@ -126,7 +131,9 @@ class ProblemClusters:
 
     ``significant`` holds the sorted ids of the clusters at or above the
     session floor, ``ids`` the sorted ids of the problem clusters and
-    ``is_problem`` one flag per cluster id of ``agg.lattice``.
+    ``is_problem`` one flag per cluster id of ``agg.lattice`` plus the
+    trailing ``False`` slot (:meth:`EpochLattice.flags
+    <repro.core.aggregation.EpochLattice.flags>`).
     """
 
     __slots__ = (
@@ -155,8 +162,7 @@ class ProblemClusters:
         self.ratio_threshold = ratio_threshold
         self.significant = significant
         self.ids = ids
-        self.is_problem = np.zeros(agg.lattice.n_clusters, dtype=bool)
-        self.is_problem[ids] = True
+        self.is_problem = agg.lattice.flags(ids)
         self._covered_leaves: np.ndarray | None = None
 
     @property
@@ -225,7 +231,7 @@ class ProblemClusters:
     @property
     def covered_problem_sessions(self) -> int:
         """Problem sessions belonging to at least one problem cluster."""
-        return int(self.agg.leaf.problems[self.covered_leaves].sum())
+        return int(self.agg.leaf_problems[self.covered_leaves].sum())
 
     @property
     def coverage(self) -> float:

@@ -66,7 +66,8 @@ from repro.core.pipeline import (
     resolve_worker_count,
 )
 from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
-from repro.core.problems import find_problem_clusters
+from repro.core.metrics import QualityMetric
+from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import METRIC_COLUMNS, Session, SessionTable, grow_append
 from repro.obs import current_tracer
 
@@ -292,10 +293,10 @@ class StreamingSubstrate:
             for e in range(self.grid.n_epochs)
         ]
 
-    def epoch_view(self, rows: np.ndarray, epoch: int = 0):
-        """Per-epoch cluster view over ``rows`` — the same reduction
-        path the batch engine uses."""
-        return self.index.epoch_view(rows, epoch=epoch)
+    def epoch_view(self, rows: np.ndarray, epoch: int = 0, floor: int = 1):
+        """Per-epoch cluster view over ``rows`` at session floor
+        ``floor`` — the same reduction path the batch engine uses."""
+        return self.index.epoch_view(rows, epoch=epoch, floor=floor)
 
     def as_substrate(self) -> AnalysisSubstrate:
         """Snapshot the current state as a batch substrate (shared
@@ -336,6 +337,30 @@ class StreamingSubstrate:
         return int(total)
 
 
+def epoch_floor(
+    index: TraceClusterIndex,
+    rows: np.ndarray,
+    served: Iterable[tuple[ProblemClusterConfig, QualityMetric]],
+) -> int:
+    """The smallest session floor of the served (problem config,
+    metric) pairs on the epoch ``rows``.
+
+    Each pair's floor is resolved on the metric's valid-session count
+    in ``rows``, as :func:`~repro.core.problems.find_problem_clusters`
+    resolves it from the aggregate, so an epoch view built for the
+    result serves every pair.
+    """
+    n_valid: dict[str, int] = {}
+    floors = []
+    for config, metric in served:
+        if metric.name not in n_valid:
+            n_valid[metric.name] = int(
+                np.count_nonzero(index.valid_mask(metric)[rows])
+            )
+        floors.append(config.resolve_min_sessions(n_valid[metric.name]))
+    return min(floors, default=1)
+
+
 def _sweep_epoch(
     index: TraceClusterIndex,
     configs: Sequence[AnalysisConfig],
@@ -346,14 +371,18 @@ def _sweep_epoch(
 
     The only unit of analysis work: the serial loop and the process
     pool both run it, which is what guarantees serial/parallel
-    equality. One :class:`EpochClusterView` serves every config; the
-    view caches session folds per metric, and distinct (metric,
+    equality. One :class:`EpochClusterView`, built for the smallest
+    session floor of every (config, metric) pair, serves every config;
+    the view caches session folds per metric, and distinct (metric,
     thresholds) pairs share one aggregate through ``agg_cache``, so a
-    thresholds variant pays only its problem-count bincounts and the
+    thresholds variant pays only its problem-count fold and the
     problem/critical detectors.
     """
     t0 = time.perf_counter()
-    view = index.epoch_view(rows, epoch=epoch)
+    served = [(c.problem_config, m) for c in configs for m in c.metrics]
+    view = index.epoch_view(
+        rows, epoch=epoch, floor=epoch_floor(index, rows, served)
+    )
     view_share = (time.perf_counter() - t0) / len(configs)
 
     agg_cache: dict = {}

@@ -37,7 +37,7 @@ from repro.core.index import TraceClusterIndex
 from repro.core.metrics import MetricThresholds, metric_by_name
 from repro.core.pipeline import AnalysisConfig, analyze_trace
 from repro.core.problems import ProblemClusterConfig
-from repro.core.substrate import analyze_sweep
+from repro.core.substrate import analyze_sweep, epoch_floor
 from repro.core.streaks import (
     max_persistence_values,
     median_persistence_values,
@@ -730,12 +730,16 @@ def run_ablation_epoch_length(ctx: ExperimentContext) -> ExperimentResult:
 def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
     """Pipeline throughput and per-phase seconds vs per-epoch volume.
 
-    Each row also reports the epoch lattice's mean active cluster count,
-    so a phase that grows faster than the lattice the detectors work on
-    shows as rising seconds per cluster.
+    Each row also reports the epoch lattice's mean active cluster count
+    (the whole lattice, floor 1) and the mean count the analysis keeps
+    (the iceberg at the session floor ``analyze_trace`` builds its
+    views for), so a phase that grows faster than the lattice the
+    detectors work on shows as rising seconds per cluster.
     """
     import time
 
+    config = AnalysisConfig()
+    served = [(config.problem_config, metric) for metric in config.metrics]
     rows = []
     data = {}
     for per_epoch in (500, 2000, 8000, 32000):
@@ -755,6 +759,11 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
         clusters = round(float(np.mean(
             [index.epoch_view(r).lattice.n_clusters for r in per_epoch_rows]
         )))
+        kept = round(float(np.mean([
+            index.epoch_view(r, floor=epoch_floor(index, r, served))
+            .lattice.n_clusters
+            for r in per_epoch_rows
+        ])))
         throughput = trace.n_sessions / elapsed
         phases = {
             "pack_s": timings.pack_s,
@@ -762,19 +771,20 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
             "problems_s": timings.problems_s,
             "critical_s": timings.critical_s,
         }
-        rows.append([per_epoch, trace.n_sessions, clusters, elapsed, throughput,
-                     *phases.values()])
+        rows.append([per_epoch, trace.n_sessions, clusters, kept, elapsed,
+                     throughput, *phases.values()])
         data[per_epoch] = {
             "sessions": trace.n_sessions,
             "clusters_per_epoch": clusters,
+            "kept_clusters_per_epoch": kept,
             "seconds": elapsed,
             "sessions_per_second": throughput,
             **phases,
         }
     text = render_table(
         ["Sessions/epoch", "Total sessions", "Clusters/epoch",
-         "Analysis seconds", "Sessions/second", "Pack s", "Aggregate s",
-         "Problems s", "Critical s"],
+         "Kept clusters/epoch", "Analysis seconds", "Sessions/second",
+         "Pack s", "Aggregate s", "Problems s", "Critical s"],
         rows,
         title="Ablation — analysis throughput vs trace volume",
     )

@@ -2,9 +2,10 @@
 
 :mod:`repro.core.problems` and :mod:`repro.core.critical` run on
 whole-lattice arrays. This module is the readable per-mask formulation
-they replaced, kept as the test oracle. It reads only
-``agg.per_mask`` and ``agg.leaf`` and projects keys with
-``searchsorted``, one mask at a time:
+they replaced, kept as the test oracle. It reads the whole lattice
+(floor 1, as :func:`~repro.core.aggregation.aggregate_epoch` builds
+it) one mask at a time through a local slicer, treats the full mask's
+clusters as the leaves, and projects keys with ``searchsorted``:
 
 * problem flags: one predicate call over every mask's significant
   clusters, scattered back into per-mask flag arrays;
@@ -42,10 +43,34 @@ class ReferenceDetection:
     unattributed_problem_sessions: float
 
 
-def _project(agg: EpochAggregate, fine: int, coarse: int) -> np.ndarray:
+@dataclass(frozen=True)
+class MaskSlice:
+    """One mask's clusters: sorted keys and their counts."""
+
+    keys: np.ndarray
+    sessions: np.ndarray
+    problems: np.ndarray
+
+
+def mask_slices(agg: EpochAggregate) -> dict[int, MaskSlice]:
+    """Every non-empty mask's clusters, as zero-copy slices of the flat
+    lattice. Only a whole lattice has every cluster to slice."""
+    assert agg.lattice.floor == 1, "the reference reads the whole lattice"
+    slices = {}
+    for m in range(1, agg.codec.full_mask + 1):
+        span = agg.lattice.span(m)
+        slices[m] = MaskSlice(
+            agg.lattice.keys[span], agg.sessions[span], agg.problems[span]
+        )
+    return slices
+
+
+def _project(
+    per: dict[int, MaskSlice], agg: EpochAggregate, fine: int, coarse: int
+) -> np.ndarray:
     """Positions of mask ``fine``'s clusters within mask ``coarse``'s keys."""
-    proj = agg.per_mask[fine].keys & agg.codec.field_masks()[coarse]
-    return np.searchsorted(agg.per_mask[coarse].keys, proj)
+    proj = per[fine].keys & agg.codec.field_masks()[coarse]
+    return np.searchsorted(per[coarse].keys, proj)
 
 
 def reference_detect(
@@ -54,6 +79,7 @@ def reference_detect(
     config = config or ProblemClusterConfig()
     codec = agg.codec
     full = codec.full_mask
+    per = mask_slices(agg)
     masks = range(1, full + 1)
     min_sessions = config.resolve_min_sessions(agg.total_sessions)
     ratio_threshold = config.ratio_multiplier * agg.global_ratio
@@ -71,11 +97,11 @@ def reference_detect(
 
     # -- problem clusters (paper 3.1) ----------------------------------
     significant = {
-        m: np.nonzero(agg.per_mask[m].sessions >= min_sessions)[0] for m in masks
+        m: np.nonzero(per[m].sessions >= min_sessions)[0] for m in masks
     }
     ok_flat = predicate(
-        np.concatenate([agg.per_mask[m].sessions[significant[m]] for m in masks]),
-        np.concatenate([agg.per_mask[m].problems[significant[m]] for m in masks]),
+        np.concatenate([per[m].sessions[significant[m]] for m in masks]),
+        np.concatenate([per[m].problems[significant[m]] for m in masks]),
     )
     is_problem: dict[int, np.ndarray] = {}
     problem_rows: dict[int, np.ndarray] = {}
@@ -84,22 +110,22 @@ def reference_detect(
         sig = significant[m]
         ok = ok_flat[start : start + sig.size]
         start += sig.size
-        flags = np.zeros(agg.per_mask[m].keys.size, dtype=bool)
+        flags = np.zeros(per[m].keys.size, dtype=bool)
         flags[sig] = ok
         is_problem[m] = flags
         problem_rows[m] = sig[ok]
     problems = {
-        (m, int(agg.per_mask[m].keys[i])): ClusterStats(
-            int(agg.per_mask[m].sessions[i]), int(agg.per_mask[m].problems[i])
+        (m, int(per[m].keys[i])): ClusterStats(
+            int(per[m].sessions[i]), int(per[m].problems[i])
         )
         for m in masks
         for i in problem_rows[m]
     }
 
-    leaf = agg.leaf
+    leaf = per[full]
     n_leaves = leaf.keys.size
     leaf_proj = {
-        m: np.searchsorted(agg.per_mask[m].keys, leaf.keys & codec.field_masks()[m])
+        m: np.searchsorted(per[m].keys, leaf.keys & codec.field_masks()[m])
         for m in masks
     }
     covered = np.zeros(n_leaves, dtype=bool)
@@ -127,7 +153,7 @@ def reference_detect(
         for i in range(codec.n_attrs):
             child = m | 1 << i
             if child != m and tainted[child].size:
-                parts.append(_project(agg, child, m)[tainted[child]])
+                parts.append(_project(per, agg, child, m)[tainted[child]])
         tainted[m] = np.unique(np.concatenate(parts))
 
     # -- ancestor removal ------------------------------------------------
@@ -136,11 +162,11 @@ def reference_detect(
         rows = problem_rows[m][~np.isin(problem_rows[m], tainted[m])]
         if rows.size == 0:
             continue
-        mask_agg = agg.per_mask[m]
+        mask_agg = per[m]
         ok = np.ones(rows.size, dtype=bool)
         for a in iter_submasks(m):
-            anc = agg.per_mask[a]
-            idx = _project(agg, m, a)[rows]
+            anc = per[a]
+            idx = _project(per, agg, m, a)[rows]
             still = is_problem[a][idx] & predicate(
                 anc.sessions[idx] - mask_agg.sessions[rows],
                 anc.problems[idx] - mask_agg.problems[rows],
@@ -152,7 +178,7 @@ def reference_detect(
     # -- minimality per leaf ---------------------------------------------
     candidate_at_leaf: dict[int, np.ndarray] = {}
     for m, rows in removal.items():
-        flags = np.zeros(agg.per_mask[m].keys.size, dtype=bool)
+        flags = np.zeros(per[m].keys.size, dtype=bool)
         flags[rows] = True
         candidate_at_leaf[m] = flags[leaf_proj[m]]
     minimal: dict[int, np.ndarray] = {}
@@ -175,7 +201,7 @@ def reference_detect(
         rows = np.nonzero(minimal[m])[0]
         if rows.size == 0:
             continue
-        mask_agg = agg.per_mask[m]
+        mask_agg = per[m]
         idx = leaf_proj[m][rows]
         prob_acc = np.zeros(mask_agg.keys.size, dtype=np.float64)
         sess_acc = np.zeros(mask_agg.keys.size, dtype=np.float64)

@@ -29,6 +29,17 @@ def agg_of(table, metric=JOIN_FAILURE):
     return aggregate_epoch(table, np.arange(len(table)), metric)
 
 
+def stats_of(agg, key: ClusterKey) -> ClusterStats | None:
+    """One cluster's counts, found by its decoded identity (``None``
+    when the lattice has no such cluster)."""
+    if key == ClusterKey.root():
+        return agg.global_stats
+    for cid in range(agg.lattice.n_clusters):
+        if agg.lattice.key_of(cid) == key:
+            return ClusterStats(int(agg.sessions[cid]), int(agg.problems[cid]))
+    return None
+
+
 class TestClusterStats:
     def test_ratio(self):
         assert ClusterStats(10, 3).ratio == pytest.approx(0.3)
@@ -54,38 +65,39 @@ class TestAggregation:
 
     def test_single_attribute_cluster_counts(self, small_table):
         agg = agg_of(small_table)
-        stats = agg.stats_of_key(ClusterKey.from_mapping({"asn": "AS1"}))
+        stats = stats_of(agg, ClusterKey.from_mapping({"asn": "AS1"}))
         assert stats == ClusterStats(10, 6)
-        stats = agg.stats_of_key(ClusterKey.from_mapping({"cdn": "cdn_b"}))
+        stats = stats_of(agg, ClusterKey.from_mapping({"cdn": "cdn_b"}))
         assert stats == ClusterStats(10, 1)
 
     def test_combination_cluster_counts(self, small_table):
         agg = agg_of(small_table)
-        stats = agg.stats_of_key(
+        stats = stats_of(agg, 
             ClusterKey.from_mapping({"asn": "AS1", "cdn": "cdn_a"})
         )
         assert stats == ClusterStats(10, 6)
 
     def test_absent_cluster_returns_none(self, small_table):
         agg = agg_of(small_table)
-        assert agg.stats_of_key(
+        assert stats_of(agg, 
             ClusterKey.from_mapping({"asn": "AS1", "cdn": "cdn_b"})
         ) is None
-        assert agg.stats_of_key(ClusterKey.from_mapping({"asn": "AS99"})) is None
+        assert stats_of(agg, ClusterKey.from_mapping({"asn": "AS99"})) is None
 
     def test_root_key_gives_global(self, small_table):
         agg = agg_of(small_table)
-        assert agg.stats_of_key(ClusterKey.root()) == agg.global_stats
+        assert stats_of(agg, ClusterKey.root()) == agg.global_stats
 
     def test_every_mask_conserves_totals(self, small_table):
         agg = agg_of(small_table)
-        for mask, mask_agg in agg.per_mask.items():
-            assert int(mask_agg.sessions.sum()) == agg.total_sessions, mask
-            assert int(mask_agg.problems.sum()) == agg.total_problems, mask
+        for mask in range(1, agg.codec.full_mask + 1):
+            span = agg.lattice.span(mask)
+            assert int(agg.sessions[span].sum()) == agg.total_sessions, mask
+            assert int(agg.problems[span].sum()) == agg.total_problems, mask
 
     def test_mask_count(self, small_table):
         agg = agg_of(small_table)
-        assert len(agg.per_mask) == (1 << 7) - 1
+        assert np.count_nonzero(np.diff(agg.lattice.starts)) == (1 << 7) - 1
 
     def test_invalid_sessions_excluded(self, small_table):
         # join time is undefined for failed joins: only 13 valid sessions
@@ -125,15 +137,18 @@ class TestKeyCodec:
 
     def test_index_of_vector(self, small_table):
         agg = agg_of(small_table)
-        leaf = agg.leaf
-        idx = leaf.index_of(leaf.keys)
-        assert idx.tolist() == list(range(len(leaf)))
+        full = agg.codec.full_mask
+        span = agg.lattice.span(full)
+        keys = agg.lattice.keys[span]
+        ids = [agg.lattice.find(full, int(k)) for k in keys]
+        assert ids == list(range(span.start, span.stop))
 
     def test_index_of_missing(self, small_table):
         agg = agg_of(small_table)
-        leaf = agg.leaf
-        missing = int(leaf.keys.max()) + 1
-        assert leaf.index_of(missing) == -1
+        full = agg.codec.full_mask
+        missing = int(agg.lattice.keys[agg.lattice.span(full)].max()) + 1
+        assert agg.lattice.find(full, missing) == -1
+        assert agg.lattice.find(0, 0) == -1
 
 
 class TestBufferingAggregation:
@@ -144,22 +159,3 @@ class TestBufferingAggregation:
         table = SessionTable.from_sessions(sessions)
         agg = agg_of(table, BUFFERING_RATIO)
         assert agg.total_problems == 2  # ratios 0.10 and 0.20
-
-
-class TestKeyCodecEncode:
-    def test_encode_key_roundtrip(self, small_table):
-        codec = KeyCodec.from_table(small_table)
-        key = ClusterKey.from_mapping({"asn": "AS1", "cdn": "cdn_a"})
-        encoded = codec.encode_key(key)
-        assert encoded is not None
-        mask, packed = encoded
-        assert codec.decode(mask, packed) == key
-
-    def test_encode_unknown_label_is_none(self, small_table):
-        codec = KeyCodec.from_table(small_table)
-        key = ClusterKey.from_mapping({"asn": "AS_nope"})
-        assert codec.encode_key(key) is None
-
-    def test_code_maps_cached(self, small_table):
-        codec = KeyCodec.from_table(small_table)
-        assert codec.code_maps() is codec.code_maps()

@@ -1,15 +1,20 @@
 """The whole-lattice detectors against the per-mask reference.
 
 Every test runs :func:`find_problem_clusters` and
-:func:`find_critical_clusters` on an aggregate and
-:func:`tests.core.detector_reference.reference_detect` on the same
-aggregate, and requires ``==`` on the problem ``(mask, key)`` list in
-order, the critical ``(mask, key) -> attribution`` items in order (the
-attribution floats bit for bit), the problem coverage and the
-unattributed problem sessions. Aggregates come from both sources: an
-:class:`~repro.core.index.EpochClusterView` and the direct
-:func:`~repro.core.aggregation.aggregate_epoch`.
+:func:`find_critical_clusters` on an aggregate, and
+:func:`tests.core.detector_reference.reference_detect` on the whole
+lattice of the direct :func:`~repro.core.aggregation.aggregate_epoch`,
+and requires ``==`` on the problem ``(mask, key)`` list in order, the
+critical ``(mask, key) -> attribution`` items in order (the attribution
+floats bit for bit), the problem coverage and the unattributed problem
+sessions. Aggregates come from both sources: an
+:class:`~repro.core.index.EpochClusterView` built at the session floor
+the config resolves to (the iceberg production builds) and the direct
+aggregate itself.
 """
+
+from dataclasses import replace
+
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, JOIN_TIME
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
+from repro.core.substrate import epoch_floor
 from tests.conftest import make_session
 from tests.core.detector_reference import reference_detect
 
@@ -32,11 +38,10 @@ REGION_SCHEMA = AttributeSchema(names=DEFAULT_SCHEMA.names + ("region",))
 LOOSE = ProblemClusterConfig(min_sessions=50, min_problems=3, significance_sigmas=0.0)
 
 
-def assert_matches_reference(agg, config):
-    """Flat detection on ``agg`` equals the per-mask reference."""
+def assert_matches_reference(agg, config, ref):
+    """Flat detection on ``agg`` equals the per-mask reference ``ref``."""
     problems = find_problem_clusters(agg, config)
     critical = find_critical_clusters(problems)
-    ref = reference_detect(agg, config)
     assert [(m, k, s) for m, k, s in problems.iter_clusters()] == [
         (m, k, s) for (m, k), s in ref.problems.items()
     ]
@@ -48,23 +53,39 @@ def assert_matches_reference(agg, config):
     return problems, critical
 
 
+def floored_view_agg(table, rows, metric, config):
+    """The view production builds for ``config``: at the session floor
+    the config resolves to on the metric's valid sessions in ``rows``."""
+    index = TraceClusterIndex.build(table)
+    floor = epoch_floor(index, rows, [(config, metric)])
+    return index.epoch_view(rows, floor=floor).aggregate(metric)
+
+
 def both_sources(table, rows, metric, config):
-    """Check both aggregate sources against the reference, and against
-    each other once decoded (the view may keep zero-count clusters the
-    direct path drops, so raw ids and keys can differ)."""
+    """Check both aggregate sources against the reference over the
+    whole direct lattice, and against each other once decoded (the two
+    lattices hold different clusters, so raw ids can differ)."""
     rows = np.asarray(rows, dtype=np.int64)
-    view_agg = TraceClusterIndex.build(table).epoch_view(rows).aggregate(metric)
+    view_agg = floored_view_agg(table, rows, metric, config)
     direct_agg = aggregate_epoch(table, rows, metric)
-    view_pc, view_cc = assert_matches_reference(view_agg, config)
-    direct_pc, direct_cc = assert_matches_reference(direct_agg, config)
+    ref = reference_detect(direct_agg, config)
+    view_pc, view_cc = assert_matches_reference(view_agg, config, ref)
+    direct_pc, direct_cc = assert_matches_reference(direct_agg, config, ref)
     assert list(view_pc.decoded().items()) == list(direct_pc.decoded().items())
     assert list(view_cc.decoded().items()) == list(direct_cc.decoded().items())
-    assert view_pc.coverage == direct_pc.coverage
-    assert (
-        view_cc.unattributed_problem_sessions
-        == direct_cc.unattributed_problem_sessions
-    )
     return direct_pc, direct_cc
+
+
+def detect(agg, config):
+    """Decoded detector output of one aggregate, for comparisons."""
+    problems = find_problem_clusters(agg, config)
+    critical = find_critical_clusters(problems)
+    return (
+        list(problems.decoded().items()),
+        problems.coverage,
+        list(critical.decoded().items()),
+        critical.unattributed_problem_sessions,
+    )
 
 
 def sessions_of(groups):
@@ -126,6 +147,23 @@ def epochs(draw):
 def test_random_epochs_match_reference(case, metric):
     table, rows, config = case
     both_sources(table, rows, metric, config)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(epochs(), st.sampled_from(ALL_METRICS), st.data())
+def test_floored_view_matches_floor_one(case, metric, data):
+    """Any floor from 1 to the epoch size serves every config at or
+    above it exactly as the whole lattice does."""
+    table, rows, config = case
+    index = TraceClusterIndex.build(table)
+    floor = data.draw(st.integers(1, max(rows.size, 1)))
+    config = replace(
+        config, min_sessions=floor + data.draw(st.integers(0, 2))
+    )
+    whole = index.epoch_view(rows).aggregate(metric)
+    floored = index.epoch_view(rows, floor=floor).aggregate(metric)
+    assert floored.lattice.n_clusters <= whole.lattice.n_clusters
+    assert detect(floored, config) == detect(whole, config)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -264,3 +302,63 @@ class TestCorners:
         assert critical.n_clusters == 7 * n_rows
         for attribution in critical.decoded().values():
             assert attribution.attributed_problems == 1 / 7
+
+    def test_pruned_leaves_never_read_the_last_cluster(self):
+        # The largest leaf key B is the last cluster id, a problem
+        # cluster and critical. Each healthy H_i differs from B on
+        # attribute i only, so it taints or dilutes every ancestor of B.
+        # The background leaves sit below the floor, so on the full
+        # mask their leaf -> cluster entry is -1: read without the
+        # trailing False slot it would alias B's flags and cover or
+        # attribute their problem sessions.
+        n_attrs = len(DEFAULT_SCHEMA)
+        groups = [((1,) * n_attrs, 100, 60)]
+        groups += [
+            (tuple(0 if j == i else 1 for j in range(n_attrs)), 100, 0)
+            for i in range(n_attrs)
+        ]
+        rng = np.random.default_rng(4)
+        background = set()
+        while len(background) < 30:
+            codes = tuple(int(c) for c in rng.integers(0, 2, n_attrs))
+            if n_attrs - sum(codes) >= 2:
+                background.add(codes)
+        groups += [(codes, 10, 1) for codes in sorted(background)]
+        codes = np.array([c for c, n, _ in groups for _ in range(n)], dtype=np.int32)
+        failed = np.array([i < f for _, n, f in groups for i in range(n)])
+        table = SessionTable(
+            schema=DEFAULT_SCHEMA,
+            vocabs=[[f"{name}{v}" for v in range(2)] for name in DEFAULT_SCHEMA.names],
+            codes=codes,
+            start_time=np.zeros(failed.size),
+            duration_s=np.where(failed, 0.0, 600.0),
+            buffering_s=np.zeros(failed.size),
+            join_time_s=np.where(failed, np.nan, 2.0),
+            bitrate_kbps=np.where(failed, np.nan, 2000.0),
+            join_failed=failed,
+        )
+        rows = np.arange(len(table))
+        both_sources(table, rows, JOIN_FAILURE, LOOSE)
+
+        agg = floored_view_agg(table, rows, JOIN_FAILURE, LOOSE)
+        lattice = agg.lattice
+        full = DEFAULT_SCHEMA.full_mask
+        last = lattice.n_clusters - 1
+        assert lattice.floor == LOOSE.min_sessions
+        assert lattice.key_of(last) == key(
+            **{name: f"{name}1" for name in DEFAULT_SCHEMA.names}
+        )
+        problems = find_problem_clusters(agg, LOOSE)
+        critical = find_critical_clusters(problems)
+        assert problems.is_problem[last] and last in critical.ids
+        assert (lattice.leaf_cluster[full] == -1).sum() == len(background)
+        assert critical.unattributed_problem_sessions == len(background)
+
+    def test_config_floor_below_the_view_is_rejected(self):
+        table = table_of([({"cdn": "bad"}, 200, 100), ({"cdn": "ok"}, 800, 30)])
+        agg = TraceClusterIndex.build(table).epoch_view(
+            np.arange(len(table)), floor=60
+        ).aggregate(JOIN_FAILURE)
+        find_problem_clusters(agg, replace(LOOSE, min_sessions=60))
+        with pytest.raises(ValueError, match="below the floor"):
+            find_problem_clusters(agg, LOOSE)

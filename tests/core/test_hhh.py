@@ -100,3 +100,19 @@ class TestDetection:
         few = find_hierarchical_heavy_hitters(agg, HHHConfig(phi=0.3))
         many = find_hierarchical_heavy_hitters(agg, HHHConfig(phi=0.02))
         assert len(many) >= len(few)
+
+    def test_iceberg_lattice_rejected(self):
+        # A heavy hitter's discounted count can clear phi below any
+        # session floor, so HHH needs the whole lattice.
+        from repro.core.index import TraceClusterIndex
+
+        table = SessionTable.from_sessions(
+            make_session(cdn="bad" if i < 100 else "ok", join_failed=i < 50)
+            for i in range(400)
+        )
+        rows = np.arange(len(table))
+        view = TraceClusterIndex.build(table).epoch_view(rows, floor=60)
+        with pytest.raises(ValueError, match="whole lattice"):
+            find_hierarchical_heavy_hitters(view.aggregate(JOIN_FAILURE))
+        whole = TraceClusterIndex.build(table).epoch_view(rows)
+        assert find_hierarchical_heavy_hitters(whole.aggregate(JOIN_FAILURE))

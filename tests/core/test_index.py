@@ -59,20 +59,42 @@ class TestBuild:
                 lattice.keys[ids], leaves & field_masks[m]
             )
 
-    def test_fold_source_is_one_attribute_finer(self, table, index):
-        view = index.epoch_view(np.arange(0, len(table), 2))
-        full = index.codec.full_mask
-        assert set(view.fold_source) == set(range(1, full))
-        folded = {full}
-        for m, src in view.fold_source.items():
-            extra = src ^ m
-            assert src & m == m and extra and (extra & (extra - 1)) == 0
-            # fold order: a source is complete before it is folded from
-            assert src in folded
-            folded.add(m)
-            finer = [m | 1 << i for i in range(index.codec.n_attrs)
-                     if not m >> i & 1]
-            assert view.keys(src).size == min(view.keys(f).size for f in finer)
+    def test_kept_iff_at_floor(self, table, index):
+        """A cluster is kept if and only if its all-sessions count is at
+        or above the floor, with each leaf's id per mask -1 exactly
+        where its floor-1 cluster is below the floor."""
+        rows = np.arange(0, len(table), 2)
+        whole_view = index.epoch_view(rows)
+        whole = whole_view.lattice
+        leaf_rows = np.bincount(whole_view.row_leaf_local)
+        counts = np.zeros(whole.n_clusters, dtype=np.int64)
+        for m in range(1, index.codec.full_mask + 1):
+            np.add.at(counts, whole.leaf_cluster[m], leaf_rows)
+        # the leaves hold 6-21 sessions and the epoch 1,000
+        for floor in (7, 12, 40, 400, 1001):
+            lattice = index.epoch_view(rows, floor=floor).lattice
+            assert lattice.floor == floor
+            kept = counts >= floor
+            assert not kept.all()
+            np.testing.assert_array_equal(lattice.keys, whole.keys[kept])
+            np.testing.assert_array_equal(
+                np.diff(lattice.starts),
+                np.bincount(
+                    whole.mask_of(np.flatnonzero(kept)),
+                    minlength=whole.starts.size - 1,
+                ),
+            )
+            # leaf -> cluster: the same cluster where kept, -1 where pruned
+            new_id = np.full(whole.n_clusters + 1, -1)
+            new_id[np.flatnonzero(kept)] = np.arange(lattice.n_clusters)
+            np.testing.assert_array_equal(
+                lattice.leaf_cluster, new_id[whole.leaf_cluster]
+            )
+            # every kept cluster's representative leaf lies under it
+            ids = np.arange(lattice.n_clusters)
+            np.testing.assert_array_equal(
+                lattice.leaf_cluster[lattice.mask_of(ids), lattice.rep_leaf], ids
+            )
 
     def test_counts(self, index, table):
         assert index.n_leaves == index.leaf_keys.size
@@ -161,16 +183,17 @@ def assert_equal_aggregates(a, b):
     whose counts are all zero, with identical counts on the shared ones."""
     assert a.total_sessions == b.total_sessions
     assert a.total_problems == b.total_problems
-    for m in a.per_mask:
-        ma, mb = a.per_mask[m], b.per_mask[m]
-        pos = np.searchsorted(mb.keys, ma.keys)
-        np.testing.assert_array_equal(mb.keys[pos], ma.keys)
-        np.testing.assert_array_equal(mb.sessions[pos], ma.sessions)
-        np.testing.assert_array_equal(mb.problems[pos], ma.problems)
-        extra = np.ones(mb.keys.size, dtype=bool)
+    for m in range(1, a.codec.full_mask + 1):
+        sa, sb = a.lattice.span(m), b.lattice.span(m)
+        keys_a, keys_b = a.lattice.keys[sa], b.lattice.keys[sb]
+        pos = np.searchsorted(keys_b, keys_a)
+        np.testing.assert_array_equal(keys_b[pos], keys_a)
+        np.testing.assert_array_equal(b.sessions[sb][pos], a.sessions[sa])
+        np.testing.assert_array_equal(b.problems[sb][pos], a.problems[sa])
+        extra = np.ones(keys_b.size, dtype=bool)
         extra[pos] = False
-        assert not mb.sessions[extra].any()
-        assert not mb.problems[extra].any()
+        assert not b.sessions[sb][extra].any()
+        assert not b.problems[sb][extra].any()
 
 
 class TestEpochViewAggregate:
@@ -196,7 +219,8 @@ class TestEpochViewAggregate:
     def test_empty_rows(self, index):
         agg = index.epoch_view(np.arange(0)).aggregate(JOIN_FAILURE)
         assert agg.total_sessions == 0
-        assert agg.leaf.keys.size == 0
+        assert agg.lattice.n_leaves == 0
+        assert agg.lattice.n_clusters == 0
 
     def test_view_project_index_local(self, index, table):
         view = index.epoch_view(np.arange(0, len(table), 3))

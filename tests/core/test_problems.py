@@ -179,7 +179,11 @@ class TestCoverage:
         )
         pc = find(table)
         recomputed = pc.counts_are_problem(pc.agg.sessions, pc.agg.problems)
-        assert np.array_equal(recomputed, pc.is_problem)
+        # One flag per cluster id plus the trailing False slot that a
+        # pruned (-1) leaf -> cluster entry reads.
+        assert pc.is_problem.size == pc.agg.lattice.n_clusters + 1
+        assert not pc.is_problem[-1]
+        assert np.array_equal(recomputed, pc.is_problem[:-1])
         assert np.array_equal(np.flatnonzero(pc.is_problem), pc.ids)
         assert pc.n_clusters > 0
 

@@ -37,9 +37,10 @@ def build_table(rows) -> SessionTable:
 def test_every_mask_conserves_totals(rows):
     table = build_table(rows)
     agg = aggregate_epoch(table, np.arange(len(table)), JOIN_FAILURE)
-    for mask_agg in agg.per_mask.values():
-        assert int(mask_agg.sessions.sum()) == agg.total_sessions
-        assert int(mask_agg.problems.sum()) == agg.total_problems
+    for m in range(1, agg.codec.full_mask + 1):
+        span = agg.lattice.span(m)
+        assert int(agg.sessions[span].sum()) == agg.total_sessions
+        assert int(agg.problems[span].sum()) == agg.total_problems
 
 
 @settings(max_examples=60, deadline=None)
@@ -47,9 +48,8 @@ def test_every_mask_conserves_totals(rows):
 def test_cluster_problems_bounded_by_sessions(rows):
     table = build_table(rows)
     agg = aggregate_epoch(table, np.arange(len(table)), JOIN_FAILURE)
-    for mask_agg in agg.per_mask.values():
-        assert (mask_agg.problems <= mask_agg.sessions).all()
-        assert (mask_agg.sessions > 0).all()
+    assert (agg.problems <= agg.sessions).all()
+    assert (agg.sessions > 0).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -60,14 +60,15 @@ def test_parent_counts_dominate_children(rows):
     agg = aggregate_epoch(table, np.arange(len(table)), JOIN_FAILURE)
     fm = agg.codec.field_masks()
     full = agg.codec.full_mask
-    leaf = agg.leaf
+    lattice = agg.lattice
+    leaf_keys = lattice.keys[lattice.span(full)]
     for m in range(1, full):
-        mask_agg = agg.per_mask[m]
-        proj = leaf.keys & fm[m]
-        idx = np.searchsorted(mask_agg.keys, proj)
+        span = lattice.span(m)
+        idx = span.start + np.searchsorted(lattice.keys[span], leaf_keys & fm[m])
+        np.testing.assert_array_equal(idx, lattice.leaf_cluster[m])
         # every leaf's count is included in its projection's count
-        assert (mask_agg.sessions[idx] >= leaf.sessions).all()
-        assert (mask_agg.problems[idx] >= leaf.problems).all()
+        assert (agg.sessions[idx] >= agg.leaf_sessions).all()
+        assert (agg.problems[idx] >= agg.leaf_problems).all()
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,6 +103,6 @@ def test_aggregation_independent_of_row_order(rows, seed):
     agg2 = aggregate_epoch(table, order, JOIN_FAILURE)
     assert agg1.total_sessions == agg2.total_sessions
     assert agg1.total_problems == agg2.total_problems
-    for m in agg1.per_mask:
-        assert np.array_equal(agg1.per_mask[m].keys, agg2.per_mask[m].keys)
-        assert np.array_equal(agg1.per_mask[m].sessions, agg2.per_mask[m].sessions)
+    assert np.array_equal(agg1.lattice.starts, agg2.lattice.starts)
+    assert np.array_equal(agg1.lattice.keys, agg2.lattice.keys)
+    assert np.array_equal(agg1.sessions, agg2.sessions)

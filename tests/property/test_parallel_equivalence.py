@@ -61,7 +61,7 @@ def reference_epoch(table, rows, metric, epoch, config) -> EpochAnalysis:
         min_sessions=problems.min_sessions,
         problem_cluster_coverage=problems.coverage,
         problem_clusters={
-            agg.decode(mask, packed): stats
+            agg.codec.decode(mask, packed): stats
             for mask, packed, stats in problems.iter_clusters()
         },
         critical_clusters=critical.decoded(),

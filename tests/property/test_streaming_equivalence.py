@@ -11,7 +11,7 @@ different computation:
   byte footprint bit-identical to a from-scratch ``build`` over the
   concatenated table, including across vocabulary growth that changes
   the packed key widths, and every epoch's view over the streamed index
-  has the same per-mask keys and counts as the batch index's;
+  has the same cluster keys and counts as the batch index's;
 * ``StreamingSubstrate`` fed epoch-sized (or arbitrary) chunks yields
   the same analysis as batch ``analyze_trace``;
 * substrate snapshots round-trip exactly, and corrupted or
@@ -54,8 +54,8 @@ def assert_equal_tables(a: SessionTable, b: SessionTable) -> None:
 
 def assert_equal_indexes(a: TraceClusterIndex, b: TraceClusterIndex) -> None:
     """Bit-identical leaf-level state, and the same lattice per epoch:
-    every hourly epoch's view has identical per-mask keys, session
-    counts and problem counts on both indexes."""
+    every hourly epoch's view has identical cluster keys (grouped by
+    mask), session counts and problem counts on both indexes."""
     assert_equal_tables(a.table, b.table)
     assert np.array_equal(a.codec.widths, b.codec.widths)
     assert np.array_equal(a.codec.offsets, b.codec.offsets)
@@ -70,11 +70,10 @@ def assert_equal_indexes(a: TraceClusterIndex, b: TraceClusterIndex) -> None:
     for epoch, rows in enumerate(per_epoch):
         agg_a = a.epoch_view(rows, epoch).aggregate(JOIN_FAILURE)
         agg_b = b.epoch_view(rows, epoch).aggregate(JOIN_FAILURE)
-        for m, ma in agg_a.per_mask.items():
-            mb = agg_b.per_mask[m]
-            assert np.array_equal(ma.keys, mb.keys), (epoch, m)
-            assert np.array_equal(ma.sessions, mb.sessions), (epoch, m)
-            assert np.array_equal(ma.problems, mb.problems), (epoch, m)
+        assert np.array_equal(agg_a.lattice.starts, agg_b.lattice.starts), epoch
+        assert np.array_equal(agg_a.lattice.keys, agg_b.lattice.keys), epoch
+        assert np.array_equal(agg_a.sessions, agg_b.sessions), epoch
+        assert np.array_equal(agg_a.problems, agg_b.problems), epoch
 
 
 def chunked_tables(rows, n_chunks: int) -> list[SessionTable]:

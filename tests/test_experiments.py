@@ -170,5 +170,6 @@ class TestAblations:
         for row in data.values():
             assert row["sessions_per_second"] > 0
             assert row["clusters_per_epoch"] > 0
+            assert 0 < row["kept_clusters_per_epoch"] <= row["clusters_per_epoch"]
             for phase in ("pack_s", "aggregate_s", "problems_s", "critical_s"):
                 assert row[phase] > 0
