@@ -162,9 +162,8 @@ class EpochLattice:
     :class:`~repro.core.index.EpochClusterView` (coarse to fine, shared
     by every metric of the epoch) and by :func:`aggregate_epoch` (one
     ``np.unique`` per mask, floor 1). It also memoises what every metric
-    and config of the epoch asks again: decoded keys (:meth:`key_of`)
-    and the significant ids per (metric, floor)
-    (:meth:`EpochAggregate.significant`).
+    and config of the epoch asks again: decoded keys (:meth:`keys_of`)
+    and the table of every (cluster, ancestor) pair (:meth:`pairs`).
     """
 
     __slots__ = (
@@ -175,7 +174,7 @@ class EpochLattice:
         "rep_leaf",
         "floor",
         "_decoded",
-        "_significant",
+        "_pairs",
     )
 
     def __init__(
@@ -194,7 +193,7 @@ class EpochLattice:
         self.rep_leaf = rep_leaf
         self.floor = floor
         self._decoded: dict[int, ClusterKey] = {}
-        self._significant: dict[tuple[str, int], np.ndarray] = {}
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def flatten(
@@ -256,12 +255,25 @@ class EpochLattice:
 
     def key_of(self, cluster_id: int) -> ClusterKey:
         """The decoded identity of one cluster, memoised."""
-        key = self._decoded.get(cluster_id)
-        if key is None:
-            mask = int(self.mask_of(cluster_id))
-            key = self.codec.decode(mask, int(self.keys[cluster_id]))
-            self._decoded[cluster_id] = key
+        (key,) = self.keys_of(np.array([cluster_id]))
         return key
+
+    def keys_of(self, ids: np.ndarray) -> list[ClusterKey]:
+        """The decoded identities of ``ids``, memoised per cluster id.
+
+        The masks and packed keys of the clusters not decoded yet are
+        gathered in one call each.
+        """
+        decoded = self._decoded
+        ids = ids.tolist()
+        new = [cid for cid in ids if cid not in decoded]
+        if new:
+            at = np.array(new)
+            for cid, mask, packed in zip(
+                new, self.mask_of(at).tolist(), self.keys[at].tolist()
+            ):
+                decoded[cid] = self.codec.decode(mask, packed)
+        return [decoded[cid] for cid in ids]
 
     def ancestors(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every (cluster, ancestor) pair of ``ids``, flat.
@@ -277,6 +289,17 @@ class EpochLattice:
         owner = np.repeat(np.arange(ids.size), n)
         pos = np.arange(owner.size) + np.repeat(lo - (np.cumsum(n) - n), n)
         return owner, self.leaf_cluster[submasks[pos], self.rep_leaf[ids[owner]]]
+
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`ancestors` of every cluster id, built once per lattice.
+
+        The pairs are grouped by owner in ascending id order, so
+        ``owner`` is also the owning cluster's id. Every (metric,
+        config) unit detected on the lattice reads this one table.
+        """
+        if self._pairs is None:
+            self._pairs = self.ancestors(np.arange(self.n_clusters))
+        return self._pairs
 
 
 @functools.lru_cache(maxsize=None)
@@ -346,27 +369,6 @@ class EpochAggregate:
     @property
     def global_ratio(self) -> float:
         return self.global_stats.ratio
-
-    def significant(self, floor: int) -> np.ndarray:
-        """Sorted ids of the clusters with at least ``floor`` sessions.
-
-        Raises ``ValueError`` when ``floor`` is below the lattice's own:
-        the clusters it pruned could clear a lower floor. Session
-        counts depend on the metric's validity only, never on
-        thresholds, so the ids are cached on the lattice per (metric,
-        floor) and shared by every thresholds variant of a sweep.
-        """
-        if floor < self.lattice.floor:
-            raise ValueError(
-                f"session floor {floor} is below the floor "
-                f"{self.lattice.floor} the epoch lattice was built for"
-            )
-        key = (self.metric_name, floor)
-        ids = self.lattice._significant.get(key)
-        if ids is None:
-            ids = np.flatnonzero(self.sessions >= floor)
-            self.lattice._significant[key] = ids
-        return ids
 
 
 def aggregate_epoch(

@@ -23,44 +23,56 @@ The descendant condition is evaluated **cluster-globally**: a candidate
 is healthy — that pattern means the real cause lives in a specific
 combination, not in the ASN.
 
-Every step is a fixed number of whole-lattice array operations on the
-aggregate's :class:`~repro.core.aggregation.EpochLattice`, with no
-loop over masks. The ancestor of cluster ``c`` on a submask ``a`` is
-``leaf_cluster[a, rep_leaf[c]]``, so:
+Every (metric, config) *unit* of an epoch is searched in one pass over
+the epoch's shared :class:`~repro.core.aggregation.EpochLattice`
+(:func:`detect_critical_clusters`; :func:`find_critical_clusters` is
+its one-unit case), with no loop over masks. The ancestor of cluster
+``c`` on a submask ``a`` is ``leaf_cluster[a, rep_leaf[c]]``, and the
+lattice builds the table of every (cluster, ancestor) pair once
+(:meth:`~repro.core.aggregation.EpochLattice.pairs`), so:
 
-* the *tainted* set (clusters with a bad descendant, a bad cluster being
-  significant but not a problem cluster) is one scatter of every strict
-  non-empty submask projection of every bad cluster;
-* the ancestor-removal test evaluates every (candidate, strict
-  non-empty submask) pair in one predicate call and reduces the
-  failures per candidate with one ``bincount``;
-* minimality is a candidate-mask x leaf boolean matrix; a leaf under
-  several candidates drops each one that has another candidate on a
-  strict submask (one boolean matrix product over those leaves);
-* attribution is one ``bincount`` per quantity over the (candidate
-  mask, leaf) pairs in ascending mask then leaf order, the order a
-  per-mask ``np.add.at`` would add them in, so the sums are
-  bit-identical to it. It sums the aggregate's per-leaf counts, which
-  cover every leaf of the epoch whether or not the lattice kept it.
+* a unit's *tainted* set (clusters with a bad descendant, a bad cluster
+  being significant but not a problem cluster) is the ancestors of the
+  pairs whose owner is bad for it, one boolean gather of the table;
+* the ancestor-removal test evaluates every (unit, pair) element whose
+  owner is a candidate in one predicate call, each element with its
+  unit's thresholds;
+* minimality reads no leaves. A leaf under candidate ``c`` on mask
+  ``m`` lies, on every strict submask of ``m``, under ``c``'s ancestor
+  there, so "another candidate on a strict submask at this leaf" means
+  "a strict ancestor of ``c`` is a candidate", whichever the leaf. The
+  minimal candidates are the candidates that own no pair whose ancestor
+  is a candidate;
+* attribution, per unit, is one ``bincount`` per quantity over the
+  (minimal candidate's mask, leaf) pairs in ascending mask then leaf
+  order, the order a per-mask ``np.add.at`` would add them in, so the
+  sums are bit-identical to it. It sums the aggregate's per-leaf
+  counts, which cover every leaf of the epoch whether or not the
+  lattice kept it.
 
-The lattice may be an iceberg: the ancestors of a kept cluster are
-kept, so the ancestor pairs never leave it, and the candidate flags
-read through ``leaf_cluster`` carry the trailing ``False`` slot that a
-pruned leaf's -1 entry reads. The work grows with bad clusters x
-submasks and with candidate masks x leaves, not with the number of
-masks the lattice spans.
+A pass searches its units in groups whose units x pairs stay under a
+fixed budget, and attributes per unit, so no array grows with units x
+all pairs or units x masks x leaves. The lattice may be an iceberg:
+the ancestors of a kept cluster are kept, so the ancestor pairs never
+leave it, and the flags read through ``leaf_cluster`` carry the
+trailing ``False`` slot that a pruned leaf's -1 entry reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.core.aggregation import ClusterStats
 from repro.core.clusters import ClusterKey
-from repro.core.problems import ProblemClusters
+from repro.core.problems import (
+    ProblemClusters,
+    _shared_lattice,
+    _stack_predicates,
+    cluster_problem_flags,
+)
 
 
 @dataclass
@@ -131,89 +143,138 @@ class CriticalClusters:
             yield mask, packed, attribution
 
     def cluster_keys(self) -> list[ClusterKey]:
-        return [self.agg.lattice.key_of(cid) for cid in self.ids.tolist()]
+        return self.agg.lattice.keys_of(self.ids)
 
     def decoded(self) -> dict[ClusterKey, CriticalAttribution]:
         """Attribution keyed by stable, human-facing cluster identity."""
         return dict(zip(self.cluster_keys(), self.clusters.values()))
 
 
+#: Most (unit, ancestor pair) elements one group of units of a pass
+#: holds at once; larger passes are split into groups of units.
+_PAIR_BUDGET = 1 << 20
+
+
+def detect_critical_clusters(
+    problems: Sequence[ProblemClusters],
+) -> list[CriticalClusters]:
+    """Run the phase-transition search over every unit's problem clusters.
+
+    Every unit must be built on one lattice. The units with problem
+    clusters are searched in groups whose units x ancestor pairs stay
+    under a fixed budget; a unit's result does not depend on the group
+    it is searched in.
+    """
+    if not problems:
+        return []
+    lattice = _shared_lattice(pc.agg for pc in problems)
+    out: list[CriticalClusters | None] = [None] * len(problems)
+    todo = []
+    for u, pc in enumerate(problems):
+        agg = pc.agg
+        if lattice.n_leaves == 0 or agg.total_problems == 0:
+            out[u] = CriticalClusters(pc, {}, 0.0)
+        elif pc.n_clusters == 0:
+            # No problem clusters means no candidates: every problem
+            # session is unattributed.
+            out[u] = CriticalClusters(pc, {}, float(agg.total_problems))
+        else:
+            todo.append(u)
+    if todo:
+        per_group = max(1, _PAIR_BUDGET // max(lattice.pairs()[0].size, 1))
+        for lo in range(0, len(todo), per_group):
+            group = todo[lo : lo + per_group]
+            minimal = _minimal_candidates([problems[u] for u in group])
+            for u, is_minimal in zip(group, minimal):
+                out[u] = _attribute(problems[u], is_minimal)
+    return out
+
+
 def find_critical_clusters(problems: ProblemClusters) -> CriticalClusters:
-    """Run the phase-transition search over one epoch's problem clusters."""
-    agg = problems.agg
-    lattice = agg.lattice
-    if lattice.n_leaves == 0 or agg.total_problems == 0:
-        return CriticalClusters(problems, {}, 0.0)
-    if problems.n_clusters == 0:
-        # No problem clusters means no candidates: every problem
-        # session is unattributed.
-        return CriticalClusters(problems, {}, float(agg.total_problems))
-    is_problem = problems.is_problem
+    """Run the phase-transition search over one epoch's problem
+    clusters: the one-unit case of :func:`detect_critical_clusters`."""
+    (critical,) = detect_critical_clusters([problems])
+    return critical
+
+
+def _minimal_candidates(group: list[ProblemClusters]) -> np.ndarray:
+    """Flags of each unit's minimal candidates, one row per unit, with
+    the trailing ``False`` slot."""
+    lattice = group[0].agg.lattice
+    owner, ancestor = lattice.pairs()
+    n = lattice.n_clusters
+    is_problem = np.stack([pc.is_problem for pc in group])
+    sessions = np.stack([pc.agg.sessions for pc in group])
+    problem_counts = np.stack([pc.agg.problems for pc in group])
+    predicate = _stack_predicates([pc.predicate for pc in group])
 
     # Descendants: a problem cluster is tainted when a descendant is
     # significant but not a problem cluster, i.e. when it is an
     # ancestor of such a bad cluster (a bad cluster is never a problem
     # cluster itself).
-    significant = problems.significant
-    bad = significant[~is_problem[significant]]
-    tainted = lattice.flags(lattice.ancestors(bad)[1])
-    candidates = problems.ids[~tainted[problems.ids]]
+    bad = (sessions >= predicate["min_sessions"][:, None]) & ~is_problem[:, :n]
+    candidate = is_problem.copy()
+    for u in range(len(group)):
+        candidate[u, ancestor[bad[u][owner]]] = False
 
     # Ancestor removal: after subtracting the candidate's counts, no
-    # problem-cluster ancestor may still pass the predicate.
-    owner, ancestor = lattice.ancestors(candidates)
-    own = candidates[owner]
-    still_problem = is_problem[ancestor] & problems.counts_are_problem(
-        agg.sessions[ancestor] - agg.sessions[own],
-        agg.problems[ancestor] - agg.problems[own],
+    # problem-cluster ancestor may still pass the predicate. One
+    # predicate call over every (unit, pair) element whose owner is a
+    # candidate, with its unit's thresholds per element.
+    unit, pair = np.nonzero(candidate[:, owner])
+    own, anc = owner[pair], ancestor[pair]
+    still_problem = is_problem[unit, anc] & cluster_problem_flags(
+        sessions[unit, anc] - sessions[unit, own],
+        problem_counts[unit, anc] - problem_counts[unit, own],
+        **{name: column[unit] for name, column in predicate.items()},
     )
-    candidates = candidates[
-        np.bincount(owner[still_problem], minlength=candidates.size) == 0
-    ]
+    candidate[unit[still_problem], own[still_problem]] = False
 
-    # Minimality under set inclusion ("closest to the root") per leaf:
-    # a candidate mask x leaves matrix, minus every leaf that also has a
-    # candidate on a strict submask. Only a leaf under several
-    # candidates can lose one.
-    masks = np.unique(lattice.mask_of(candidates))
-    is_candidate = lattice.flags(candidates)
-    leaf_ids = lattice.leaf_cluster[masks]
-    minimal = is_candidate[leaf_ids]
-    strict_submask = ((masks[None, :] & masks[:, None]) == masks[None, :]) & (
-        masks[None, :] != masks[:, None]
-    )
-    shared = np.flatnonzero(np.count_nonzero(minimal, axis=0) > 1)
-    minimal[:, shared] &= ~(strict_submask @ minimal[:, shared])
+    # Minimality ("closest to the root"): a leaf under a candidate lies
+    # under each of the candidate's ancestors, so another candidate on a
+    # strict submask at that leaf is a candidate ancestor, whichever the
+    # leaf. The minimal candidates own no pair whose ancestor is a
+    # candidate.
+    nested = candidate[unit, own] & candidate[unit, anc]
+    candidate[unit[nested], own[nested]] = False
+    return candidate
 
-    # Attribute each leaf's problem sessions to its minimal candidates,
-    # splitting equally on ties. The (mask, leaf) pairs are summed in
-    # ascending mask then leaf order.
-    n_min = minimal.sum(axis=0)
-    leaf_problems = agg.leaf_problems.astype(np.float64)
-    leaf_sessions = agg.leaf_sessions.astype(np.float64)
-    share = np.where(n_min > 0, 1.0 / np.maximum(n_min, 1), 0.0)
-    row, col = np.nonzero(minimal)
-    ids, slot = np.unique(leaf_ids[row, col], return_inverse=True)
+
+def _attribute(problems: ProblemClusters, is_minimal: np.ndarray) -> CriticalClusters:
+    """Attribute each leaf's problem sessions to the minimal candidates
+    above it, splitting equally on ties. The (mask, leaf) pairs are
+    summed in ascending mask then leaf order."""
+    agg = problems.agg
+    lattice = agg.lattice
+    minimal = np.flatnonzero(is_minimal)
+    masks = lattice.mask_of(minimal)
+    leaf_ids = lattice.leaf_cluster[np.unique(masks)]
+    under = is_minimal[leaf_ids]
+    n_min = under.sum(axis=0)
+    row, col = np.divmod(np.flatnonzero(under), lattice.n_leaves)
+    share = 1.0 / n_min[col]
+    slot = np.searchsorted(minimal, leaf_ids[row, col])
     attributed_problems = np.bincount(
-        slot, weights=leaf_problems[col] * share[col], minlength=ids.size
+        slot, weights=agg.leaf_problems[col] * share, minlength=minimal.size
     )
     attributed_sessions = np.bincount(
-        slot, weights=leaf_sessions[col] * share[col], minlength=ids.size
+        slot, weights=agg.leaf_sessions[col] * share, minlength=minimal.size
     )
     clusters = {
-        (mask, int(lattice.keys[cid])): CriticalAttribution(
+        (mask, key): CriticalAttribution(
             attributed_problems=p,
             attributed_sessions=s,
-            own_stats=ClusterStats(int(agg.sessions[cid]), int(agg.problems[cid])),
+            own_stats=ClusterStats(own_s, own_p),
         )
-        for cid, mask, p, s in zip(
-            ids.tolist(),
-            lattice.mask_of(ids).tolist(),
+        for mask, key, p, s, own_s, own_p in zip(
+            masks.tolist(),
+            lattice.keys[minimal].tolist(),
             attributed_problems.tolist(),
             attributed_sessions.tolist(),
+            agg.sessions[minimal].tolist(),
+            agg.problems[minimal].tolist(),
         )
     }
-
-    attributed = float(leaf_problems[n_min > 0].sum())
+    attributed = float(agg.leaf_problems @ (n_min > 0))
     unattributed = float(agg.total_problems) - attributed
-    return CriticalClusters(problems, clusters, unattributed, ids)
+    return CriticalClusters(problems, clusters, unattributed, minimal)

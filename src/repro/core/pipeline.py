@@ -6,8 +6,9 @@
 1. split sessions into one-hour epochs (Section 3.1),
 2. build one :class:`~repro.core.index.TraceClusterIndex` for the whole
    trace, then per epoch and metric aggregate cluster counts (a handful
-   of ``bincount`` calls over the index), flag problem clusters and run
-   the critical-cluster phase-transition search,
+   of ``bincount`` calls over the index), and per epoch flag the
+   problem clusters and run the critical-cluster phase-transition
+   search for every (metric, config) unit in one pass,
 3. summarise each epoch compactly (decoded cluster identities with
    stats/attribution) so week-scale traces stay memory-friendly.
 
@@ -33,14 +34,15 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.core.aggregation import ClusterStats
+from repro.core.aggregation import ClusterStats, EpochAggregate
 from repro.core.clusters import ClusterKey
-from repro.core.critical import CriticalAttribution
+from repro.core.critical import CriticalAttribution, detect_critical_clusters
 from repro.core.epoching import EpochGrid
 from repro.core.metrics import (
     ALL_METRICS,
@@ -48,7 +50,7 @@ from repro.core.metrics import (
     QualityMetric,
     metric_by_name,
 )
-from repro.core.problems import ProblemClusterConfig
+from repro.core.problems import ProblemClusterConfig, detect_problem_clusters
 from repro.core.sessions import SessionTable
 from repro.core.streaks import ClusterTimeline, build_timelines
 from repro.obs import current_metrics, current_tracer
@@ -140,9 +142,14 @@ class PipelineTimings:
 
     ``pack_s`` counts per-epoch epoch-view construction, once per
     epoch; ``index_build_s`` counts trace-global index construction
-    (once per run);
-    ``aggregate_s``/``problems_s``/``critical_s`` accumulate per
-    (epoch, metric) unit. Sharded runs additionally count ``load_s``
+    (once per run); ``aggregate_s`` accumulates per (epoch, metric)
+    unit. ``problems_s`` and ``critical_s`` time the two stages of each
+    epoch's one detection pass over all its units: the problem stage is
+    the predicate, the problem-cluster coverage and their decoded
+    summaries; the critical stage is the taint, removal, minimality and
+    attribution steps and the decoded critical clusters. A sweep splits
+    the view and both stages evenly across its configs, so the sums over
+    its analyses stay true. Sharded runs additionally count ``load_s``
     (mmap-loading shard snapshots) and ``merge_s`` (folding per-shard
     results into the whole-trace analysis). In parallel runs the phase
     counters sum time spent inside worker processes while ``wall_s``
@@ -394,17 +401,37 @@ def assemble_trace_analysis(
     )
 
 
-def _epoch_summary(agg, problems, critical, epoch: int) -> EpochAnalysis:
-    """Compact, pickle-friendly summary of one (epoch, metric) result."""
-    return EpochAnalysis(
-        epoch=epoch,
-        total_sessions=agg.total_sessions,
-        total_problems=agg.total_problems,
-        min_sessions=problems.min_sessions,
-        problem_cluster_coverage=problems.coverage,
-        problem_clusters=problems.decoded(),
-        critical_clusters=critical.decoded(),
-    )
+def _epoch_summaries(
+    units: Sequence[tuple[EpochAggregate, ProblemClusterConfig]], epoch: int
+) -> tuple[list[EpochAnalysis], float, float]:
+    """Detect every (aggregate, problem config) unit of one epoch in one
+    pass and summarise each compactly (pickle-friendly, in unit order).
+
+    Also returns the seconds of the problem stage (predicate, coverage
+    and decoding) and of the critical stage (taint, removal,
+    minimality, attribution and decoding).
+    """
+    t0 = time.perf_counter()
+    problems = detect_problem_clusters(units)
+    found = [(p.coverage, p.decoded()) for p in problems]
+    t1 = time.perf_counter()
+    critical = [c.decoded() for c in detect_critical_clusters(problems)]
+    t2 = time.perf_counter()
+    summaries = [
+        EpochAnalysis(
+            epoch=epoch,
+            total_sessions=p.agg.total_sessions,
+            total_problems=p.agg.total_problems,
+            min_sessions=p.min_sessions,
+            problem_cluster_coverage=coverage,
+            problem_clusters=decoded,
+            critical_clusters=critical_clusters,
+        )
+        for p, (coverage, decoded), critical_clusters in zip(
+            problems, found, critical
+        )
+    ]
+    return summaries, t1 - t0, t2 - t1
 
 
 def analyze_trace(

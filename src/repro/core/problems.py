@@ -7,27 +7,32 @@ which contains at least ``min_sessions`` sessions (the paper uses 1000
 out of ~900k sessions/epoch; ``"auto"`` scales that proportion to the
 trace at hand).
 
-:class:`ProblemClusters` holds the problem clusters as sorted cluster
-ids of the aggregate's :class:`~repro.core.aggregation.EpochLattice`
-plus one flag per cluster id, which the critical-cluster detector reads
-whole. Detection is one predicate call over the lattice's significant
-clusters; coverage is one gather of the flags through each problem
-mask's leaf -> cluster row, summing the aggregate's per-leaf problem
-counts. The lattice may be an iceberg that pruned the clusters below
-its floor: the flags carry one trailing ``False`` slot, which is what a
-pruned (-1) leaf -> cluster entry reads, and a config whose floor is
-below the lattice's raises ``ValueError``
-(:meth:`~repro.core.aggregation.EpochAggregate.significant`).
+:class:`ProblemClusters` holds the problem clusters of one (epoch,
+metric, config) *unit* as sorted cluster ids of the aggregate's
+:class:`~repro.core.aggregation.EpochLattice` plus one flag per cluster
+id, which the critical-cluster detector reads whole.
+:func:`detect_problem_clusters` flags every unit of an epoch at once: a
+sweep's units (configs x metrics) share one lattice, so the predicate
+is one call over a units x clusters matrix of counts, with each unit's
+thresholds as a column. :func:`find_problem_clusters` is its one-unit
+case. Coverage is one gather of the flags through the leaf -> cluster
+rows of the masks holding a *coarsest* problem cluster (one with no
+problem-cluster ancestor): every problem cluster lies under one, so
+their leaves are all the problem clusters' leaves. The lattice may be
+an iceberg that pruned the clusters below its floor: the flags carry
+one trailing ``False`` slot, which is what a pruned (-1) leaf ->
+cluster entry reads, and a unit whose floor is below the lattice's
+raises ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from repro.core.aggregation import ClusterStats, EpochAggregate
+from repro.core.aggregation import ClusterStats, EpochAggregate, EpochLattice
 from repro.core.clusters import ClusterKey
 
 #: The paper's min cluster size (1000) as a fraction of its ~900k
@@ -39,21 +44,24 @@ def cluster_problem_flags(
     sessions: np.ndarray,
     problems: np.ndarray,
     *,
-    global_ratio: float,
-    ratio_threshold: float,
-    min_sessions: int,
-    min_problems: int,
-    significance_sigmas: float,
+    global_ratio: float | np.ndarray,
+    ratio_threshold: float | np.ndarray,
+    min_sessions: int | np.ndarray,
+    min_problems: int | np.ndarray,
+    significance_sigmas: float | np.ndarray,
 ) -> np.ndarray:
     """The problem-cluster predicate on raw count arrays (vectorised).
 
     This is the single authority both detection
-    (:func:`find_problem_clusters`) and the critical-cluster
-    ancestor-removal test (:meth:`ProblemClusters.counts_are_problem`)
-    evaluate, so the two can never disagree through float rounding —
-    the ratio condition is ``problems / sessions >= ratio_threshold``
-    in both, never the algebraically-equal-but-not-float-equal
-    ``problems >= ratio_threshold * sessions``.
+    (:func:`detect_problem_clusters`) and the critical-cluster
+    ancestor-removal test evaluate, so the two can never disagree
+    through float rounding — the ratio condition is
+    ``problems / sessions >= ratio_threshold`` in both, never the
+    algebraically-equal-but-not-float-equal
+    ``problems >= ratio_threshold * sessions``. Each threshold is a
+    scalar or an array broadcast against the counts (one value per
+    unit); every operation is elementwise, so a unit's flags do not
+    depend on what else is evaluated with it.
     """
     sessions = np.asarray(sessions)
     problems = np.asarray(problems)
@@ -127,21 +135,22 @@ class ProblemClusterConfig:
 
 
 class ProblemClusters:
-    """Problem-cluster flags for one (epoch, metric) aggregate.
+    """Problem-cluster flags for one (epoch, metric, config) unit.
 
-    ``significant`` holds the sorted ids of the clusters at or above the
-    session floor, ``ids`` the sorted ids of the problem clusters and
-    ``is_problem`` one flag per cluster id of ``agg.lattice`` plus the
-    trailing ``False`` slot (:meth:`EpochLattice.flags
-    <repro.core.aggregation.EpochLattice.flags>`).
+    ``predicate`` holds the unit's keyword arguments of
+    :func:`cluster_problem_flags` (its global ratio, resolved session
+    floor and thresholds), which the critical-cluster removal test
+    evaluates again. ``is_problem`` holds one flag per cluster id of
+    ``agg.lattice`` plus the trailing ``False`` slot
+    (:meth:`EpochLattice.flags
+    <repro.core.aggregation.EpochLattice.flags>`), and ``ids`` the
+    sorted ids of the problem clusters.
     """
 
     __slots__ = (
         "agg",
         "config",
-        "min_sessions",
-        "ratio_threshold",
-        "significant",
+        "predicate",
         "ids",
         "is_problem",
         "_covered_leaves",
@@ -151,54 +160,42 @@ class ProblemClusters:
         self,
         agg: EpochAggregate,
         config: ProblemClusterConfig,
-        min_sessions: int,
-        ratio_threshold: float,
-        significant: np.ndarray,
-        ids: np.ndarray,
+        predicate: dict[str, float],
+        is_problem: np.ndarray,
     ) -> None:
         self.agg = agg
         self.config = config
-        self.min_sessions = min_sessions
-        self.ratio_threshold = ratio_threshold
-        self.significant = significant
-        self.ids = ids
-        self.is_problem = agg.lattice.flags(ids)
+        self.predicate = predicate
+        self.is_problem = is_problem
+        self.ids = np.flatnonzero(is_problem)
         self._covered_leaves: np.ndarray | None = None
+
+    @property
+    def min_sessions(self) -> int:
+        """The session floor the unit's config resolved to."""
+        return self.predicate["min_sessions"]
+
+    @property
+    def ratio_threshold(self) -> float:
+        return self.predicate["ratio_threshold"]
 
     @property
     def n_clusters(self) -> int:
         """Total number of problem clusters in the epoch."""
         return int(self.ids.size)
 
-    def counts_are_problem(
-        self, sessions: np.ndarray, problems: np.ndarray
-    ) -> np.ndarray:
-        """The problem-cluster predicate on raw count arrays.
-
-        Used by the critical-cluster ancestor-removal test, which must
-        re-evaluate clusters after subtracting a candidate's sessions
-        under exactly the same significance rules.
-        """
-        return cluster_problem_flags(
-            sessions,
-            problems,
-            global_ratio=self.agg.global_ratio,
-            ratio_threshold=self.ratio_threshold,
-            min_sessions=self.min_sessions,
-            min_problems=self.config.min_problems,
-            significance_sigmas=self.config.significance_sigmas,
-        )
-
     def iter_clusters(self) -> Iterator[tuple[int, int, ClusterStats]]:
         """Yield ``(mask, packed_key, stats)`` for every problem cluster."""
-        agg = self.agg
-        masks = agg.lattice.mask_of(self.ids).tolist()
-        for mask, cid in zip(masks, self.ids.tolist()):
-            yield (
-                mask,
-                int(agg.lattice.keys[cid]),
-                ClusterStats(int(agg.sessions[cid]), int(agg.problems[cid])),
-            )
+        ids, lattice = self.ids, self.agg.lattice
+        return zip(
+            lattice.mask_of(ids).tolist(),
+            lattice.keys[ids].tolist(),
+            map(
+                ClusterStats,
+                self.agg.sessions[ids].tolist(),
+                self.agg.problems[ids].tolist(),
+            ),
+        )
 
     def decoded(self) -> dict[ClusterKey, ClusterStats]:
         """Problem-cluster counts keyed by stable, human-facing identity."""
@@ -207,7 +204,7 @@ class ProblemClusters:
 
     def cluster_keys(self) -> list[ClusterKey]:
         """Decoded identities of every problem cluster."""
-        return [self.agg.lattice.key_of(cid) for cid in self.ids.tolist()]
+        return self.agg.lattice.keys_of(self.ids)
 
     def contains(self, mask: int, packed: int) -> bool:
         cid = self.agg.lattice.find(mask, packed)
@@ -218,14 +215,24 @@ class ProblemClusters:
         """Boolean per leaf: belongs to at least one problem cluster.
 
         One gather of the flags through the leaf -> cluster rows of the
-        masks that hold a problem cluster, computed once and cached.
+        masks that hold a coarsest problem cluster, computed once and
+        cached. A problem cluster is coarsest when it owns no ancestor
+        pair (:meth:`EpochLattice.pairs
+        <repro.core.aggregation.EpochLattice.pairs>`) whose ancestor is
+        a problem cluster too.
         """
         if self._covered_leaves is None:
             lattice = self.agg.lattice
-            masks = np.unique(lattice.mask_of(self.ids))
-            self._covered_leaves = self.is_problem[
-                lattice.leaf_cluster[masks]
-            ].any(axis=0)
+            owner, ancestor = lattice.pairs()
+            is_problem = self.is_problem
+            finer = lattice.flags(
+                owner[is_problem[owner] & is_problem[ancestor]]
+            )
+            coarsest = self.ids[~finer[self.ids]]
+            masks = np.unique(lattice.mask_of(coarsest))
+            self._covered_leaves = is_problem[lattice.leaf_cluster[masks]].any(
+                axis=0
+            )
         return self._covered_leaves
 
     @property
@@ -242,36 +249,78 @@ class ProblemClusters:
         return self.covered_problem_sessions / total
 
 
+def _shared_lattice(aggs: Iterable[EpochAggregate]) -> EpochLattice:
+    """The one lattice every aggregate of a detection pass is built on."""
+    lattices = {id(agg.lattice): agg.lattice for agg in aggs}
+    if len(lattices) != 1:
+        raise ValueError(
+            f"one detection pass needs one epoch lattice, got {len(lattices)}"
+        )
+    (lattice,) = lattices.values()
+    return lattice
+
+
+def detect_problem_clusters(
+    units: Sequence[tuple[EpochAggregate, ProblemClusterConfig]],
+) -> list[ProblemClusters]:
+    """Flag the problem clusters of every (aggregate, config) unit.
+
+    Every aggregate must be built on one lattice (an epoch's view
+    serves all metrics and configs). The predicate runs once over the
+    units x clusters matrix of session and problem counts, each unit's
+    :attr:`ProblemClusters.predicate` argument a column: elementwise
+    the same float operations as one unit alone, so the flags are
+    identical. A unit whose floor is below the lattice's raises
+    ``ValueError`` (the clusters the lattice pruned could clear it).
+    """
+    if not units:
+        return []
+    lattice = _shared_lattice(agg for agg, _ in units)
+    predicates = []
+    for agg, config in units:
+        floor = config.resolve_min_sessions(agg.total_sessions)
+        if floor < lattice.floor:
+            raise ValueError(
+                f"session floor {floor} is below the floor "
+                f"{lattice.floor} the epoch lattice was built for"
+            )
+        global_ratio = agg.global_ratio
+        predicates.append(
+            {
+                "global_ratio": global_ratio,
+                "ratio_threshold": config.ratio_multiplier * global_ratio,
+                "min_sessions": floor,
+                "min_problems": config.min_problems,
+                "significance_sigmas": config.significance_sigmas,
+            }
+        )
+    columns = _stack_predicates(predicates)
+    flags = np.zeros((len(units), lattice.n_clusters + 1), dtype=bool)
+    flags[:, :-1] = cluster_problem_flags(
+        np.stack([agg.sessions for agg, _ in units]),
+        np.stack([agg.problems for agg, _ in units]),
+        **{name: column[:, None] for name, column in columns.items()},
+    )
+    return [
+        ProblemClusters(agg, config, predicate, row)
+        for (agg, config), predicate, row in zip(units, predicates, flags)
+    ]
+
+
+def _stack_predicates(
+    predicates: Sequence[dict[str, float]],
+) -> dict[str, np.ndarray]:
+    """Per-unit predicate arguments as one array per keyword."""
+    return {
+        name: np.array([predicate[name] for predicate in predicates])
+        for name in predicates[0]
+    }
+
+
 def find_problem_clusters(
     agg: EpochAggregate, config: ProblemClusterConfig | None = None
 ) -> ProblemClusters:
-    """Flag the problem clusters of one epoch aggregate.
-
-    Only clusters at or above the session floor can pass the predicate,
-    and they are typically a small fraction of the epoch's distinct
-    clusters — so the predicate runs once over the significant ids of
-    the whole lattice. Session counts are threshold-independent, so
-    those ids are cached on the aggregate's lattice and shared by every
-    thresholds variant of a config sweep.
-    """
-    config = config or ProblemClusterConfig()
-    min_sessions = config.resolve_min_sessions(agg.total_sessions)
-    ratio_threshold = config.ratio_multiplier * agg.global_ratio
-    significant = agg.significant(min_sessions)
-    ok = cluster_problem_flags(
-        agg.sessions[significant],
-        agg.problems[significant],
-        global_ratio=agg.global_ratio,
-        ratio_threshold=ratio_threshold,
-        min_sessions=min_sessions,
-        min_problems=config.min_problems,
-        significance_sigmas=config.significance_sigmas,
-    )
-    return ProblemClusters(
-        agg=agg,
-        config=config,
-        min_sessions=min_sessions,
-        ratio_threshold=ratio_threshold,
-        significant=significant,
-        ids=significant[ok],
-    )
+    """Flag the problem clusters of one epoch aggregate: the one-unit
+    case of :func:`detect_problem_clusters`."""
+    (problems,) = detect_problem_clusters([(agg, config or ProblemClusterConfig())])
+    return problems

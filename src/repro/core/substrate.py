@@ -22,14 +22,15 @@ computes is the *same* across those variants:
   index,
 * the problem-cluster predicate (``min_sessions`` resolution, ratio
   multiplier, significance test),
-* the critical-cluster phase-transition DP.
+* the critical-cluster phase-transition search.
 
 :class:`AnalysisSubstrate` materializes the first list once;
 :func:`analyze_sweep` runs N :class:`~repro.core.pipeline.AnalysisConfig`
 variants over it, sharing one epoch view (and one session-count fold
 per metric, and one aggregate per distinct (metric, thresholds)) across
-all configs of each epoch. Outputs are bit-identical to N independent
-``analyze_trace`` calls (pinned by
+all configs of each epoch, and detects every (config, metric) unit of
+an epoch in one pass over the view's lattice. Outputs are bit-identical
+to N independent ``analyze_trace`` calls (pinned by
 ``tests/property/test_sweep_equivalence.py``); only the wall time
 changes.
 
@@ -42,12 +43,12 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.aggregation import KeyCodec
-from repro.core.critical import find_critical_clusters
 from repro.core.epoching import (
     DEFAULT_EPOCH_SECONDS,
     EpochGrid,
@@ -60,14 +61,14 @@ from repro.core.pipeline import (
     EpochAnalysis,
     PipelineTimings,
     TraceAnalysis,
-    _epoch_summary,
+    _epoch_summaries,
     analyze_trace,
     assemble_trace_analysis,
     resolve_worker_count,
 )
 from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
 from repro.core.metrics import QualityMetric
-from repro.core.problems import ProblemClusterConfig, find_problem_clusters
+from repro.core.problems import ProblemClusterConfig
 from repro.core.sessions import METRIC_COLUMNS, Session, SessionTable, grow_append
 from repro.obs import current_tracer
 
@@ -374,9 +375,11 @@ def _sweep_epoch(
     equality. One :class:`EpochClusterView`, built for the smallest
     session floor of every (config, metric) pair, serves every config;
     the view caches session folds per metric, and distinct (metric,
-    thresholds) pairs share one aggregate through ``agg_cache``, so a
-    thresholds variant pays only its problem-count fold and the
-    problem/critical detectors.
+    thresholds) pairs share one aggregate. Every (config, metric) unit
+    of the epoch is then detected in one pass over the view's lattice
+    (:func:`~repro.core.pipeline._epoch_summaries`). The view, problem
+    and critical seconds are split evenly across the configs, so the
+    sums over the returned timings stay true.
     """
     t0 = time.perf_counter()
     served = [(c.problem_config, m) for c in configs for m in c.metrics]
@@ -386,10 +389,12 @@ def _sweep_epoch(
     view_share = (time.perf_counter() - t0) / len(configs)
 
     agg_cache: dict = {}
-    out: list[tuple[list[EpochAnalysis], PipelineTimings]] = []
+    units = []
+    per_config = []
     for config in configs:
-        timings = PipelineTimings(pack_s=view_share, n_epochs=1)
-        summaries: list[EpochAnalysis] = []
+        timings = PipelineTimings(
+            pack_s=view_share, n_epochs=1, n_units=len(config.metrics)
+        )
         for metric in config.metrics:
             key = (metric.name, config.thresholds)
             t1 = time.perf_counter()
@@ -397,17 +402,17 @@ def _sweep_epoch(
             if agg is None:
                 agg = view.aggregate(metric, thresholds=config.thresholds)
                 agg_cache[key] = agg
-            t2 = time.perf_counter()
-            problems = find_problem_clusters(agg, config.problem_config)
-            t3 = time.perf_counter()
-            critical = find_critical_clusters(problems)
-            t4 = time.perf_counter()
-            timings.aggregate_s += t2 - t1
-            timings.problems_s += t3 - t2
-            timings.critical_s += t4 - t3
-            timings.n_units += 1
-            summaries.append(_epoch_summary(agg, problems, critical, epoch))
-        out.append((summaries, timings))
+            timings.aggregate_s += time.perf_counter() - t1
+            units.append((agg, config.problem_config))
+        per_config.append(timings)
+
+    summaries, problems_s, critical_s = _epoch_summaries(units, epoch)
+    per_unit = iter(summaries)
+    out: list[tuple[list[EpochAnalysis], PipelineTimings]] = []
+    for config, timings in zip(configs, per_config):
+        timings.problems_s = problems_s / len(configs)
+        timings.critical_s = critical_s / len(configs)
+        out.append((list(islice(per_unit, len(config.metrics))), timings))
     return out
 
 
@@ -437,8 +442,8 @@ def analyze_sweep(
     otherwise each config's ``epoch_seconds`` derives its covering
     grid) and, per epoch, shares one cluster view across every config:
     session-count folds are computed once per metric, aggregates once
-    per distinct (metric, thresholds), and only the problem predicate
-    and the critical DP run per config.
+    per distinct (metric, thresholds), and one detection pass finds the
+    problem and critical clusters of every (config, metric) unit.
 
     ``workers`` fans epochs out over a process pool: ``None``/``0``/``1``
     run serially in-process, ``"auto"`` uses every CPU, ``n`` uses
@@ -447,9 +452,9 @@ def analyze_sweep(
     (config, epoch, metric) triples, after each epoch completes across
     all configs.
 
-    Timing attribution: phases measured per config where possible
-    (aggregate/problems/critical); shared costs — substrate build,
-    epoch-view construction, the parent's wall clock — are divided
+    Timing attribution: aggregation is measured per config; shared
+    costs — substrate build, epoch-view construction, each epoch's
+    problem and critical stages, the parent's wall clock — are divided
     evenly across configs, so summing ``timings`` over the returned
     analyses reproduces the sweep's true totals.
     """

@@ -10,7 +10,10 @@ floats bit for bit), the problem coverage and the unattributed problem
 sessions. Aggregates come from both sources: an
 :class:`~repro.core.index.EpochClusterView` built at the session floor
 the config resolves to (the iceberg production builds) and the direct
-aggregate itself.
+aggregate itself. The batched pass
+(:func:`~repro.core.problems.detect_problem_clusters` and
+:func:`~repro.core.critical.detect_critical_clusters` over many units
+of one lattice) must give every unit what it gets detected alone.
 """
 
 from dataclasses import replace
@@ -23,10 +26,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.core.aggregation import aggregate_epoch
 from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
 from repro.core.clusters import ClusterKey
-from repro.core.critical import find_critical_clusters
+import repro.core.critical as critical_module
+from repro.core.critical import detect_critical_clusters, find_critical_clusters
 from repro.core.index import TraceClusterIndex
-from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, JOIN_TIME
-from repro.core.problems import ProblemClusterConfig, find_problem_clusters
+from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, JOIN_TIME, MetricThresholds
+from repro.core.problems import (
+    ProblemClusterConfig,
+    detect_problem_clusters,
+    find_problem_clusters,
+)
 from repro.core.sessions import SessionTable
 from repro.core.substrate import epoch_floor
 from tests.conftest import make_session
@@ -38,10 +46,9 @@ REGION_SCHEMA = AttributeSchema(names=DEFAULT_SCHEMA.names + ("region",))
 LOOSE = ProblemClusterConfig(min_sessions=50, min_problems=3, significance_sigmas=0.0)
 
 
-def assert_matches_reference(agg, config, ref):
-    """Flat detection on ``agg`` equals the per-mask reference ``ref``."""
-    problems = find_problem_clusters(agg, config)
-    critical = find_critical_clusters(problems)
+def assert_detection_is(problems, critical, ref):
+    """A unit's problem and critical clusters equal the per-mask
+    reference ``ref``."""
     assert [(m, k, s) for m, k, s in problems.iter_clusters()] == [
         (m, k, s) for (m, k), s in ref.problems.items()
     ]
@@ -50,6 +57,13 @@ def assert_matches_reference(agg, config, ref):
     assert (
         critical.unattributed_problem_sessions == ref.unattributed_problem_sessions
     )
+
+
+def assert_matches_reference(agg, config, ref):
+    """Flat detection on ``agg`` equals the per-mask reference ``ref``."""
+    problems = find_problem_clusters(agg, config)
+    critical = find_critical_clusters(problems)
+    assert_detection_is(problems, critical, ref)
     return problems, critical
 
 
@@ -133,13 +147,17 @@ def epochs(draw):
         join_failed=failed,
     )
     rows = np.flatnonzero(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    config = ProblemClusterConfig(
-        ratio_multiplier=draw(st.sampled_from([1.0, 1.25, 1.5, 2.0])),
-        min_sessions=draw(st.integers(1, 6)),
-        min_problems=draw(st.integers(1, 3)),
-        significance_sigmas=draw(st.sampled_from([0.0, 1.0])),
+    return table, rows, draw(problem_configs())
+
+
+def problem_configs():
+    return st.builds(
+        ProblemClusterConfig,
+        ratio_multiplier=st.sampled_from([1.0, 1.25, 1.5, 2.0]),
+        min_sessions=st.integers(1, 6),
+        min_problems=st.integers(1, 3),
+        significance_sigmas=st.sampled_from([0.0, 1.0]),
     )
-    return table, rows, config
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -164,6 +182,58 @@ def test_floored_view_matches_floor_one(case, metric, data):
     floored = index.epoch_view(rows, floor=floor).aggregate(metric)
     assert floored.lattice.n_clusters <= whole.lattice.n_clusters
     assert detect(floored, config) == detect(whole, config)
+
+
+def detect_units(table, rows, units, view_floor=None):
+    """Detect ``units`` — (metric, thresholds scale, config) triples —
+    in one pass over the epoch view of ``rows``; units with equal
+    (metric, scale) share one aggregate object. Returns the units'
+    aggregates and their (problems, critical) results."""
+    index = TraceClusterIndex.build(table)
+    if view_floor is None:
+        view_floor = epoch_floor(index, rows, [(c, m) for m, _, c in units])
+    view = index.epoch_view(rows, floor=view_floor)
+    aggs = {}
+    for metric, scale, _ in units:
+        if (metric.name, scale) not in aggs:
+            aggs[metric.name, scale] = view.aggregate(
+                metric, thresholds=MetricThresholds().scaled(scale)
+            )
+    pass_units = [(aggs[m.name, scale], c) for m, scale, c in units]
+    problems = detect_problem_clusters(pass_units)
+    return pass_units, problems, detect_critical_clusters(problems)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    epochs(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(ALL_METRICS),
+            st.sampled_from([0.5, 1.0, 2.0]),
+            problem_configs(),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.data(),
+)
+def test_batched_units_match_alone_and_reference(case, units, data):
+    """Units of one pass, with duplicates, shared aggregates and
+    differing floors, each get what they get detected alone, and what
+    the reference finds on the whole direct lattice."""
+    table, rows, _ = case
+    units = units + data.draw(st.lists(st.sampled_from(units), max_size=2))
+    pass_units, problems, critical = detect_units(table, rows, units)
+    for (metric, scale, config), (agg, _), pc, cc in zip(
+        units, pass_units, problems, critical
+    ):
+        direct = aggregate_epoch(
+            table, rows, metric, thresholds=MetricThresholds().scaled(scale)
+        )
+        ref = reference_detect(direct, config)
+        assert_detection_is(pc, cc, ref)
+        assert_matches_reference(agg, config, ref)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -353,6 +423,91 @@ class TestCorners:
         assert problems.is_problem[last] and last in critical.ids
         assert (lattice.leaf_cluster[full] == -1).sum() == len(background)
         assert critical.unattributed_problem_sessions == len(background)
+
+    @pytest.mark.parametrize(
+        "other_leaf, critical, attributed",
+        [
+            ((30, 15), key(cdn="X"), (115, 230)),
+            ((60, 0), key(cdn="X", asn="Y"), (100, 200)),
+        ],
+    )
+    def test_candidate_under_a_candidate_ancestor_is_not_critical(
+        self, other_leaf, critical, attributed
+    ):
+        # (cdn=X, asn=Y) is a problem cluster with no bad descendant,
+        # and removing it leaves cdn=X with only the (X, Z) sessions, no
+        # problem cluster either way: it passes the removal test and is
+        # a candidate. With (X, Z) below the floor of 50, cdn=X has no
+        # bad descendant and no ancestor, so it is a candidate too and
+        # the (X, Y) leaf's only minimal one: (X, Y) is not critical
+        # and every cdn=X leaf goes to cdn=X. With (X, Z) significant
+        # and healthy, cdn=X is tainted and (X, Y) is critical.
+        table = table_of(
+            [
+                ({"cdn": "X", "asn": "Y"}, 200, 100),
+                ({"cdn": "X", "asn": "Z"}, *other_leaf),
+                ({"cdn": "ok", "asn": "Y"}, 1000, 20),
+                ({"cdn": "ok", "asn": "Z"}, 1000, 20),
+            ]
+        )
+        problems, crit = both_sources(table, np.arange(len(table)), JOIN_FAILURE, LOOSE)
+        assert key(cdn="X", asn="Y") in problems.cluster_keys()
+        decoded = crit.decoded()
+        assert list(decoded) == [critical]
+        assert (
+            decoded[critical].attributed_problems,
+            decoded[critical].attributed_sessions,
+        ) == attributed
+
+    def test_pair_budget_splits_groups_without_changing_results(self, monkeypatch):
+        from repro.trace import StandardWorkloads, generate_trace
+
+        table = generate_trace(StandardWorkloads.tiny_with_region(seed=3)).table
+        epoch_of = np.floor(table.start_time / 3600.0).astype(np.int64)
+        rows = np.flatnonzero(epoch_of == 5)
+        config = ProblemClusterConfig(
+            min_sessions=10, min_problems=3, significance_sigmas=1.0
+        )
+        units = [
+            (metric, scale, replace(config, ratio_multiplier=ratio))
+            for metric in ALL_METRICS
+            for scale in (0.5, 1.0)
+            for ratio in (1.25, 1.5)
+        ]
+
+        def outputs():
+            _, problems, critical = detect_units(table, rows, units)
+            return [
+                (pc.decoded(), pc.coverage, list(cc.clusters.items()))
+                + (cc.unattributed_problem_sessions,)
+                for pc, cc in zip(problems, critical)
+            ]
+
+        whole = outputs()
+        assert sum(len(c) for _, _, c, _ in whole) > 0
+        monkeypatch.setattr(critical_module, "_PAIR_BUDGET", 1)
+        assert outputs() == whole
+
+    def test_batch_with_a_floor_below_the_view_is_rejected(self):
+        table = table_of([({"cdn": "bad"}, 200, 100), ({"cdn": "ok"}, 800, 30)])
+        rows = np.arange(len(table))
+        at_view = replace(LOOSE, min_sessions=60)
+        detect_units(table, rows, [(JOIN_FAILURE, 1.0, at_view)] * 2, view_floor=60)
+        with pytest.raises(ValueError, match="below the floor"):
+            detect_units(
+                table, rows, [(JOIN_FAILURE, 1.0, at_view), (JOIN_TIME, 1.0, LOOSE)],
+                view_floor=60,
+            )
+
+    def test_units_of_one_pass_share_one_lattice(self):
+        table = table_of([({"cdn": "bad"}, 200, 100), ({"cdn": "ok"}, 800, 30)])
+        rows = np.arange(len(table))
+        one, other = (aggregate_epoch(table, rows, JOIN_FAILURE) for _ in range(2))
+        with pytest.raises(ValueError, match="one epoch lattice"):
+            detect_problem_clusters([(one, LOOSE), (other, LOOSE)])
+        problems = [find_problem_clusters(agg, LOOSE) for agg in (one, other)]
+        with pytest.raises(ValueError, match="one epoch lattice"):
+            detect_critical_clusters(problems)
 
     def test_config_floor_below_the_view_is_rejected(self):
         table = table_of([({"cdn": "bad"}, 200, 100), ({"cdn": "ok"}, 800, 30)])

@@ -145,11 +145,11 @@ class TestProjectIndex:
         )
 
     def test_cached_identity(self, view):
-        # Session counts do not depend on thresholds: every thresholds
-        # variant of the epoch shares one significant-ids array.
+        # Every thresholds variant of the epoch reads one lattice, so
+        # one ancestor-pair table and one decoded key per cluster.
         a = view.aggregate(JOIN_FAILURE)
         b = view.aggregate(JOIN_FAILURE, thresholds=MetricThresholds().scaled(2.0))
-        assert a.significant(5) is b.significant(5)
+        assert a.lattice.pairs() is b.lattice.pairs()
         assert view.lattice.key_of(3) is view.lattice.key_of(3)
 
 

@@ -6,7 +6,11 @@ import pytest
 from repro.core.aggregation import aggregate_epoch
 from repro.core.clusters import ClusterKey
 from repro.core.metrics import JOIN_FAILURE
-from repro.core.problems import ProblemClusterConfig, find_problem_clusters
+from repro.core.problems import (
+    ProblemClusterConfig,
+    cluster_problem_flags,
+    find_problem_clusters,
+)
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
 
@@ -178,7 +182,9 @@ class TestCoverage:
             [({"cdn": "bad"}, 200, 100), ({"cdn": "ok"}, 800, 30)]
         )
         pc = find(table)
-        recomputed = pc.counts_are_problem(pc.agg.sessions, pc.agg.problems)
+        recomputed = cluster_problem_flags(
+            pc.agg.sessions, pc.agg.problems, **pc.predicate
+        )
         # One flag per cluster id plus the trailing False slot that a
         # pruned (-1) leaf -> cluster entry reads.
         assert pc.is_problem.size == pc.agg.lattice.n_clusters + 1
