@@ -20,7 +20,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.aggregation import KeyCodec, aggregate_epoch
 from repro.core.critical import find_critical_clusters
 from repro.core.epoching import split_into_epochs
 from repro.core.index import TraceClusterIndex
@@ -40,22 +39,38 @@ def epoch_inputs(week_context):
     return table, rows
 
 
-def bench_epoch_aggregation(benchmark, epoch_inputs):
+@pytest.fixture(scope="module")
+def build_view(epoch_inputs):
+    """A function building the busiest epoch's view as ``analyze_trace``
+    does: from the trace index (metric masks warm), at the smallest
+    session floor the default config resolves to over the four
+    metrics."""
     table, rows = epoch_inputs
-    agg = benchmark(aggregate_epoch, table, rows, JOIN_FAILURE)
-    assert agg.total_sessions == len(rows)
+    index = TraceClusterIndex.build(table)
+    index.warm_metric_masks(ALL_METRICS)
+    config = AnalysisConfig()
+    served = [(config.problem_config, metric) for metric in ALL_METRICS]
+
+    def view():
+        return index.epoch_view(rows, floor=epoch_floor(index, rows, served))
+
+    return view
 
 
-def bench_problem_cluster_detection(benchmark, epoch_inputs):
-    table, rows = epoch_inputs
-    agg = aggregate_epoch(table, rows, JOIN_FAILURE)
+def bench_epoch_aggregation(benchmark, epoch_inputs, build_view):
+    """One metric's aggregate of the busiest epoch, view included."""
+    agg = benchmark(lambda: build_view().aggregate(JOIN_FAILURE))
+    assert agg.total_sessions == len(epoch_inputs[1])
+
+
+def bench_problem_cluster_detection(benchmark, build_view):
+    agg = build_view().aggregate(JOIN_FAILURE)
     problems = benchmark(find_problem_clusters, agg)
     assert problems.n_clusters >= 0
 
 
-def bench_critical_cluster_search(benchmark, epoch_inputs):
-    table, rows = epoch_inputs
-    agg = aggregate_epoch(table, rows, JOIN_FAILURE)
+def bench_critical_cluster_search(benchmark, build_view):
+    agg = build_view().aggregate(JOIN_FAILURE)
     problems = find_problem_clusters(agg)
     critical = benchmark(find_critical_clusters, problems)
     assert critical.coverage <= problems.coverage + 1e-9
@@ -72,39 +87,16 @@ def bench_full_pipeline_one_day(benchmark, week_context):
     assert analysis.grid.n_epochs == 24
 
 
-def bench_indexed_epoch_view(benchmark, epoch_inputs):
+def bench_indexed_epoch_view(benchmark, build_view):
     """Epoch view + four metric aggregations through a prebuilt
-    trace-global index (the engine's steady-state per-epoch cost,
-    directly comparable to ``bench_per_metric_packing``). The view is
-    the iceberg ``analyze_trace`` builds: at the smallest session floor
-    the default config resolves to over the four metrics."""
-    table, rows = epoch_inputs
-    index = TraceClusterIndex.build(table)
-    index.warm_metric_masks(ALL_METRICS)
-    config = AnalysisConfig()
-    served = [(config.problem_config, metric) for metric in ALL_METRICS]
+    trace-global index (the engine's steady-state per-epoch cost). The
+    view is the iceberg ``analyze_trace`` builds."""
 
     def indexed():
-        view = index.epoch_view(rows, floor=epoch_floor(index, rows, served))
+        view = build_view()
         return [view.aggregate(metric) for metric in ALL_METRICS]
 
     aggs = benchmark(indexed)
-    assert len(aggs) == len(ALL_METRICS)
-
-
-def bench_per_metric_packing(benchmark, epoch_inputs):
-    """Per-metric pack/unique (the direct path the test reference
-    uses), for direct comparison with ``bench_indexed_epoch_view``."""
-    table, rows = epoch_inputs
-    codec = KeyCodec.from_table(table)
-
-    def per_metric():
-        return [
-            aggregate_epoch(table, rows, metric, codec=codec)
-            for metric in ALL_METRICS
-        ]
-
-    aggs = benchmark(per_metric)
     assert len(aggs) == len(ALL_METRICS)
 
 

@@ -27,9 +27,8 @@ from repro.core import (
     Session,
     SessionTable,
 )
-from repro.core.aggregation import aggregate_epoch
-from repro.core.clusters import ClusterLattice
 from repro.core.critical import find_critical_clusters
+from repro.core.index import TraceClusterIndex
 from repro.core.problems import find_problem_clusters
 from repro.core.streaks import build_timelines
 
@@ -60,10 +59,23 @@ def make_sessions(counts, seed=0):
 
 
 def analyze(table):
-    agg = aggregate_epoch(table, np.arange(len(table)), JOIN_FAILURE)
+    view = TraceClusterIndex.build(table).epoch_view(np.arange(len(table)))
+    agg = view.aggregate(JOIN_FAILURE)
     problems = find_problem_clusters(agg, CONFIG)
     critical = find_critical_clusters(problems)
     return agg, problems, critical
+
+
+def dag_edges(keys):
+    """Figure 4's DAG over ``keys``, as (parent, child) pairs: an edge
+    from each present parent, or from the root when no parent is
+    present."""
+    present = set(keys)
+    edges = []
+    for key in present:
+        parents = [p for p in key.parents() if p.depth and p in present]
+        edges += [(p, key) for p in parents] or [(ClusterKey.root(), key)]
+    return edges
 
 
 def figure_3_and_4():
@@ -90,9 +102,8 @@ def figure_3_and_4():
     print(render_table(["Problem cluster", "Sessions", "Failures", "Ratio"],
                        rows, title="Problem clusters (Figure 4's red boxes)"))
 
-    dag = ClusterLattice().build_dag(interesting)
     print("\nDAG edges (parent -> child):")
-    for parent, child in sorted(dag.edges, key=str):
+    for parent, child in sorted(dag_edges(interesting), key=str):
         print(f"  {parent.label()} -> {child.label()}")
 
     print("\nCritical clusters (the single underlying cause):")

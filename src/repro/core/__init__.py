@@ -26,13 +26,12 @@ from repro.core.metrics import (
     register_metric,
     unregister_metric,
 )
-from repro.core.clusters import ClusterKey, ClusterLattice
+from repro.core.clusters import ClusterKey
 from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.aggregation import (
     ClusterStats,
     EpochAggregate,
     KeyCodec,
-    aggregate_epoch,
 )
 from repro.core.index import TraceClusterIndex
 from repro.core.problems import (
@@ -46,11 +45,9 @@ from repro.core.streaks import (
     ClusterTimeline,
     Streak,
     build_timelines,
-    coalesce_streaks,
     merge_timelines,
     prevalence,
     persistence_streaks,
-    shift_streaks,
 )
 from repro.core.pipeline import (
     AnalysisConfig,
@@ -97,14 +94,12 @@ __all__ = [
     "register_metric",
     "unregister_metric",
     "ClusterKey",
-    "ClusterLattice",
     "EpochGrid",
     "split_into_epochs",
     "ClusterStats",
     "EpochAggregate",
     "KeyCodec",
     "TraceClusterIndex",
-    "aggregate_epoch",
     "ProblemClusterConfig",
     "ProblemClusters",
     "cluster_problem_flags",
@@ -114,11 +109,9 @@ __all__ = [
     "ClusterTimeline",
     "Streak",
     "build_timelines",
-    "coalesce_streaks",
     "merge_timelines",
     "prevalence",
     "persistence_streaks",
-    "shift_streaks",
     "AnalysisConfig",
     "EpochAnalysis",
     "MetricAnalysis",

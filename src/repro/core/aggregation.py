@@ -16,10 +16,10 @@ The clusters of all masks are laid out flat in one
 one session and one problem count per cluster id plus the per-leaf
 counts — the arrays the problem- and critical-cluster detectors consume
 whole. A lattice may be an *iceberg*: built for a session floor, it
-holds only the clusters with at least that many sessions (see
-:mod:`repro.core.index`), and it refuses questions asked below that
-floor. :func:`aggregate_epoch` is the direct path, which builds the
-whole lattice (floor 1) with one ``np.unique`` per mask.
+holds only the clusters with at least that many sessions, and it
+refuses questions asked below that floor. Lattices and aggregates are
+built by :class:`~repro.core.index.EpochClusterView`, the one
+aggregation path; floor 1 gives the whole lattice.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ import numpy as np
 
 from repro.core.attributes import AttributeSchema, iter_submasks
 from repro.core.clusters import ClusterKey
-from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.sessions import SessionTable
 
 
@@ -63,6 +62,14 @@ class ClusterStats:
 class KeyCodec:
     """Packs attribute-code rows into int64 keys and decodes them back.
 
+    The one home of the packed-key layout: attribute ``i``'s code sits
+    in a field of ``widths[i]`` bits at bit ``offsets[i]``, each field
+    just wide enough for its vocabulary, fields in schema order. The
+    fields must fit in 62 bits; :meth:`layout` raises ``ValueError``
+    otherwise. Masking a subset of attributes is then a bitwise AND
+    with a field mask (:meth:`field_masks`), which is what makes
+    per-mask aggregation a vectorised operation.
+
     The codec snapshots a table's vocabularies, so decoded
     :class:`ClusterKey` identities are stable across epochs of the same
     trace (vocabularies are global to the table).
@@ -71,26 +78,33 @@ class KeyCodec:
     __slots__ = ("schema", "vocabs", "widths", "offsets", "_field_masks")
 
     def __init__(
-        self,
-        schema: AttributeSchema,
-        vocabs: Sequence[Sequence[str]],
-        widths: np.ndarray,
-        offsets: np.ndarray,
+        self, schema: AttributeSchema, vocabs: Sequence[Sequence[str]]
     ) -> None:
         self.schema = schema
         self.vocabs = vocabs
-        self.widths = widths
-        self.offsets = offsets
+        self.widths, self.offsets = self.layout([len(v) for v in vocabs])
         self._field_masks: np.ndarray | None = None
 
     @classmethod
     def from_table(cls, table: SessionTable) -> "KeyCodec":
-        return cls(
-            schema=table.schema,
-            vocabs=table.vocabs,
-            widths=table.bit_widths(),
-            offsets=table.bit_offsets(),
+        return cls(table.schema, table.vocabs)
+
+    @staticmethod
+    def layout(sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """``(widths, offsets)`` of the fields for vocabularies of
+        ``sizes`` labels; ``ValueError`` past 62 bits."""
+        widths = np.array(
+            [max(max(size - 1, 0).bit_length(), 1) for size in sizes],
+            dtype=np.int64,
         )
+        if widths.sum() > 62:
+            raise ValueError(
+                f"attribute vocabularies need {widths.sum()} bits; packing "
+                "supports at most 62"
+            )
+        offsets = np.zeros_like(widths)
+        offsets[1:] = np.cumsum(widths)[:-1]
+        return widths, offsets
 
     @property
     def n_attrs(self) -> int:
@@ -108,7 +122,12 @@ class KeyCodec:
         return packed
 
     def field_masks(self) -> np.ndarray:
-        """AND-masks per attribute-subset mask (see SessionTable)."""
+        """For every attribute-subset mask, the packed-key AND mask.
+
+        Entry ``m`` zeroes the fields of attributes *not* in subset
+        ``m``, so ``packed & field_masks()[m]`` is the packed key of the
+        projection onto ``m``.
+        """
         if self._field_masks is None:
             per_attr = [
                 ((1 << int(self.widths[i])) - 1) << int(self.offsets[i])
@@ -160,8 +179,7 @@ class EpochLattice:
 
     Built from the epoch's leaves by
     :class:`~repro.core.index.EpochClusterView` (coarse to fine, shared
-    by every metric of the epoch) and by :func:`aggregate_epoch` (one
-    ``np.unique`` per mask, floor 1). It also memoises what every metric
+    by every metric of the epoch). It also memoises what every metric
     and config of the epoch asks again: decoded keys (:meth:`keys_of`)
     and the table of every (cluster, ancestor) pair (:meth:`pairs`).
     """
@@ -194,33 +212,6 @@ class EpochLattice:
         self.floor = floor
         self._decoded: dict[int, ClusterKey] = {}
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def flatten(
-        cls,
-        codec: KeyCodec,
-        mask_keys: Sequence[np.ndarray],
-        mask_reps: Sequence[np.ndarray],
-        leaf_cluster: np.ndarray,
-    ) -> "EpochLattice":
-        """Lay every mask's whole cluster table out flat (floor 1).
-
-        ``mask_keys[m - 1]`` are mask ``m``'s sorted keys and
-        ``mask_reps[m - 1]`` one leaf of each; row ``m`` of the int32
-        ``leaf_cluster`` holds each leaf's position within the mask's
-        keys and is shifted to cluster ids in place.
-        """
-        starts = np.zeros(len(mask_keys) + 2, dtype=np.int64)
-        np.cumsum([k.size for k in mask_keys], out=starts[2:])
-        leaf_cluster += starts[:-1, None].astype(np.int32)
-        leaf_cluster[0] = -1
-        return cls(
-            codec,
-            np.concatenate(mask_keys),
-            starts,
-            leaf_cluster,
-            np.concatenate(mask_reps).astype(np.int32, copy=False),
-        )
 
     @property
     def n_clusters(self) -> int:
@@ -369,71 +360,3 @@ class EpochAggregate:
     @property
     def global_ratio(self) -> float:
         return self.global_stats.ratio
-
-
-def aggregate_epoch(
-    table: SessionTable,
-    rows: np.ndarray,
-    metric: QualityMetric,
-    epoch: int = 0,
-    thresholds: MetricThresholds | None = None,
-    codec: KeyCodec | None = None,
-) -> EpochAggregate:
-    """Aggregate one epoch's sessions for one metric.
-
-    ``rows`` indexes the epoch's sessions within ``table``. Sessions
-    for which the metric is undefined (e.g. join time of a failed join)
-    are excluded — the paper studies each metric over its own valid
-    population.
-
-    This is the direct per-metric path: pack the valid rows,
-    ``np.unique`` them into leaves and project every mask, which builds
-    the whole lattice (floor 1). The analysis engine and the online
-    detector's stream reduce epochs through a
-    :class:`~repro.core.index.EpochClusterView` instead (the same
-    counts on the clusters it keeps; see :mod:`repro.core.index`). This
-    path serves the online detector's schema-change fallback and the
-    HHH ablation, and the test suite's reference analysis is built on
-    it.
-    """
-    codec = codec or KeyCodec.from_table(table)
-    valid = metric.valid_mask(table)[rows]
-    use = np.asarray(rows)[valid]
-    problem = metric.problem_mask(table, thresholds)[use].astype(np.int64)
-    packed = codec.pack(table.codes[use])
-
-    leaf_keys, inverse = np.unique(packed, return_inverse=True)
-    leaf_sessions = np.bincount(inverse, minlength=leaf_keys.size).astype(
-        np.int64
-    )
-    leaf_problems = np.bincount(
-        inverse, weights=problem, minlength=leaf_keys.size
-    ).astype(np.int64)
-
-    field_masks = codec.field_masks()
-    full = codec.full_mask
-    leaf_cluster = np.empty((full + 1, leaf_keys.size), dtype=np.int32)
-    mask_keys, mask_reps, sessions, problems = [], [], [], []
-    for m in range(1, full + 1):
-        keys, rep, inv = np.unique(
-            leaf_keys & field_masks[m], return_index=True, return_inverse=True
-        )
-        leaf_cluster[m] = inv
-        mask_keys.append(keys)
-        mask_reps.append(rep)
-        sessions.append(
-            np.bincount(inv, weights=leaf_sessions, minlength=keys.size)
-        )
-        problems.append(
-            np.bincount(inv, weights=leaf_problems, minlength=keys.size)
-        )
-
-    return EpochAggregate(
-        epoch=epoch,
-        metric_name=metric.name,
-        lattice=EpochLattice.flatten(codec, mask_keys, mask_reps, leaf_cluster),
-        sessions=np.concatenate(sessions).astype(np.int64),
-        problems=np.concatenate(problems).astype(np.int64),
-        leaf_sessions=leaf_sessions,
-        leaf_problems=leaf_problems,
-    )

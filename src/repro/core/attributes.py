@@ -108,15 +108,6 @@ def iter_submasks(mask: int) -> Iterator[int]:
         sub = (sub - 1) & mask
 
 
-def iter_supermasks(mask: int, full_mask: int) -> Iterator[int]:
-    """Yield every strict supermask of ``mask`` within ``full_mask``."""
-    missing = full_mask & ~mask
-    sup = missing
-    while sup:
-        yield mask | sup
-        sup = (sup - 1) & missing
-
-
 def popcount(mask: int) -> int:
     """Number of set bits (attributes) in ``mask``."""
     return bin(mask).count("1")

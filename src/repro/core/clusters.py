@@ -1,4 +1,4 @@
-"""Cluster keys and the attribute-combination lattice.
+"""Cluster keys: the human-facing identity of a cluster.
 
 A *cluster* (paper Section 3.1) is the set of sessions sharing specific
 values on a subset of attributes, e.g. ``ASN=ASN1, CDN=CDN1``. The set
@@ -6,12 +6,12 @@ of all clusters for a fixed leaf combination forms a subset lattice;
 across combinations the clusters form a DAG with natural parent/child
 relationships (paper Figure 4): ``C1`` is a parent of ``C2`` when its
 attribute set is a strict subset of ``C2``'s and they agree on shared
-values.
+values (:meth:`ClusterKey.parents`, :meth:`ClusterKey.is_ancestor_of`).
 
-:class:`ClusterKey` is the human-facing identity of a cluster — a
-mapping of attribute names to value labels — stable across epochs and
-traces. The aggregation layer uses a packed integer representation
-internally (:mod:`repro.core.aggregation`); keys decode to
+:class:`ClusterKey` is a mapping of attribute names to value labels,
+stable across epochs and traces. The lattice itself lives in packed
+integer form, one epoch at a time
+(:class:`~repro.core.aggregation.EpochLattice`); its keys decode to
 ``ClusterKey`` for reporting and cross-epoch identity.
 """
 
@@ -20,15 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-import networkx as nx
-
-from repro.core.attributes import (
-    AttributeSchema,
-    DEFAULT_SCHEMA,
-    iter_submasks,
-    iter_supermasks,
-    popcount,
-)
+from repro.core.attributes import AttributeSchema, DEFAULT_SCHEMA, iter_submasks
 
 
 @dataclass(frozen=True)
@@ -138,89 +130,3 @@ class ClusterKey:
 def attribute_signature(key: ClusterKey) -> tuple[str, ...]:
     """The attribute *types* a key constrains — Figure 10's grouping."""
     return key.attributes
-
-
-class ClusterLattice:
-    """Subset lattice over attribute positions of a schema.
-
-    Exposes mask-level structure (submask/supermask enumeration, levels)
-    and can materialise the cluster DAG for a concrete set of keys as a
-    :class:`networkx.DiGraph` (edges parent -> child), mirroring the
-    paper's Figure 4 visualisation.
-    """
-
-    def __init__(self, schema: AttributeSchema = DEFAULT_SCHEMA) -> None:
-        self.schema = schema
-        self.n_attrs = len(schema)
-        self.full_mask = schema.full_mask
-
-    def masks(self) -> Iterator[int]:
-        """All non-empty attribute-subset masks."""
-        return iter(range(1, self.full_mask + 1))
-
-    def masks_by_depth(self) -> list[list[int]]:
-        """Masks grouped by popcount; index 0 holds the root mask."""
-        levels: list[list[int]] = [[] for _ in range(self.n_attrs + 1)]
-        for m in range(self.full_mask + 1):
-            levels[popcount(m)].append(m)
-        return levels
-
-    def parents_of_mask(self, mask: int) -> Iterator[int]:
-        """Immediate parent masks (one attribute removed)."""
-        self.schema.validate_mask(mask)
-        for i in range(self.n_attrs):
-            bit = 1 << i
-            if mask & bit:
-                yield mask & ~bit
-
-    def children_of_mask(self, mask: int) -> Iterator[int]:
-        """Immediate child masks (one attribute added)."""
-        self.schema.validate_mask(mask)
-        for i in range(self.n_attrs):
-            bit = 1 << i
-            if not mask & bit:
-                yield mask | bit
-
-    def ancestors_of_mask(self, mask: int) -> Iterator[int]:
-        return iter_submasks(mask)
-
-    def descendants_of_mask(self, mask: int) -> Iterator[int]:
-        return iter_supermasks(mask, self.full_mask)
-
-    def interval_masks(self, lower: int, upper: int) -> Iterator[int]:
-        """Masks ``m`` with ``lower ⊆ m ⊆ upper`` (inclusive)."""
-        if lower & ~upper:
-            raise ValueError(f"{lower:#x} is not a subset of {upper:#x}")
-        free = upper & ~lower
-        sub = free
-        while True:
-            yield lower | sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-
-    def build_dag(self, keys: Iterable[ClusterKey]) -> nx.DiGraph:
-        """Materialise the parent/child DAG over concrete cluster keys.
-
-        Nodes are :class:`ClusterKey`; an edge runs from each key to
-        every present key directly below it (one more constrained
-        attribute, agreeing values). A root node is included and linked
-        to the shallowest present keys that have no present parent.
-        """
-        key_set = set(keys)
-        graph = nx.DiGraph()
-        root = ClusterKey.root()
-        graph.add_node(root)
-        for key in key_set:
-            graph.add_node(key)
-        for key in key_set:
-            has_parent = False
-            for parent in key.parents():
-                if parent.depth == 0:
-                    continue
-                if parent in key_set:
-                    graph.add_edge(parent, key)
-                    has_parent = True
-            if not has_parent and key.depth > 0:
-                graph.add_edge(root, key)
-        return graph

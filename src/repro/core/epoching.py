@@ -10,7 +10,6 @@ per-epoch row index arrays for a :class:`SessionTable`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -93,13 +92,3 @@ def split_into_epochs(
         rows[boundaries[e] : boundaries[e + 1]] for e in range(grid.n_epochs)
     ]
     return grid, per_epoch
-
-
-def iter_epoch_tables(
-    table: SessionTable, grid: EpochGrid | None = None
-) -> Iterator[tuple[int, SessionTable]]:
-    """Yield ``(epoch_index, epoch_subtable)`` pairs for non-empty epochs."""
-    grid, per_epoch = split_into_epochs(table, grid)
-    for epoch, rows in enumerate(per_epoch):
-        if rows.size:
-            yield epoch, table.select(rows)

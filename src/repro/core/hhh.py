@@ -10,7 +10,9 @@ via the phase-transition test.
 
 This module implements the classic bottom-up HHH detector over the same
 per-epoch aggregates so the ablation bench (`abl-hhh`) can compare both
-detectors against planted ground-truth events.
+detectors against planted ground-truth events. It reads the whole
+lattice, i.e. an aggregate of a floor-1
+:class:`~repro.core.index.EpochClusterView`.
 """
 
 from __future__ import annotations
@@ -60,10 +62,13 @@ def find_hierarchical_heavy_hitters(
     bookkeeping: a leaf's problems are claimed by the deepest reported
     cluster containing it).
 
-    Needs the whole lattice (as :func:`~repro.core.aggregation.aggregate_epoch`
-    builds it): a heavy hitter's discounted count can clear ``phi``
-    while its session count is below any §3.1 floor, so an aggregate
-    over an iceberg lattice raises ``ValueError``.
+    Needs the whole lattice (a floor-1 view): a heavy hitter's
+    discounted count can clear ``phi`` while its session count is below
+    any §3.1 floor, so an aggregate over an iceberg lattice raises
+    ``ValueError``. A floor-1 view also keeps zero-count clusters for
+    leaves with no valid session for the metric; their discounted count
+    is 0, below ``phi`` times a non-zero total, so they are never
+    reported and the list is the one a lattice without them gives.
     """
     config = config or HHHConfig()
     lattice = agg.lattice

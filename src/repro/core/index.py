@@ -36,15 +36,17 @@ With a view, aggregating one (epoch, metric) unit collapses to two
 ``np.bincount`` calls at the leaf level plus the *residual fold*: a
 kept cluster's count is the sum of its kept children on one finer mask
 plus the leaves under its pruned children there, one ``bincount`` per
-popcount level, fine to coarse. On the kept clusters the counts equal
-the direct per-epoch :func:`~repro.core.aggregation.aggregate_epoch`.
-The direct path also holds every cluster below the floor, which no
-detector at or above the floor reads, and drops leaf combinations
-whose sessions are all invalid for the metric, which the view keeps
-with zero counts; zero-count clusters can never be problem clusters,
-never disqualify an ancestor, and never receive attribution. So
-problem/critical outputs are identical to the direct per-epoch
-reference (pinned by ``tests/property/test_parallel_equivalence.py``
+popcount level, fine to coarse. This is the only aggregation path in
+the library. On the kept clusters the counts equal a direct per-metric
+aggregation (pack the metric's valid rows, ``np.unique`` them, project
+every mask), which the test suite keeps as its oracle
+(``tests/core/direct_aggregate.py``). The direct path also holds every
+cluster below the floor, which no detector at or above the floor reads,
+and drops leaf combinations whose sessions are all invalid for the
+metric, which the view keeps with zero counts; zero-count clusters can
+never be problem clusters, never disqualify an ancestor, and never
+receive attribution. So problem/critical outputs are identical to the
+oracle's (pinned by ``tests/property/test_parallel_equivalence.py``
 and ``tests/core/test_detector_oracle.py``).
 
 Memory footprint: the trace level holds ``n_leaves * 8`` bytes of leaf
@@ -141,12 +143,14 @@ class TraceClusterIndex:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls, table: SessionTable, codec: KeyCodec | None = None
-    ) -> "TraceClusterIndex":
-        """Pack all sessions and reduce them to the sorted leaf universe."""
+    def build(cls, table: SessionTable) -> "TraceClusterIndex":
+        """Pack all sessions and reduce them to the sorted leaf universe.
+
+        Raises ``ValueError`` when the table's vocabularies need more
+        than the packed key's 62 bits.
+        """
         with current_tracer().span("index.build", sessions=len(table)) as span:
-            codec = codec or KeyCodec.from_table(table)
+            codec = KeyCodec.from_table(table)
             leaf_keys, row_to_leaf = np.unique(
                 codec.pack(table.codes), return_inverse=True
             )
@@ -187,23 +191,30 @@ class TraceClusterIndex:
         views per epoch (as :class:`~repro.core.substrate.StreamingSubstrate`
         and the batch engine both do).
 
+        A chunk whose labels would push the packed key past 62 bits
+        raises ``ValueError`` before anything changes, so the table and
+        the index stay as they were and later chunks still append.
+
         Returns the appended row indices.
         """
+        if not isinstance(chunk, SessionTable):
+            chunk = SessionTable.from_sessions(chunk, schema=self.table.schema)
+        widths, _ = KeyCodec.layout(self.table.merged_vocab_sizes(chunk))
         rows = self.table.extend(chunk)
-        if rows.size == 0:
-            return rows
-        current_metrics().inc("index.appends")
-        current_metrics().inc("index.appended_rows", int(rows.size))
-        self._extend_metric_masks(rows)
-        if not np.array_equal(self.table.bit_widths(), self.codec.widths):
-            # A vocabulary crossed a power-of-two boundary, so every
-            # packed key changes layout. The (already extended) metric
-            # masks are key-independent and carry over unchanged.
+        if rows.size:
+            current_metrics().inc("index.appends")
+            current_metrics().inc("index.appended_rows", int(rows.size))
+            self._extend_metric_masks(rows)
+        if not np.array_equal(widths, self.codec.widths):
+            # A vocabulary crossed a power-of-two boundary (even through
+            # an empty chunk's labels), so every packed key changes
+            # layout. The (already extended) metric masks are
+            # key-independent and carry over unchanged.
             fresh = TraceClusterIndex.build(self.table)
             self.codec = fresh.codec
             self.leaf_keys = fresh.leaf_keys
             self.row_to_leaf = fresh.row_to_leaf
-        else:
+        elif rows.size:
             self._append_keys(rows)
         return rows
 
@@ -442,12 +453,12 @@ class EpochClusterView:
     ) -> EpochAggregate:
         """Aggregate this epoch's rows for one metric.
 
-        On every cluster the view keeps, the counts equal
-        :func:`repro.core.aggregation.aggregate_epoch` over the same
-        rows. The direct path also holds the clusters below the view's
-        floor and drops clusters with no *valid* session for the metric,
-        which the view keeps with zero counts; detection at any floor
-        at or above the view's reads neither. Two leaf-level bincounts
+        On every cluster the view keeps, the counts equal a direct
+        per-metric aggregation of the same rows (the test suite's
+        oracle). That direct path also holds the clusters below the
+        view's floor and drops clusters with no *valid* session for the
+        metric, which the view keeps with zero counts; detection at any
+        floor at or above the view's reads neither. Two leaf-level bincounts
         plus the residual fold; no per-epoch key packing at all. The
         threshold-independent half (validity and session counts) is
         cached per metric, so re-aggregating the same epoch under new

@@ -20,7 +20,12 @@ the piece a "coordinated video control plane" (the paper's reference
 
 Identities are decoded :class:`ClusterKey` values, so the detector does
 not require a shared vocabulary across epochs — slices from different
-collectors interoperate.
+collectors interoperate, and alert lifecycles carry over when the
+stream restarts on a schema change.
+
+Every epoch is reduced through the batch engine's one aggregation
+path, an :class:`~repro.core.index.EpochClusterView` over the
+detector's :class:`~repro.core.substrate.StreamingSubstrate`.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from typing import Literal
 
 import numpy as np
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.clusters import ClusterKey
 from repro.core.critical import find_critical_clusters
 from repro.core.metrics import MetricThresholds, QualityMetric
@@ -113,10 +117,9 @@ class OnlineDetector:
         engine uses. Any table with the stream's schema streams
         (equivalent tables from the same collector, a fresh table
         object per epoch, per-epoch slices of one big table); an epoch
-        with a different schema is reduced by the direct per-epoch
-        :func:`~repro.core.aggregation.aggregate_epoch` instead and
-        leaves the stream untouched. Detection output is identical
-        either way."""
+        with a different schema starts a new stream. Alert lifecycles
+        key on decoded :class:`ClusterKey` values, so they carry over
+        the restart."""
         if confirm_after < 1:
             raise ValueError("confirm_after must be >= 1")
         if clear_after < 1:
@@ -137,25 +140,25 @@ class OnlineDetector:
         """The incrementally maintained substrate every streamed epoch
         lands in (``None`` until the first observation). Exposes the
         full batch path — ``detector.substrate.analyze(...)`` re-runs
-        any config over everything observed so far."""
+        any config over everything observed since the last schema
+        change."""
         return self._stream
 
-    def _resolve_stream(self, table: SessionTable) -> StreamingSubstrate | None:
-        """The stream ``table`` appends to, or ``None`` on a schema change.
+    def _resolve_stream(self, table: SessionTable) -> StreamingSubstrate:
+        """The stream ``table`` appends to.
 
         Compatibility is structural — same attribute schema — not
         object identity: a fresh but equivalent table every epoch (the
         case a real collector produces) streams through the same index,
-        with vocabularies merged on append. The first observation fixes
-        the stream's schema; a table with a different one takes the
-        direct per-epoch path (decoded identities still interoperate).
+        with vocabularies merged on append. The first observation, and
+        every table whose schema differs from the stream's, starts a
+        new stream; the caller installs it once the epoch has appended.
         """
-        if self._stream is None:
-            self._stream = StreamingSubstrate(schema=table.schema)
-            self._stream.index.warm_metric_masks([self.metric], self.thresholds)
-        elif self._stream.table.schema.names != table.schema.names:
-            return None
-        return self._stream
+        stream = self._stream
+        if stream is None or stream.table.schema.names != table.schema.names:
+            stream = StreamingSubstrate(schema=table.schema)
+            stream.index.warm_metric_masks([self.metric], self.thresholds)
+        return stream
 
     def observe_epoch(
         self, table: SessionTable, rows: np.ndarray | None = None
@@ -210,17 +213,13 @@ class OnlineDetector:
         self, table: SessionTable, rows: np.ndarray, epoch: int
     ) -> EpochObservation:
         stream = self._resolve_stream(table)
-        if stream is not None:
-            new_rows = stream.append(table.select(rows))
-            floor = epoch_floor(
-                stream.index, new_rows, [(self.problem_config, self.metric)]
-            )
-            view = stream.epoch_view(new_rows, epoch=epoch, floor=floor)
-            agg = view.aggregate(self.metric, thresholds=self.thresholds)
-        else:
-            agg = aggregate_epoch(
-                table, rows, self.metric, epoch=epoch, thresholds=self.thresholds
-            )
+        new_rows = stream.append(table.select(rows))
+        self._stream = stream
+        floor = epoch_floor(
+            stream.index, new_rows, [(self.problem_config, self.metric)]
+        )
+        view = stream.epoch_view(new_rows, epoch=epoch, floor=floor)
+        agg = view.aggregate(self.metric, thresholds=self.thresholds)
         problems = find_problem_clusters(agg, self.problem_config)
         critical = find_critical_clusters(problems)
         decoded = critical.decoded()

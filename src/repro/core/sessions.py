@@ -8,8 +8,9 @@ measurements (Section 2). Two representations are provided:
   row-oriented IO.
 * :class:`SessionTable` — a columnar store (numpy arrays + per-attribute
   vocabularies) that the analysis pipeline operates on. Attribute
-  values are integer-coded; the codes of one session pack into a single
-  ``int64`` so per-epoch aggregation can run as vectorised passes.
+  values are integer-coded; :class:`~repro.core.aggregation.KeyCodec`
+  packs the codes of one session into a single ``int64`` so per-epoch
+  aggregation can run as vectorised passes.
 """
 
 from __future__ import annotations
@@ -349,19 +350,10 @@ class SessionTable:
         Returns the chunk's ``(n, n_attrs)`` code matrix in this
         table's code space.
         """
-        if chunk.schema.names != self.schema.names:
-            raise ValueError(
-                f"cannot merge schema {chunk.schema.names} into "
-                f"{self.schema.names}"
-            )
-        if self._encoders is None:
-            self._encoders = [
-                {lab: code for code, lab in enumerate(vocab)}
-                for vocab in self.vocabs
-            ]
+        encoders = self._merge_encoders(chunk)
         new_codes = chunk.codes.copy()
         for i in range(self.n_attrs):
-            vocab, encoder = self.vocabs[i], self._encoders[i]
+            vocab, encoder = self.vocabs[i], encoders[i]
             mapping = np.empty(max(len(chunk.vocabs[i]), 1), dtype=np.int32)
             for old_code, label in enumerate(chunk.vocabs[i]):
                 code = encoder.get(label)
@@ -373,6 +365,34 @@ class SessionTable:
             if len(chunk.vocabs[i]):
                 new_codes[:, i] = mapping[chunk.codes[:, i]]
         return new_codes
+
+    def merged_vocab_sizes(self, chunk: "SessionTable") -> list[int]:
+        """The vocabulary sizes :meth:`merge_codes` would leave after
+        merging ``chunk``, computed without changing the table."""
+        encoders = self._merge_encoders(chunk)
+        return [
+            len(vocab) + len(set(labels).difference(encoder))
+            for vocab, encoder, labels in zip(self.vocabs, encoders, chunk.vocabs)
+        ]
+
+    def _merge_encoders(self, chunk: "SessionTable") -> list[dict[str, int]]:
+        """The label -> code maps ``chunk``'s labels merge into; raises
+        ``ValueError`` when its schema differs."""
+        if chunk.schema.names != self.schema.names:
+            raise ValueError(
+                f"cannot merge schema {chunk.schema.names} into "
+                f"{self.schema.names}"
+            )
+        return self._label_encoders()
+
+    def _label_encoders(self) -> list[dict[str, int]]:
+        """Per-attribute label -> code maps, built lazily and cached."""
+        if self._encoders is None:
+            self._encoders = [
+                {lab: code for code, lab in enumerate(vocab)}
+                for vocab in self.vocabs
+            ]
+        return self._encoders
 
     def _append_column(self, name: str, current: np.ndarray, part: np.ndarray) -> np.ndarray:
         """Append ``part`` behind ``current`` using a doubling buffer."""
@@ -453,12 +473,7 @@ class SessionTable:
         immutable once analysis starts), replacing the O(V)
         ``list.index`` scans query layers used to pay per lookup.
         """
-        if self._encoders is None:
-            self._encoders = [
-                {lab: code for code, lab in enumerate(vocab)}
-                for vocab in self.vocabs
-            ]
-        return self._encoders[self.schema.index(name)].get(label)
+        return self._label_encoders()[self.schema.index(name)].get(label)
 
     def attr_labels(self, name: str) -> list[str]:
         """Vocabulary (code-ordered labels) of attribute ``name``."""
@@ -480,74 +495,3 @@ class SessionTable:
                 bitrate_kbps=float(self.bitrate_kbps[i]),
                 join_failed=bool(self.join_failed[i]),
             )
-
-    # ------------------------------------------------------------------
-    # Key packing — the representation aggregation operates on
-    # ------------------------------------------------------------------
-    def bit_widths(self) -> np.ndarray:
-        """Bits needed per attribute to encode its vocabulary."""
-        widths = np.empty(self.n_attrs, dtype=np.int64)
-        for i, vocab in enumerate(self.vocabs):
-            size = max(len(vocab), 1)
-            widths[i] = max(int(size - 1).bit_length(), 1)
-        if widths.sum() > 62:
-            raise ValueError(
-                f"attribute vocabularies need {widths.sum()} bits; packing "
-                "supports at most 62"
-            )
-        return widths
-
-    def bit_offsets(self) -> np.ndarray:
-        """Bit offset of each attribute field within a packed key."""
-        widths = self.bit_widths()
-        offsets = np.zeros_like(widths)
-        offsets[1:] = np.cumsum(widths)[:-1]
-        return offsets
-
-    def packed_keys(self, rows: np.ndarray | slice | None = None) -> np.ndarray:
-        """Pack each session's attribute codes into one ``int64``.
-
-        The packed key concatenates per-attribute code fields; masking a
-        subset of attributes is a bitwise AND with a field mask, which is
-        what makes per-mask aggregation a vectorised operation.
-        """
-        offsets = self.bit_offsets()
-        codes = self.codes if rows is None else self.codes[rows]
-        packed = np.zeros(codes.shape[0], dtype=np.int64)
-        for i in range(self.n_attrs):
-            packed |= codes[:, i].astype(np.int64) << int(offsets[i])
-        return packed
-
-    def field_masks(self) -> np.ndarray:
-        """For every attribute-subset mask, the packed-key AND mask.
-
-        Entry ``m`` zeroes the fields of attributes *not* in subset
-        ``m``, so ``packed & field_masks[m]`` is the packed key of the
-        session's projection onto ``m``.
-        """
-        widths = self.bit_widths()
-        offsets = self.bit_offsets()
-        per_attr = np.array(
-            [((1 << int(widths[i])) - 1) << int(offsets[i]) for i in range(self.n_attrs)],
-            dtype=np.int64,
-        )
-        n_masks = 1 << self.n_attrs
-        out = np.zeros(n_masks, dtype=np.int64)
-        for m in range(1, n_masks):
-            acc = np.int64(0)
-            for i in range(self.n_attrs):
-                if m & (1 << i):
-                    acc |= per_attr[i]
-            out[m] = acc
-        return out
-
-    def unpack_key(self, mask: int, packed: int) -> tuple[tuple[str, str], ...]:
-        """Decode a ``(mask, packed)`` cluster id to (attr, label) pairs."""
-        widths = self.bit_widths()
-        offsets = self.bit_offsets()
-        pairs = []
-        for i, name in enumerate(self.schema.names):
-            if mask & (1 << i):
-                code = (packed >> int(offsets[i])) & ((1 << int(widths[i])) - 1)
-                pairs.append((name, self.vocabs[i][int(code)]))
-        return tuple(pairs)

@@ -118,42 +118,6 @@ def build_timelines(
     }
 
 
-def shift_streaks(streaks: Iterable[Streak], offset: int) -> list[Streak]:
-    """Translate streaks by ``offset`` epochs (shard-local -> global)."""
-    return [Streak(start=s.start + offset, length=s.length) for s in streaks]
-
-
-def coalesce_streaks(parts: Iterable[Iterable[Streak]]) -> list[Streak]:
-    """Merge per-range streak lists into whole-range maximal streaks.
-
-    This is the shard-merge algebra for persistence (DESIGN.md §7):
-    each part holds the streaks of one epoch range, already translated
-    to global epoch indices (:func:`shift_streaks`). A run that spans a
-    range boundary arrives as two abutting streaks — one ending exactly
-    where the next starts — and is joined into a single logical event,
-    which is what makes sharded persistence bit-identical to the
-    monolithic computation. Overlapping streaks mean the input ranges
-    were not disjoint and raise :class:`ValueError`.
-    """
-    merged: list[Streak] = []
-    ordered = sorted(
-        (s for part in parts for s in part), key=lambda s: (s.start, s.length)
-    )
-    for streak in ordered:
-        if merged and streak.start < merged[-1].end:
-            raise ValueError(
-                f"overlapping streaks: {merged[-1]} and {streak} "
-                "(input ranges must be disjoint)"
-            )
-        if merged and streak.start == merged[-1].end:
-            merged[-1] = Streak(
-                start=merged[-1].start, length=merged[-1].length + streak.length
-            )
-        else:
-            merged.append(streak)
-    return merged
-
-
 def merge_timelines(
     parts: Iterable[tuple[int, Mapping[K, ClusterTimeline]]],
     n_epochs_total: int,
@@ -164,9 +128,11 @@ def merge_timelines(
     epoch indices are local to its range and are shifted by the offset.
     Occurrence sets union per cluster key; :meth:`ClusterTimeline.streaks`
     on the merged timeline then coalesces runs spanning range
-    boundaries, so ``merge_timelines`` + ``streaks()`` equals
-    :func:`coalesce_streaks` over the shifted per-range streaks (pinned
-    by ``tests/property/test_shard_equivalence.py``).
+    boundaries into one logical event, so merged streaks equal the
+    whole range's (pinned by ``tests/property/test_shard_equivalence.py``).
+    This is the only cross-range merge of timelines and streaks. The
+    ranges must be disjoint: an epoch that two parts flag for one key
+    raises :class:`ValueError`.
     """
     occurrences: dict[K, list[np.ndarray]] = {}
     for offset, timelines in parts:
@@ -174,14 +140,20 @@ def merge_timelines(
             occurrences.setdefault(key, []).append(
                 timeline.epochs + np.int64(offset)
             )
-    return {
-        key: ClusterTimeline(
+    merged: dict[K, ClusterTimeline] = {}
+    for key, chunks in occurrences.items():
+        timeline = ClusterTimeline(
             key=key,
             epochs=np.concatenate(chunks),
             n_epochs_total=n_epochs_total,
         )
-        for key, chunks in occurrences.items()
-    }
+        if timeline.n_occurrences != sum(chunk.size for chunk in chunks):
+            raise ValueError(
+                f"{key!r} is flagged twice in one epoch "
+                "(input ranges must be disjoint)"
+            )
+        merged[key] = timeline
+    return merged
 
 
 def prevalence(timelines: Mapping[K, ClusterTimeline]) -> dict[K, float]:

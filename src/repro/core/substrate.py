@@ -101,13 +101,11 @@ class AnalysisSubstrate:
         self._splits: dict[EpochGrid, list[np.ndarray]] = {}
 
     @classmethod
-    def build(
-        cls, table: SessionTable, codec: KeyCodec | None = None
-    ) -> "AnalysisSubstrate":
+    def build(cls, table: SessionTable) -> "AnalysisSubstrate":
         """Pack the table and build the trace-global cluster index."""
         with current_tracer().span("substrate.build", sessions=len(table)):
             t0 = time.perf_counter()
-            index = TraceClusterIndex.build(table, codec=codec)
+            index = TraceClusterIndex.build(table)
             return cls(
                 table=table, index=index, build_seconds=time.perf_counter() - t0
             )

@@ -30,7 +30,6 @@ from repro.analysis.whatif import (
     reactive_simulation,
     topk_improvement_curve,
 )
-from repro.core.aggregation import aggregate_epoch
 from repro.core.epoching import split_into_epochs
 from repro.core.hhh import HHHConfig, find_hierarchical_heavy_hitters
 from repro.core.index import TraceClusterIndex
@@ -608,8 +607,16 @@ def run_ablation_thresholds(ctx: ExperimentContext) -> ExperimentResult:
 
 
 def run_ablation_hhh(ctx: ExperimentContext) -> ExperimentResult:
-    """Critical clusters vs hierarchical heavy hitters on planted truth."""
+    """Critical clusters vs hierarchical heavy hitters on planted truth.
+
+    HHH reads each epoch's floor-1 view (the whole lattice).
+    """
     grid, per_epoch = split_into_epochs(ctx.trace.table, ctx.analysis.grid)
+    index = (
+        ctx.substrate.index
+        if ctx.substrate is not None
+        else TraceClusterIndex.build(ctx.trace.table)
+    )
     planted = {e.cluster_key for e in ctx.trace.catalog}
     sample = range(0, min(grid.n_epochs, 48))
     rows = []
@@ -621,7 +628,7 @@ def run_ablation_hhh(ctx: ExperimentContext) -> ExperimentResult:
         n_hhh = 0
         n_critical = 0
         for epoch in sample:
-            agg = aggregate_epoch(ctx.trace.table, per_epoch[epoch], m, epoch=epoch)
+            agg = index.epoch_view(per_epoch[epoch], epoch=epoch).aggregate(m)
             hitters = find_hierarchical_heavy_hitters(agg, HHHConfig(phi=0.02))
             n_hhh += len(hitters)
             hhh_hits |= {h.key for h in hitters if h.key in planted}

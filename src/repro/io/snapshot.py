@@ -460,11 +460,14 @@ def _restore_from_buffer(path: Path, buf) -> AnalysisSubstrate:
             f"{path}: corrupted snapshot (row count mismatch: "
             f"{len(table)} != {manifest['n_rows']})"
         )
-    codec = KeyCodec(
-        schema=schema,
-        vocabs=table.vocabs,
-        widths=np.asarray(manifest["widths"], dtype=np.int64),
-        offsets=np.asarray(manifest["codec_offsets"], dtype=np.int64),
-    )
+    codec = KeyCodec.from_table(table)
+    if (
+        codec.widths.tolist() != manifest["widths"]
+        or codec.offsets.tolist() != manifest["codec_offsets"]
+    ):
+        raise ValueError(
+            f"{path}: corrupted snapshot (key layout does not match the "
+            "vocabularies)"
+        )
     index = index_from_arrays(table, codec, arrays)
     return AnalysisSubstrate(table=table, index=index, build_seconds=0.0)

@@ -3,7 +3,7 @@
 :mod:`repro.core.problems` and :mod:`repro.core.critical` run on
 whole-lattice arrays. This module is the readable per-mask formulation
 they replaced, kept as the test oracle. It reads the whole lattice
-(floor 1, as :func:`~repro.core.aggregation.aggregate_epoch` builds
+(floor 1, as :func:`tests.core.direct_aggregate.aggregate_epoch` builds
 it) one mask at a time through a local slicer, treats the full mask's
 clusters as the leaves, and projects keys with ``searchsorted``:
 

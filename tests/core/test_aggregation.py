@@ -3,12 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregation import (
-    ClusterStats,
-    KeyCodec,
-    aggregate_epoch,
-)
+from repro.core.aggregation import ClusterStats, KeyCodec
 from repro.core.clusters import ClusterKey
+from repro.core.index import TraceClusterIndex
 from repro.core.metrics import BUFFERING_RATIO, JOIN_FAILURE, JOIN_TIME
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
@@ -25,8 +22,10 @@ def small_table() -> SessionTable:
     return SessionTable.from_sessions(sessions)
 
 
-def agg_of(table, metric=JOIN_FAILURE):
-    return aggregate_epoch(table, np.arange(len(table)), metric)
+def agg_of(table, metric=JOIN_FAILURE, rows=None):
+    """The whole lattice's counts: a floor-1 view of ``rows`` (all)."""
+    rows = np.arange(len(table)) if rows is None else rows
+    return TraceClusterIndex.build(table).epoch_view(rows).aggregate(metric)
 
 
 def stats_of(agg, key: ClusterKey) -> ClusterStats | None:
@@ -106,12 +105,12 @@ class TestAggregation:
         assert agg.total_problems == 0
 
     def test_rows_subset(self, small_table):
-        agg = aggregate_epoch(small_table, np.arange(10), JOIN_FAILURE)
+        agg = agg_of(small_table, rows=np.arange(10))
         assert agg.total_sessions == 10
         assert agg.total_problems == 6
 
     def test_empty_rows(self, small_table):
-        agg = aggregate_epoch(small_table, np.array([], dtype=np.int64), JOIN_FAILURE)
+        agg = agg_of(small_table, rows=np.array([], dtype=np.int64))
         assert agg.total_sessions == 0
         assert agg.global_ratio == 0.0
 
@@ -134,6 +133,17 @@ class TestKeyCodec:
     def test_field_masks_cached(self, small_table):
         codec = KeyCodec.from_table(small_table)
         assert codec.field_masks() is codec.field_masks()
+
+    def test_layout_widths_and_offsets(self):
+        widths, offsets = KeyCodec.layout([0, 1, 2, 3, 4, 5, 256])
+        assert widths.tolist() == [1, 1, 1, 2, 2, 3, 8]
+        assert offsets.tolist() == [0, 1, 2, 3, 5, 7, 10]
+
+    def test_layout_limit_is_62_bits(self):
+        widths, _ = KeyCodec.layout([512] * 6 + [256])
+        assert int(widths.sum()) == 62
+        with pytest.raises(ValueError, match="63 bits"):
+            KeyCodec.layout([512] * 6 + [257])
 
     def test_index_of_vector(self, small_table):
         agg = agg_of(small_table)

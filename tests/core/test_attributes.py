@@ -7,7 +7,6 @@ from repro.core.attributes import (
     DEFAULT_ATTRIBUTES,
     DEFAULT_SCHEMA,
     iter_submasks,
-    iter_supermasks,
     popcount,
 )
 
@@ -88,15 +87,24 @@ class TestMaskIteration:
         mask = 0b11011
         assert len(list(iter_submasks(mask))) == 2 ** popcount(mask) - 2
 
+    @staticmethod
+    def supermasks(mask: int, full: int) -> set[int]:
+        """The masks within ``full`` that list ``mask`` among their
+        submasks: the descendant side of the epoch lattice's
+        (cluster, ancestor) table, which ``iter_submasks`` builds."""
+        return {m for m in range(full + 1) if mask in set(iter_submasks(m))}
+
     def test_supermasks_within_full(self):
-        sups = set(iter_supermasks(0b001, 0b111))
+        sups = self.supermasks(0b001, 0b111)
         assert sups == {0b011, 0b101, 0b111}
 
     def test_supermasks_of_full_is_empty(self):
-        assert list(iter_supermasks(0b111, 0b111)) == []
+        assert self.supermasks(0b111, 0b111) == set()
 
     def test_supermasks_are_strict_supersets(self):
-        for sup in iter_supermasks(0b0101, 0b1111):
+        sups = self.supermasks(0b0101, 0b1111)
+        assert len(sups) == 2 ** 2 - 1
+        for sup in sups:
             assert sup & 0b0101 == 0b0101
             assert sup != 0b0101
 

@@ -1,10 +1,16 @@
-"""Tests for ClusterKey and the cluster lattice/DAG."""
+"""Tests for ClusterKey, the cluster lattice and Figure 4's DAG."""
 
-import networkx as nx
+import importlib.util
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from repro.core.attributes import AttributeSchema, DEFAULT_SCHEMA
-from repro.core.clusters import ClusterKey, ClusterLattice, attribute_signature
+from repro.core.clusters import ClusterKey, attribute_signature
+from repro.core.index import TraceClusterIndex
+from repro.core.sessions import SessionTable
+from tests.conftest import make_session
 
 
 def key(**pairs: str) -> ClusterKey:
@@ -93,52 +99,81 @@ class TestClusterKey:
         assert attribute_signature(key(cdn="c1", asn="a1")) == ("asn", "cdn")
 
 
+WALKTHROUGH = (
+    Path(__file__).resolve().parents[2] / "examples" / "paper_figures_walkthrough.py"
+)
+
+
+def walkthrough_dag_edges(keys):
+    """Figure 4's edge list as the walkthrough example builds it."""
+    spec = importlib.util.spec_from_file_location(WALKTHROUGH.stem, WALKTHROUGH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return set(module.dag_edges(keys))
+
+
 class TestClusterLattice:
+    """The cluster lattice of one epoch, as :class:`EpochLattice` lays
+    it out, and Figure 4's DAG over a set of keys."""
+
+    SCHEMA = AttributeSchema(names=("a", "b", "c"))
+
     @pytest.fixture()
     def lattice(self):
-        return ClusterLattice(AttributeSchema(names=("a", "b", "c")))
+        # Three sessions spelling their (a, b, c) values.
+        sessions = [
+            make_session(**dict(zip(self.SCHEMA.names, values)))
+            for values in ("xxx", "yxz", "yyz")
+        ]
+        table = SessionTable.from_sessions(sessions, schema=self.SCHEMA)
+        return TraceClusterIndex.build(table).epoch_view(np.arange(3)).lattice
 
     def test_masks_enumeration(self, lattice):
-        assert list(lattice.masks()) == list(range(1, 8))
+        masks = lattice.mask_of(np.arange(lattice.n_clusters)).tolist()
+        assert sorted(set(masks)) == list(range(1, 8))
+        assert masks == sorted(masks)  # grouped in ascending mask order
 
     def test_masks_by_depth(self, lattice):
-        levels = lattice.masks_by_depth()
-        assert levels[0] == [0]
+        levels = [set() for _ in range(len(self.SCHEMA) + 1)]
+        keys = lattice.keys_of(np.arange(lattice.n_clusters))
+        masks = lattice.mask_of(np.arange(lattice.n_clusters)).tolist()
+        for key, mask in zip(keys, masks):
+            levels[key.depth].add(mask)
+        assert lattice.span(0) == slice(0, 0)  # the root is not a cluster
+        assert levels[0] == set()
         assert sorted(levels[1]) == [1, 2, 4]
-        assert levels[3] == [7]
+        assert levels[3] == {7}
 
     def test_parents_children_inverse(self, lattice):
-        for mask in lattice.masks():
-            for child in lattice.children_of_mask(mask):
-                assert mask in set(lattice.parents_of_mask(child))
-
-    def test_interval_masks(self, lattice):
-        interval = set(lattice.interval_masks(0b001, 0b111))
-        assert interval == {0b001, 0b011, 0b101, 0b111}
-
-    def test_interval_requires_subset(self, lattice):
-        with pytest.raises(ValueError, match="not a subset"):
-            list(lattice.interval_masks(0b010, 0b101))
+        keys = lattice.keys_of(np.arange(lattice.n_clusters))
+        ids = {key: cid for cid, key in enumerate(keys)}
+        owner, ancestor = lattice.pairs()
+        listed = set(zip(owner.tolist(), ancestor.tolist()))
+        for cid, child in enumerate(keys):
+            for parent in child.parents():
+                if parent.depth:
+                    assert (cid, ids[parent]) in listed
+        for child, parent in listed:
+            assert keys[parent].is_ancestor_of(keys[child])
 
     def test_build_dag_edges(self):
-        lattice = ClusterLattice()
         keys = [
             key(asn="a1"),
             key(cdn="c1"),
             key(asn="a1", cdn="c1"),
             key(asn="a2", cdn="c2"),  # no present parent
         ]
-        dag = lattice.build_dag(keys)
-        assert dag.has_edge(key(asn="a1"), key(asn="a1", cdn="c1"))
-        assert dag.has_edge(key(cdn="c1"), key(asn="a1", cdn="c1"))
+        edges = walkthrough_dag_edges(keys)
+        assert (key(asn="a1"), key(asn="a1", cdn="c1")) in edges
+        assert (key(cdn="c1"), key(asn="a1", cdn="c1")) in edges
         root = ClusterKey.root()
-        assert dag.has_edge(root, key(asn="a2", cdn="c2"))
-        assert nx.is_directed_acyclic_graph(dag)
+        assert (root, key(asn="a2", cdn="c2")) in edges
+        # Every edge runs to a strictly deeper key, so the graph is acyclic.
+        assert all(child.depth > parent.depth for parent, child in edges)
 
     def test_build_dag_multi_parent(self):
         # A node with several parents — the DAG structure from Fig. 4.
-        lattice = ClusterLattice()
         keys = [key(asn="a1"), key(cdn="c1"), key(asn="a1", cdn="c1")]
-        dag = lattice.build_dag(keys)
-        preds = set(dag.predecessors(key(asn="a1", cdn="c1")))
+        edges = walkthrough_dag_edges(keys)
+        preds = {p for p, c in edges if c == key(asn="a1", cdn="c1")}
         assert preds == {key(asn="a1"), key(cdn="c1")}

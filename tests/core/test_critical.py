@@ -9,13 +9,13 @@ must be pinned at the combination, not at either parent.
 import numpy as np
 import pytest
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.clusters import ClusterKey
 from repro.core.critical import find_critical_clusters
 from repro.core.metrics import JOIN_FAILURE
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
+from tests.core.direct_aggregate import aggregate_epoch
 
 
 def key(**pairs):

@@ -3,7 +3,7 @@
 Every test runs :func:`find_problem_clusters` and
 :func:`find_critical_clusters` on an aggregate, and
 :func:`tests.core.detector_reference.reference_detect` on the whole
-lattice of the direct :func:`~repro.core.aggregation.aggregate_epoch`,
+lattice of the direct :func:`tests.core.direct_aggregate.aggregate_epoch`,
 and requires ``==`` on the problem ``(mask, key)`` list in order, the
 critical ``(mask, key) -> attribution`` items in order (the attribution
 floats bit for bit), the problem coverage and the unattributed problem
@@ -23,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
 from repro.core.clusters import ClusterKey
 import repro.core.critical as critical_module
@@ -39,6 +38,7 @@ from repro.core.sessions import SessionTable
 from repro.core.substrate import epoch_floor
 from tests.conftest import make_session
 from tests.core.detector_reference import reference_detect
+from tests.core.direct_aggregate import aggregate_epoch
 
 REGION_SCHEMA = AttributeSchema(names=DEFAULT_SCHEMA.names + ("region",))
 

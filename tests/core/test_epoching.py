@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.epoching import EpochGrid, iter_epoch_tables, split_into_epochs
+from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
 
@@ -76,10 +76,3 @@ class TestSplitIntoEpochs:
         _, per_epoch = split_into_epochs(table, grid)
         assert len(per_epoch) == 1
         assert per_epoch[0].tolist() == [0]
-
-    def test_iter_epoch_tables_skips_empty(self):
-        table = table_at([10.0, 7300.0])
-        pairs = list(iter_epoch_tables(table))
-        assert [epoch for epoch, _ in pairs] == [0, 2]
-        for _, sub in pairs:
-            assert len(sub) == 1

@@ -2,13 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.clusters import ClusterKey
 from repro.core.hhh import HHHConfig, find_hierarchical_heavy_hitters
-from repro.core.metrics import JOIN_FAILURE
+from repro.core.index import TraceClusterIndex
+from repro.core.metrics import BITRATE, JOIN_FAILURE, JOIN_TIME
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
+from tests.core.direct_aggregate import aggregate_epoch
 
 
 def agg_from(groups, seed=0):
@@ -116,3 +118,60 @@ class TestDetection:
             find_hierarchical_heavy_hitters(view.aggregate(JOIN_FAILURE))
         whole = TraceClusterIndex.build(table).epoch_view(rows)
         assert find_hierarchical_heavy_hitters(whole.aggregate(JOIN_FAILURE))
+
+
+# Sessions over a few ASNs, CDNs and sites; a failed join has no join
+# time and no bitrate, so those metrics see only part of the table.
+hhh_rows = st.lists(
+    st.tuples(
+        st.integers(0, 3),  # asn
+        st.integers(0, 2),  # cdn
+        st.integers(0, 1),  # site
+        st.booleans(),  # join failed
+        st.floats(0.5, 20.0),  # join time (problem above 10 s)
+        st.floats(200.0, 3000.0),  # bitrate (problem below 700 kbps)
+    ),
+    min_size=1,
+    max_size=120,
+)
+
+
+class TestFloorOneView:
+    """The abl-hhh ablation reads a floor-1 view, not the direct
+    aggregate. The view also keeps zero-count clusters (leaves whose
+    sessions are all invalid for the metric); their discounted count is
+    0, below phi times the total, so the heavy hitters do not change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(hhh_rows, st.sampled_from([JOIN_TIME, BITRATE, JOIN_FAILURE]))
+    def test_view_equals_direct_lattice(self, rows, metric):
+        table = SessionTable.from_sessions(
+            make_session(
+                asn=f"AS{a}", cdn=f"c{c}", site=f"s{s}", join_failed=failed,
+                join_time_s=join, bitrate_kbps=rate,
+            )
+            for a, c, s, failed, join, rate in rows
+        )
+        every = np.arange(len(table))
+        view = TraceClusterIndex.build(table).epoch_view(every).aggregate(metric)
+        direct = aggregate_epoch(table, every, metric)
+        for phi in (0.01, 0.05, 0.2, 0.5, 1.0):
+            config = HHHConfig(phi=phi)
+            assert find_hierarchical_heavy_hitters(
+                view, config
+            ) == find_hierarchical_heavy_hitters(direct, config)
+
+    def test_view_keeps_clusters_the_direct_path_drops(self):
+        # The property above is not vacuous: with invalid sessions the
+        # two lattices differ.
+        table = SessionTable.from_sessions(
+            [make_session(cdn="c0", join_time_s=15.0),
+             make_session(cdn="c1", join_failed=True)]
+        )
+        every = np.arange(len(table))
+        view = TraceClusterIndex.build(table).epoch_view(every)
+        direct = aggregate_epoch(table, every, JOIN_TIME)
+        assert view.lattice.n_clusters > direct.lattice.n_clusters
+        assert find_hierarchical_heavy_hitters(
+            view.aggregate(JOIN_TIME)
+        ) == find_hierarchical_heavy_hitters(direct)

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.core.aggregation import KeyCodec, aggregate_epoch
+from repro.core.aggregation import KeyCodec
 from repro.core.critical import find_critical_clusters
 from repro.core.index import EpochClusterView, TraceClusterIndex
 from repro.core.metrics import (
@@ -17,6 +17,7 @@ from repro.core.metrics import (
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session, planted_failure_table
+from tests.core.direct_aggregate import aggregate_epoch
 
 
 @pytest.fixture(scope="module")

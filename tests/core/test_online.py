@@ -139,45 +139,75 @@ class TestOnlineMatchesBatch:
 
 
 class TestSchemaChange:
-    def test_schema_change_epoch_takes_direct_path(self, tiny_trace):
+    def test_schema_change_starts_a_new_stream(self, tiny_trace):
         """An epoch whose schema differs from the stream's (8 attributes
-        after 7) is reduced by the direct per-epoch pipeline and does
-        not touch the stream."""
+        after 7) starts a new stream, which the next 7-attribute epoch
+        replaces in turn. Each epoch's observation equals the direct
+        oracle's."""
         from dataclasses import replace
 
-        from repro.core.aggregation import aggregate_epoch
         from repro.core.critical import find_critical_clusters
         from repro.core.problems import find_problem_clusters
         from repro.trace import StandardWorkloads, generate_trace
+        from tests.core.direct_aggregate import aggregate_epoch
 
         table = tiny_trace.table
         _, per_epoch = split_into_epochs(table, tiny_trace.grid)
-        detector = OnlineDetector(JOIN_FAILURE)
-        for epoch in range(3):
-            detector.observe_epoch(table, per_epoch[epoch])
-        streamed = len(detector.substrate)
-        assert streamed == sum(per_epoch[e].size for e in range(3))
-
         region = generate_trace(replace(
             StandardWorkloads.tiny_with_region(seed=3), n_epochs=1
         )).table
         assert len(region.schema) == len(table.schema) + 1
-        rows = np.arange(len(region))
-        observation = detector.observe_epoch(region, rows)
-        assert len(detector.substrate) == streamed
+        epochs = [(table, per_epoch[e]) for e in range(3)]
+        epochs += [(region, np.arange(len(region))), (table, per_epoch[3])]
 
-        agg = aggregate_epoch(
-            region, rows, JOIN_FAILURE, epoch=3,
-            thresholds=detector.thresholds,
-        )
-        problems = find_problem_clusters(agg, detector.problem_config)
-        critical = find_critical_clusters(problems)
-        assert observation.total_sessions == agg.total_sessions
-        assert observation.total_problems == agg.total_problems
-        assert observation.n_problem_clusters == problems.n_clusters
-        assert observation.n_critical_clusters == critical.n_clusters
-        assert critical.n_clusters > 0
-        assert detector.critical_keys_at(3) == set(critical.decoded())
+        detector = OnlineDetector(JOIN_FAILURE)
+        for epoch, (source, rows) in enumerate(epochs):
+            observation = detector.observe_epoch(source, rows)
+            agg = aggregate_epoch(
+                source, rows, JOIN_FAILURE, epoch=epoch,
+                thresholds=detector.thresholds,
+            )
+            problems = find_problem_clusters(agg, detector.problem_config)
+            critical = find_critical_clusters(problems)
+            assert observation.total_sessions == agg.total_sessions
+            assert observation.total_problems == agg.total_problems
+            assert observation.n_problem_clusters == problems.n_clusters
+            assert observation.n_critical_clusters == critical.n_clusters
+            assert critical.n_clusters > 0
+            assert detector.critical_keys_at(epoch) == set(critical.decoded())
+            assert detector.substrate.table.schema == source.schema
+            if epoch == 2:
+                assert len(detector.substrate) == sum(
+                    per_epoch[e].size for e in range(3)
+                )
+            elif epoch >= 3:
+                assert len(detector.substrate) == rows.size
+
+    def test_alert_lifecycle_carries_over(self):
+        """Alerts key on decoded identities: a cluster critical on both
+        sides of a schema change keeps one alert."""
+        from dataclasses import replace
+
+        from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
+
+        wide = AttributeSchema(names=DEFAULT_SCHEMA.names + ("region",))
+        detector = make_detector(confirm_after=2)
+        events = []
+        for i in range(4):
+            epoch = epoch_table(0.5, seed=100 + i)
+            if i == 2:
+                epoch = SessionTable.from_sessions(
+                    (replace(s, attrs={**s.attrs, "region": "eu"})
+                     for s in epoch.rows()),
+                    schema=wide,
+                )
+            obs = detector.observe_epoch(epoch)
+            events += [(e.kind, e.epoch) for e in obs.events
+                       if e.alert.key == BAD_KEY]
+        assert events == [("raised", 0), ("confirmed", 1)]
+        (alert,) = [a for a in detector.all_alerts if a.key == BAD_KEY]
+        assert alert.is_open and alert.consecutive_epochs == 4
+        assert detector.substrate.table.schema == DEFAULT_SCHEMA
 
 
 class TestHysteresis:

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.clusters import ClusterKey
 from repro.core.metrics import JOIN_FAILURE
 from repro.core.problems import (
@@ -13,6 +12,7 @@ from repro.core.problems import (
 )
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
+from tests.core.direct_aggregate import aggregate_epoch
 
 
 def build_table(groups):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.aggregation import KeyCodec
 from repro.core.attributes import AttributeSchema
 from repro.core.sessions import Session, SessionTable
 from tests.conftest import make_session
@@ -160,10 +161,12 @@ class TestSessionTableAccess:
 
 
 class TestKeyPacking:
+    """A table's packed-key layout, which :class:`KeyCodec` owns."""
+
     def test_bit_widths_cover_vocab(self):
         sessions = [make_session(asn=f"AS{i}") for i in range(10)]
         table = SessionTable.from_sessions(sessions)
-        widths = table.bit_widths()
+        widths = KeyCodec.from_table(table).widths
         asn_col = table.schema.index("asn")
         assert widths[asn_col] >= 4  # 10 values need 4 bits
 
@@ -172,15 +175,16 @@ class TestKeyPacking:
             make_session(asn=f"AS{i % 4}", cdn=f"c{i % 3}") for i in range(24)
         ]
         table = SessionTable.from_sessions(sessions)
-        packed = table.packed_keys()
+        packed = KeyCodec.from_table(table).pack(table.codes)
         # 12 distinct (asn, cdn) combos; other attrs constant
         assert len(np.unique(packed)) == 12
 
     def test_field_mask_projection(self):
         sessions = [make_session(asn=f"AS{i % 3}", cdn=f"c{i % 2}") for i in range(6)]
         table = SessionTable.from_sessions(sessions)
-        packed = table.packed_keys()
-        fm = table.field_masks()
+        codec = KeyCodec.from_table(table)
+        packed = codec.pack(table.codes)
+        fm = codec.field_masks()
         asn_mask = 1 << table.schema.index("asn")
         proj = packed & fm[asn_mask]
         assert len(np.unique(proj)) == 3  # only ASN varies after projection
@@ -189,13 +193,15 @@ class TestKeyPacking:
         table = SessionTable.from_sessions(
             [make_session(asn="AS7", cdn="cdn_q", site="s3")]
         )
-        packed = int(table.packed_keys()[0])
+        codec = KeyCodec.from_table(table)
+        packed = int(codec.pack(table.codes)[0])
         mask = table.schema.mask_of(["asn", "site"])
-        pairs = table.unpack_key(mask, packed)
+        pairs = codec.decode(mask, packed).pairs
         assert pairs == (("asn", "AS7"), ("site", "s3"))
 
     def test_unpack_full_mask(self):
         table = SessionTable.from_sessions([make_session()])
-        packed = int(table.packed_keys()[0])
-        pairs = dict(table.unpack_key(table.schema.full_mask, packed))
+        codec = KeyCodec.from_table(table)
+        packed = int(codec.pack(table.codes)[0])
+        pairs = codec.decode(table.schema.full_mask, packed).as_dict()
         assert pairs == dict(make_session().attrs)

@@ -3,12 +3,12 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.metrics import JOIN_FAILURE
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.critical import find_critical_clusters
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
+from tests.core.direct_aggregate import aggregate_epoch
 
 # Random small traces: up to 4 values per attribute, up to 120 sessions.
 session_rows = st.lists(

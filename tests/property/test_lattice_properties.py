@@ -1,21 +1,22 @@
 """Property-based tests of the attribute/cluster lattice and epoch views."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.attributes import (
     DEFAULT_SCHEMA,
     AttributeSchema,
     iter_submasks,
-    iter_supermasks,
     popcount,
 )
 from repro.core.clusters import ClusterKey
 from repro.core.index import TraceClusterIndex
 from repro.core.metrics import JOIN_FAILURE
 from repro.core.sessions import SessionTable
+from tests.core.direct_aggregate import aggregate_epoch
 
 FULL = DEFAULT_SCHEMA.full_mask
 
@@ -33,22 +34,6 @@ def test_submasks_are_strict_subsets(mask):
 @given(nonempty_masks)
 def test_submask_count(mask):
     assert len(list(iter_submasks(mask))) == 2 ** popcount(mask) - 2
-
-
-@given(masks)
-def test_supermasks_are_strict_supersets(mask):
-    for sup in iter_supermasks(mask, FULL):
-        assert sup & mask == mask
-        assert sup != mask
-
-
-@given(nonempty_masks, nonempty_masks)
-def test_submask_supermask_duality(a, b):
-    """a is a strict submask of b iff b is a strict supermask of a."""
-    a_sub_b = a in set(iter_submasks(b))
-    b_sup_a = b in set(iter_supermasks(a, FULL))
-    if a != 0 and a != b:
-        assert a_sub_b == b_sup_a
 
 
 @given(masks)
@@ -199,3 +184,40 @@ def test_view_on_generated_region_trace():
     assert len(table.schema) == 8
     epoch_of = np.floor(table.start_time / 3600.0).astype(np.int64)
     assert_view_is_row_lattice(table, np.flatnonzero(epoch_of == epoch_of[0]))
+
+
+# -- The lattice's (cluster, ancestor) table against the mask relation -------
+@functools.lru_cache(maxsize=None)
+def one_session_lattice():
+    """One session's lattice over the default schema: a single cluster
+    on every non-empty mask ``m``, with id ``lattice.span(m).start``."""
+    codes = np.zeros((1, len(DEFAULT_SCHEMA)), dtype=np.int32)
+    table = coded_table(DEFAULT_SCHEMA, codes)
+    return TraceClusterIndex.build(table).epoch_view(np.arange(1)).lattice
+
+
+@given(masks)
+def test_supermasks_are_strict_supersets(mask):
+    """The clusters below ``mask``'s cluster sit on exactly its strict
+    supermasks (below the root: every cluster, one per non-empty mask)."""
+    lattice = one_session_lattice()
+    owner, ancestor = lattice.pairs()
+    if mask:
+        below = owner[ancestor == lattice.span(mask).start]
+    else:
+        below = np.arange(lattice.n_clusters)
+    sups = sorted(lattice.mask_of(below).tolist())
+    assert sups == [s for s in range(FULL + 1) if s & mask == mask and s != mask]
+
+
+@given(nonempty_masks, nonempty_masks)
+def test_submask_supermask_duality(a, b):
+    """a is a strict submask of b iff b's cluster lists a's among its
+    ancestors in the lattice's table."""
+    lattice = one_session_lattice()
+    owner, ancestor = lattice.pairs()
+    a_sub_b = a in set(iter_submasks(b))
+    b_sup_a = bool(np.any(
+        (owner == lattice.span(b).start) & (ancestor == lattice.span(a).start)
+    ))
+    assert a_sub_b == b_sup_a == (a & b == a and a != b)

@@ -16,7 +16,6 @@ import dataclasses
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.aggregation import aggregate_epoch
 from repro.core.critical import find_critical_clusters
 from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE
@@ -32,6 +31,7 @@ from repro.core.pipeline import (
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
 from tests.conftest import make_session
+from tests.core.direct_aggregate import aggregate_epoch
 
 #: Permissive significance knobs so tiny random traces produce clusters.
 SMALL_CONFIG = AnalysisConfig(

@@ -8,7 +8,7 @@ dicts, identical epoch series, identical cluster timelines, and streaks
 that coalesce across shard boundaries. These tests pin that invariant
 across shard counts 1–7, ragged last shards, streaming (chunked,
 shuffled) ingestion, parallel map workers, and multi-config sweeps,
-plus the pure streak-merge algebra in :mod:`repro.core.streaks`.
+plus the timeline merge in :mod:`repro.core.streaks`.
 """
 
 import tempfile
@@ -25,13 +25,7 @@ from repro.core.shards import (
     shard_boundaries,
     sweep_shards,
 )
-from repro.core.streaks import (
-    ClusterTimeline,
-    Streak,
-    coalesce_streaks,
-    merge_timelines,
-    shift_streaks,
-)
+from repro.core.streaks import ClusterTimeline, Streak, merge_timelines
 from tests.conftest import make_session
 from tests.property.test_parallel_equivalence import (
     ALL_METRICS_CONFIG,
@@ -206,8 +200,8 @@ def test_single_session_single_shard(tmp_path):
 
 
 class TestStreakAlgebra:
-    """`coalesce_streaks` / `shift_streaks` / `merge_timelines` against
-    the monolithic `ClusterTimeline.streaks()` ground truth."""
+    """`merge_timelines` against the monolithic `ClusterTimeline.streaks()`
+    ground truth."""
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -221,12 +215,12 @@ class TestStreakAlgebra:
         parts = []
         for lo, hi in zip(edges[:-1], edges[1:]):
             local = [e - lo for e in epochs if lo <= e < hi]
-            if local:
-                tl = ClusterTimeline("k", np.array(local), hi - lo)
-                parts.append(shift_streaks(tl.streaks(), lo))
-            else:
-                parts.append([])
-        assert coalesce_streaks(parts) == whole.streaks()
+            parts.append(
+                (lo, {"k": ClusterTimeline("k", np.array(local), hi - lo)})
+                if local
+                else (lo, {})
+            )
+        assert merge_timelines(parts, n_total)["k"].streaks() == whole.streaks()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -250,19 +244,28 @@ class TestStreakAlgebra:
         assert merged["k"].streaks() == whole.streaks()
 
     def test_coalesce_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            coalesce_streaks([[Streak(0, 3)], [Streak(2, 2)]])
+        # Epoch 2 arrives from both parts: the ranges overlap.
+        parts = [
+            (0, {"k": ClusterTimeline("k", np.array([0, 1, 2]), 3)}),
+            (2, {"k": ClusterTimeline("k", np.array([0, 1]), 2)}),
+        ]
+        with pytest.raises(ValueError, match="disjoint"):
+            merge_timelines(parts, 4)
 
     def test_shift_streaks(self):
-        assert shift_streaks([Streak(0, 2), Streak(4, 1)], 10) == [
+        # A shard's local streaks land at its epoch offset.
+        parts = [(10, {"k": ClusterTimeline("k", np.array([0, 1, 4]), 5)})]
+        assert merge_timelines(parts, 15)["k"].streaks() == [
             Streak(10, 2),
             Streak(14, 1),
         ]
 
     def test_abutting_runs_join(self):
-        assert coalesce_streaks([[Streak(0, 3)], [Streak(3, 2)]]) == [
-            Streak(0, 5)
+        parts = [
+            (0, {"k": ClusterTimeline("k", np.array([0, 1, 2]), 3)}),
+            (3, {"k": ClusterTimeline("k", np.array([0, 1]), 2)}),
         ]
+        assert merge_timelines(parts, 5)["k"].streaks() == [Streak(0, 5)]
 
 
 class TestShardBoundaries:

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.core.aggregation import KeyCodec
 from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
@@ -160,10 +161,29 @@ def test_index_append_across_width_growth():
         tables.append(chunk)
         incremental.append(chunk)
         assert np.array_equal(
-            incremental.codec.widths, incremental.table.bit_widths()
+            incremental.codec.widths, KeyCodec.from_table(incremental.table).widths
         )
     batch = TraceClusterIndex.build(SessionTable.concat(tables))
     assert_equal_indexes(incremental, batch)
+
+
+def test_index_append_label_only_chunk_rekeys(tmp_path):
+    """A row-less chunk still merges its labels (a ``select`` shares its
+    parent's vocabularies); when they widen a field the index re-keys
+    at once, so its codec always matches the vocabularies — which is
+    what a snapshot load checks."""
+    wide = build_table([(0, a, a % 2, a % 3 == 0) for a in range(6)])
+    narrow = wide.select(np.arange(2))
+    assert narrow.vocabs == wide.vocabs
+    index = TraceClusterIndex.build(build_table([(0, a, 0, False) for a in range(2)]))
+    index.append(narrow.select(np.arange(0)))
+    assert np.array_equal(
+        index.codec.widths, KeyCodec.from_table(index.table).widths
+    )
+    substrate = AnalysisSubstrate(index.table, index)
+    loaded = load_substrate(save_substrate(substrate, tmp_path / "s.sub"))
+    assert_equal_indexes(index, loaded.index)
+    assert_equal_indexes(index, TraceClusterIndex.build(index.table))
 
 
 def test_index_append_single_sessions():
@@ -347,6 +367,17 @@ def test_snapshot_rejects_version_mismatch(tmp_path, small_substrate):
     patched = bytes(data).replace(b'"version":1', b'"version":9', 1)
     path.write_bytes(patched)
     with pytest.raises(ValueError, match="version"):
+        load_substrate(path)
+
+
+def test_snapshot_rejects_key_layout_mismatch(tmp_path, small_substrate):
+    """The codec is derived from the vocabularies; stored widths that
+    disagree with them fail loudly instead of misdecoding the keys."""
+    path = save_substrate(small_substrate, tmp_path / "trace.sub")
+    data = path.read_bytes()
+    assert b'"widths":[2,' in data
+    path.write_bytes(data.replace(b'"widths":[2,', b'"widths":[3,', 1))
+    with pytest.raises(ValueError, match="key layout"):
         load_substrate(path)
 
 

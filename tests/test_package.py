@@ -84,3 +84,20 @@ class TestPublicDocstrings:
                     "repro."
                 ):
                     assert obj.__doc__, f"{mod.__name__}.{name} undocumented"
+
+
+class TestImportFootprint:
+    def test_cli_import_loads_no_networkx(self):
+        # networkx is not a runtime dependency; a CLI process (and the
+        # pool workers it starts) must not pay for importing it.
+        import subprocess
+        import sys
+
+        from tests.test_cli import _cli_env
+
+        code = "import sys, repro.cli; print('networkx' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_cli_env(), check=True, capture_output=True, text=True,
+        )
+        assert out.stdout.strip() == "False"
