@@ -45,7 +45,6 @@ from repro.core.streaks import (
     ClusterTimeline,
     Streak,
     build_timelines,
-    merge_timelines,
     prevalence,
     persistence_streaks,
 )
@@ -58,11 +57,7 @@ from repro.core.pipeline import (
     analyze_trace,
     resolve_worker_count,
 )
-from repro.core.substrate import (
-    AnalysisSubstrate,
-    StreamingSubstrate,
-    analyze_sweep,
-)
+from repro.core.substrate import AnalysisSubstrate, analyze_sweep
 from repro.core.shards import (
     ShardInfo,
     ShardStore,
@@ -109,7 +104,6 @@ __all__ = [
     "ClusterTimeline",
     "Streak",
     "build_timelines",
-    "merge_timelines",
     "prevalence",
     "persistence_streaks",
     "AnalysisConfig",
@@ -120,7 +114,6 @@ __all__ = [
     "analyze_trace",
     "resolve_worker_count",
     "AnalysisSubstrate",
-    "StreamingSubstrate",
     "analyze_sweep",
     "ShardInfo",
     "ShardStore",

@@ -23,9 +23,13 @@ not require a shared vocabulary across epochs — slices from different
 collectors interoperate, and alert lifecycles carry over when the
 stream restarts on a schema change.
 
-Every epoch is reduced through the batch engine's one aggregation
-path, an :class:`~repro.core.index.EpochClusterView` over the
-detector's :class:`~repro.core.substrate.StreamingSubstrate`.
+Every epoch is appended to the detector's
+:class:`~repro.core.substrate.AnalysisSubstrate` and reduced through
+the batch engine's one aggregation path, an
+:class:`~repro.core.index.EpochClusterView` over the appended rows.
+Each epoch's critical identities are kept on its
+:class:`EpochObservation`, so :meth:`OnlineDetector.critical_keys_at`
+answers from the history, whatever the alert hysteresis.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.core.critical import find_critical_clusters
 from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
-from repro.core.substrate import StreamingSubstrate, epoch_floor
+from repro.core.substrate import AnalysisSubstrate, epoch_floor
 from repro.obs import current_metrics, current_tracer
 
 
@@ -90,8 +94,12 @@ class EpochObservation:
     total_sessions: int
     total_problems: int
     n_problem_clusters: int
-    n_critical_clusters: int
+    critical_keys: frozenset[ClusterKey]
     events: list[AlertEvent] = field(default_factory=list)
+
+    @property
+    def n_critical_clusters(self) -> int:
+        return len(self.critical_keys)
 
 
 class OnlineDetector:
@@ -111,7 +119,7 @@ class OnlineDetector:
         would otherwise flap raise/clear every other hour.
 
         Every observed epoch is appended to an internal
-        :class:`~repro.core.substrate.StreamingSubstrate` — the table
+        :class:`~repro.core.substrate.AnalysisSubstrate` — the table
         and its leaf index grow incrementally — and reduced through the
         same :class:`~repro.core.index.EpochClusterView` path the batch
         engine uses. Any table with the stream's schema streams
@@ -133,10 +141,10 @@ class OnlineDetector:
         self.open_alerts: dict[ClusterKey, ClusterAlert] = {}
         self.closed_alerts: list[ClusterAlert] = []
         self.history: list[EpochObservation] = []
-        self._stream: StreamingSubstrate | None = None
+        self._stream: AnalysisSubstrate | None = None
 
     @property
-    def substrate(self) -> StreamingSubstrate | None:
+    def substrate(self) -> AnalysisSubstrate | None:
         """The incrementally maintained substrate every streamed epoch
         lands in (``None`` until the first observation). Exposes the
         full batch path — ``detector.substrate.analyze(...)`` re-runs
@@ -144,7 +152,7 @@ class OnlineDetector:
         change."""
         return self._stream
 
-    def _resolve_stream(self, table: SessionTable) -> StreamingSubstrate:
+    def _resolve_stream(self, table: SessionTable) -> AnalysisSubstrate:
         """The stream ``table`` appends to.
 
         Compatibility is structural — same attribute schema — not
@@ -156,7 +164,7 @@ class OnlineDetector:
         """
         stream = self._stream
         if stream is None or stream.table.schema.names != table.schema.names:
-            stream = StreamingSubstrate(schema=table.schema)
+            stream = AnalysisSubstrate.build(SessionTable.empty(table.schema))
             stream.index.warm_metric_masks([self.metric], self.thresholds)
         return stream
 
@@ -229,7 +237,7 @@ class OnlineDetector:
             total_sessions=agg.total_sessions,
             total_problems=agg.total_problems,
             n_problem_clusters=problems.n_clusters,
-            n_critical_clusters=critical.n_clusters,
+            critical_keys=frozenset(decoded),
         )
         global_ratio = agg.global_ratio
 
@@ -294,14 +302,12 @@ class OnlineDetector:
         return float(sum(a.actionable_alleviation for a in self.all_alerts))
 
     def critical_keys_at(self, epoch: int) -> set[ClusterKey]:
-        """Critical identities observed at ``epoch`` (from lifecycles)."""
-        keys = set()
-        for alert in self.all_alerts:
-            end = (
-                alert.cleared_epoch
-                if alert.cleared_epoch is not None
-                else self.epochs_observed
-            )
-            if alert.raised_epoch <= epoch < end:
-                keys.add(alert.key)
-        return keys
+        """Identities critical at ``epoch`` (empty if not yet observed).
+
+        Read from the epoch's observation, not from alert lifecycles:
+        under ``clear_after > 1`` an open alert spans epochs in which
+        its cluster was absent.
+        """
+        if 0 <= epoch < len(self.history):
+            return set(self.history[epoch].critical_keys)
+        return set()

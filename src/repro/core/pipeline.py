@@ -330,17 +330,17 @@ class MetricAnalysis:
     # -- temporal structure ----------------------------------------------
     def problem_timelines(self) -> dict[ClusterKey, ClusterTimeline]:
         if self._problem_timelines is None:
-            per_epoch = [set(e.problem_clusters) for e in self.epochs]
             self._problem_timelines = build_timelines(
-                per_epoch, n_epochs=len(self.epochs)
+                [e.problem_clusters for e in self.epochs],
+                n_epochs=len(self.epochs),
             )
         return self._problem_timelines
 
     def critical_timelines(self) -> dict[ClusterKey, ClusterTimeline]:
         if self._critical_timelines is None:
-            per_epoch = [set(e.critical_clusters) for e in self.epochs]
             self._critical_timelines = build_timelines(
-                per_epoch, n_epochs=len(self.epochs)
+                [e.critical_clusters for e in self.epochs],
+                n_epochs=len(self.epochs),
             )
         return self._critical_timelines
 

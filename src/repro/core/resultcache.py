@@ -3,10 +3,12 @@
 The paper's diagnosis workflow is repetitive by design: the same
 mostly-unchanged session history is re-analyzed daily, and threshold
 sweeps run many configs over identical shard bytes (PAPER.md §4–5).
-PR 7's exact merge algebra makes the per-shard
+The shard merge (:func:`~repro.core.shards.merge_shard_analyses`)
+only concatenates epochs, which makes the per-shard
 :class:`~repro.core.pipeline.TraceAnalysis` the natural memoization
 unit — this module persists those partials so warm runs are pure
-load + merge.
+load + merge. An entry holds the shard's per-epoch summaries only;
+timelines and streaks are derived after the merge, never stored.
 
 **Keys are content addresses, never paths or mtimes.** A cache entry's
 key (:func:`shard_result_key`) is the SHA-256 of a canonical record
@@ -60,7 +62,8 @@ from repro.obs import current_metrics, current_tracer, record_degradation
 
 #: Bumped whenever the pickled result payload shape changes; old
 #: entries then miss (and age out via LRU) instead of being migrated.
-RESULT_FORMAT_VERSION = 1
+#: Version 2 entries hold no cluster timelines.
+RESULT_FORMAT_VERSION = 2
 
 #: Entry file magic ("repro result cache", format 1).
 ENTRY_MAGIC = b"RPRORC1\0"

@@ -20,12 +20,14 @@ partitioning a trace into **epoch-range shards**:
 
   - epoch series concatenate by manifest offsets
     (``EpochAnalysis.epoch`` is renumbered ``shard.epoch_lo + local``),
-  - :class:`~repro.core.streaks.ClusterTimeline`\\ s union per cluster
-    key (:func:`~repro.core.streaks.merge_timelines`),
-  - persistence streaks coalesce across shard boundaries — a problem
-    run ending at one shard's last epoch and resuming at the next
-    shard's first epoch becomes one logical event, exactly as the
-    monolithic engine would report it.
+    after checking that each shard's result covers exactly its range,
+  - nothing else: a shard result carries only its epochs, and the
+    merged analysis derives its
+    :class:`~repro.core.streaks.ClusterTimeline`\\ s from the merged
+    epochs like every other analysis, so persistence streaks coalesce
+    across shard boundaries — a problem run ending at one shard's last
+    epoch and resuming at the next shard's first epoch is one logical
+    event, exactly as the monolithic engine reports it.
 
 Output is bit-identical to ``analyze_trace`` over the unsharded table —
 same problem/critical cluster sets, series, prevalence and
@@ -64,12 +66,7 @@ from repro.core.pipeline import (
 )
 from repro.core.resultcache import ResultCache, shard_result_key
 from repro.core.sessions import Session, SessionTable
-from repro.core.streaks import merge_timelines
-from repro.core.substrate import (
-    AnalysisSubstrate,
-    StreamingSubstrate,
-    analyze_sweep,
-)
+from repro.core.substrate import AnalysisSubstrate, analyze_sweep
 from repro.io.snapshot import (
     load_substrate,
     save_substrate,
@@ -430,7 +427,8 @@ class ShardStoreBuilder:
     The out-of-core ingest twin of :func:`build_shard_store`: chunks
     arrive in any time order and are bucketed by absolute epoch block
     (``floor(floor(start / epoch_seconds) / epochs_per_shard)``) into
-    per-shard :class:`~repro.core.substrate.StreamingSubstrate`\\ s, so
+    per-shard :class:`~repro.core.substrate.AnalysisSubstrate`\\ s grown
+    by :meth:`~repro.core.substrate.AnalysisSubstrate.append`, so
     at no point does the builder hold more state than the shards the
     data actually spans. :meth:`finalize` writes one snapshot per block
     (plus empty shards for any gap blocks, keeping the store's epoch
@@ -459,7 +457,7 @@ class ShardStoreBuilder:
         self.schema = schema
         self.epoch_seconds = float(epoch_seconds)
         self.epochs_per_shard = int(epochs_per_shard)
-        self._blocks: dict[int, StreamingSubstrate] = {}
+        self._blocks: dict[int, AnalysisSubstrate] = {}
         self._finalized = False
 
     def append(self, chunk: "SessionTable | Iterable[Session]") -> int:
@@ -486,9 +484,7 @@ class ShardStoreBuilder:
             rows = order[bounds[i] : bounds[i + 1]]
             substrate = self._blocks.get(block)
             if substrate is None:
-                substrate = StreamingSubstrate(
-                    schema=self.schema, epoch_seconds=self.epoch_seconds
-                )
+                substrate = AnalysisSubstrate.build(SessionTable.empty(self.schema))
                 self._blocks[block] = substrate
             substrate.append(chunk.select(np.sort(rows)))
         return len(chunk)
@@ -543,8 +539,8 @@ class ShardStoreBuilder:
                 if substrate is None:
                     # Gap block: an empty shard keeps epoch coverage
                     # contiguous so merge offsets stay exact.
-                    substrate = StreamingSubstrate(
-                        schema=self.schema, epoch_seconds=es
+                    substrate = AnalysisSubstrate.build(
+                        SessionTable.empty(self.schema)
                     )
                 filename = _shard_filename(k)
                 save_substrate(
@@ -586,9 +582,8 @@ def _analyze_shard_configs(
 
     Runs inside a pool worker (or inline on the serial path). The
     substrate is dropped on return, so resident memory per process
-    stays bounded by one shard. Timelines are materialized here — on
-    the shard's own compact summaries — so the parent's merge never
-    re-derives them.
+    stays bounded by one shard. The results carry only their epoch
+    summaries; timelines are derived once, from the merged epochs.
     """
     t0 = time.perf_counter()
     substrate = store.load_shard(shard_index)
@@ -602,9 +597,6 @@ def _analyze_shard_configs(
     )
     for analysis in analyses:
         analysis.timings.load_s += load_s / len(configs)
-        for metric_analysis in analysis.metrics.values():
-            metric_analysis.problem_timelines()
-            metric_analysis.critical_timelines()
     return analyses
 
 
@@ -650,10 +642,11 @@ def merge_shard_analyses(
     ``shard_analyses[i]`` must be the analysis of ``store.shards[i]``
     under ``config`` on :meth:`ShardStore.shard_grid`. Epoch summaries
     concatenate with indices renumbered by each shard's manifest
-    offset; problem/critical timelines union per cluster key with the
-    same offsets, which is what makes streaks that span shard
-    boundaries coalesce into single events (see
-    :func:`~repro.core.streaks.merge_timelines`).
+    offset. The merged analysis derives its timelines and streaks from
+    those epochs, so a streak spanning a shard boundary is one event.
+    A part whose epochs are not exactly its shard's range (wrong count
+    or numbering) raises :class:`ValueError` rather than landing in a
+    neighbour's epoch slots.
     """
     if len(shard_analyses) != len(store.shards):
         raise ValueError(
@@ -666,32 +659,20 @@ def merge_shard_analyses(
         timings.merge(analysis.timings)
 
     per_epoch: list[list] = [[] for _ in range(grid.n_epochs)]
-    timeline_caches: dict[str, tuple[dict, dict]] = {}
     for metric in config.metrics:
-        problem_parts = []
-        critical_parts = []
         for info, analysis in zip(store.shards, shard_analyses):
-            shard_metric = analysis.metrics[metric.name]
-            for summary in shard_metric.epochs:
+            epochs = analysis.metrics[metric.name].epochs
+            if [s.epoch for s in epochs] != list(range(info.n_epochs)):
+                raise ValueError(
+                    f"the {metric.name} result of shard [{info.epoch_lo}, "
+                    f"{info.epoch_hi}) has {len(epochs)} epochs; expected "
+                    f"exactly its {info.n_epochs}, numbered from 0"
+                )
+            for summary in epochs:
                 per_epoch[info.epoch_lo + summary.epoch].append(
                     replace(summary, epoch=info.epoch_lo + summary.epoch)
                 )
-            problem_parts.append(
-                (info.epoch_lo, shard_metric.problem_timelines())
-            )
-            critical_parts.append(
-                (info.epoch_lo, shard_metric.critical_timelines())
-            )
-        timeline_caches[metric.name] = (
-            merge_timelines(problem_parts, n_epochs_total=grid.n_epochs),
-            merge_timelines(critical_parts, n_epochs_total=grid.n_epochs),
-        )
-
-    merged = assemble_trace_analysis(grid, config, per_epoch, timings)
-    for name, (problem_tls, critical_tls) in timeline_caches.items():
-        merged.metrics[name]._problem_timelines = problem_tls
-        merged.metrics[name]._critical_timelines = critical_tls
-    return merged
+    return assemble_trace_analysis(grid, config, per_epoch, timings)
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,9 @@ def build_timelines(
     """Invert per-epoch cluster sets into per-cluster timelines.
 
     ``per_epoch_keys[e]`` holds the identities flagged in epoch ``e``.
+    Keys come out in order of first appearance, so ordered inputs
+    (e.g. each epoch's result dict, not a set of it) give an order that
+    does not depend on string hashing.
     """
     n_epochs = len(per_epoch_keys) if n_epochs is None else n_epochs
     if n_epochs < len(per_epoch_keys):
@@ -116,44 +119,6 @@ def build_timelines(
         )
         for key, epochs in occurrences.items()
     }
-
-
-def merge_timelines(
-    parts: Iterable[tuple[int, Mapping[K, ClusterTimeline]]],
-    n_epochs_total: int,
-) -> dict[K, ClusterTimeline]:
-    """Union per-range timelines into whole-range timelines.
-
-    ``parts`` holds ``(epoch_offset, timelines)`` pairs — each mapping's
-    epoch indices are local to its range and are shifted by the offset.
-    Occurrence sets union per cluster key; :meth:`ClusterTimeline.streaks`
-    on the merged timeline then coalesces runs spanning range
-    boundaries into one logical event, so merged streaks equal the
-    whole range's (pinned by ``tests/property/test_shard_equivalence.py``).
-    This is the only cross-range merge of timelines and streaks. The
-    ranges must be disjoint: an epoch that two parts flag for one key
-    raises :class:`ValueError`.
-    """
-    occurrences: dict[K, list[np.ndarray]] = {}
-    for offset, timelines in parts:
-        for key, timeline in timelines.items():
-            occurrences.setdefault(key, []).append(
-                timeline.epochs + np.int64(offset)
-            )
-    merged: dict[K, ClusterTimeline] = {}
-    for key, chunks in occurrences.items():
-        timeline = ClusterTimeline(
-            key=key,
-            epochs=np.concatenate(chunks),
-            n_epochs_total=n_epochs_total,
-        )
-        if timeline.n_occurrences != sum(chunk.size for chunk in chunks):
-            raise ValueError(
-                f"{key!r} is flagged twice in one epoch "
-                "(input ranges must be disjoint)"
-            )
-        merged[key] = timeline
-    return merged
 
 
 def prevalence(timelines: Mapping[K, ClusterTimeline]) -> dict[K, float]:

@@ -34,6 +34,11 @@ to N independent ``analyze_trace`` calls (pinned by
 ``tests/property/test_sweep_equivalence.py``); only the wall time
 changes.
 
+There is one substrate class, batch or streamed:
+:meth:`AnalysisSubstrate.append` grows the table and index online (the
+online detector and the shard store builder use it), and epoch splits
+are always derived per grid from the table, never kept per epoch.
+
 This is the only analysis engine: ``analyze_trace`` is a one-config
 sweep, and :func:`_sweep_epoch` is the only unit of work, run in-process
 or over the process pool of :func:`~repro.core.fanout.fan_out`.
@@ -49,11 +54,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.aggregation import KeyCodec
-from repro.core.epoching import (
-    DEFAULT_EPOCH_SECONDS,
-    EpochGrid,
-    split_into_epochs,
-)
+from repro.core.epoching import EpochGrid, split_into_epochs
 from repro.core.fanout import fan_out
 from repro.core.index import TraceClusterIndex
 from repro.core.pipeline import (
@@ -66,10 +67,9 @@ from repro.core.pipeline import (
     assemble_trace_analysis,
     resolve_worker_count,
 )
-from repro.core.attributes import DEFAULT_SCHEMA, AttributeSchema
 from repro.core.metrics import QualityMetric
 from repro.core.problems import ProblemClusterConfig
-from repro.core.sessions import METRIC_COLUMNS, Session, SessionTable, grow_append
+from repro.core.sessions import METRIC_COLUMNS, Session, SessionTable
 from repro.obs import current_tracer
 
 
@@ -86,16 +86,26 @@ class AnalysisSubstrate:
     Build once with :meth:`build`, then run any number of configs over
     it — :meth:`analyze` for one, :meth:`sweep` for many — without
     re-packing sessions or rebuilding the cluster lattice. Epoch splits
-    are cached per grid, so sweeping thresholds variants at the same
-    epoch length re-uses the row partition too.
+    are derived per grid from the table (:func:`split_into_epochs`)
+    and cached, so sweeping thresholds variants at the same epoch
+    length re-uses the row partition too.
+
+    The substrate also grows online: :meth:`append` folds a chunk of
+    sessions (epoch-sized or otherwise, in any arrival order) into the
+    table and the index in place and drops the cached splits, so the
+    batch path over everything appended so far stays bit-identical to
+    a fresh build over the concatenated chunks (pinned by
+    ``tests/property/test_streaming_equivalence.py``). Streamed
+    per-chunk detection goes through :meth:`epoch_view` on the rows
+    :meth:`append` returned, the view the batch engine builds (this is
+    what :class:`~repro.core.online.OnlineDetector` does). Start a
+    stream from ``AnalysisSubstrate.build(SessionTable.empty(schema))``
+    or from a loaded snapshot.
     """
 
-    __slots__ = ("table", "index", "build_seconds", "_splits")
+    __slots__ = ("index", "build_seconds", "_splits")
 
-    def __init__(
-        self, table: SessionTable, index: TraceClusterIndex, build_seconds: float = 0.0
-    ) -> None:
-        self.table = table
+    def __init__(self, index: TraceClusterIndex, build_seconds: float = 0.0) -> None:
         self.index = index
         self.build_seconds = build_seconds
         self._splits: dict[EpochGrid, list[np.ndarray]] = {}
@@ -106,13 +116,37 @@ class AnalysisSubstrate:
         with current_tracer().span("substrate.build", sessions=len(table)):
             t0 = time.perf_counter()
             index = TraceClusterIndex.build(table)
-            return cls(
-                table=table, index=index, build_seconds=time.perf_counter() - t0
-            )
+            return cls(index=index, build_seconds=time.perf_counter() - t0)
+
+    @property
+    def table(self) -> SessionTable:
+        return self.index.table
 
     @property
     def codec(self) -> KeyCodec:
         return self.index.codec
+
+    def __len__(self) -> int:
+        return len(self.index.table)
+
+    def append(self, chunk: "SessionTable | Iterable[Session]") -> np.ndarray:
+        """Fold a chunk into the table and the index
+        (:meth:`TraceClusterIndex.append`) and drop the cached epoch
+        splits, which the next :meth:`epoch_rows` derives afresh. The
+        table grows in place, so a substrate built over a caller's
+        table extends that table object.
+
+        Returns the appended row indices — pass them straight to
+        :meth:`epoch_view` for streamed per-chunk detection.
+        """
+        rows = self.index.append(chunk)
+        self._splits.clear()
+        return rows
+
+    def epoch_view(self, rows: np.ndarray, epoch: int = 0, floor: int = 1):
+        """Per-epoch cluster view over ``rows`` at session floor
+        ``floor`` — the same reduction path the batch engine uses."""
+        return self.index.epoch_view(rows, epoch=epoch, floor=floor)
 
     def grid_covering(self, epoch_seconds: float) -> EpochGrid:
         """The grid ``analyze_trace`` would derive at this epoch length."""
@@ -130,7 +164,9 @@ class AnalysisSubstrate:
         """Bytes held by the whole substrate: packed session-table
         columns, index arrays (incl. caches) and cached per-grid
         epoch-row splits — the true footprint shard-size budgeting
-        needs, not just the index."""
+        needs, not just the index. Doubling growth buffers of an
+        appended-to substrate can transiently hold up to 2x the column
+        bytes beyond this logical figure."""
         total = _table_nbytes(self.table)
         total += self.index.memory_bytes()
         total += sum(
@@ -169,171 +205,10 @@ class AnalysisSubstrate:
         )
 
 
-class StreamingSubstrate:
-    """An :class:`AnalysisSubstrate` maintained online over arriving data.
-
-    Feed it chunks of sessions (epoch-sized or otherwise, in any
-    arrival order) with :meth:`append`; it extends the packed table and
-    the :class:`~repro.core.index.TraceClusterIndex` incrementally and
-    keeps per-epoch row splits up to date, so at any moment the full
-    batch analysis path is available without re-packing or re-indexing:
-    :meth:`analyze`/:meth:`sweep` run over exactly the state a batch
-    ``analyze_trace`` would build from the concatenated chunks, with
-    bit-identical output (pinned by
-    ``tests/property/test_streaming_equivalence.py``).
-
-    Epoch bookkeeping uses *absolute* epoch ids
-    (``floor(start_time / epoch_seconds)``), so the grid grows to cover
-    whatever has arrived and :attr:`grid` always equals
-    ``EpochGrid.covering`` over the accumulated table. Per-epoch row
-    arrays grow by doubling. An append costs the chunk's rows plus, when
-    it brings unseen leaves, one sorted leaf merge and a ``row_to_leaf``
-    renumbering; no per-mask state is kept between epochs.
-
-    Per-epoch streamed detection goes through the same
-    :class:`~repro.core.index.EpochClusterView` path the batch engine
-    uses: ``substrate.epoch_view(rows)`` on the rows :meth:`append`
-    returned (this is what :class:`~repro.core.online.OnlineDetector`
-    does).
-    """
-
-    __slots__ = ("index", "epoch_seconds", "_epoch_rows", "_grow")
-
-    def __init__(
-        self,
-        schema: AttributeSchema = DEFAULT_SCHEMA,
-        epoch_seconds: float = DEFAULT_EPOCH_SECONDS,
-        index: TraceClusterIndex | None = None,
-    ) -> None:
-        """Start empty, or wrap an existing ``index`` (e.g. restored by
-        :func:`~repro.io.snapshot.load_substrate`) and keep appending."""
-        if index is None:
-            index = TraceClusterIndex.build(SessionTable.empty(schema))
-        if epoch_seconds <= 0:
-            raise ValueError("epoch_seconds must be positive")
-        self.index = index
-        self.epoch_seconds = float(epoch_seconds)
-        self._epoch_rows: dict[int, np.ndarray] = {}
-        self._grow: dict = {}
-        if len(index.table):
-            self._ingest_rows(np.arange(len(index.table), dtype=np.int64))
-
-    @property
-    def table(self) -> SessionTable:
-        return self.index.table
-
-    @property
-    def codec(self) -> KeyCodec:
-        return self.index.codec
-
-    def __len__(self) -> int:
-        return len(self.index.table)
-
-    @property
-    def n_epochs(self) -> int:
-        return self.grid.n_epochs
-
-    def append(self, chunk: "SessionTable | Iterable[Session]") -> np.ndarray:
-        """Fold a chunk into the table, index and epoch splits.
-
-        Returns the appended row indices — pass them straight to
-        :meth:`epoch_view` for streamed per-chunk detection.
-        """
-        rows = self.index.append(chunk)
-        if rows.size:
-            self._ingest_rows(rows)
-        return rows
-
-    def _ingest_rows(self, rows: np.ndarray) -> None:
-        """File new rows under their absolute epoch ids.
-
-        Row indices only ever grow, so appending each chunk's rows (in
-        ascending order) keeps every epoch's array ascending — exactly
-        the order ``split_into_epochs``'s stable sort produces, even
-        when chunks arrive out of time order.
-        """
-        keys = np.floor(
-            self.table.start_time[rows] / self.epoch_seconds
-        ).astype(np.int64)
-        order = np.argsort(keys, kind="stable")
-        rows, keys = rows[order], keys[order]
-        uniq, starts = np.unique(keys, return_index=True)
-        bounds = np.append(starts, keys.size)
-        for i, key in enumerate(uniq):
-            key = int(key)
-            part = rows[bounds[i] : bounds[i + 1]]
-            cur = self._epoch_rows.get(key)
-            if cur is None:
-                cur = np.empty(0, dtype=np.int64)
-            self._epoch_rows[key] = grow_append(self._grow, key, cur, part)
-
-    @property
-    def grid(self) -> EpochGrid:
-        """The covering grid of everything appended so far."""
-        if not self._epoch_rows:
-            return EpochGrid(
-                origin=0.0, epoch_seconds=self.epoch_seconds, n_epochs=0
-            )
-        lo, hi = min(self._epoch_rows), max(self._epoch_rows)
-        return EpochGrid(
-            origin=lo * self.epoch_seconds,
-            epoch_seconds=self.epoch_seconds,
-            n_epochs=hi - lo + 1,
-        )
-
-    def epoch_rows(self) -> list[np.ndarray]:
-        """Per-epoch row arrays for :attr:`grid` (empty epochs included)."""
-        if not self._epoch_rows:
-            return []
-        lo = min(self._epoch_rows)
-        empty = np.empty(0, dtype=np.int64)
-        return [
-            self._epoch_rows.get(lo + e, empty)
-            for e in range(self.grid.n_epochs)
-        ]
-
-    def epoch_view(self, rows: np.ndarray, epoch: int = 0, floor: int = 1):
-        """Per-epoch cluster view over ``rows`` at session floor
-        ``floor`` — the same reduction path the batch engine uses."""
-        return self.index.epoch_view(rows, epoch=epoch, floor=floor)
-
-    def as_substrate(self) -> AnalysisSubstrate:
-        """Snapshot the current state as a batch substrate (shared
-        arrays, pre-seeded epoch splits — nothing is copied)."""
-        substrate = AnalysisSubstrate(table=self.table, index=self.index)
-        substrate._splits[self.grid] = self.epoch_rows()
-        return substrate
-
-    def analyze(
-        self,
-        config: AnalysisConfig | None = None,
-        workers: int | str | None = None,
-    ) -> TraceAnalysis:
-        """Batch-analyze everything appended so far (on :attr:`grid`)."""
-        return self.as_substrate().analyze(
-            config=config, grid=self.grid, workers=workers
-        )
-
-    def sweep(
-        self,
-        configs: Sequence[AnalysisConfig],
-        workers: int | str | None = None,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> list[TraceAnalysis]:
-        """Sweep configs over everything appended so far (on :attr:`grid`)."""
-        return self.as_substrate().sweep(
-            configs, grid=self.grid, workers=workers, progress=progress
-        )
-
-    def memory_bytes(self) -> int:
-        """Bytes held by the whole substrate: packed session-table
-        columns, index arrays (incl. caches) and per-epoch row splits.
-        Doubling growth buffers can transiently hold up to 2x the
-        column/split bytes beyond this logical figure."""
-        total = _table_nbytes(self.table)
-        total += self.index.memory_bytes()
-        total += sum(int(a.nbytes) for a in self._epoch_rows.values())
-        return int(total)
+#: The former name of the streaming substrate, now the one class; code
+#: that imports or patches ``StreamingSubstrate.append`` by name still
+#: resolves.
+StreamingSubstrate = AnalysisSubstrate
 
 
 def epoch_floor(

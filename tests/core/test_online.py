@@ -224,6 +224,29 @@ class TestHysteresis:
         assert bad[0].is_open
         assert bad[0].total_active_epochs == 4
 
+    def test_critical_keys_at_follows_each_epoch(self):
+        """An open alert spans epochs its cluster was absent from; those
+        epochs do not report the key, bridged or not yet cleared."""
+        detector = OnlineDetector(
+            JOIN_FAILURE, problem_config=CONFIG, confirm_after=2,
+            clear_after=2,
+        )
+        for i, p in enumerate([0.5, 0.5, 0.03, 0.5, 0.5]):
+            detector.observe_epoch(epoch_table(p, seed=70 + i))
+        assert [BAD_KEY in detector.critical_keys_at(e) for e in range(5)] == [
+            True, True, False, True, True,
+        ]
+
+        detector = OnlineDetector(
+            JOIN_FAILURE, problem_config=CONFIG, clear_after=2
+        )
+        for i, p in enumerate([0.5, 0.03]):
+            detector.observe_epoch(epoch_table(p, seed=90 + i))
+        assert detector.open_alerts[BAD_KEY].absent_epochs == 1
+        assert BAD_KEY in detector.critical_keys_at(0)
+        assert BAD_KEY not in detector.critical_keys_at(1)
+        assert detector.critical_keys_at(2) == set()
+
     def test_clear_after_one_is_immediate(self):
         detector = OnlineDetector(
             JOIN_FAILURE, problem_config=CONFIG, clear_after=1

@@ -276,3 +276,36 @@ class TestConfigDigest:
         config = AnalysisConfig(metrics=(rogue,))
         with pytest.raises(ValueError, match="not registered"):
             config.config_digest()
+
+
+class TestTimelineOrder:
+    def test_key_order_does_not_depend_on_hash_seed(self):
+        # Timelines list keys in order of first appearance over the
+        # epochs, so two processes with different string hashing list
+        # them identically.
+        import subprocess
+        import sys
+
+        from tests.test_cli import _cli_env
+
+        code = (
+            "import dataclasses\n"
+            "from repro.core.pipeline import analyze_trace\n"
+            "from repro.trace import StandardWorkloads, generate_trace\n"
+            "spec = dataclasses.replace(StandardWorkloads.tiny(seed=3), n_epochs=4)\n"
+            "analysis = analyze_trace(generate_trace(spec).table)\n"
+            "for ma in analysis.metrics.values():\n"
+            "    for timelines in (ma.problem_timelines(), ma.critical_timelines()):\n"
+            "        print([key.label() for key in timelines])\n"
+        )
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(_cli_env(), PYTHONHASHSEED=seed),
+                check=True, capture_output=True, text=True,
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outs[0].count("=") > 8  # many keys, so the order is tested
+        assert outs[0] == outs[1]
+

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.epoching import EpochGrid
+from repro.core.sessions import SessionTable
 from repro.core.shards import (
     STORE_MANIFEST,
     ShardInfo,
@@ -23,7 +24,7 @@ from repro.core.shards import (
     build_shard_store,
     sweep_shards,
 )
-from repro.core.substrate import AnalysisSubstrate, StreamingSubstrate
+from repro.core.substrate import AnalysisSubstrate
 from tests.property.test_parallel_equivalence import SMALL_CONFIG, build_table
 
 
@@ -210,8 +211,11 @@ class TestMemoryBytesAccounting:
         assert substrate.memory_bytes() > before
 
     def test_streaming_includes_table_and_epoch_rows(self):
-        streaming = StreamingSubstrate()
+        streaming = AnalysisSubstrate.build(SessionTable.empty())
         streaming.append(small_table())
         total = streaming.memory_bytes()
         assert total > streaming.index.memory_bytes()
         assert total >= streaming.table.start_time.nbytes
+        grid = EpochGrid.covering(streaming.table, epoch_seconds=3600.0)
+        split = streaming.epoch_rows(grid)
+        assert streaming.memory_bytes() == total + sum(r.nbytes for r in split)

@@ -33,6 +33,7 @@ from tests.property.test_parallel_equivalence import (
     build_table,
     session_rows,
 )
+from tests.property.test_shard_equivalence import assert_equal_timelines
 
 #: A second sweep variant that changes results (and hence cache keys).
 SCALED_CONFIG = dataclasses.replace(
@@ -90,6 +91,26 @@ def test_all_metrics_cached_equals_uncached(tiny_trace, tmp_path):
         for ma in warm.metrics.values()
         for e in ma.epochs
     )
+
+
+def test_entries_hold_only_epochs(tiny_trace, tiny_analysis, tmp_path):
+    """Entries store each shard's epoch summaries and no timelines; cold
+    and warm merges derive timelines equal to the monolithic run's, keys
+    in the same order."""
+    store = build_shard_store(
+        tiny_trace.table, tmp_path / "s", epochs_per_shard=7,
+        grid=tiny_trace.grid,
+    )
+    cache = ResultCache(tmp_path / "rc")
+    cold = analyze_shards(store, result_cache=cache)
+    entries = list((tmp_path / "rc").glob(f"*{ENTRY_SUFFIX}"))
+    assert len(entries) == len(store.shards)
+    for entry in entries:
+        assert b"ClusterTimeline" not in entry.read_bytes()
+    warm = analyze_shards(store, result_cache=cache)
+    for merged in (cold, warm):
+        assert_equal_analyses(merged, tiny_analysis)
+        assert_equal_timelines(merged, tiny_analysis)
 
 
 def test_sweep_shares_entries_across_overlapping_configs(tmp_path):

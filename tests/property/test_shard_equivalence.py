@@ -8,7 +8,8 @@ dicts, identical epoch series, identical cluster timelines, and streaks
 that coalesce across shard boundaries. These tests pin that invariant
 across shard counts 1–7, ragged last shards, streaming (chunked,
 shuffled) ingestion, parallel map workers, and multi-config sweeps,
-plus the timeline merge in :mod:`repro.core.streaks`.
+plus the merge's streak algebra and its range check on synthetic
+per-shard results.
 """
 
 import tempfile
@@ -17,15 +18,29 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.pipeline import analyze_trace
+from repro.core.aggregation import ClusterStats
+from repro.core.attributes import DEFAULT_SCHEMA
+from repro.core.clusters import ClusterKey
+from repro.core.epoching import EpochGrid
+from repro.core.metrics import JOIN_FAILURE
+from repro.core.pipeline import (
+    AnalysisConfig,
+    EpochAnalysis,
+    MetricAnalysis,
+    TraceAnalysis,
+    analyze_trace,
+)
 from repro.core.shards import (
+    ShardInfo,
+    ShardStore,
     ShardStoreBuilder,
     analyze_shards,
     build_shard_store,
+    merge_shard_analyses,
     shard_boundaries,
     sweep_shards,
 )
-from repro.core.streaks import ClusterTimeline, Streak, merge_timelines
+from repro.core.streaks import ClusterTimeline, Streak
 from tests.conftest import make_session
 from tests.property.test_parallel_equivalence import (
     ALL_METRICS_CONFIG,
@@ -37,12 +52,13 @@ from tests.property.test_parallel_equivalence import (
 
 
 def assert_equal_timelines(a, b):
-    """Problem and critical timelines (and their streaks) match exactly."""
+    """Problem and critical timelines (and their streaks) match exactly,
+    keys in the same order."""
     for name in a.metric_names:
         for kind in ("problem_timelines", "critical_timelines"):
             ta = getattr(a[name], kind)()
             tb = getattr(b[name], kind)()
-            assert set(ta) == set(tb)
+            assert list(ta) == list(tb)
             for key, tl in ta.items():
                 assert tl.n_epochs_total == tb[key].n_epochs_total
                 assert np.array_equal(tl.epochs, tb[key].epochs)
@@ -199,8 +215,65 @@ def test_single_session_single_shard(tmp_path):
     )
 
 
+KEY = ClusterKey.from_mapping({"cdn": "c"})
+ONE_METRIC = AnalysisConfig(metrics=(JOIN_FAILURE,))
+
+
+def in_memory_store(bounds) -> ShardStore:
+    """A store over the abutting ``(lo, hi)`` epoch ranges; no files."""
+    return ShardStore(
+        path="in-memory",
+        grid=EpochGrid(n_epochs=bounds[-1][1]),
+        schema=DEFAULT_SCHEMA,
+        shards=[
+            ShardInfo(file=f"{lo}", epoch_lo=lo, epoch_hi=hi, sessions=0)
+            for lo, hi in bounds
+        ],
+        total_sessions=0,
+    )
+
+
+def part_analysis(grid, local_epochs, flagged) -> TraceAnalysis:
+    """A synthetic shard result over ``local_epochs`` that flags ``KEY``
+    as a problem cluster in the ``flagged`` ones."""
+    epochs = [
+        EpochAnalysis(
+            epoch=e,
+            total_sessions=10,
+            total_problems=5,
+            min_sessions=1,
+            problem_cluster_coverage=1.0 if e in flagged else 0.0,
+            problem_clusters={KEY: ClusterStats(10, 5)} if e in flagged else {},
+            critical_clusters={},
+        )
+        for e in local_epochs
+    ]
+    return TraceAnalysis(
+        grid=grid,
+        config=ONE_METRIC,
+        metrics={JOIN_FAILURE.name: MetricAnalysis(JOIN_FAILURE, grid, epochs)},
+    )
+
+
+def merged_timelines(bounds, epochs):
+    """Problem timelines of the merge of one synthetic part per range of
+    ``bounds``, together flagging ``KEY`` at the global ``epochs``."""
+    store = in_memory_store(bounds)
+    parts = [
+        part_analysis(
+            store.shard_grid(i),
+            range(hi - lo),
+            {e - lo for e in epochs if lo <= e < hi},
+        )
+        for i, (lo, hi) in enumerate(bounds)
+    ]
+    merged = merge_shard_analyses(store, ONE_METRIC, parts)
+    return merged[JOIN_FAILURE.name].problem_timelines()
+
+
 class TestStreakAlgebra:
-    """`merge_timelines` against the monolithic `ClusterTimeline.streaks()`
+    """`merge_shard_analyses` over an in-memory store and synthetic
+    per-shard results, against the monolithic `ClusterTimeline.streaks()`
     ground truth."""
 
     @settings(max_examples=25, deadline=None)
@@ -212,15 +285,8 @@ class TestStreakAlgebra:
         n_total = 30
         whole = ClusterTimeline("k", np.array(sorted(epochs)), n_total)
         edges = [0] + sorted(cuts) + [n_total]
-        parts = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            local = [e - lo for e in epochs if lo <= e < hi]
-            parts.append(
-                (lo, {"k": ClusterTimeline("k", np.array(local), hi - lo)})
-                if local
-                else (lo, {})
-            )
-        assert merge_timelines(parts, n_total)["k"].streaks() == whole.streaks()
+        merged = merged_timelines(list(zip(edges[:-1], edges[1:])), epochs)
+        assert merged[KEY].streaks() == whole.streaks()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -230,42 +296,30 @@ class TestStreakAlgebra:
     def test_merge_timelines_equals_monolithic(self, epochs, cut):
         n_total = 30
         whole = ClusterTimeline("k", np.array(sorted(epochs)), n_total)
-        parts = []
-        for lo, hi in ((0, cut), (cut, n_total)):
-            local = [e - lo for e in epochs if lo <= e < hi]
-            parts.append(
-                (lo, {"k": ClusterTimeline("k", np.array(local), hi - lo)})
-                if local
-                else (lo, {})
-            )
-        merged = merge_timelines(parts, n_total)
-        assert set(merged) == {"k"}
-        assert np.array_equal(merged["k"].epochs, whole.epochs)
-        assert merged["k"].streaks() == whole.streaks()
+        merged = merged_timelines([(0, cut), (cut, n_total)], epochs)
+        assert set(merged) == {KEY}
+        assert merged[KEY].n_epochs_total == n_total
+        assert np.array_equal(merged[KEY].epochs, whole.epochs)
+        assert merged[KEY].streaks() == whole.streaks()
 
     def test_coalesce_rejects_overlap(self):
-        # Epoch 2 arrives from both parts: the ranges overlap.
-        parts = [
-            (0, {"k": ClusterTimeline("k", np.array([0, 1, 2]), 3)}),
-            (2, {"k": ClusterTimeline("k", np.array([0, 1]), 2)}),
-        ]
-        with pytest.raises(ValueError, match="disjoint"):
-            merge_timelines(parts, 4)
+        # A part that runs past its shard's range, or is numbered from
+        # the wrong epoch, would land in a neighbour's epoch slots.
+        store = in_memory_store([(0, 2), (2, 4)])
+        fits = part_analysis(store.shard_grid(1), range(2), {0, 1})
+        for local in (range(3), range(1), range(1, 3)):
+            wrong = part_analysis(store.shard_grid(0), local, {0})
+            with pytest.raises(ValueError, match="expected exactly its 2"):
+                merge_shard_analyses(store, ONE_METRIC, [wrong, fits])
 
     def test_shift_streaks(self):
         # A shard's local streaks land at its epoch offset.
-        parts = [(10, {"k": ClusterTimeline("k", np.array([0, 1, 4]), 5)})]
-        assert merge_timelines(parts, 15)["k"].streaks() == [
-            Streak(10, 2),
-            Streak(14, 1),
-        ]
+        merged = merged_timelines([(0, 10), (10, 15)], {10, 11, 14})
+        assert merged[KEY].streaks() == [Streak(10, 2), Streak(14, 1)]
 
     def test_abutting_runs_join(self):
-        parts = [
-            (0, {"k": ClusterTimeline("k", np.array([0, 1, 2]), 3)}),
-            (3, {"k": ClusterTimeline("k", np.array([0, 1]), 2)}),
-        ]
-        assert merge_timelines(parts, 5)["k"].streaks() == [Streak(0, 5)]
+        merged = merged_timelines([(0, 3), (3, 5)], {0, 1, 2, 3, 4})
+        assert merged[KEY].streaks() == [Streak(0, 5)]
 
 
 class TestShardBoundaries:

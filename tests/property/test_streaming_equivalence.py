@@ -12,8 +12,8 @@ different computation:
   concatenated table, including across vocabulary growth that changes
   the packed key widths, and every epoch's view over the streamed index
   has the same cluster keys and counts as the batch index's;
-* ``StreamingSubstrate`` fed epoch-sized (or arbitrary) chunks yields
-  the same analysis as batch ``analyze_trace``;
+* an ``AnalysisSubstrate`` grown by ``append`` from epoch-sized (or
+  arbitrary) chunks yields the same analysis as batch ``analyze_trace``;
 * substrate snapshots round-trip exactly, and corrupted or
   version-mismatched files are rejected with ``ValueError``.
 """
@@ -31,7 +31,7 @@ from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
 from repro.core.pipeline import analyze_trace
 from repro.core.sessions import METRIC_COLUMNS, SessionTable
-from repro.core.substrate import AnalysisSubstrate, StreamingSubstrate
+from repro.core.substrate import AnalysisSubstrate
 from repro.io.snapshot import MAGIC, load_substrate, save_substrate
 from tests.property.test_parallel_equivalence import (
     ALL_METRICS_CONFIG,
@@ -180,7 +180,7 @@ def test_index_append_label_only_chunk_rekeys(tmp_path):
     assert np.array_equal(
         index.codec.widths, KeyCodec.from_table(index.table).widths
     )
-    substrate = AnalysisSubstrate(index.table, index)
+    substrate = AnalysisSubstrate(index)
     loaded = load_substrate(save_substrate(substrate, tmp_path / "s.sub"))
     assert_equal_indexes(index, loaded.index)
     assert_equal_indexes(index, TraceClusterIndex.build(index.table))
@@ -221,17 +221,32 @@ def test_streaming_substrate_memory_counts_everything(tiny_trace):
     """Table columns, index and epoch splits: the streamed substrate
     reports exactly what a batch substrate holding the same state does."""
     table, grid = tiny_trace.table, tiny_trace.grid
-    stream = StreamingSubstrate(
-        schema=table.schema, epoch_seconds=grid.epoch_seconds
-    )
+    stream = AnalysisSubstrate.build(SessionTable.empty(table.schema))
     stream.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
     epoch_of = np.floor(table.start_time / grid.epoch_seconds).astype(np.int64)
     for epoch in np.unique(epoch_of):
         stream.append(table.select(np.flatnonzero(epoch_of == epoch)))
+    stream.epoch_rows(grid)
     batch = AnalysisSubstrate.build(table)
     batch.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
     batch.epoch_rows(grid)
     assert stream.memory_bytes() == batch.memory_bytes()
+
+
+def test_append_drops_cached_splits():
+    """Splits are derived per grid from the table: an append after a
+    split was cached re-derives it over the grown table."""
+    rows = [(e, a % 3, a % 2, (a + e) % 4 == 0) for e in range(3)
+            for a in range(20)]
+    full = build_table(rows)
+    grid = EpochGrid.covering(full, epoch_seconds=3600.0)
+    stream = AnalysisSubstrate.build(full.select(np.arange(30)))
+    before = stream.epoch_rows(grid)
+    stream.append(full.select(np.arange(30, len(full))))
+    after = stream.epoch_rows(grid)
+    assert after is not before
+    _, expected = split_into_epochs(full, grid)
+    assert [r.tolist() for r in after] == [r.tolist() for r in expected]
 
 
 def test_index_append_empty_chunk_is_noop():
@@ -245,7 +260,7 @@ def test_index_append_empty_chunk_is_noop():
 
 
 # ---------------------------------------------------------------------------
-# StreamingSubstrate == batch analyze_trace
+# AnalysisSubstrate.append chunks == batch analyze_trace
 # ---------------------------------------------------------------------------
 @settings(
     max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -253,9 +268,7 @@ def test_index_append_empty_chunk_is_noop():
 @given(session_rows, chunk_counts)
 def test_streamed_analysis_equals_batch(rows, n_chunks):
     chunks = chunked_tables(rows, n_chunks)
-    stream = StreamingSubstrate(
-        epoch_seconds=SMALL_CONFIG.epoch_seconds
-    )
+    stream = AnalysisSubstrate.build(SessionTable.empty())
     for chunk in chunks:
         stream.append(chunk)
     batch_table = build_table(rows)
@@ -269,13 +282,13 @@ def test_streamed_analysis_equals_batch(rows, n_chunks):
 def test_streamed_epoch_chunks_all_metrics(tiny_trace):
     """Epoch-sized chunks of a generated trace, all four metrics."""
     table, grid = tiny_trace.table, tiny_trace.grid
-    stream = StreamingSubstrate(
-        schema=table.schema, epoch_seconds=grid.epoch_seconds
-    )
+    stream = AnalysisSubstrate.build(SessionTable.empty(table.schema))
     epoch_of = np.floor(table.start_time / grid.epoch_seconds).astype(np.int64)
     for epoch in np.unique(epoch_of):
         stream.append(table.select(np.flatnonzero(epoch_of == epoch)))
-    assert stream.grid == grid
+    assert EpochGrid.covering(
+        stream.table, epoch_seconds=grid.epoch_seconds
+    ) == grid
     assert_equal_analyses(
         analyze_trace(table, config=ALL_METRICS_CONFIG, grid=grid),
         stream.analyze(config=ALL_METRICS_CONFIG),
@@ -293,7 +306,7 @@ def test_streamed_sweep_equals_batch_sweep():
             SMALL_CONFIG, thresholds=MetricThresholds().scaled(0.5)
         ),
     ]
-    stream = StreamingSubstrate()
+    stream = AnalysisSubstrate.build(SessionTable.empty())
     for chunk in chunked_tables(rows, 3):
         stream.append(chunk)
     for config, got in zip(configs, stream.sweep(configs)):
@@ -329,13 +342,12 @@ def test_snapshot_is_appendable(tmp_path, small_substrate):
     """A loaded snapshot's read-only mmap views must not block growth."""
     path = save_substrate(small_substrate, tmp_path / "trace.sub")
     loaded = load_substrate(path)
-    stream = StreamingSubstrate(index=loaded.index)
     extra = build_table([(3, a % 3, a % 2, a % 5 == 0) for a in range(30)])
-    stream.append(extra)
+    loaded.append(extra)
     combined = SessionTable.empty()
     combined.extend(small_substrate.table)
     combined.extend(extra)
-    assert_equal_indexes(stream.index, TraceClusterIndex.build(combined))
+    assert_equal_indexes(loaded.index, TraceClusterIndex.build(combined))
 
 
 def test_snapshot_rejects_bad_magic(tmp_path, small_substrate):
