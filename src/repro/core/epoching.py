@@ -5,6 +5,14 @@ footnote: one hour is the finest granularity of the dataset) and runs
 all cluster analysis per epoch. :class:`EpochGrid` owns the mapping
 between timestamps and epoch indices; :func:`split_into_epochs` yields
 per-epoch row index arrays for a :class:`SessionTable`.
+
+:meth:`EpochGrid.epoch_of` is the one epoch rule. A grid over part of a
+longer grid's epochs (a shard's range) does not re-derive epochs from a
+shifted origin: at epoch lengths that are not exact in binary,
+``floor((t - (origin + lo*s)) / s)`` and ``floor((t - origin) / s) - lo``
+disagree for sessions near an epoch edge. Sub-range epochs are the
+longer grid's epochs minus ``lo`` (:func:`rows_by_epoch` groups rows by
+them).
 """
 
 from __future__ import annotations
@@ -44,14 +52,27 @@ class EpochGrid:
         if len(table) == 0:
             return cls(origin=origin or 0.0, epoch_seconds=epoch_seconds, n_epochs=0)
         start = float(table.start_time.min()) if origin is None else origin
-        origin_val = np.floor(start / epoch_seconds) * epoch_seconds
-        last = float(table.start_time.max())
-        if last < origin_val:
-            raise ValueError(
-                f"origin {origin_val} is after the last session at {last}"
-            )
-        n = int(np.floor((last - origin_val) / epoch_seconds)) + 1
-        return cls(origin=origin_val, epoch_seconds=epoch_seconds, n_epochs=n)
+        return cls.spanning(start, float(table.start_time.max()), epoch_seconds)
+
+    @classmethod
+    def spanning(
+        cls, start: float, last: float, epoch_seconds: float = DEFAULT_EPOCH_SECONDS
+    ) -> "EpochGrid":
+        """The smallest grid, with its origin a whole number of epochs,
+        whose epochs hold every time in ``[start, last]``.
+
+        The origin is ``floor(start / s) * s``, one epoch earlier when
+        rounding puts that product past ``start`` (a session there
+        would otherwise get epoch -1 and drop out of the analysis).
+        """
+        first = np.floor(start / epoch_seconds)
+        origin = first * epoch_seconds
+        if origin > start:
+            origin = (first - 1) * epoch_seconds
+        if last < origin:
+            raise ValueError(f"origin {origin} is after the last session at {last}")
+        n = int(np.floor((last - origin) / epoch_seconds)) + 1
+        return cls(origin=float(origin), epoch_seconds=epoch_seconds, n_epochs=n)
 
     def epoch_of(self, timestamps: np.ndarray) -> np.ndarray:
         """Epoch index of each timestamp (may be out of [0, n_epochs))."""
@@ -81,14 +102,17 @@ def split_into_epochs(
     """
     if grid is None:  # NOT `or`: a zero-epoch grid is falsy but valid
         grid = EpochGrid.covering(table)
-    epoch_ids = grid.epoch_of(table.start_time)
-    in_range = (epoch_ids >= 0) & (epoch_ids < grid.n_epochs)
+    return grid, rows_by_epoch(grid.epoch_of(table.start_time), grid.n_epochs)
+
+
+def rows_by_epoch(epoch_ids: np.ndarray, n_epochs: int) -> list[np.ndarray]:
+    """Row index arrays of epochs ``0 .. n_epochs - 1``, in row order
+    within each epoch, from each row's epoch index (rows outside the
+    range are dropped)."""
+    in_range = (epoch_ids >= 0) & (epoch_ids < n_epochs)
     rows = np.nonzero(in_range)[0]
     order = np.argsort(epoch_ids[rows], kind="stable")
     rows = rows[order]
     sorted_ids = epoch_ids[rows]
-    boundaries = np.searchsorted(sorted_ids, np.arange(grid.n_epochs + 1))
-    per_epoch = [
-        rows[boundaries[e] : boundaries[e + 1]] for e in range(grid.n_epochs)
-    ]
-    return grid, per_epoch
+    boundaries = np.searchsorted(sorted_ids, np.arange(n_epochs + 1))
+    return [rows[boundaries[e] : boundaries[e + 1]] for e in range(n_epochs)]

@@ -137,11 +137,15 @@ class OnlineDetector:
         self.thresholds = thresholds or MetricThresholds()
         self.confirm_after = confirm_after
         self.clear_after = clear_after
-        self.epochs_observed = 0
         self.open_alerts: dict[ClusterKey, ClusterAlert] = {}
         self.closed_alerts: list[ClusterAlert] = []
         self.history: list[EpochObservation] = []
         self._stream: AnalysisSubstrate | None = None
+
+    @property
+    def epochs_observed(self) -> int:
+        """Epochs observed so far (one observation each in ``history``)."""
+        return len(self.history)
 
     @property
     def substrate(self) -> AnalysisSubstrate | None:
@@ -282,7 +286,6 @@ class OnlineDetector:
                 self.closed_alerts.append(alert)
                 observation.events.append(AlertEvent("cleared", epoch, alert))
 
-        self.epochs_observed += 1
         self.history.append(observation)
         return observation
 

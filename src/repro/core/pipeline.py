@@ -285,6 +285,7 @@ class MetricAnalysis:
     def __post_init__(self) -> None:
         self._problem_timelines: dict[ClusterKey, ClusterTimeline] | None = None
         self._critical_timelines: dict[ClusterKey, ClusterTimeline] | None = None
+        self._critical_totals: dict[ClusterKey, float] | None = None
 
     # -- per-epoch series ------------------------------------------------
     def series(self, accessor: Callable[[EpochAnalysis], float]) -> np.ndarray:
@@ -349,13 +350,16 @@ class MetricAnalysis:
 
         This is the "coverage" ranking used by the what-if analyses
         (Section 5.1): clusters that account for the most problem
-        sessions over the whole trace come first.
+        sessions over the whole trace come first. Memoised like the
+        timelines; callers must not mutate the returned dict.
         """
-        totals: dict[ClusterKey, float] = {}
-        for epoch in self.epochs:
-            for key, attribution in epoch.critical_clusters.items():
-                totals[key] = totals.get(key, 0.0) + attribution.attributed_problems
-        return totals
+        if self._critical_totals is None:
+            totals: dict[ClusterKey, float] = {}
+            for epoch in self.epochs:
+                for key, attribution in epoch.critical_clusters.items():
+                    totals[key] = totals.get(key, 0.0) + attribution.attributed_problems
+            self._critical_totals = totals
+        return self._critical_totals
 
 
 @dataclass

@@ -54,7 +54,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.aggregation import KeyCodec
-from repro.core.epoching import EpochGrid, split_into_epochs
+from repro.core.epoching import EpochGrid, rows_by_epoch, split_into_epochs
 from repro.core.fanout import fan_out
 from repro.core.index import TraceClusterIndex
 from repro.core.pipeline import (
@@ -159,6 +159,13 @@ class AnalysisSubstrate:
             _, rows = split_into_epochs(self.table, grid)
             self._splits[grid] = rows
         return rows
+
+    def pin_epochs(self, grid: EpochGrid, epoch_ids: np.ndarray) -> None:
+        """Split the rows on ``grid`` by the given per-row epoch indices
+        instead of ``grid.epoch_of``. A shard takes its epochs from the
+        store grid this way (:meth:`~repro.core.shards.ShardStore.load_shard`).
+        Dropped, like every split, by :meth:`append`."""
+        self._splits[grid] = rows_by_epoch(epoch_ids, grid.n_epochs)
 
     def memory_bytes(self) -> int:
         """Bytes held by the whole substrate: packed session-table

@@ -55,6 +55,21 @@ class TestEpochGrid:
         grid = EpochGrid.covering(table_at([0.0, 250.0]), epoch_seconds=100.0)
         assert grid.n_epochs == 3
 
+    def test_covering_keeps_a_start_below_its_rounded_origin(self):
+        # floor(1.7 / 0.1) * 0.1 rounds to 1.7000000000000002, past the
+        # first session: that origin would give it epoch -1.
+        table = table_at([1.7, 1.75, 2.0])
+        grid = EpochGrid.covering(table, epoch_seconds=0.1)
+        assert grid.origin <= 1.7
+        epochs = grid.epoch_of(table.start_time)
+        assert epochs.min() == 0 and epochs.max() == grid.n_epochs - 1
+        _, per_epoch = split_into_epochs(table, grid)
+        assert sum(len(rows) for rows in per_epoch) == 3
+
+    def test_spanning_matches_covering(self):
+        table = table_at([4000.0, 8000.0])
+        assert EpochGrid.spanning(4000.0, 8000.0) == EpochGrid.covering(table)
+
 
 class TestSplitIntoEpochs:
     def test_rows_partition_table(self):

@@ -104,6 +104,16 @@ class TestHistoryAndQueries:
         assert detector.history[0].epoch == 0
         assert detector.history[1].n_critical_clusters >= 1
 
+    def test_epochs_observed_counts_history(self):
+        detector = make_detector()
+        assert detector.epochs_observed == 0
+        for i, p in enumerate([0.03, 0.5, 0.03]):
+            observation = detector.observe_epoch(epoch_table(p, seed=70 + i))
+            assert observation.epoch == i
+            assert detector.epochs_observed == len(detector.history) == i + 1
+        with pytest.raises(AttributeError):
+            detector.epochs_observed = 0
+
     def test_critical_keys_at(self):
         detector = make_detector()
         for i, p in enumerate([0.03, 0.5, 0.5, 0.03]):

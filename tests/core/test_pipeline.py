@@ -78,6 +78,22 @@ class TestAnalyzeTrace:
         best = max(totals.items(), key=lambda kv: kv[1])
         assert best[0].label() == "[cdn=cdn_bad]"
 
+    def test_attribution_totals_are_memoised(self, tiny_analysis):
+        ma = tiny_analysis["buffering_ratio"]
+        totals = ma.critical_attribution_totals()
+        assert ma.critical_attribution_totals() is totals
+        fresh = {}
+        for epoch in ma.epochs:
+            for key, att in epoch.critical_clusters.items():
+                fresh[key] = fresh.get(key, 0.0) + att.attributed_problems
+        assert list(totals.items()) == list(fresh.items())
+        # A view over other epochs is another analysis with its own totals.
+        view = restrict_epochs(ma, [0])
+        assert view.critical_attribution_totals() == {
+            key: att.attributed_problems
+            for key, att in ma.epochs[0].critical_clusters.items()
+        }
+
     def test_metric_names(self, two_epoch_analysis):
         assert two_epoch_analysis.metric_names == ["join_failure"]
 

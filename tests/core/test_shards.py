@@ -110,6 +110,25 @@ class TestShardStoreContents:
             assert grid.origin == store.grid.epoch_start(shard.epoch_lo)
             assert grid.epoch_seconds == store.grid.epoch_seconds
 
+    def test_rows_outside_the_shard_range_raise(self, store):
+        """A shard file whose sessions lie outside its manifest range
+        fails loudly instead of losing those sessions."""
+        first = store.shards[0]
+        mismatched = ShardStore(
+            path=store.path,
+            grid=store.grid,
+            schema=store.schema,
+            shards=[
+                first,
+                ShardInfo(file=first.file, epoch_lo=first.epoch_hi,
+                          epoch_hi=store.grid.n_epochs, sessions=first.sessions),
+            ],
+            total_sessions=2 * first.sessions,
+        )
+        assert len(mismatched.load_shard(0)) == first.sessions
+        with pytest.raises(ValueError, match="outside the shard's store epochs"):
+            mismatched.load_shard(1)
+
     def test_load_shard_mmaps_substrate(self, store):
         substrate = store.load_shard(0)
         assert isinstance(substrate, AnalysisSubstrate)

@@ -12,6 +12,7 @@ plus the merge's streak algebra and its range check on synthetic
 per-shard results.
 """
 
+import math
 import tempfile
 
 import numpy as np
@@ -150,6 +151,53 @@ def test_streaming_builder_equals_monolithic(tmp_path):
     store = builder.finalize()
     sharded = analyze_shards(store, config=ALL_METRICS_CONFIG)
     assert_sharded_equals_monolithic(sharded, monolithic)
+
+
+#: Epoch lengths that are not exact in binary, each with a base that
+#: puts epoch edges where rounding bites, plus one exact length.
+INEXACT_GRIDS = [
+    (123.456, math.floor((1e6 + 0.1) / 123.456) * 123.456),
+    (0.1, 0.0),
+    (0.3, math.floor(354.2 / 0.3) * 0.3),
+    (7.7, 0.0),
+    (3600.0, 0.0),
+]
+
+
+@pytest.mark.parametrize("builder", ["batch", "stream"])
+@pytest.mark.parametrize("epoch_seconds,base", INEXACT_GRIDS)
+def test_stores_keep_every_session_at_inexact_epoch_lengths(
+    tmp_path, tiny_trace, builder, epoch_seconds, base
+):
+    """Every session re-timed onto an epoch edge, ``base + epoch * s``:
+    both store builders give the monolithic analysis and drop no
+    session. Shards that re-derived epochs from their own shifted
+    origin lost sessions here (1,724 of 16,707 at s = 123.456 on
+    ``tiny`` seed 42), and the streaming builder's last block got an
+    empty range at s = 0.3."""
+    table = tiny_trace.table.select(np.arange(len(tiny_trace.table)))
+    epochs = tiny_trace.grid.epoch_of(table.start_time)
+    table.start_time = base + epochs * epoch_seconds
+    config = AnalysisConfig(metrics=(JOIN_FAILURE,), epoch_seconds=epoch_seconds)
+    monolithic = analyze_trace(table, config=config)
+    assert sum(e.total_sessions for e in monolithic["join_failure"].epochs) == (
+        len(table)
+    )
+    if builder == "batch":
+        store = build_shard_store(
+            table, tmp_path / "s", epochs_per_shard=3, epoch_seconds=epoch_seconds
+        )
+    else:
+        stream = ShardStoreBuilder(
+            tmp_path / "s", epoch_seconds=epoch_seconds, epochs_per_shard=3
+        )
+        order = np.random.RandomState(3).permutation(len(table))
+        for i in range(0, len(order), 4001):
+            stream.append(table.select(np.sort(order[i : i + 4001])))
+        store = stream.finalize()
+    assert store.grid == monolithic.grid
+    assert store.total_sessions == len(table)
+    assert_sharded_equals_monolithic(analyze_shards(store, config=config), monolithic)
 
 
 def test_parallel_map_equals_serial(tmp_path):
