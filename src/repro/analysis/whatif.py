@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.clusters import ClusterKey
 from repro.core.pipeline import EpochAnalysis, MetricAnalysis
+from repro.core.streaks import max_persistence_values, prevalence_values
 
 #: Ranking criteria for choosing which critical clusters to fix.
 RANKINGS: tuple[str, ...] = ("coverage", "prevalence", "persistence")
@@ -126,10 +127,11 @@ def rank_critical_clusters(ma: MetricAnalysis, by: str = "coverage") -> list[Clu
         scored = [(v, 0.0, k) for k, v in totals.items()]
     elif by in ("prevalence", "persistence"):
         timelines = ma.critical_timelines()
-        scored = []
-        for key, tl in timelines.items():
-            primary = tl.prevalence if by == "prevalence" else tl.max_persistence
-            scored.append((primary, totals.get(key, 0.0), key))
+        values = prevalence_values if by == "prevalence" else max_persistence_values
+        scored = [
+            (primary, totals.get(key, 0.0), key)
+            for primary, key in zip(values(timelines), timelines)
+        ]
     else:
         raise ValueError(f"unknown ranking {by!r}; known: {RANKINGS}")
     scored.sort(key=lambda t: (-t[0], -t[1], repr(t[2])))

@@ -30,6 +30,7 @@ def key_n(i: int) -> str:
         schema_sha256="b" * 64,
         config_digest="c" * 64,
         epoch_origin=0.0,
+        epoch_lo=0,
         n_epochs=24,
     )
 
@@ -51,6 +52,7 @@ class TestKey:
             {"config_digest": "f" * 64},
             {"epoch_origin": 3600.0},
             {"n_epochs": 25},
+            {"epoch_lo": 24},
         ],
     )
     def test_every_component_changes_the_key(self, override):
@@ -59,6 +61,7 @@ class TestKey:
             schema_sha256="b" * 64,
             config_digest="c" * 64,
             epoch_origin=0.0,
+            epoch_lo=0,
             n_epochs=24,
         )
         assert shard_result_key(**base) != shard_result_key(

@@ -223,6 +223,53 @@ def test_append_day_recomputes_only_new_shards(tmp_path):
     assert_equal_analyses(analysis, analyze_shards(store_b, SMALL_CONFIG))
 
 
+def test_stores_sharing_a_shard_under_different_origins(tmp_path):
+    """Two streaming-built stores at s = 0.1: store B holds store A's
+    sessions, then a later chunk of earlier sessions, so B's origin is
+    two epochs before A's. Their last shard has the same payload and the same
+    shard-grid origin, but splits its rows differently: the session at
+    t = 1268063.3 lies in the shard's local epoch 2 under A's origin
+    and in epoch 1 under B's. Keys bind the store origin, so B misses
+    on A's entries and its warm run equals its cold one."""
+    config = dataclasses.replace(SMALL_CONFIG, epoch_seconds=0.1)
+
+    def sessions(epochs):
+        return [
+            make_session(
+                start_time=(e + 0.5) * 0.1, asn=f"AS{(e + i) % 3}",
+                cdn=f"c{i % 2}", join_failed=(e + i) % 4 == 0,
+            )
+            for e in epochs
+            for i in range(12)
+        ]
+
+    shared = sessions(range(12680628, 12680634)) + [
+        make_session(start_time=1268063.3, asn="AS1", join_failed=True)
+    ]
+    stores = []
+    for name, chunks in (("a", [shared]), ("b", [shared, sessions([12680626])])):
+        builder = ShardStoreBuilder(
+            tmp_path / name, epoch_seconds=0.1, epochs_per_shard=3
+        )
+        for chunk in chunks:
+            builder.append(SessionTable.from_sessions(chunk))
+        stores.append(builder.finalize())
+    store_a, store_b = stores
+    assert store_a.grid.origin != store_b.grid.origin
+    assert store_a.shard_content_sha256(len(store_a.shards) - 1) == (
+        store_b.shard_content_sha256(len(store_b.shards) - 1)
+    )
+    assert store_a.shard_grid(len(store_a.shards) - 1) == (
+        store_b.shard_grid(len(store_b.shards) - 1)
+    )
+
+    cache = ResultCache(tmp_path / "rc")
+    cached_run(store_a, [config], cache)
+    (warm,), metrics = cached_run(store_b, [config], cache)
+    assert metrics.get("cache.hit") == 0
+    assert_equal_analyses(warm, analyze_shards(store_b, config))
+
+
 def test_changed_day_invalidates_its_shard(tmp_path):
     cache = ResultCache(tmp_path / "rc")
     store_a = build_days(tmp_path / "a", 2)
