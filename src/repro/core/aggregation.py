@@ -19,7 +19,8 @@ whole. A lattice may be an *iceberg*: built for a session floor, it
 holds only the clusters with at least that many sessions, and it
 refuses questions asked below that floor. Lattices and aggregates are
 built by :class:`~repro.core.index.EpochClusterView`, the one
-aggregation path; floor 1 gives the whole lattice.
+aggregation path, a batch of epochs at a time; floor 1 gives the whole
+lattice.
 """
 
 from __future__ import annotations
@@ -179,7 +180,9 @@ class EpochLattice:
 
     Built from the epoch's leaves by
     :class:`~repro.core.index.EpochClusterView` (coarse to fine, shared
-    by every metric of the epoch). It also memoises what every metric
+    by every metric of the epoch); a lattice built in a batch of epochs
+    holds slices of the batch's arrays, ``leaf_cluster`` a column slice
+    of its matrix. It also memoises what every metric
     and config of the epoch asks again: decoded keys (:meth:`keys_of`)
     and the table of every (cluster, ancestor) pair (:meth:`pairs`).
     """

@@ -20,16 +20,17 @@ binding everything that determines the result:
 * :meth:`~repro.core.pipeline.AnalysisConfig.config_digest` — which
   covers every config field; the ``workers`` count is a call argument,
   not config, since results are identical at any count,
-* the shard's place on the store grid — the store grid's origin, the
-  shard's first store epoch and its epoch count. A shard's rows split
-  by the store grid's epochs minus that first epoch
-  (:meth:`~repro.core.shards.ShardStore.load_shard`), so identical
-  payload bytes analyzed over a different epoch range (e.g. empty gap
-  shards) or under a different store origin produce different results.
-  The shard grid's own origin is not enough: at epoch lengths that are
-  not exact in binary, two stores (say, one rebuilt with earlier
-  sessions) can give a shard the same float origin but a different
-  split of its rows,
+* the shard's split: a digest of each row's shard-local epoch (its
+  store epoch minus the shard's first store epoch, in row order), which
+  both store builders record in the manifest and
+  :meth:`~repro.core.shards.ShardStore.load_shard` checks, plus the
+  shard's epoch count. Identical payload bytes split differently (at
+  epoch lengths that are not exact in binary, a store rebuilt with
+  earlier sessions can move a row across an epoch edge) or spread over
+  a different number of epochs (e.g. empty gap shards) produce
+  different results; the same split does not, whatever the store's
+  origin, so a rolling-window or backfilled rebuild keeps its
+  unchanged shards' entries,
 * :data:`RESULT_FORMAT_VERSION`, bumped whenever the pickled result
   shape changes.
 
@@ -72,7 +73,8 @@ from repro.obs import current_metrics, current_tracer, record_degradation
 #: Version 2 entries hold no cluster timelines. Version 3 entries split
 #: each shard by the store grid's epochs; a version 2 entry at an epoch
 #: length that is not exact in binary may hold a different split.
-RESULT_FORMAT_VERSION = 3
+#: Version 4 keys bind the shard's split digest, not the store origin.
+RESULT_FORMAT_VERSION = 4
 
 #: Entry file magic ("repro result cache", format 1).
 ENTRY_MAGIC = b"RPRORC1\0"
@@ -89,25 +91,24 @@ def shard_result_key(
     payload_sha256: str,
     schema_sha256: str,
     config_digest: str,
-    epoch_origin: float,
-    epoch_lo: int,
+    split_sha256: str,
     n_epochs: int,
 ) -> str:
     """Content address of one (shard, config) analysis result.
 
-    ``epoch_origin`` is the store grid's origin, and the shard covers
-    store epochs ``[epoch_lo, epoch_lo + n_epochs)``. See the module
-    docstring for why each component is present. The
-    record is canonical JSON (sorted keys, fixed separators), so the
-    same inputs always produce the same key across processes and runs.
+    ``split_sha256`` digests the shard's rows' local epochs
+    (:func:`~repro.core.shards.split_sha256`) and ``n_epochs`` is its
+    epoch count. See the module docstring for why each component is
+    present. The record is canonical JSON (sorted keys, fixed
+    separators), so the same inputs always produce the same key across
+    processes and runs.
     """
     spec = {
         "format": RESULT_FORMAT_VERSION,
         "payload_sha256": str(payload_sha256),
         "schema_sha256": str(schema_sha256),
         "config_digest": str(config_digest),
-        "epoch_origin": float(epoch_origin),
-        "epoch_lo": int(epoch_lo),
+        "split_sha256": str(split_sha256),
         "n_epochs": int(n_epochs),
     }
     payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))

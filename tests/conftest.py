@@ -80,6 +80,26 @@ def planted_failure_table(
     return SessionTable.from_sessions(sessions)
 
 
+def views_in_batches(index, rows, floor: int = 1, trace_rows=None) -> list:
+    """The view of ``rows`` at ``floor`` built alone, second in a batch
+    of two epochs, in the middle of a batch of three, and (given the
+    trace's per-epoch ``trace_rows``, ``rows`` among them) in a batch of
+    every epoch of the trace. The other epochs of the two- and
+    three-epoch batches are halves of the table's rows, at the same
+    floor. Every view must give what the lone one gives."""
+    every = np.arange(len(index.table))
+    batches = [[rows], [every[::2], rows], [every[::2], rows, every[1::2]]]
+    if trace_rows is not None:
+        batches.append(list(trace_rows))
+    views = []
+    for batch in batches:
+        (at,) = [k for k, other in enumerate(batch) if other is rows]
+        views.append(
+            index.epoch_views(batch, list(range(len(batch))), [floor] * len(batch))[at]
+        )
+    return views
+
+
 @pytest.fixture(scope="session")
 def failure_table() -> SessionTable:
     return planted_failure_table()

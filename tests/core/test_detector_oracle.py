@@ -10,7 +10,10 @@ floats bit for bit), the problem coverage and the unattributed problem
 sessions. Aggregates come from both sources: an
 :class:`~repro.core.index.EpochClusterView` built at the session floor
 the config resolves to (the iceberg production builds) and the direct
-aggregate itself. The batched pass
+aggregate itself. Every view is also built inside batches of other
+epochs (:meth:`~repro.core.index.TraceClusterIndex.epoch_views` at
+batch sizes 1, 2 and 3, and every epoch of a generated trace), which
+must not change what it gives. The batched pass
 (:func:`~repro.core.problems.detect_problem_clusters` and
 :func:`~repro.core.critical.detect_critical_clusters` over many units
 of one lattice) must give every unit what it gets detected alone.
@@ -36,7 +39,7 @@ from repro.core.problems import (
 )
 from repro.core.sessions import SessionTable
 from repro.core.substrate import epoch_floor
-from tests.conftest import make_session
+from tests.conftest import make_session, views_in_batches
 from tests.core.detector_reference import reference_detect
 from tests.core.direct_aggregate import aggregate_epoch
 
@@ -67,26 +70,33 @@ def assert_matches_reference(agg, config, ref):
     return problems, critical
 
 
-def floored_view_agg(table, rows, metric, config):
-    """The view production builds for ``config``: at the session floor
-    the config resolves to on the metric's valid sessions in ``rows``."""
+def floored_view_aggs(table, rows, metric, config, trace_rows=None):
+    """The view production builds for ``config``, at the session floor
+    the config resolves to on the metric's valid sessions in ``rows``:
+    built alone and inside batches of other epochs
+    (:func:`tests.conftest.views_in_batches`), aggregated for
+    ``metric``."""
     index = TraceClusterIndex.build(table)
     floor = epoch_floor(index, rows, [(config, metric)])
-    return index.epoch_view(rows, floor=floor).aggregate(metric)
+    return [
+        view.aggregate(metric)
+        for view in views_in_batches(index, rows, floor, trace_rows)
+    ]
 
 
-def both_sources(table, rows, metric, config):
-    """Check both aggregate sources against the reference over the
-    whole direct lattice, and against each other once decoded (the two
-    lattices hold different clusters, so raw ids can differ)."""
+def both_sources(table, rows, metric, config, trace_rows=None):
+    """Check both aggregate sources, the view at every batch size,
+    against the reference over the whole direct lattice, and against
+    each other once decoded (the two lattices hold different clusters,
+    so raw ids can differ)."""
     rows = np.asarray(rows, dtype=np.int64)
-    view_agg = floored_view_agg(table, rows, metric, config)
     direct_agg = aggregate_epoch(table, rows, metric)
     ref = reference_detect(direct_agg, config)
-    view_pc, view_cc = assert_matches_reference(view_agg, config, ref)
     direct_pc, direct_cc = assert_matches_reference(direct_agg, config, ref)
-    assert list(view_pc.decoded().items()) == list(direct_pc.decoded().items())
-    assert list(view_cc.decoded().items()) == list(direct_cc.decoded().items())
+    for view_agg in floored_view_aggs(table, rows, metric, config, trace_rows):
+        view_pc, view_cc = assert_matches_reference(view_agg, config, ref)
+        assert list(view_pc.decoded().items()) == list(direct_pc.decoded().items())
+        assert list(view_cc.decoded().items()) == list(direct_cc.decoded().items())
     return direct_pc, direct_cc
 
 
@@ -171,28 +181,32 @@ def test_random_epochs_match_reference(case, metric):
 @given(epochs(), st.sampled_from(ALL_METRICS), st.data())
 def test_floored_view_matches_floor_one(case, metric, data):
     """Any floor from 1 to the epoch size serves every config at or
-    above it exactly as the whole lattice does."""
+    above it exactly as the whole lattice does, alone or batched."""
     table, rows, config = case
     index = TraceClusterIndex.build(table)
     floor = data.draw(st.integers(1, max(rows.size, 1)))
     config = replace(
         config, min_sessions=floor + data.draw(st.integers(0, 2))
     )
-    whole = index.epoch_view(rows).aggregate(metric)
-    floored = index.epoch_view(rows, floor=floor).aggregate(metric)
-    assert floored.lattice.n_clusters <= whole.lattice.n_clusters
-    assert detect(floored, config) == detect(whole, config)
+    for whole_view, floored_view in zip(
+        views_in_batches(index, rows), views_in_batches(index, rows, floor)
+    ):
+        whole = whole_view.aggregate(metric)
+        floored = floored_view.aggregate(metric)
+        assert floored.lattice.n_clusters <= whole.lattice.n_clusters
+        assert detect(floored, config) == detect(whole, config)
 
 
-def detect_units(table, rows, units, view_floor=None):
+def detect_units(table, rows, units, view_floor=None, batch=0):
     """Detect ``units`` — (metric, thresholds scale, config) triples —
-    in one pass over the epoch view of ``rows``; units with equal
-    (metric, scale) share one aggregate object. Returns the units'
-    aggregates and their (problems, critical) results."""
+    in one pass over the epoch view of ``rows``, the ``batch``-th of
+    :func:`tests.conftest.views_in_batches`; units with equal (metric,
+    scale) share one aggregate object. Returns the units' aggregates
+    and their (problems, critical) results."""
     index = TraceClusterIndex.build(table)
     if view_floor is None:
         view_floor = epoch_floor(index, rows, [(c, m) for m, _, c in units])
-    view = index.epoch_view(rows, floor=view_floor)
+    view = views_in_batches(index, rows, view_floor)[batch]
     aggs = {}
     for metric, scale, _ in units:
         if (metric.name, scale) not in aggs:
@@ -224,7 +238,9 @@ def test_batched_units_match_alone_and_reference(case, units, data):
     the reference finds on the whole direct lattice."""
     table, rows, _ = case
     units = units + data.draw(st.lists(st.sampled_from(units), max_size=2))
-    pass_units, problems, critical = detect_units(table, rows, units)
+    pass_units, problems, critical = detect_units(
+        table, rows, units, batch=data.draw(st.integers(0, 2))
+    )
     for (metric, scale, config), (agg, _), pc, cc in zip(
         units, pass_units, problems, critical
     ):
@@ -271,10 +287,10 @@ def test_generated_region_trace_matches_reference(epoch):
     table = generate_trace(StandardWorkloads.tiny_with_region(seed=3)).table
     assert len(table.schema) == 8
     epoch_of = np.floor(table.start_time / 3600.0).astype(np.int64)
-    rows = np.flatnonzero(epoch_of == epoch)
+    trace_rows = [np.flatnonzero(epoch_of == e) for e in range(epoch_of.max() + 1)]
     config = ProblemClusterConfig(min_sessions=10, min_problems=3, significance_sigmas=1.0)
     for metric in ALL_METRICS:
-        both_sources(table, rows, metric, config)
+        both_sources(table, trace_rows[epoch], metric, config, trace_rows)
 
 
 # -- corners ----------------------------------------------------------------
@@ -410,19 +426,19 @@ class TestCorners:
         rows = np.arange(len(table))
         both_sources(table, rows, JOIN_FAILURE, LOOSE)
 
-        agg = floored_view_agg(table, rows, JOIN_FAILURE, LOOSE)
-        lattice = agg.lattice
-        full = DEFAULT_SCHEMA.full_mask
-        last = lattice.n_clusters - 1
-        assert lattice.floor == LOOSE.min_sessions
-        assert lattice.key_of(last) == key(
-            **{name: f"{name}1" for name in DEFAULT_SCHEMA.names}
-        )
-        problems = find_problem_clusters(agg, LOOSE)
-        critical = find_critical_clusters(problems)
-        assert problems.is_problem[last] and last in critical.ids
-        assert (lattice.leaf_cluster[full] == -1).sum() == len(background)
-        assert critical.unattributed_problem_sessions == len(background)
+        for agg in floored_view_aggs(table, rows, JOIN_FAILURE, LOOSE):
+            lattice = agg.lattice
+            full = DEFAULT_SCHEMA.full_mask
+            last = lattice.n_clusters - 1
+            assert lattice.floor == LOOSE.min_sessions
+            assert lattice.key_of(last) == key(
+                **{name: f"{name}1" for name in DEFAULT_SCHEMA.names}
+            )
+            problems = find_problem_clusters(agg, LOOSE)
+            critical = find_critical_clusters(problems)
+            assert problems.is_problem[last] and last in critical.ids
+            assert (lattice.leaf_cluster[full] == -1).sum() == len(background)
+            assert critical.unattributed_problem_sessions == len(background)
 
     @pytest.mark.parametrize(
         "other_leaf, critical, attributed",

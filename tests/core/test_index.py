@@ -16,7 +16,7 @@ from repro.core.metrics import (
 )
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
-from tests.conftest import make_session, planted_failure_table
+from tests.conftest import make_session, planted_failure_table, views_in_batches
 from tests.core.direct_aggregate import aggregate_epoch
 
 
@@ -198,6 +198,9 @@ def assert_equal_aggregates(a, b):
 
 
 class TestEpochViewAggregate:
+    """The view oracle (:mod:`tests.core.direct_aggregate`) against each
+    view built alone and inside batches of other epochs."""
+
     def test_matches_legacy_aggregate(self, table, index):
         rows = np.arange(0, len(table), 2)
         for metric in ALL_METRICS:
@@ -206,16 +209,18 @@ class TestEpochViewAggregate:
             assert indexed.epoch == 4
             assert indexed.metric_name == metric.name
             assert_equal_aggregates(legacy, indexed)
+            for view in views_in_batches(index, rows):
+                assert_equal_aggregates(legacy, view.aggregate(metric))
 
     def test_view_shared_across_metrics(self, table, index):
         rows = np.arange(100)
-        view = index.epoch_view(rows, epoch=1)
-        for metric in ALL_METRICS:
-            agg = view.aggregate(metric)
-            assert agg.lattice is view.lattice
-            assert_equal_aggregates(
-                aggregate_epoch(table, rows, metric, epoch=1), agg
-            )
+        for view in views_in_batches(index, rows):
+            for metric in ALL_METRICS:
+                agg = view.aggregate(metric)
+                assert agg.lattice is view.lattice
+                assert_equal_aggregates(
+                    aggregate_epoch(table, rows, metric, epoch=1), agg
+                )
 
     def test_empty_rows(self, index):
         agg = index.epoch_view(np.arange(0)).aggregate(JOIN_FAILURE)
@@ -243,18 +248,18 @@ class TestEpochViewAggregate:
             min_sessions=20, min_problems=2, significance_sigmas=0.0
         )
         legacy_agg = aggregate_epoch(table, rows, JOIN_FAILURE)
-        indexed_agg = index.epoch_view(rows).aggregate(JOIN_FAILURE)
         legacy = find_critical_clusters(find_problem_clusters(legacy_agg, config))
-        indexed = find_critical_clusters(
-            find_problem_clusters(indexed_agg, config)
-        )
-        assert legacy.problems.cluster_keys() == indexed.problems.cluster_keys()
-        assert legacy.decoded() == indexed.decoded()
-        assert legacy.unattributed_problem_sessions == pytest.approx(
-            indexed.unattributed_problem_sessions
-        )
-        # the planted CDN produces structure, so equality is not vacuous
-        assert indexed.problems.n_clusters > 0
+        for view in views_in_batches(index, rows):
+            indexed = find_critical_clusters(
+                find_problem_clusters(view.aggregate(JOIN_FAILURE), config)
+            )
+            assert legacy.problems.cluster_keys() == indexed.problems.cluster_keys()
+            assert legacy.decoded() == indexed.decoded()
+            assert legacy.unattributed_problem_sessions == pytest.approx(
+                indexed.unattributed_problem_sessions
+            )
+            # the planted CDN produces structure, so equality is not vacuous
+            assert indexed.problems.n_clusters > 0
 
     def test_index_survives_pickling(self, index, table):
         clone = pickle.loads(pickle.dumps(index))

@@ -11,6 +11,7 @@ cap deterministically.
 import os
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core.resultcache import (
@@ -21,6 +22,7 @@ from repro.core.resultcache import (
     ResultCache,
     shard_result_key,
 )
+from repro.core.shards import split_sha256
 from repro.obs import MetricsRegistry, use_metrics
 
 
@@ -29,8 +31,7 @@ def key_n(i: int) -> str:
         payload_sha256=f"{i:064x}",
         schema_sha256="b" * 64,
         config_digest="c" * 64,
-        epoch_origin=0.0,
-        epoch_lo=0,
+        split_sha256="d" * 64,
         n_epochs=24,
     )
 
@@ -50,9 +51,10 @@ class TestKey:
             {"payload_sha256": "f" * 64},
             {"schema_sha256": "f" * 64},
             {"config_digest": "f" * 64},
-            {"epoch_origin": 3600.0},
+            {"split_sha256": "f" * 64},
             {"n_epochs": 25},
-            {"epoch_lo": 24},
+            # an empty (gap) shard's split
+            {"split_sha256": split_sha256(np.empty(0, dtype=np.int64))},
         ],
     )
     def test_every_component_changes_the_key(self, override):
@@ -60,8 +62,7 @@ class TestKey:
             payload_sha256="a" * 64,
             schema_sha256="b" * 64,
             config_digest="c" * 64,
-            epoch_origin=0.0,
-            epoch_lo=0,
+            split_sha256="d" * 64,
             n_epochs=24,
         )
         assert shard_result_key(**base) != shard_result_key(

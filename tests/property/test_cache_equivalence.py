@@ -229,8 +229,9 @@ def test_stores_sharing_a_shard_under_different_origins(tmp_path):
     two epochs before A's. Their last shard has the same payload and the same
     shard-grid origin, but splits its rows differently: the session at
     t = 1268063.3 lies in the shard's local epoch 2 under A's origin
-    and in epoch 1 under B's. Keys bind the store origin, so B misses
-    on A's entries and its warm run equals its cold one."""
+    and in epoch 1 under B's. Keys bind the split's digest, so B misses
+    on that shard's entry; A's first shard, which B holds with the same
+    split, hits. B's warm run equals its cold one."""
     config = dataclasses.replace(SMALL_CONFIG, epoch_seconds=0.1)
 
     def sessions(epochs):
@@ -263,11 +264,45 @@ def test_stores_sharing_a_shard_under_different_origins(tmp_path):
         store_b.shard_grid(len(store_b.shards) - 1)
     )
 
+    assert store_a.shards[-1].split_sha256 != store_b.shards[-1].split_sha256
+    assert store_a.shards[0].split_sha256 == store_b.shards[1].split_sha256
+
     cache = ResultCache(tmp_path / "rc")
     cached_run(store_a, [config], cache)
     (warm,), metrics = cached_run(store_b, [config], cache)
-    assert metrics.get("cache.hit") == 0
+    assert metrics.get("cache.hit") == 1
+    assert metrics.get("cache.miss") == 2
     assert_equal_analyses(warm, analyze_shards(store_b, config))
+
+
+def test_store_rebuilt_with_an_earlier_day_keeps_its_shards(tmp_path):
+    """A store of days 1-2 rebuilt as days 0-2 moves the store origin and
+    every shard's ``epoch_lo``, but days 1 and 2 keep their payloads and
+    their splits into local epochs, so both hit; the new day 0 misses,
+    and the warm merge equals the cold one."""
+    cache = ResultCache(tmp_path / "rc")
+    builder = ShardStoreBuilder(tmp_path / "a", epochs_per_shard=24)
+    for day in (1, 2):
+        builder.append(day_chunk(day))
+    store_a = builder.finalize()
+    cached_run(store_a, [SMALL_CONFIG], cache)
+
+    builder = ShardStoreBuilder(tmp_path / "b", epochs_per_shard=24)
+    for day in (0, 1, 2):
+        builder.append(day_chunk(day))
+    store_b = builder.finalize()
+    assert store_a.grid.origin != store_b.grid.origin
+    assert [s.epoch_lo for s in store_b.shards[1:]] != [
+        s.epoch_lo for s in store_a.shards
+    ]
+    assert [s.split_sha256 for s in store_b.shards[1:]] == [
+        s.split_sha256 for s in store_a.shards
+    ]
+
+    (warm,), metrics = cached_run(store_b, [SMALL_CONFIG], cache)
+    assert metrics.get("cache.hit") == 2
+    assert metrics.get("cache.miss") == 1
+    assert_equal_analyses(warm, analyze_shards(store_b, SMALL_CONFIG))
 
 
 def test_changed_day_invalidates_its_shard(tmp_path):
