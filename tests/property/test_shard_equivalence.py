@@ -39,6 +39,7 @@ from repro.core.shards import (
     build_shard_store,
     merge_shard_analyses,
     shard_boundaries,
+    split_sha256,
     sweep_shards,
 )
 from repro.core.streaks import ClusterTimeline, Streak
@@ -274,7 +275,13 @@ def in_memory_store(bounds) -> ShardStore:
         grid=EpochGrid(n_epochs=bounds[-1][1]),
         schema=DEFAULT_SCHEMA,
         shards=[
-            ShardInfo(file=f"{lo}", epoch_lo=lo, epoch_hi=hi, sessions=0)
+            ShardInfo(
+                file=f"{lo}",
+                epoch_lo=lo,
+                epoch_hi=hi,
+                sessions=0,
+                split_sha256=split_sha256(np.empty(0, dtype=np.int64)),
+            )
             for lo, hi in bounds
         ],
         total_sessions=0,
