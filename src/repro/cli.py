@@ -1189,6 +1189,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if wants_timings and code == 0:
         print()
         print(tracer.render())
+        decoded = int(metrics.get("results.keys_decoded"))
+        print(f"cluster keys decoded: {decoded}")
         histograms = render_histograms(metrics)
         if histograms:
             print()

@@ -184,18 +184,22 @@ class ProblemClusters:
         """Total number of problem clusters in the epoch."""
         return int(self.ids.size)
 
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The problem clusters as columns, in cluster-id order: mask,
+        packed key (against the lattice's codec), sessions, problems."""
+        ids, agg = self.ids, self.agg
+        lattice = agg.lattice
+        return (
+            lattice.mask_of(ids),
+            lattice.keys[ids],
+            agg.sessions[ids],
+            agg.problems[ids],
+        )
+
     def iter_clusters(self) -> Iterator[tuple[int, int, ClusterStats]]:
         """Yield ``(mask, packed_key, stats)`` for every problem cluster."""
-        ids, lattice = self.ids, self.agg.lattice
-        return zip(
-            lattice.mask_of(ids).tolist(),
-            lattice.keys[ids].tolist(),
-            map(
-                ClusterStats,
-                self.agg.sessions[ids].tolist(),
-                self.agg.problems[ids].tolist(),
-            ),
-        )
+        mask, key, sessions, problems = (col.tolist() for col in self.columns())
+        return zip(mask, key, map(ClusterStats, sessions, problems))
 
     def decoded(self) -> dict[ClusterKey, ClusterStats]:
         """Problem-cluster counts keyed by stable, human-facing identity."""

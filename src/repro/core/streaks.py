@@ -67,6 +67,18 @@ class ClusterTimeline:
             )
         self.epochs = epochs
 
+    @classmethod
+    def presorted(
+        cls, key: Hashable, epochs: np.ndarray, n_epochs_total: int
+    ) -> "ClusterTimeline":
+        """A timeline over int64 ``epochs`` that are already sorted,
+        unique and in range, taken as they are (no ``np.unique``)."""
+        timeline = cls.__new__(cls)
+        timeline.key = key
+        timeline.epochs = epochs
+        timeline.n_epochs_total = n_epochs_total
+        return timeline
+
     @property
     def n_occurrences(self) -> int:
         return int(self.epochs.size)

@@ -734,14 +734,23 @@ def run_ablation_epoch_length(ctx: ExperimentContext) -> ExperimentResult:
     )
 
 
+#: Timed analyses per ``abl-scale`` row. A single analysis of a row
+#: swings by up to 2x on a shared host, so each row reports the median
+#: and interquartile range of this many.
+SCALE_REPEATS = 5
+
+
 def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
     """Pipeline throughput and per-phase seconds vs per-epoch volume.
 
-    Each row also reports the epoch lattice's mean active cluster count
-    (the whole lattice, floor 1) and the mean count the analysis keeps
-    (the iceberg at the session floor ``analyze_trace`` builds its
-    views for), so a phase that grows faster than the lattice the
-    detectors work on shows as rising seconds per cluster.
+    Each row's analysis runs :data:`SCALE_REPEATS` times; the row
+    reports the median seconds and sessions/second with their
+    interquartile ranges, and each phase's median seconds. Each row
+    also reports the epoch lattice's mean active cluster count (the
+    whole lattice, floor 1) and the mean count the analysis keeps (the
+    iceberg at the session floor ``analyze_trace`` builds its views
+    for), so a phase that grows faster than the lattice the detectors
+    work on shows as rising seconds per cluster.
     """
     import time
 
@@ -749,6 +758,7 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
     served = [(config.problem_config, metric) for metric in config.metrics]
     rows = []
     data = {}
+    phase_names = ("pack_s", "aggregate_s", "problems_s", "critical_s")
     for per_epoch in (500, 2000, 8000, 32000):
         spec = StandardWorkloads.tiny(seed=9)
         spec = replace(
@@ -758,9 +768,15 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
             arrivals=replace(spec.arrivals, base_sessions_per_epoch=per_epoch),
         )
         trace = generate_trace(spec)
-        start = time.perf_counter()
-        timings = analyze_trace(trace.table, grid=trace.grid).timings
-        elapsed = time.perf_counter() - start
+        seconds, runs = [], []
+        for _ in range(SCALE_REPEATS):
+            start = time.perf_counter()
+            runs.append(analyze_trace(trace.table, grid=trace.grid).timings)
+            seconds.append(time.perf_counter() - start)
+        q25, elapsed, q75 = np.percentile(seconds, [25, 50, 75])
+        r25, throughput, r75 = np.percentile(
+            trace.n_sessions / np.array(seconds), [25, 50, 75]
+        )
         index = TraceClusterIndex.build(trace.table)
         _, per_epoch_rows = split_into_epochs(trace.table, trace.grid)
         clusters = round(float(np.mean(
@@ -771,29 +787,30 @@ def run_ablation_scale(ctx: ExperimentContext) -> ExperimentResult:
             .lattice.n_clusters
             for r in per_epoch_rows
         ])))
-        throughput = trace.n_sessions / elapsed
         phases = {
-            "pack_s": timings.pack_s,
-            "aggregate_s": timings.aggregate_s,
-            "problems_s": timings.problems_s,
-            "critical_s": timings.critical_s,
+            name: float(np.median([getattr(t, name) for t in runs]))
+            for name in phase_names
         }
         rows.append([per_epoch, trace.n_sessions, clusters, kept, elapsed,
-                     throughput, *phases.values()])
+                     q75 - q25, throughput, r75 - r25, *phases.values()])
         data[per_epoch] = {
             "sessions": trace.n_sessions,
             "clusters_per_epoch": clusters,
             "kept_clusters_per_epoch": kept,
-            "seconds": elapsed,
-            "sessions_per_second": throughput,
+            "seconds": float(elapsed),
+            "seconds_iqr": float(q75 - q25),
+            "sessions_per_second": float(throughput),
+            "sessions_per_second_iqr": float(r75 - r25),
             **phases,
         }
     text = render_table(
         ["Sessions/epoch", "Total sessions", "Clusters/epoch",
-         "Kept clusters/epoch", "Analysis seconds", "Sessions/second",
-         "Pack s", "Aggregate s", "Problems s", "Critical s"],
+         "Kept clusters/epoch", "Analysis seconds", "Seconds IQR",
+         "Sessions/second", "Sessions/s IQR", "Pack s", "Aggregate s",
+         "Problems s", "Critical s"],
         rows,
-        title="Ablation — analysis throughput vs trace volume",
+        title=f"Ablation — analysis throughput vs trace volume "
+        f"(median of {SCALE_REPEATS} runs per row)",
     )
     return ExperimentResult("abl-scale", "Scale ablation", text, data)
 
