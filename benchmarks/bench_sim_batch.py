@@ -1,13 +1,16 @@
 """Bench: the vectorized batch mechanistic simulation.
 
 The lockstep batch kernel (``repro.sim.batch``) is the one execution
-path behind ``MechanisticQoEEngine.generate``. This file times it on
-the day workload (``REPRO_BENCH_WORKLOAD=tiny`` for a smoke run) and
-drives a week of chunk-level traces through the analysis pipeline.
-Bit-identity with the per-session reference loop is pinned by the test
-suite (``tests/property/test_sim_batch_equivalence.py``); the
-end-to-end benchmark's ``mech`` workload measures simulator
-sessions/sec.
+path behind ``MechanisticQoEEngine.generate``, which draws each epoch's
+randomness from one generator as segment-major blocks (DESIGN.md §9).
+This file times it on the day workload (``REPRO_BENCH_WORKLOAD=tiny``
+for a smoke run) and drives a week of chunk-level traces through the
+analysis pipeline. CI's bench-smoke job runs both benches on the tiny
+workload with ``--benchmark-disable``. Bit-identity with the
+per-session reference loop, which replays the engine's draws, is
+pinned by the test suite
+(``tests/property/test_sim_batch_equivalence.py``); the end-to-end
+benchmark's ``mech`` workload measures simulator sessions/sec.
 """
 
 import os

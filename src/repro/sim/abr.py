@@ -103,20 +103,30 @@ class RateBasedABR:
             )
 
 
-def rate_based_rungs(
+def rate_based_bitrates(
     effective_ladders: np.ndarray, estimates_kbps: np.ndarray, safety: float = 0.85
 ) -> np.ndarray:
-    """Vectorized :meth:`RateBasedABR.choose` over a session batch.
+    """Vectorized :meth:`RateBasedABR.choose` over a session batch, as
+    the chosen bitrates.
 
     ``effective_ladders`` is ``(n, max_rungs)``, each row the session's
-    cap-limited ladder padded with ``+inf``; ``estimates_kbps`` the
-    current throughput estimates. Returns the highest rung whose bitrate
-    is <= ``safety * estimate`` (rung 0 if none) — exactly
-    ``manifest.rung_below(safety * estimate)``, which single-rung
-    (fixed-bitrate) rows satisfy trivially.
+    cap-limited ladder in ascending order, padded with ``+inf``;
+    ``estimates_kbps`` the current throughput estimates. Returns each
+    row's bitrate at ``manifest.rung_below(safety * estimate)``: the
+    highest rung at or under the target, or rung 0 if none is — which
+    single-rung (fixed-bitrate) rows satisfy trivially.
+
+    Ladders ascend, so walking the rung columns upward and taking every
+    rung that fits leaves the highest one. Each column costs one compare
+    and one masked copy, with no ``(n, max_rungs)`` intermediate and no
+    gather; a Fortran-ordered ladder matrix makes every column read
+    contiguous.
     """
-    counts = (effective_ladders <= safety * estimates_kbps[:, None]).sum(axis=1)
-    return np.maximum(counts - 1, 0)
+    target = safety * estimates_kbps
+    bitrates = effective_ladders[:, 0].copy()
+    for column in effective_ladders.T[1:]:
+        np.copyto(bitrates, column, where=column <= target)
+    return bitrates
 
 
 def ewma_update(

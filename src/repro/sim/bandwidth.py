@@ -11,16 +11,18 @@ Two consumption styles coexist (DESIGN.md §9):
 
 * the stateful scalar API — :meth:`MarkovBandwidth.step` draws one
   segment at a time (interactive simulations, failover experiments);
-* the array API — :meth:`MarkovBandwidth.sample_path` pre-draws a whole
-  session's rates as two fixed-size blocks (one uniform block for the
-  transitions, one normal block for the jitter). ``simulate_session``
-  and the mechanistic engine's lockstep kernel both consume this exact
-  layout, which is what makes them bit-identical.
+* the array API — :meth:`MarkovBandwidth.path` turns a session's
+  pre-drawn transition uniforms and jitter factors into its rates, and
+  :meth:`MarkovBandwidth.sample_path` draws those two blocks from the
+  session's generator and hands them to it. The mechanistic engine's
+  lockstep kernel computes the same rates from blocks it draws for a
+  whole class of sessions at once; the per-session reference replays
+  each session's row of those blocks through ``path``.
 
 The lockstep helpers :func:`markov_state_path` (one chain, many steps)
-and :func:`markov_states_step` (many chains, one step) share the same
-cumulative-row ``searchsorted`` arithmetic, so a batch of chains stepped
-column-by-column reproduces each per-session path bit for bit.
+and :func:`markov_states_step` (many chains, one step) both count the
+cumulative-row entries at or below the uniform, so a batch of chains
+stepped column by column reproduces each per-session path bit for bit.
 """
 
 from __future__ import annotations
@@ -80,12 +82,18 @@ def markov_states_step(
     """One lockstep transition for a whole batch of chains.
 
     Vectorized equivalent of one :func:`markov_state_path` step applied
-    to every chain: ``(cum[state] <= u).sum()`` is exactly
-    ``searchsorted(cum[state], u, side="right")`` for the nondecreasing
-    cumulative rows, so batch and sequential paths agree bit for bit.
+    to every chain. For a nondecreasing cumulative row,
+    ``searchsorted(cum[state], u, side="right")`` clipped to the last
+    state is the count of the row's first ``K - 1`` entries at or below
+    ``u``, so the next state is summed one column at a time:
+    ``Σ_k cum[:, k][states] <= u``. Each term is a length-``m`` gather
+    and compare, with no ``(m, K)`` intermediate to reduce along its
+    short axis, and batch and sequential paths agree bit for bit.
     """
-    nxt = (cum_transitions[states] <= uniforms[:, None]).sum(axis=1)
-    return np.minimum(nxt, cum_transitions.shape[0] - 1)
+    nxt = np.zeros(states.shape, dtype=np.intp)
+    for column in cum_transitions.T[:-1]:
+        nxt += column[states] <= uniforms
+    return nxt
 
 
 class MarkovBandwidth:
@@ -137,24 +145,25 @@ class MarkovBandwidth:
         rate = self.mean_kbps * self.state_factors[self.state] * jitter
         return BandwidthSample(rate_kbps=max(rate, 1.0), state=self.state)
 
+    def path(self, uniforms: np.ndarray, jitter: np.ndarray) -> np.ndarray:
+        """Rates driven by pre-drawn transition uniforms and jitter factors.
+
+        ``jitter`` holds the lognormal factors themselves (already
+        exponentiated). Starts from ``self.state`` and advances it to
+        the path's final state. This is the one home of the rate
+        arithmetic, ``max(mean * factor[state] * jitter, 1)``, that
+        :func:`repro.sim.batch.markov_rate_matrix` repeats per column.
+        """
+        return self._walk(uniforms, jitter)[0]
+
     def sample_path(self, n: int) -> np.ndarray:
         """Rates for ``n`` consecutive segments, pre-drawn as two blocks.
 
         Consumes exactly ``rng.random(n)`` (transition uniforms) then
-        ``rng.normal(0, jitter_sigma, n)`` (jitter) — the fixed
-        per-session substream layout ``simulate_session`` shares with
-        the mechanistic engine's batch kernel. Advances ``self.state``
-        to the path's final state.
+        ``rng.normal(0, jitter_sigma, n)`` (jitter), and hands both to
+        :meth:`path`. Advances ``self.state`` to the path's final state.
         """
-        if n < 0:
-            raise ValueError("n must be non-negative")
-        uniforms = self._rng.random(n)
-        jitter = np.exp(self._rng.normal(0.0, self.jitter_sigma, size=n))
-        states = markov_state_path(self._cum, self.state, uniforms)
-        if n:
-            self.state = int(states[-1])
-        rates = self.mean_kbps * self._factors[states] * jitter
-        return np.maximum(rates, 1.0)
+        return self.path(*self._draw(n))
 
     def sample_series(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         """Sample ``n`` consecutive steps as ``(rates, states)`` arrays.
@@ -163,12 +172,20 @@ class MarkovBandwidth:
         draw layout); ``rates`` is float64 kbps, ``states`` the hidden
         state indices.
         """
+        return self._walk(*self._draw(n))
+
+    def _draw(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         if n < 0:
             raise ValueError("n must be non-negative")
         uniforms = self._rng.random(n)
         jitter = np.exp(self._rng.normal(0.0, self.jitter_sigma, size=n))
+        return uniforms, jitter
+
+    def _walk(
+        self, uniforms: np.ndarray, jitter: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         states = markov_state_path(self._cum, self.state, uniforms)
-        if n:
+        if len(states):
             self.state = int(states[-1])
         rates = np.maximum(self.mean_kbps * self._factors[states] * jitter, 1.0)
         return rates, states

@@ -6,10 +6,11 @@ steps *all* sessions of a batch through segment ``t`` together:
 
 * the Markov bandwidth chains advance as one vectorized categorical
   transition per column (:func:`markov_rate_matrix`);
-* rate-based ABR is a ``searchsorted``-style count over each row's
-  cap-limited ladder (:func:`repro.sim.abr.rate_based_rungs`);
-* buffer fill/drain/stall is masked array arithmetic
-  (:class:`repro.sim.playerbuffer.BatchPlayerBuffer`);
+* rate-based ABR walks the rung columns of each row's cap-limited
+  ladder (:func:`repro.sim.abr.rate_based_bitrates`);
+* buffer fill/drain/stall is masked in-place array arithmetic
+  (:class:`repro.sim.playerbuffer.BatchPlayerBuffer`), and the
+  per-session totals accumulate with ``np.add(..., out=, where=)``;
 * join-failure / join-timeout / watch-limit exits are per-session done
   masks: a finished row simply drops out of the active mask while the
   rest of the batch keeps stepping.
@@ -19,11 +20,17 @@ Sessions in one call share the segment grid (``segment_durations_s``)
 its own ladder, RTT, watch limit, and join overhead, and may end its
 grid early via ``n_segments_per_row`` (ragged batches).
 
+Each step reads one column of the ``(m, T)`` rate matrix. The engine
+passes ``(m, T)`` views of segment-major ``(T, m)`` blocks, so those
+columns are contiguous. No step reduces an ``(m, k)`` intermediate
+along its short axis: the next Markov state is counted, and the ABR
+bitrate chosen, one column of their small tables at a time.
+
 Every arithmetic update mirrors the scalar loop operation for
-operation in the same order, and the per-session RNG substreams are
-consumed in the same blocked layout, so the results are bit-identical
-to ``simulate_session`` (property-tested in
-``tests/property/test_sim_batch_equivalence.py``; DESIGN.md §9).
+operation in the same order, and the reference replays the engine's
+draws, so the results are bit-identical to ``simulate_session``
+(property-tested in ``tests/property/test_sim_batch_equivalence.py``;
+DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.abr import ewma_update, rate_based_rungs
+from repro.sim.abr import rate_based_bitrates
 from repro.sim.bandwidth import markov_states_step
 from repro.sim.playerbuffer import BatchPlayerBuffer
 
@@ -60,25 +67,35 @@ def markov_rate_matrix(
     cum_transitions: np.ndarray,
     state_factors: np.ndarray,
     initial_state: int = 0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-segment rates for a batch of Markov bandwidth chains.
 
-    ``uniforms``/``jitter`` are ``(m, T)`` — each row a session's
-    pre-drawn transition-uniform and jitter blocks (the exact blocks
-    :meth:`MarkovBandwidth.sample_path` consumes). The chains advance
-    one vectorized categorical transition per column via
+    ``uniforms``/``jitter`` are ``(m, T)``: row ``i`` is session ``i``'s
+    transition uniforms and (exponentiated) jitter factors. The chains
+    advance one vectorized categorical transition per column via
     :func:`markov_states_step`, so row ``i`` of the result is bit
-    identical to ``MarkovBandwidth(mean_kbps[i], ...).sample_path(T)``
-    driven by the same draws.
+    identical to ``MarkovBandwidth(mean_kbps[i], ...).path(uniforms[i],
+    jitter[i])``. The engine passes ``(m, T)`` views of segment-major
+    ``(T, m)`` blocks, so each step reads contiguous columns.
+
+    ``out`` (``(m, T)``, may be ``jitter`` itself) receives the rates:
+    column ``t`` of ``jitter`` is read before column ``t`` of ``out``
+    is written, so the engine writes the rates over its jitter block.
     """
     m, n_steps = uniforms.shape
-    factors = np.empty((m, n_steps), dtype=np.float64)
+    if out is None:
+        out = np.empty((m, n_steps), dtype=np.float64)
     states = np.full(m, initial_state, dtype=np.intp)
+    scaled = np.empty(m, dtype=np.float64)
     for t in range(n_steps):
         states = markov_states_step(cum_transitions, states, uniforms[:, t])
-        factors[:, t] = state_factors[states]
-    rates = mean_kbps[:, None] * factors * jitter
-    return np.maximum(rates, 1.0)
+        # (mean * factor) * jitter: the operand order of MarkovBandwidth.path.
+        np.multiply(mean_kbps, state_factors[states], out=scaled)
+        rates = out[:, t]
+        np.multiply(scaled, jitter[:, t], out=rates)
+        np.maximum(rates, 1.0, out=rates)
+    return out
 
 
 def simulate_batch(
@@ -101,15 +118,18 @@ def simulate_batch(
 
     ``effective_ladders`` is ``(m, max_rungs)`` with each row the
     session's cap-limited ladder padded by ``+inf``; ``rates_kbps`` is
-    the ``(m, T)`` pre-drawn bandwidth path (:func:`markov_rate_matrix`);
-    ``watch_duration_s`` must be finite. Rows already ``join_failed``
-    never enter the active mask and come back as failed outputs.
+    the ``(m, T)`` pre-drawn bandwidth path (:func:`markov_rate_matrix`),
+    read one column per step, so a view of a segment-major block is the
+    fast layout; ``watch_duration_s`` must be finite. Rows already
+    ``join_failed`` never enter the active mask and come back as failed
+    outputs (the engine passes surviving rows only).
 
     ``n_segments_per_row`` makes the batch *ragged*: row ``i`` only
     participates in segments ``t < n_segments_per_row[i]`` — its video
     simply ends earlier. This lets sessions on different grids share one
     lockstep pass, provided the shorter grid's durations are a prefix of
-    ``segment_durations_s`` (the caller's responsibility).
+    ``segment_durations_s`` (the caller's responsibility). The engine
+    steps each class on its own grid and does not use it.
 
     Exit semantics (DESIGN.md §9): a row leaves the active mask when its
     join times out (``join_time > max_join_time_s`` → failed), when its
@@ -132,23 +152,26 @@ def simulate_batch(
         np.zeros(m, dtype=bool) if join_failed is None else join_failed.astype(bool)
     )
 
+    # Fortran order: each rung column the ABR step reads is contiguous.
+    ladders = np.asfortranarray(effective_ladders)
     est = np.full(m, np.nan)
     buf = BatchPlayerBuffer(m, capacity_s=buffer_capacity_s)
     wall = np.array(join_overhead_s, dtype=np.float64, copy=True)
     join_time = np.full(m, np.nan)
     joined = np.zeros(m, dtype=bool)
     timed_out = np.zeros(m, dtype=bool)
-    done = np.zeros(m, dtype=bool)
     watched = np.zeros(m)
     played = np.zeros(m)
     bitrate_time = np.zeros(m)
     steady_time = np.zeros(m)
     last_bitrate = np.zeros(m)
     segments = 0
-    rows = np.arange(m)
 
+    # Rows only ever leave `active` (join timeout, watch limit, end of
+    # their own grid), so it is updated in place: each exit mask is a
+    # subset of `active` and is cleared from it with one xor.
     active = ~fail0
-    n_active = int(active.sum())
+    n_active = int(np.count_nonzero(active))
     ewma_rest = 1.0 - abr_ewma_alpha
     # Once the startup phase is globally over it never restarts (rows
     # only leave the active mask, `joined` only grows), so the phase
@@ -176,8 +199,7 @@ def simulate_batch(
         # estimator "starts from the first observation") only matters
         # on the first segment.
         est_now = np.where(np.isnan(est), throughput, est) if t == 0 else est
-        rung = rate_based_rungs(effective_ladders, est_now, abr_safety)
-        bitrate = effective_ladders[rows, rung]
+        bitrate = rate_based_bitrates(ladders, est_now, abr_safety)
         size_kbits = dur * bitrate
         dl_time = rtt_s + size_kbits / throughput
         goodput = size_kbits / np.maximum(dl_time, 1e-9)
@@ -187,22 +209,23 @@ def simulate_batch(
         blended = abr_ewma_alpha * goodput + ewma_rest * est
         if t == 0:
             blended = np.where(np.isnan(est), goodput, blended)
-        est = np.where(active, blended, est)
+        np.copyto(est, blended, where=active)
         segments += n_active
 
         # The steady rows' buffers drain while the segment downloads
         # (shortfalls stall; only pre-download content plays), then
         # every active row banks the new segment.
-        before = buf.level_s
+        before = buf.level_s.copy()
         stall = buf.drain(dl_time, steady)
         play_now = np.minimum(dl_time - stall, before)
         buf.add(dur, active)
 
-        played = np.where(steady, played + play_now, played)
-        watched = np.where(steady, watched + dl_time, watched)
-        bitrate_time = np.where(steady, bitrate_time + size_kbits, bitrate_time)
-        steady_time = np.where(steady, steady_time + dur, steady_time)
-        done |= steady & (watched >= watch_duration_s)
+        np.add(played, play_now, out=played, where=steady)
+        np.add(watched, dl_time, out=watched, where=steady)
+        np.add(bitrate_time, size_kbits, out=bitrate_time, where=steady)
+        np.add(steady_time, dur, out=steady_time, where=steady)
+        # `steady` may be `active` itself: it is not read after this.
+        active ^= steady & (watched >= watch_duration_s)
 
         if in_startup:
             wall = np.where(startup, wall + dl_time, wall)
@@ -220,12 +243,13 @@ def simulate_batch(
             np.copyto(join_time, wall, where=complete)
             np.copyto(last_bitrate, bitrate, where=complete)
             joined |= complete
-            timed_out |= complete & (join_time > max_join_time_s)
+            late = complete & (join_time > max_join_time_s)
+            timed_out |= late
+            active ^= late
 
-        active = ~fail0 & ~timed_out & ~done
         if n_segments_per_row is not None:
             active &= n_segments_per_row > t + 1
-        n_active = int(active.sum())
+        n_active = int(np.count_nonzero(active))
 
     failed = fail0 | timed_out
     ok = ~failed

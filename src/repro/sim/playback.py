@@ -16,9 +16,12 @@ switches, stall events, per-rung playtime).
 RNG draw layout (DESIGN.md §9): the join-failure uniform is consumed
 first, then — when the bandwidth model supports it — the session's
 whole rate path is pre-drawn as two fixed-size blocks via
-:meth:`MarkovBandwidth.sample_path`. The lockstep batch engine
-(:mod:`repro.sim.batch`) consumes per-session substreams in exactly
-this order, which is what makes it bit-identical to this loop.
+:meth:`MarkovBandwidth.sample_path`. The mechanistic engine draws
+these values for a whole batch at once; its per-session reference
+hands this loop each session's join uniform and a bandwidth model
+whose ``sample_path`` replays the session's rows of those blocks,
+which is what makes the lockstep batch engine (:mod:`repro.sim.batch`)
+bit-identical to this loop.
 """
 
 from __future__ import annotations

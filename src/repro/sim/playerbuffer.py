@@ -76,16 +76,12 @@ class PlayerBuffer:
 class BatchPlayerBuffer:
     """Lockstep buffer dynamics for a session batch (DESIGN.md §9).
 
-    One float64 level per session, updated with masked array arithmetic
-    that mirrors :class:`PlayerBuffer` operation for operation — the
-    same ``min``/``max``/subtractions in the same order, so a batched
-    session's level is bit-identical to its scalar twin's. Sessions
-    outside ``mask`` are left untouched by every update.
-
-    Updates replace the level array rather than mutating it, so a
-    caller holding a reference to ``level_s`` from before a drain still
-    sees the pre-drain levels (the lockstep kernel uses this to compute
-    played-while-downloading without a copy).
+    One float64 level per session, updated in place with masked array
+    arithmetic that gives :class:`PlayerBuffer`'s results bit for bit —
+    the same subtractions and clamps, each selected per row. Sessions
+    outside ``mask`` are left untouched by every update: levels stay
+    within ``[0, capacity_s]``, so clamping a row outside the mask
+    changes nothing.
     """
 
     def __init__(self, n: int, capacity_s: float = 60.0) -> None:
@@ -97,25 +93,25 @@ class BatchPlayerBuffer:
 
     def add(self, seconds: np.ndarray | float, mask: np.ndarray) -> None:
         """Masked :meth:`PlayerBuffer.add`: clamp to capacity."""
-        self.level_s = np.where(
-            mask, np.minimum(self.level_s + seconds, self.capacity_s), self.level_s
-        )
+        level = self.level_s
+        np.add(level, seconds, out=level, where=mask)
+        np.minimum(level, self.capacity_s, out=level)
 
     def drain(self, wall_seconds: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Masked :meth:`PlayerBuffer.drain`; returns per-session stalls.
 
         Rows with enough buffered content drain ``level -= wall`` with
-        zero stall; short rows stall the difference and hit level 0 —
-        the same two branches as the scalar buffer, selected per row.
-        Returned stalls are zero outside ``mask``.
+        zero stall; short rows stall ``wall - level`` and hit level 0.
+        Both branches are one clamp at zero: ``max(wall - level, 0)``
+        is the stall and ``max(level - wall, 0)`` the new level, with
+        the scalar buffer's own subtractions. Returned stalls are zero
+        outside ``mask``, so they add to the stall totals unmasked.
         """
         level = self.level_s
-        short = level < wall_seconds
-        stall = np.where(mask & short, wall_seconds - level, 0.0)
-        self.level_s = np.where(
-            mask, np.where(short, 0.0, level - wall_seconds), level
-        )
-        self.total_stall_s = np.where(
-            mask, self.total_stall_s + stall, self.total_stall_s
-        )
+        stall = np.zeros(level.shape)
+        np.subtract(wall_seconds, level, out=stall, where=mask)
+        np.maximum(stall, 0.0, out=stall)
+        np.subtract(level, wall_seconds, out=level, where=mask)
+        np.maximum(level, 0.0, out=level)
+        self.total_stall_s += stall
         return stall

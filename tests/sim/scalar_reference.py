@@ -3,10 +3,15 @@
 :class:`ScalarReferenceEngine` is a :class:`MechanisticQoEEngine` whose
 ``generate`` runs :func:`repro.sim.playback.simulate_session` once per
 row — the readable semantics the lockstep kernel (``repro.sim.batch``)
-re-expresses. It reuses the engine's ``_session_streams`` and
-``_shared_inputs``, so both sides draw from the same per-session RNG
-substreams in the same blocked layout and the kernel must match it bit
-for bit.
+re-expresses. It replays the engine's own draws: it builds the same
+:class:`~repro.sim.engine.BlockDraws` from the caller's stream and
+reuses ``_shared_inputs``, so the kernel must match it bit for bit.
+
+Each session gets its join uniform (its own ``CDNServer.join_fails``
+decides failure, inside ``simulate_session``) and its row of its class's
+rate blocks, which :meth:`MarkovBandwidth.path` turns into its rate path.
+The blocks are drawn in the engine's order: VOD rows, then live rows,
+each for the class's sessions that survive the join check.
 
 Trace-level tests swap it in with ``monkeypatch.setattr(
 repro.sim.engine, "MechanisticQoEEngine", ScalarReferenceEngine)``:
@@ -20,10 +25,37 @@ import numpy as np
 from repro.sim.abr import FixedBitrateABR, RateBasedABR
 from repro.sim.bandwidth import MarkovBandwidth
 from repro.sim.cdn import CDNServer
-from repro.sim.engine import MechanisticQoEEngine
+from repro.sim.engine import BlockDraws, MechanisticQoEEngine
 from repro.sim.playback import simulate_session
 from repro.sim.segments import VideoManifest
 from repro.trace.qoe import EffectArrays, QoEBatch
+
+
+class _JoinDraw:
+    """A session's generator as ``simulate_session`` uses it: the join
+    check's one uniform, and nothing else."""
+
+    def __init__(self, u: float) -> None:
+        self._u = u
+
+    def random(self) -> float:
+        return self._u
+
+
+class _ReplayedBandwidth(MarkovBandwidth):
+    """A Markov link whose ``sample_path`` replays pre-drawn blocks."""
+
+    def __init__(
+        self, mean_kbps: float, uniforms: np.ndarray, jitter: np.ndarray
+    ) -> None:
+        super().__init__(mean_kbps, rng=None, initial_state=0)
+        self._blocks = (uniforms, jitter)
+
+    def sample_path(self, n: int) -> np.ndarray:
+        uniforms, jitter = self._blocks
+        if len(uniforms) != n:
+            raise AssertionError(f"replayed {len(uniforms)} segments, wanted {n}")
+        return self.path(uniforms, jitter)
 
 
 class ScalarReferenceEngine(MechanisticQoEEngine):
@@ -65,7 +97,7 @@ class ScalarReferenceEngine(MechanisticQoEEngine):
         rng: np.random.Generator,
     ) -> QoEBatch:
         n = codes.shape[0]
-        gens, watch = self._session_streams(n, rng)
+        draws = BlockDraws(rng, n, self.params)
         shared = self._shared_inputs(codes, effects)
         mean_bw, rtt, overhead, k = (
             shared["mean_bw"], shared["rtt"], shared["overhead"], shared["k"]
@@ -77,50 +109,72 @@ class ScalarReferenceEngine(MechanisticQoEEngine):
         bitrate = np.full(n, np.nan)
         failed = np.zeros(n, dtype=bool)
 
+        servers = []
         for i in range(n):
-            manifest = self._capped_manifest(
-                int(codes[i, 2]), bool(codes[i, 3]), int(k[i]),
-                float(effects.bitrate_cap_kbps[i]),
-            )
             cdn_idx = int(codes[i, 1])
-            server = CDNServer(
+            servers.append(CDNServer(
                 name=self.world.cdns[cdn_idx].name,
                 rtt_s=float(rtt[i]),
                 failure_prob=float(self._cdn_fail[cdn_idx]),
                 throughput_cap_kbps=1e9,
+            ))
+        joins = [_JoinDraw(float(u)) for u in draws.join_u]
+        survives = [
+            not servers[i].join_fails(
+                joins[i], odds_multiplier=float(effects.join_failure_odds[i])
             )
-            abr = (
-                FixedBitrateABR(rung=0)
-                if manifest.n_rungs == 1
-                else RateBasedABR()
-            )
-            bandwidth = MarkovBandwidth(
-                mean_kbps=float(mean_bw[i]), rng=gens[i], initial_state=0
-            )
-            result = simulate_session(
-                manifest=manifest,
-                abr=abr,
-                bandwidth=bandwidth,
-                server=server,
-                rng=gens[i],
-                watch_duration_s=float(watch[i]),
-                startup_buffer_s=params.startup_buffer_s,
-                failure_odds=float(effects.join_failure_odds[i]),
-                join_overhead_s=float(overhead[i]),
-                max_join_time_s=params.max_join_time_s,
-            )
-            if result.failed:
-                failed[i] = True
-                continue
-            extra = 0.02 * max(effects.buffering_factor[i] - 1.0, 0.0)
-            stall = min(
-                result.buffering_s + extra * result.played_s,
-                max(result.played_s * 0.85, result.buffering_s),
-            )
-            duration[i] = result.played_s + stall
-            buffering[i] = stall
-            join_time[i] = result.join_time_s
-            bitrate[i] = result.avg_bitrate_kbps
+            for i in range(n)
+        ]
+
+        no_draws = np.empty(0)
+        for live in (False, True):
+            rows = [i for i in range(n) if bool(codes[i, 3]) == live]
+            n_survivors = sum(survives[i] for i in rows)
+            if n_survivors:
+                uniforms, jitter = draws.rate_blocks(
+                    n_survivors, self._segment_grids[live].size
+                )
+            r = 0
+            for i in rows:
+                # A failed join must return before its rate path is
+                # read: an empty block would fail the replay's check.
+                blocks = (uniforms[r], jitter[r]) if survives[i] else (
+                    no_draws, no_draws
+                )
+                r += survives[i]
+                manifest = self._capped_manifest(
+                    int(codes[i, 2]), live, int(k[i]),
+                    float(effects.bitrate_cap_kbps[i]),
+                )
+                abr = (
+                    FixedBitrateABR(rung=0)
+                    if manifest.n_rungs == 1
+                    else RateBasedABR()
+                )
+                result = simulate_session(
+                    manifest=manifest,
+                    abr=abr,
+                    bandwidth=_ReplayedBandwidth(float(mean_bw[i]), *blocks),
+                    server=servers[i],
+                    rng=joins[i],
+                    watch_duration_s=float(draws.watch_s[i]),
+                    startup_buffer_s=params.startup_buffer_s,
+                    failure_odds=float(effects.join_failure_odds[i]),
+                    join_overhead_s=float(overhead[i]),
+                    max_join_time_s=params.max_join_time_s,
+                )
+                if result.failed:
+                    failed[i] = True
+                    continue
+                extra = 0.02 * max(effects.buffering_factor[i] - 1.0, 0.0)
+                stall = min(
+                    result.buffering_s + extra * result.played_s,
+                    max(result.played_s * 0.85, result.buffering_s),
+                )
+                duration[i] = result.played_s + stall
+                buffering[i] = stall
+                join_time[i] = result.join_time_s
+                bitrate[i] = result.avg_bitrate_kbps
 
         return QoEBatch(
             duration_s=duration,

@@ -6,11 +6,15 @@ the paper's findings run at this scale only loosely; the week-scale
 numbers live in EXPERIMENTS.md.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.experiments import EXPERIMENTS, get_experiment, run_experiment
-from repro.experiments.runners import METRIC_ORDER
+from repro.experiments.runners import METRIC_ORDER, run_ablation_engines
+
+RESULTS_DIR = Path(__file__).resolve().parents[1] / "benchmarks" / "results"
 
 PAPER_IDS = (
     "fig1", "fig2", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
@@ -163,6 +167,14 @@ class TestAblations:
             mech["frac_buffering_ratio_gt_5pct"]
             - stat["frac_buffering_ratio_gt_5pct"]
         ) < 0.30
+
+    def test_engine_ablation_matches_committed_result(self, tiny_ctx):
+        """The committed ``abl-engine`` table (EXPERIMENTS.md quotes it)
+        is what the runner prints today; its traces are fixed-seed
+        workloads of their own, so any change to how either engine draws
+        its trace must regenerate the file."""
+        committed = (RESULTS_DIR / "abl-engine.txt").read_text(encoding="utf-8")
+        assert run_ablation_engines(tiny_ctx).text + "\n" == committed
 
     def test_scale_ablation_reports_throughput(self, tiny_ctx):
         data = run_experiment("abl-scale", tiny_ctx).data
