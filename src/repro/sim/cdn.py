@@ -58,9 +58,8 @@ def join_failure_probability(
     Same arithmetic as :meth:`CDNServer.join_fails` for positive
     ``failure_probs``: scale the odds ``p / (1 - p)`` by the multiplier
     and convert back, ``odds / (1 + odds)``. Callers comparing against a
-    pre-drawn uniform get the same verdict as the scalar method, draw
-    for draw (the engine floors ``failure_prob`` at 1e-4, so the scalar
-    method's zero-probability no-draw shortcut never triggers there).
+    pre-drawn uniform get the same verdict as the scalar method handed
+    that uniform; at zero probability both say the join succeeds.
     """
     odds = failure_probs / (1.0 - failure_probs) * odds_multipliers
     return odds / (1.0 + odds)

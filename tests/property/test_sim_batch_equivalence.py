@@ -11,6 +11,8 @@ kernel: join failure, join timeout, watch-limit truncation, and running
 the grid dry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,22 @@ class TestEngineLevel:
         ok = ~a.join_failed
         # Durations cluster near the watch limit, far below video length.
         assert np.median(a.duration_s[ok]) < 100.0
+
+    def test_zero_failure_cdn(self):
+        """A CDN that never fails a join: the reference's
+        ``CDNServer.join_fails`` returns early without reading its
+        uniform, the kernel compares against probability zero."""
+        world = make_world(seed=9)
+        world.cdns[0] = dataclasses.replace(world.cdns[0], failure_prob=0.0)
+        n = 400
+        codes = sample_codes(world, n, seed=9)
+        effects = EffectArrays.neutral(n)
+        effects.join_failure_odds[:] = 50.0
+        a, b = run_both(world, codes, effects, seed=17)
+        assert_batches_identical(a, b)
+        on_zero = codes[:, 1] == 0
+        assert on_zero.any() and a.join_failed[~on_zero].any()
+        assert not a.join_failed[on_zero].any()
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_single_session_batches(self, seed):
