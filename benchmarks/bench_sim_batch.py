@@ -1,14 +1,17 @@
 """Bench: the vectorized batch mechanistic simulation.
 
 The lockstep batch kernel (``repro.sim.batch``) is the one execution
-path behind ``MechanisticQoEEngine.generate``, which draws each epoch's
-randomness from one generator as segment-major blocks (DESIGN.md §9).
-This file times it on the day workload (``REPRO_BENCH_WORKLOAD=tiny``
-for a smoke run) and drives a week of chunk-level traces through the
-analysis pipeline. CI's bench-smoke job runs both benches on the tiny
-workload with ``--benchmark-disable``. Bit-identity with the
-per-session reference loop, which replays the engine's draws, is
-pinned by the test suite
+path behind the mechanistic engine. ``generate_trace`` prepares each
+epoch's draws in epoch order, then simulates passes of consecutive
+epochs, one kernel call per class over a pass's rows; each step's rates
+are drawn as that step's rows of the per-epoch segment-major blocks
+(DESIGN.md §9), so no segment-sized block is held. This file times it
+on the day workload (``REPRO_BENCH_WORKLOAD=tiny`` for a smoke run),
+printing sessions/sec beside the passes per generation, and drives a
+week of chunk-level traces through the analysis pipeline. CI's
+bench-smoke job runs both benches on the tiny workload with
+``--benchmark-disable``. Bit-identity with the per-session reference
+loop, which replays the engine's draws, is pinned by the test suite
 (``tests/property/test_sim_batch_equivalence.py``); the end-to-end
 benchmark's ``mech`` workload measures simulator sessions/sec.
 """
@@ -18,6 +21,7 @@ import time
 
 from repro.core.metrics import JOIN_FAILURE
 from repro.core.pipeline import AnalysisConfig, analyze_trace
+from repro.obs import MetricsRegistry, use_metrics
 from repro.trace.generator import generate_trace
 from repro.trace.workloads import StandardWorkloads
 
@@ -32,13 +36,27 @@ def mechanistic_spec(workload: str):
     return StandardWorkloads.by_name(name, seed=42)
 
 
+def _generate_counted(spec):
+    """One generation, its wall seconds and its simulation passes."""
+    metrics = MetricsRegistry()
+    start = time.perf_counter()
+    with use_metrics(metrics):
+        trace = generate_trace(spec)
+    return trace, time.perf_counter() - start, metrics.counters["generate.passes"]
+
+
 def bench_mechanistic_batch_generation(benchmark):
-    """Sessions/sec of the batch kernel."""
+    """Sessions/sec of the batch kernel, and the passes it took."""
     spec = mechanistic_spec(_workload())
-    trace = benchmark.pedantic(
-        generate_trace, args=(spec,), rounds=1, iterations=1
+    trace, seconds, passes = benchmark.pedantic(
+        _generate_counted, args=(spec,), rounds=1, iterations=1
     )
     assert trace.n_sessions > 0
+    assert 1 <= passes <= spec.n_epochs
+    print(
+        f"\n{spec.name}: {trace.n_sessions / seconds:.0f} sess/s, "
+        f"{passes} passes over {spec.n_epochs} epochs"
+    )
 
 
 def bench_mechanistic_trace_feeds_pipeline():
@@ -52,9 +70,7 @@ def bench_mechanistic_trace_feeds_pipeline():
     workload = _workload()
     name = "mechanistic_tiny" if workload == "tiny" else "mechanistic_week"
     spec = StandardWorkloads.by_name(name, seed=42)
-    start = time.perf_counter()
-    trace = generate_trace(spec)
-    generate_s = time.perf_counter() - start
+    trace, generate_s, passes = _generate_counted(spec)
     assert trace.grid.n_epochs == spec.n_epochs
 
     start = time.perf_counter()
@@ -67,6 +83,6 @@ def bench_mechanistic_trace_feeds_pipeline():
     assert analysis[JOIN_FAILURE.name].epochs
     print(
         f"\n{spec.name}: generated {trace.n_sessions} sessions in "
-        f"{generate_s:.1f}s ({trace.n_sessions / generate_s:.0f} sess/s), "
-        f"analyzed in {analyze_s:.1f}s"
+        f"{generate_s:.1f}s ({trace.n_sessions / generate_s:.0f} sess/s, "
+        f"{passes} passes), analyzed in {analyze_s:.1f}s"
     )

@@ -6,11 +6,18 @@ cluster that explains it — the combination of attribute dimensions
 *, *]``) — plus two residual sectors: problem sessions in problem
 clusters that no critical cluster explains, and problem sessions
 outside any (significant) problem cluster.
+
+Both breakdowns read the analysis's result columns
+(:class:`repro.core.pipeline.ResultTable`): a critical cluster's
+attribute-type signature is its row's attribute ``mask``, so no
+cluster key is decoded and no per-epoch mapping is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.core.attributes import AttributeSchema, DEFAULT_SCHEMA
 from repro.core.pipeline import MetricAnalysis
@@ -36,6 +43,35 @@ def signature_label(attributes: tuple[str, ...], schema: AttributeSchema) -> str
     return "[" + ", ".join(parts) + "]"
 
 
+def _running_sum(values: np.ndarray) -> float:
+    """``values`` added one by one in order, from 0.0 (``cumsum`` adds
+    sequentially, as a Python running total does)."""
+    return float(np.cumsum(values, dtype=np.float64)[-1]) if values.size else 0.0
+
+
+def _attributed_by_signature(
+    ma: MetricAnalysis,
+) -> tuple[dict[tuple[str, ...], float], float]:
+    """Attributed problem sessions per critical-cluster signature, in
+    order of first appearance, and their total.
+
+    The critical rows run in epoch order, then row order, so one
+    ``bincount`` over their masks (it adds in input order) gives each
+    signature the running sum a loop over every epoch's critical
+    clusters would, float for float.
+    """
+    table = ma.table
+    masks = table.critical["mask"]
+    weights = table.critical["attributed_problems"]
+    distinct, first, ids = np.unique(masks, return_index=True, return_inverse=True)
+    sums = np.bincount(ids, weights=weights, minlength=distinct.size)
+    names_of = table.codecs[0].schema.names_of
+    by_signature = {
+        names_of(int(distinct[i])): float(sums[i]) for i in np.argsort(first)
+    }
+    return by_signature, _running_sum(weights)
+
+
 def critical_type_breakdown(
     ma: MetricAnalysis,
     schema: AttributeSchema = DEFAULT_SCHEMA,
@@ -48,21 +84,10 @@ def critical_type_breakdown(
     ``max_sectors`` signatures, folds the rest into "Other
     combinations", and appends the two residual sectors.
     """
-    by_signature: dict[tuple[str, ...], float] = {}
-    total_problems = 0.0
-    attributed = 0.0
-    in_problem_clusters = 0.0
-    for epoch in ma.epochs:
-        total_problems += epoch.total_problems
-        in_problem_clusters += (
-            epoch.problem_cluster_coverage * epoch.total_problems
-        )
-        for key, attribution in epoch.critical_clusters.items():
-            sig = key.attributes
-            by_signature[sig] = (
-                by_signature.get(sig, 0.0) + attribution.attributed_problems
-            )
-            attributed += attribution.attributed_problems
+    epochs = ma.table.epochs
+    total_problems = _running_sum(epochs["problems"])
+    in_problem_clusters = _running_sum(epochs["coverage"] * epochs["problems"])
+    by_signature, attributed = _attributed_by_signature(ma)
 
     if total_problems <= 0:
         return []
@@ -112,13 +137,8 @@ def single_attribute_share(
     The paper's headline: Site, CDN, ASN and ConnectionType dominate
     the critical clusters across metrics (Section 4.3).
     """
-    totals: dict[str, float] = {a: 0.0 for a in attributes}
-    attributed = 0.0
-    for epoch in ma.epochs:
-        for key, attribution in epoch.critical_clusters.items():
-            attributed += attribution.attributed_problems
-            if len(key.attributes) == 1 and key.attributes[0] in totals:
-                totals[key.attributes[0]] += attribution.attributed_problems
+    by_signature, attributed = _attributed_by_signature(ma)
+    totals = {a: by_signature.get((a,), 0.0) for a in attributes}
     if attributed == 0:
         return {a: 0.0 for a in attributes}
     return {a: v / attributed for a, v in totals.items()}

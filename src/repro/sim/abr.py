@@ -129,20 +129,6 @@ def rate_based_bitrates(
     return bitrates
 
 
-def ewma_update(
-    estimates_kbps: np.ndarray, observed_kbps: np.ndarray, alpha: float = 0.4
-) -> np.ndarray:
-    """Vectorized :meth:`RateBasedABR.observe` over a session batch.
-
-    ``estimates_kbps`` uses NaN for "no observation yet": NaN rows take
-    the observation verbatim (the estimator starts from the first
-    observation), others blend ``alpha * obs + (1 - alpha) * est`` —
-    the same expression, term order, and rounding as the scalar path.
-    """
-    blended = alpha * observed_kbps + (1.0 - alpha) * estimates_kbps
-    return np.where(np.isnan(estimates_kbps), observed_kbps, blended)
-
-
 @dataclass
 class BufferBasedABR:
     """BBA-0-style mapping from buffer occupancy to rung.

@@ -15,9 +15,10 @@ Two consumption styles coexist (DESIGN.md §9):
   pre-drawn transition uniforms and jitter factors into its rates, and
   :meth:`MarkovBandwidth.sample_path` draws those two blocks from the
   session's generator and hands them to it. The mechanistic engine's
-  lockstep kernel computes the same rates from blocks it draws for a
-  whole class of sessions at once; the per-session reference replays
-  each session's row of those blocks through ``path``.
+  lockstep kernel computes the same rates a step at a time, for every
+  row of a pass at once (:func:`markov_rates_step`), from uniforms and
+  jitter factors it draws step by step in the block layout; the
+  per-session reference replays each session's draws through ``path``.
 
 The lockstep helpers :func:`markov_state_path` (one chain, many steps)
 and :func:`markov_states_step` (many chains, one step) both count the
@@ -96,6 +97,30 @@ def markov_states_step(
     return nxt
 
 
+def markov_rates_step(
+    mean_kbps: np.ndarray,
+    states: np.ndarray,
+    uniforms: np.ndarray,
+    jitter: np.ndarray,
+    cum_transitions: np.ndarray,
+    state_factors: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """One lockstep step of a batch of Markov links: their next states
+    and, in ``out``, the rates ``max(mean * factor[state] * jitter, 1)``.
+
+    ``jitter`` holds the lognormal factors themselves. The product is
+    formed in the operand order of :meth:`MarkovBandwidth.path`, so a
+    chain stepped here reproduces its per-session path bit for bit.
+    Returns the new states.
+    """
+    states = markov_states_step(cum_transitions, states, uniforms)
+    np.multiply(mean_kbps, state_factors[states], out=out)
+    np.multiply(out, jitter, out=out)
+    np.maximum(out, 1.0, out=out)
+    return states
+
+
 class MarkovBandwidth:
     """Stateful per-segment bandwidth process for one session."""
 
@@ -150,9 +175,10 @@ class MarkovBandwidth:
 
         ``jitter`` holds the lognormal factors themselves (already
         exponentiated). Starts from ``self.state`` and advances it to
-        the path's final state. This is the one home of the rate
-        arithmetic, ``max(mean * factor[state] * jitter, 1)``, that
-        :func:`repro.sim.batch.markov_rate_matrix` repeats per column.
+        the path's final state. This is the scalar twin of
+        :func:`markov_rates_step`: the same rate arithmetic,
+        ``max(mean * factor[state] * jitter, 1)``, over one session's
+        steps instead of one step of many sessions.
         """
         return self._walk(uniforms, jitter)[0]
 

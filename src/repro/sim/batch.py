@@ -5,7 +5,7 @@ Instead of running one Python loop per session, :func:`simulate_batch`
 steps *all* sessions of a batch through segment ``t`` together:
 
 * the Markov bandwidth chains advance as one vectorized categorical
-  transition per column (:func:`markov_rate_matrix`);
+  transition per step (:func:`repro.sim.bandwidth.markov_rates_step`);
 * rate-based ABR walks the rung columns of each row's cap-limited
   ladder (:func:`repro.sim.abr.rate_based_bitrates`);
 * buffer fill/drain/stall is masked in-place array arithmetic
@@ -16,15 +16,18 @@ steps *all* sessions of a batch through segment ``t`` together:
   rest of the batch keeps stepping.
 
 Sessions in one call share the segment grid (``segment_durations_s``)
-— the engine groups sessions by live/VOD class — but each row carries
-its own ladder, RTT, watch limit, and join overhead, and may end its
-grid early via ``n_segments_per_row`` (ragged batches).
+— the engine groups sessions by live/VOD class, over a pass of several
+epochs — but each row carries its own ladder, RTT, watch limit, and
+join overhead, and may end its grid early via ``n_segments_per_row``
+(ragged batches).
 
-Each step reads one column of the ``(m, T)`` rate matrix. The engine
-passes ``(m, T)`` views of segment-major ``(T, m)`` blocks, so those
-columns are contiguous. No step reduces an ``(m, k)`` intermediate
-along its short axis: the next Markov state is counted, and the ABR
-bitrate chosen, one column of their small tables at a time.
+Each step reads one column of the ``(m, T)`` rates, once and in order.
+The engine hands in a stream that draws column ``t`` only when step
+``t`` reads it (:class:`repro.sim.engine.StepDrawnRates`), so no array
+with a segment dimension exists; an array serves the same reads. No
+step reduces an ``(m, k)`` intermediate along its short axis: the next
+Markov state is counted, and the ABR bitrate chosen, one column of
+their small tables at a time.
 
 Every arithmetic update mirrors the scalar loop operation for
 operation in the same order, and the reference replays the engine's
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sim.abr import rate_based_bitrates
-from repro.sim.bandwidth import markov_states_step
+from repro.sim.bandwidth import markov_rates_step
 from repro.sim.playerbuffer import BatchPlayerBuffer
 
 
@@ -67,35 +70,25 @@ def markov_rate_matrix(
     cum_transitions: np.ndarray,
     state_factors: np.ndarray,
     initial_state: int = 0,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-segment rates for a batch of Markov bandwidth chains.
 
     ``uniforms``/``jitter`` are ``(m, T)``: row ``i`` is session ``i``'s
     transition uniforms and (exponentiated) jitter factors. The chains
-    advance one vectorized categorical transition per column via
-    :func:`markov_states_step`, so row ``i`` of the result is bit
-    identical to ``MarkovBandwidth(mean_kbps[i], ...).path(uniforms[i],
-    jitter[i])``. The engine passes ``(m, T)`` views of segment-major
-    ``(T, m)`` blocks, so each step reads contiguous columns.
-
-    ``out`` (``(m, T)``, may be ``jitter`` itself) receives the rates:
-    column ``t`` of ``jitter`` is read before column ``t`` of ``out``
-    is written, so the engine writes the rates over its jitter block.
+    advance one column at a time through :func:`markov_rates_step`, the
+    step the engine's step-drawn rates take, so row ``i`` of the result
+    is bit identical to ``MarkovBandwidth(mean_kbps[i], ...).path(
+    uniforms[i], jitter[i])``.
     """
     m, n_steps = uniforms.shape
-    if out is None:
-        out = np.empty((m, n_steps), dtype=np.float64)
+    rates = np.empty((m, n_steps), dtype=np.float64)
     states = np.full(m, initial_state, dtype=np.intp)
-    scaled = np.empty(m, dtype=np.float64)
     for t in range(n_steps):
-        states = markov_states_step(cum_transitions, states, uniforms[:, t])
-        # (mean * factor) * jitter: the operand order of MarkovBandwidth.path.
-        np.multiply(mean_kbps, state_factors[states], out=scaled)
-        rates = out[:, t]
-        np.multiply(scaled, jitter[:, t], out=rates)
-        np.maximum(rates, 1.0, out=rates)
-    return out
+        states = markov_rates_step(
+            mean_kbps, states, uniforms[:, t], jitter[:, t],
+            cum_transitions, state_factors, out=rates[:, t],
+        )
+    return rates
 
 
 def simulate_batch(
@@ -118,9 +111,12 @@ def simulate_batch(
 
     ``effective_ladders`` is ``(m, max_rungs)`` with each row the
     session's cap-limited ladder padded by ``+inf``; ``rates_kbps`` is
-    the ``(m, T)`` pre-drawn bandwidth path (:func:`markov_rate_matrix`),
-    read one column per step, so a view of a segment-major block is the
-    fast layout; ``watch_duration_s`` must be finite. Rows already
+    the ``(m, T)`` bandwidth path. It is read as ``rates_kbps[:, t]``,
+    once per step and in step order, so it may be an array (e.g. from
+    :func:`markov_rate_matrix`) or any object with that ``shape`` that
+    serves its columns in order — the engine passes
+    :class:`repro.sim.engine.StepDrawnRates`, which draws each column
+    when it is read. ``watch_duration_s`` must be finite. Rows already
     ``join_failed`` never enter the active mask and come back as failed
     outputs (the engine passes surviving rows only).
 
@@ -203,9 +199,10 @@ def simulate_batch(
         size_kbits = dur * bitrate
         dl_time = rtt_s + size_kbits / throughput
         goodput = size_kbits / np.maximum(dl_time, 1e-9)
-        # Inline :func:`ewma_update` (same expression, same term order):
-        # its NaN branch can only fire before the first observation, so
-        # the extra isnan/where pair is skipped for t > 0.
+        # :meth:`RateBasedABR.observe` over the batch (same expression,
+        # same term order): its start-from-the-first-observation branch
+        # can only fire at t == 0, so the isnan/where pair is skipped
+        # after it.
         blended = abr_ewma_alpha * goodput + ewma_rest * est
         if t == 0:
             blended = np.where(np.isnan(est), goodput, blended)

@@ -26,8 +26,9 @@ lives in :mod:`repro.sim.engine`; both implement ``QoEEngine``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Any, Protocol
 
 import numpy as np
 
@@ -83,7 +84,33 @@ class QoEBatch:
 
 
 class QoEEngine(Protocol):
-    """Interface shared by the statistical and mechanistic engines."""
+    """Interface shared by the statistical and mechanistic engines.
+
+    Generation runs in two phases. :meth:`prepare` runs once per epoch,
+    in epoch order, and makes every draw of the caller's stream the
+    epoch takes; :meth:`simulate` then turns a *pass* of consecutive
+    prepared epochs into their batches, drawing nothing more from that
+    stream, so the pass's size never changes a trace. ``generate`` is
+    one epoch's ``prepare`` and ``simulate``.
+    """
+
+    def prepare(
+        self,
+        codes: np.ndarray,
+        effects: EffectArrays,
+        rng: np.random.Generator,
+    ) -> Any:
+        """Phase 1 for sessions with attribute ``codes``.
+
+        ``codes`` is an (n, 7) int array in the canonical schema order
+        (asn, cdn, site, content_type, player, browser,
+        connection_type), coded against the world's vocabularies.
+        """
+        ...  # pragma: no cover
+
+    def simulate(self, prepared: Sequence[Any]) -> list[QoEBatch]:
+        """Phase 2: one :class:`QoEBatch` per prepared epoch, in order."""
+        ...  # pragma: no cover
 
     def generate(
         self,
@@ -91,12 +118,7 @@ class QoEEngine(Protocol):
         effects: EffectArrays,
         rng: np.random.Generator,
     ) -> QoEBatch:
-        """Produce metrics for sessions with attribute ``codes``.
-
-        ``codes`` is an (n, 7) int array in the canonical schema order
-        (asn, cdn, site, content_type, player, browser,
-        connection_type), coded against the world's vocabularies.
-        """
+        """One epoch's metrics: ``simulate([prepare(...)])[0]``."""
         ...  # pragma: no cover
 
 
@@ -171,6 +193,19 @@ class StatisticalQoEEngine:
         return bitrate
 
     # -- full batch -------------------------------------------------------
+    def prepare(
+        self,
+        codes: np.ndarray,
+        effects: EffectArrays,
+        rng: np.random.Generator,
+    ) -> QoEBatch:
+        """Phase 1 is the whole work: the epoch's finished batch."""
+        return self.generate(codes, effects, rng)
+
+    def simulate(self, prepared: Sequence[QoEBatch]) -> list[QoEBatch]:
+        """Phase 2 has nothing left to do."""
+        return list(prepared)
+
     def generate(
         self,
         codes: np.ndarray,

@@ -14,6 +14,8 @@ This module is the old path, slow and plain:
   keys in order of first appearance;
 * :func:`attribution_totals` — the running sum over every epoch's
   critical dict;
+* :func:`type_breakdown` and :func:`single_attribute_shares` — Figure
+  10's running sums per attribute-type signature, over the same dicts;
 * :func:`dict_sweep` — a whole trace through the three, one epoch
   view at a time.
 
@@ -27,6 +29,15 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from repro.analysis.breakdown import (
+    NOT_ATTRIBUTED,
+    NOT_IN_PROBLEM_CLUSTER,
+    BreakdownSector,
+    critical_type_breakdown,
+    signature_label,
+    single_attribute_share,
+)
+from repro.core.attributes import DEFAULT_SCHEMA
 from repro.core.epoching import EpochGrid
 from repro.core.critical import detect_critical_clusters
 from repro.core.pipeline import AnalysisConfig, EpochAnalysis, TraceAnalysis
@@ -87,6 +98,57 @@ def attribution_totals(epochs: Sequence[EpochAnalysis]) -> dict:
         for key, attribution in epoch.critical_clusters.items():
             totals[key] = totals.get(key, 0.0) + attribution.attributed_problems
     return totals
+
+
+def type_breakdown(
+    epochs: Sequence[EpochAnalysis], max_sectors: int = 8
+) -> list[BreakdownSector]:
+    """Figure 10 for one metric: attributed problem sessions summed over
+    the epochs per signature, the top ``max_sectors`` signatures, the
+    rest folded, then the two residual sectors."""
+    by_signature: dict[tuple[str, ...], float] = {}
+    total_problems = 0.0
+    attributed = 0.0
+    in_problem_clusters = 0.0
+    for epoch in epochs:
+        total_problems += epoch.total_problems
+        in_problem_clusters += epoch.problem_cluster_coverage * epoch.total_problems
+        for key, attribution in epoch.critical_clusters.items():
+            sig = key.attributes
+            by_signature[sig] = by_signature.get(sig, 0.0) + attribution.attributed_problems
+            attributed += attribution.attributed_problems
+    if total_problems <= 0:
+        return []
+    ranked = sorted(by_signature.items(), key=lambda kv: -kv[1])
+    sectors = [
+        BreakdownSector(signature_label(sig, DEFAULT_SCHEMA), count, count / total_problems)
+        for sig, count in ranked[:max_sectors]
+    ]
+    other = sum(count for _, count in ranked[max_sectors:])
+    if other > 0:
+        sectors.append(BreakdownSector("Other combinations", other, other / total_problems))
+    unexplained = max(in_problem_clusters - attributed, 0.0)
+    outside = max(total_problems - in_problem_clusters, 0.0)
+    sectors.append(BreakdownSector(NOT_ATTRIBUTED, unexplained, unexplained / total_problems))
+    sectors.append(BreakdownSector(NOT_IN_PROBLEM_CLUSTER, outside, outside / total_problems))
+    return sectors
+
+
+def single_attribute_shares(
+    epochs: Sequence[EpochAnalysis],
+    attributes: tuple[str, ...] = ("site", "cdn", "asn", "connection_type"),
+) -> dict[str, float]:
+    """Share of attributed problem sessions per single-attribute type."""
+    totals = {a: 0.0 for a in attributes}
+    attributed = 0.0
+    for epoch in epochs:
+        for key, attribution in epoch.critical_clusters.items():
+            attributed += attribution.attributed_problems
+            if len(key.attributes) == 1 and key.attributes[0] in totals:
+                totals[key.attributes[0]] += attribution.attributed_problems
+    if attributed == 0:
+        return {a: 0.0 for a in attributes}
+    return {a: v / attributed for a, v in totals.items()}
 
 
 def dict_sweep(
@@ -173,7 +235,8 @@ def assert_epochs_match(got: Sequence[EpochAnalysis], want: Sequence[EpochAnalys
 def assert_matches_dicts(ma, want: Sequence[EpochAnalysis]) -> None:
     """A metric analysis against the dict path over the same epochs:
     decoded epochs, timelines (ordered keys, epochs, dtypes), the
-    prevalence and persistence values, and the attribution totals."""
+    prevalence and persistence values, the attribution totals and the
+    Figure 10 breakdowns."""
     assert_epochs_match(ma.epochs, want)
     n = len(want)
     for kind, timelines in (
@@ -197,6 +260,17 @@ def assert_matches_dicts(ma, want: Sequence[EpochAnalysis]) -> None:
     assert list(totals.items()) == list(expected_totals.items())
     for key, value in totals.items():
         _same(value, expected_totals[key])
+    for max_sectors in (8, 2):
+        got = critical_type_breakdown(ma, max_sectors=max_sectors)
+        assert got == type_breakdown(want, max_sectors)
+        for sector, expected in zip(got, type_breakdown(want, max_sectors)):
+            for field in vars(expected):
+                _same(getattr(sector, field), getattr(expected, field))
+    shares = single_attribute_share(ma)
+    expected_shares = single_attribute_shares(want)
+    assert list(shares.items()) == list(expected_shares.items())
+    for name, value in shares.items():
+        _same(value, expected_shares[name])
 
 
 def assert_analysis_matches_dicts(

@@ -1,17 +1,22 @@
 """Per-session reference for the mechanistic engine's batch kernel.
 
 :class:`ScalarReferenceEngine` is a :class:`MechanisticQoEEngine` whose
-``generate`` runs :func:`repro.sim.playback.simulate_session` once per
-row — the readable semantics the lockstep kernel (``repro.sim.batch``)
-re-expresses. It replays the engine's own draws: it builds the same
-:class:`~repro.sim.engine.BlockDraws` from the caller's stream and
-reuses ``_shared_inputs``, so the kernel must match it bit for bit.
+phase 2, ``simulate``, runs :func:`repro.sim.playback.simulate_session`
+once per row, one epoch at a time — the readable semantics the lockstep
+kernel (``repro.sim.batch``) re-expresses over a pass of epochs. It
+replays the engine's own draws: phase 1 (``prepare``: the
+:class:`~repro.sim.engine.BlockDraws` from the caller's stream and the
+shared inputs) is the engine's, so the kernel must match it bit for bit.
 
 Each session gets its join uniform (its own ``CDNServer.join_fails``
-decides failure, inside ``simulate_session``) and its row of its class's
-rate blocks, which :meth:`MarkovBandwidth.path` turns into its rate path.
-The blocks are drawn in the engine's order: VOD rows, then live rows,
-each for the class's sessions that survive the join check.
+decides failure, inside ``simulate_session``) and its row of its
+class's transition uniforms and jitter factors, which
+:meth:`MarkovBandwidth.path` turns into its rate path. Those rows come
+from the engine's per-step helper, :class:`~repro.sim.engine.RateSteps`,
+stepped through the whole grid over this one epoch's rows (so ``exp``
+runs on the same (epoch, step) slices as in the kernel), in the
+engine's order: VOD rows, then live rows, each for the class's sessions
+that survive the join check.
 
 Trace-level tests swap it in with ``monkeypatch.setattr(
 repro.sim.engine, "MechanisticQoEEngine", ScalarReferenceEngine)``:
@@ -20,15 +25,17 @@ repro.sim.engine, "MechanisticQoEEngine", ScalarReferenceEngine)``:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 from repro.sim.abr import FixedBitrateABR, RateBasedABR
 from repro.sim.bandwidth import MarkovBandwidth
 from repro.sim.cdn import CDNServer
-from repro.sim.engine import BlockDraws, MechanisticQoEEngine
+from repro.sim.engine import MechanisticQoEEngine, PreparedEpoch, RateSteps
 from repro.sim.playback import simulate_session
 from repro.sim.segments import VideoManifest
-from repro.trace.qoe import EffectArrays, QoEBatch
+from repro.trace.qoe import QoEBatch
 
 
 class _JoinDraw:
@@ -90,18 +97,16 @@ class ScalarReferenceEngine(MechanisticQoEEngine):
             )
         return cache[key]
 
-    def generate(
-        self,
-        codes: np.ndarray,
-        effects: EffectArrays,
-        rng: np.random.Generator,
-    ) -> QoEBatch:
-        n = codes.shape[0]
-        draws = BlockDraws(rng, n, self.params)
-        shared = self._shared_inputs(codes, effects)
+    def simulate(self, prepared: Sequence[PreparedEpoch]) -> list[QoEBatch]:
+        return [self._simulate_epoch(p) for p in prepared]
+
+    def _simulate_epoch(self, prepared: PreparedEpoch) -> QoEBatch:
+        codes, effects, draws = prepared.codes, prepared.effects, prepared.draws
+        inputs = prepared.inputs
         mean_bw, rtt, overhead, k = (
-            shared["mean_bw"], shared["rtt"], shared["overhead"], shared["k"]
+            inputs["mean_bw"], inputs["rtt"], inputs["overhead"], inputs["k"]
         )
+        n = len(prepared)
         params = self.params
         duration = np.zeros(n)
         buffering = np.zeros(n)
@@ -131,8 +136,9 @@ class ScalarReferenceEngine(MechanisticQoEEngine):
             rows = [i for i in range(n) if bool(codes[i, 3]) == live]
             n_survivors = sum(survives[i] for i in rows)
             if n_survivors:
-                uniforms, jitter = draws.rate_blocks(
-                    n_survivors, self._segment_grids[live].size
+                n_segments = self._segment_grids[live].size
+                uniforms, jitter = _rate_rows(
+                    draws.rate_steps(n_survivors, n_segments), n_segments
                 )
             r = 0
             for i in rows:
@@ -183,3 +189,17 @@ class ScalarReferenceEngine(MechanisticQoEEngine):
             bitrate_kbps=bitrate,
             join_failed=failed,
         )
+
+
+def _rate_rows(
+    steps: RateSteps, n_steps: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """All ``n_steps`` steps of one class's draws for one epoch, as
+    ``(m, T)`` rows of transition uniforms and jitter factors (views of
+    ``(T, m)`` arrays filled one step row at a time)."""
+    uniforms = np.empty((n_steps, steps.m))
+    jitter = np.empty((n_steps, steps.m))
+    for t in range(n_steps):
+        steps.step(uniforms[t], jitter[t])
+    steps.finish()
+    return uniforms.T, jitter.T

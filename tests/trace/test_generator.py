@@ -9,6 +9,8 @@ from repro.core.epoching import split_into_epochs
 from repro.core.metrics import JOIN_FAILURE
 from repro.trace.entities import WorldConfig, build_world
 from repro.trace.events import EventCatalog, EventConfig, EventEffects, GroundTruthEvent
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.trace import generator
 from repro.trace.generator import apply_events, generate_trace
 from repro.trace.population import constraint_codes
 from repro.trace.workloads import StandardWorkloads, WorkloadSpec
@@ -181,3 +183,77 @@ class TestStandardWorkloads:
             WorkloadSpec(name="x", seed=0, n_epochs=0)
         with pytest.raises(ValueError):
             WorkloadSpec(name="x", seed=0, n_epochs=1, engine="quantum")
+
+
+TRACE_COLUMNS = (
+    "codes", "start_time", "duration_s", "buffering_s", "join_time_s",
+    "bitrate_kbps", "join_failed",
+)
+
+
+class TestSimulationPasses:
+    """Epochs are prepared one by one and simulated in passes of at most
+    ``_PASS_SESSIONS`` sessions; the pass size never changes a trace."""
+
+    def test_passes_group_consecutive_epochs_under_the_bound(self, monkeypatch):
+        monkeypatch.setattr(generator, "_PASS_SESSIONS", 10)
+        counts = np.array([4, 5, 2, 12, 3, 3, 3, 1])
+        passes = generator._passes(counts)
+        assert passes == [range(0, 2), range(2, 3), range(3, 4), range(4, 8)]
+        # Every epoch once, in order; only a lone epoch exceeds the bound.
+        assert [e for p in passes for e in p] == list(range(counts.size))
+        assert all(counts[list(p)].sum() <= 10 or len(p) == 1 for p in passes)
+
+    def test_pass_size_never_changes_a_mechanistic_trace(self, monkeypatch):
+        """One epoch per pass, the default bound and one pass for the
+        whole trace give the same trace, including a pass holding an
+        epoch whose live sessions all fail to join (no live rows to
+        simulate) beside epochs that have some."""
+        spec = StandardWorkloads.mechanistic_tiny(seed=5)
+        world = build_world(spec.world, np.random.default_rng(5))
+        live_outage = GroundTruthEvent(
+            event_id="live-outage", tag="t", category="major",
+            primary_metric="join_failure",
+            constraints=(("content_type", "live"),),
+            start_epoch=3, duration_epochs=1,
+            effects=EventEffects(join_failure_odds=1e12),
+        )
+        catalog = EventCatalog([live_outage])
+        traces, passes = [], []
+        for bound in (1, generator._PASS_SESSIONS, 10**9):
+            monkeypatch.setattr(generator, "_PASS_SESSIONS", bound)
+            metrics = MetricsRegistry()
+            with use_metrics(metrics):
+                traces.append(generate_trace(spec, world=world, catalog=catalog))
+            passes.append(metrics.counters["generate.passes"])
+        assert passes[0] == spec.n_epochs and passes[2] == 1
+        assert 1 < passes[1] < spec.n_epochs
+
+        table = traces[0].table
+        epoch = traces[0].grid.epoch_of(table.start_time)
+        live = table.codes[:, table.schema.index("content_type")] == 1
+        assert live[epoch == 3].any() and table.join_failed[live & (epoch == 3)].all()
+        assert not table.join_failed[live & (epoch == 4)].all()
+        for other in traces[1:]:
+            for col in TRACE_COLUMNS:
+                assert np.array_equal(
+                    getattr(other.table, col), getattr(table, col), equal_nan=True
+                ), col
+
+    def test_qoe_span_and_counter_record_the_passes(self, monkeypatch):
+        monkeypatch.setattr(generator, "_PASS_SESSIONS", 700)
+        spec = dataclasses.replace(
+            micro_spec(per_epoch=300, n_epochs=5), engine="mechanistic"
+        )
+        tracer, metrics = Tracer("test"), MetricsRegistry()
+        with use_tracer(tracer), use_metrics(metrics):
+            trace = generate_trace(spec)
+        (span,) = tracer.find("generate.qoe")
+        _, per_epoch = split_into_epochs(trace.table, trace.grid)
+        sizes = [len(rows) for rows in per_epoch]
+        expected = generator._passes(np.array(sizes))
+        assert span.attrs["passes"] == len(expected) == metrics.counters["generate.passes"]
+        assert span.attrs["largest_pass"] == max(
+            sum(sizes[e] for e in p) for p in expected
+        )
+        assert 1 < len(expected) < spec.n_epochs
