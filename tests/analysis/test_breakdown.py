@@ -9,7 +9,14 @@ from repro.analysis.breakdown import (
     signature_label,
     single_attribute_share,
 )
+from repro.core.aggregation import ClusterStats
 from repro.core.attributes import DEFAULT_SCHEMA
+from repro.core.clusters import ClusterKey
+from repro.core.critical import CriticalAttribution
+from repro.core.epoching import EpochGrid
+from repro.core.metrics import JOIN_FAILURE
+from repro.core.pipeline import EpochAnalysis, MetricAnalysis
+from tests.core.dict_results import single_attribute_shares, type_breakdown
 
 
 class TestSignatureLabel:
@@ -65,10 +72,6 @@ class TestBreakdown:
                 assert s.problem_sessions >= 0
 
     def test_empty_analysis(self):
-        from repro.core.epoching import EpochGrid
-        from repro.core.metrics import JOIN_FAILURE
-        from repro.core.pipeline import MetricAnalysis
-
         ma = MetricAnalysis(metric=JOIN_FAILURE, grid=EpochGrid(n_epochs=0),
                             epochs=[])
         assert critical_type_breakdown(ma) == []
@@ -89,3 +92,41 @@ class TestSingleAttributeShare:
         for ma in tiny_analysis.metrics.values():
             total_single += sum(single_attribute_share(ma).values())
         assert total_single / len(tiny_analysis.metrics) > 0.5
+
+
+def _epoch(epoch, critical):
+    """A hand-built epoch whose critical clusters attribute the given
+    problem sessions, in the given row order."""
+    return EpochAnalysis(
+        epoch=epoch,
+        total_sessions=1000,
+        total_problems=40,
+        min_sessions=10,
+        problem_cluster_coverage=0.75,
+        problem_clusters={},
+        critical_clusters={
+            ClusterKey(pairs): CriticalAttribution(attributed, attributed, ClusterStats(100, 10))
+            for pairs, attributed in critical
+        },
+    )
+
+
+class TestColumnsAgainstTheEpochLoop:
+    def test_tied_signatures_keep_first_seen_order(self):
+        """Equal totals rank in the order the signatures first appear
+        (CDN before ASN here), not in attribute-mask order."""
+        epochs = [
+            _epoch(0, [((("cdn", "c1"),), 3.5), ((("asn", "a1"),), 2.0)]),
+            _epoch(1, [((("asn", "a2"),), 1.5), ((("asn", "a1"), ("site", "s1")), 6.0)]),
+            _epoch(2, [((("cdn", "c2"),), 0.25), ((("asn", "a1"),), 0.25)]),
+        ]
+        ma = MetricAnalysis(JOIN_FAILURE, EpochGrid(n_epochs=3), epochs=epochs)
+        for max_sectors in (8, 2, 1):
+            sectors = critical_type_breakdown(ma, max_sectors=max_sectors)
+            assert sectors == type_breakdown(epochs, max_sectors)
+        labels = [s.signature for s in critical_type_breakdown(ma)][:3]
+        assert labels == [
+            signature_label(names, DEFAULT_SCHEMA)
+            for names in (("asn", "site"), ("cdn",), ("asn",))
+        ]
+        assert single_attribute_share(ma) == single_attribute_shares(epochs)
