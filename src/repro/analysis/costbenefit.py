@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from repro.analysis.whatif import cluster_alleviation
+from repro.analysis.whatif import row_alleviations
 from repro.core.clusters import ClusterKey
 from repro.core.pipeline import MetricAnalysis
 
@@ -92,18 +92,18 @@ class CostBenefitResult:
 def _cluster_economics(
     ma: MetricAnalysis, cost_model: CostModel
 ) -> list[tuple[ClusterKey, float, float]]:
-    """Per critical identity: (key, total alleviation, fix cost)."""
-    alleviation: dict[ClusterKey, float] = {}
-    sessions: dict[ClusterKey, float] = {}
-    for epoch in ma.epochs:
-        for key, attribution in epoch.critical_clusters.items():
-            alleviation[key] = alleviation.get(key, 0.0) + cluster_alleviation(
-                epoch, key
-            )
-            sessions[key] = sessions.get(key, 0.0) + attribution.attributed_sessions
+    """Per critical identity, in order of first appearance: (key, total
+    alleviation, fix cost). Each identity's rows are summed in epoch
+    order (``bincount`` adds in input order), as a running sum over
+    the epochs would."""
+    ids, keys = ma.table.identities("critical")
+    gains = np.bincount(ids, weights=row_alleviations(ma), minlength=len(keys))
+    sessions = np.bincount(
+        ids, weights=ma.table.critical["attributed_sessions"], minlength=len(keys)
+    )
     return [
-        (key, gain, cost_model.cost_of(key, sessions[key]))
-        for key, gain in alleviation.items()
+        (key, gain, cost_model.cost_of(key, n))
+        for key, gain, n in zip(keys, gains.tolist(), sessions.tolist())
     ]
 
 

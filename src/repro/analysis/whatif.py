@@ -49,13 +49,27 @@ def cluster_alleviation(epoch: EpochAnalysis, key: ClusterKey) -> float:
     return max(attribution.attributed_problems - baseline, 0.0)
 
 
+def row_alleviations(ma: MetricAnalysis) -> np.ndarray:
+    """:func:`cluster_alleviation` of every critical row of the
+    metric's result table, elementwise: the row's attributed problems
+    in excess of its epoch's global ratio times its attributed
+    sessions, or 0."""
+    critical = ma.table.critical
+    ratio = ma.problem_ratio_series[ma.table.positions("critical")]
+    return np.maximum(
+        critical["attributed_problems"]
+        - ratio * critical["attributed_sessions"],
+        0.0,
+    )
+
+
 @dataclass(frozen=True)
 class AlleviationIndex:
     """Per-(critical identity, epoch) alleviation, computed once.
 
     Every what-if strategy in this module reduces to sums over the
     same quantity — the alleviation of cluster ``k`` in epoch ``e`` —
-    so one pass over the critical-cluster dicts builds a dense
+    so one pass over the critical rows builds a dense
     (identities x epochs) matrix and all strategies become array
     reductions: the oracle and top-k curves consume the per-key row
     sums (:attr:`totals`), the reactive simulation runs a run-length
@@ -87,28 +101,16 @@ def alleviation_index(ma: MetricAnalysis) -> AlleviationIndex:
     cached = getattr(ma, "_whatif_alleviation", None)
     if cached is not None:
         return cached
-    n_epochs = len(ma.epochs)
-    key_index: dict[ClusterKey, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for e, epoch in enumerate(ma.epochs):
-        g = epoch.global_ratio
-        for key, att in epoch.critical_clusters.items():
-            k = key_index.setdefault(key, len(key_index))
-            rows.append(k)
-            cols.append(e)
-            vals.append(
-                max(att.attributed_problems - g * att.attributed_sessions, 0.0)
-            )
-    value = np.zeros((len(key_index), n_epochs))
-    flagged = np.zeros((len(key_index), n_epochs), dtype=bool)
-    if rows:
-        value[rows, cols] = vals
-        flagged[rows, cols] = True
+    ids, keys = ma.table.identities("critical")
+    epochs = ma.table.positions("critical")
+    shape = (len(keys), len(ma.table))
+    value = np.zeros(shape)
+    flagged = np.zeros(shape, dtype=bool)
+    value[ids, epochs] = row_alleviations(ma)
+    flagged[ids, epochs] = True
     index = AlleviationIndex(
-        keys=tuple(key_index),
-        key_index=key_index,
+        keys=tuple(keys),
+        key_index={key: k for k, key in enumerate(keys)},
         value=value,
         flagged=flagged,
     )

@@ -197,10 +197,9 @@ class TraceClusterIndex:
 
         Outstanding :class:`EpochClusterView` objects reference the
         pre-append arrays and must not be used after an append; build
-        views per epoch, as the online detector and the batch engine
-        both do. :meth:`~repro.core.substrate.AnalysisSubstrate.append`
-        wraps this call and also drops the substrate's cached epoch
-        splits.
+        views per epoch, as the batch engine does.
+        :meth:`~repro.core.substrate.AnalysisSubstrate.append` wraps
+        this call and also drops the substrate's cached epoch splits.
 
         A chunk whose labels would push the packed key past 62 bits
         raises ``ValueError`` before anything changes, so the table and

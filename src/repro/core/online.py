@@ -8,7 +8,7 @@ the piece a "coordinated video control plane" (the paper's reference
 
 * feed :class:`OnlineDetector` one epoch of sessions at a time;
 * it runs the per-epoch pipeline (aggregate -> problem clusters ->
-  critical clusters) incrementally and maintains alert lifecycles:
+  critical clusters) on that epoch and maintains alert lifecycles:
   an alert is **raised** when a cluster first turns critical,
   **confirmed** once it has persisted for ``confirm_after`` consecutive
   epochs (the paper's one-hour detection delay corresponds to
@@ -19,17 +19,20 @@ the piece a "coordinated video control plane" (the paper's reference
   matching the Section 5 accounting.
 
 Identities are decoded :class:`ClusterKey` values, so the detector does
-not require a shared vocabulary across epochs — slices from different
-collectors interoperate, and alert lifecycles carry over when the
-stream restarts on a schema change.
+not require a shared vocabulary or schema across epochs — slices from
+different collectors interoperate, and alert lifecycles carry over
+whatever each epoch's table codes its labels as.
 
-Every epoch is appended to the detector's
-:class:`~repro.core.substrate.AnalysisSubstrate` and reduced through
-the batch engine's one aggregation path, an
-:class:`~repro.core.index.EpochClusterView` over the appended rows.
-Each epoch's critical identities are kept on its
-:class:`EpochObservation`, so :meth:`OnlineDetector.critical_keys_at`
-answers from the history, whatever the alert hysteresis.
+Detection is epoch-scoped: each epoch is indexed on its own (one
+:meth:`~repro.core.substrate.AnalysisSubstrate.build`) and reduced
+through the batch engine's one aggregation path, an
+:class:`~repro.core.index.EpochClusterView` over all of its rows. The
+detector keeps the observation history, the alert state and the last
+epoch's substrate, so an epoch costs O(its rows) and the detector's
+state does not grow with the number of epochs observed. Each epoch's
+critical identities are kept on its :class:`EpochObservation`, so
+:meth:`OnlineDetector.critical_keys_at` answers from the history,
+whatever the alert hysteresis.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import numpy as np
 
 from repro.core.clusters import ClusterKey
 from repro.core.critical import find_critical_clusters
+from repro.core.index import EpochClusterView
 from repro.core.metrics import MetricThresholds, QualityMetric
 from repro.core.problems import ProblemClusterConfig, find_problem_clusters
 from repro.core.sessions import SessionTable
@@ -103,7 +107,9 @@ class EpochObservation:
 
 
 class OnlineDetector:
-    """Incremental critical-cluster monitor for one quality metric."""
+    """Critical-cluster monitor for one quality metric, fed one epoch at
+    a time; it holds one epoch's substrate, its alerts and the
+    per-epoch history."""
 
     def __init__(
         self,
@@ -118,16 +124,15 @@ class OnlineDetector:
         Structural causes hover around the significance threshold and
         would otherwise flap raise/clear every other hour.
 
-        Every observed epoch is appended to an internal
-        :class:`~repro.core.substrate.AnalysisSubstrate` — the table
-        and its leaf index grow incrementally — and reduced through the
-        same :class:`~repro.core.index.EpochClusterView` path the batch
-        engine uses. Any table with the stream's schema streams
-        (equivalent tables from the same collector, a fresh table
-        object per epoch, per-epoch slices of one big table); an epoch
-        with a different schema starts a new stream. Alert lifecycles
-        key on decoded :class:`ClusterKey` values, so they carry over
-        the restart."""
+        Every observed epoch is indexed on its own — a fresh
+        :class:`~repro.core.substrate.AnalysisSubstrate` over its rows
+        — and reduced through the same
+        :class:`~repro.core.index.EpochClusterView` path the batch
+        engine uses, so any table streams: a fresh table object per
+        epoch, per-epoch slices of one big table, or tables with
+        different vocabularies or schemas. Alert lifecycles key on
+        decoded :class:`ClusterKey` values, so they carry over from
+        epoch to epoch."""
         if confirm_after < 1:
             raise ValueError("confirm_after must be >= 1")
         if clear_after < 1:
@@ -140,7 +145,7 @@ class OnlineDetector:
         self.open_alerts: dict[ClusterKey, ClusterAlert] = {}
         self.closed_alerts: list[ClusterAlert] = []
         self.history: list[EpochObservation] = []
-        self._stream: AnalysisSubstrate | None = None
+        self._substrate: AnalysisSubstrate | None = None
 
     @property
     def epochs_observed(self) -> int:
@@ -149,43 +154,33 @@ class OnlineDetector:
 
     @property
     def substrate(self) -> AnalysisSubstrate | None:
-        """The incrementally maintained substrate every streamed epoch
-        lands in (``None`` until the first observation). Exposes the
-        full batch path — ``detector.substrate.analyze(...)`` re-runs
-        any config over everything observed since the last schema
-        change."""
-        return self._stream
-
-    def _resolve_stream(self, table: SessionTable) -> AnalysisSubstrate:
-        """The stream ``table`` appends to.
-
-        Compatibility is structural — same attribute schema — not
-        object identity: a fresh but equivalent table every epoch (the
-        case a real collector produces) streams through the same index,
-        with vocabularies merged on append. The first observation, and
-        every table whose schema differs from the stream's, starts a
-        new stream; the caller installs it once the epoch has appended.
-        """
-        stream = self._stream
-        if stream is None or stream.table.schema.names != table.schema.names:
-            stream = AnalysisSubstrate.build(SessionTable.empty(table.schema))
-            stream.index.warm_metric_masks([self.metric], self.thresholds)
-        return stream
+        """The last observed epoch's substrate (``None`` before the
+        first observation). ``detector.substrate.analyze(...)`` re-runs
+        the batch path over that epoch; re-analysing everything
+        observed is :func:`~repro.core.pipeline.analyze_trace` over the
+        stored trace — the detector keeps no sessions but the last
+        epoch's."""
+        return self._substrate
 
     def observe_epoch(
         self, table: SessionTable, rows: np.ndarray | None = None
     ) -> EpochObservation:
         """Consume one epoch of sessions — ``rows`` of ``table``, or all
         of it — and return the epoch summary with any alert
-        transitions."""
+        transitions.
+
+        An epoch whose own vocabularies need more than the packed key's
+        62 bits raises ``ValueError`` and changes nothing: the history,
+        the alerts and :attr:`substrate` stay as they were."""
         epoch = self.epochs_observed
-        if rows is None:
-            rows = np.arange(len(table))
+        n_rows = len(table) if rows is None else int(rows.size)
         with current_tracer().span(
-            "online.observe_epoch", epoch=epoch, rows=int(rows.size)
+            "online.observe_epoch", epoch=epoch, rows=n_rows
         ) as obs_span:
-            observation = self._observe_epoch(table, rows, epoch)
+            view, observation = self._observe_epoch(table, rows, epoch)
             obs_span.set(
+                leaves=view.n_leaves,
+                clusters=view.lattice.n_clusters,
                 problem_clusters=observation.n_problem_clusters,
                 critical_clusters=observation.n_critical_clusters,
             )
@@ -218,19 +213,22 @@ class OnlineDetector:
         metrics.gauge(
             "online.actionable_alleviation", self.total_actionable_alleviation
         )
+        metrics.gauge("online.state_bytes", self._substrate.memory_bytes())
         metrics.observe("online.epoch_sessions", observation.total_sessions)
         metrics.observe("online.epoch_problems", observation.total_problems)
 
     def _observe_epoch(
-        self, table: SessionTable, rows: np.ndarray, epoch: int
-    ) -> EpochObservation:
-        stream = self._resolve_stream(table)
-        new_rows = stream.append(table.select(rows))
-        self._stream = stream
-        floor = epoch_floor(
-            stream.index, new_rows, [(self.problem_config, self.metric)]
+        self, table: SessionTable, rows: np.ndarray | None, epoch: int
+    ) -> tuple[EpochClusterView, EpochObservation]:
+        substrate = AnalysisSubstrate.build(
+            table if rows is None else table.select(rows)
         )
-        view = stream.epoch_view(new_rows, epoch=epoch, floor=floor)
+        substrate.index.warm_metric_masks([self.metric], self.thresholds)
+        every = np.arange(len(substrate))
+        floor = epoch_floor(
+            substrate.index, every, [(self.problem_config, self.metric)]
+        )
+        view = substrate.epoch_view(every, epoch=epoch, floor=floor)
         agg = view.aggregate(self.metric, thresholds=self.thresholds)
         problems = find_problem_clusters(agg, self.problem_config)
         critical = find_critical_clusters(problems)
@@ -287,7 +285,8 @@ class OnlineDetector:
                 observation.events.append(AlertEvent("cleared", epoch, alert))
 
         self.history.append(observation)
-        return observation
+        self._substrate = substrate
+        return view, observation
 
     # -- reporting ---------------------------------------------------------
     @property

@@ -650,35 +650,34 @@ class ResultTable:
                 keys[i] = k
         return [keys[i] for i in ids]
 
-    def _first_seen(self, kind: str) -> tuple[np.ndarray, np.ndarray]:
-        """The rows' identities and the distinct ones in order of first
-        appearance (epoch order, then row order)."""
+    def identities(self, kind: str) -> tuple[np.ndarray, list[ClusterKey]]:
+        """Each row of ``kind``'s identity, numbered in order of first
+        appearance (epoch order, then row order), and the decoded
+        identities in that order, each decoded once."""
         ids = self._row_ids(kind)
         distinct, first = np.unique(ids, return_index=True)
-        return ids, distinct[np.argsort(first)]
+        distinct = distinct[np.argsort(first)]
+        number = np.empty(len(self._ids[2]), dtype=np.int64)
+        number[distinct] = np.arange(distinct.size)
+        return number[ids], self.keys_of(distinct.tolist())
 
     def timelines(self, kind: str) -> dict[ClusterKey, ClusterTimeline]:
         """Per identity, the epoch positions whose ``kind`` rows hold it.
 
-        One ``np.unique`` over the identities orders the keys by first
-        appearance; one stable ``argsort`` lays each identity's rows
-        out in epoch order, and an identity occurs at most once per
-        epoch, so each timeline's epochs are already sorted and unique.
+        :meth:`identities` orders the keys by first appearance; one
+        stable ``argsort`` lays each identity's rows out in epoch
+        order, and an identity occurs at most once per epoch, so each
+        timeline's epochs are already sorted and unique.
         """
-        ids, distinct = self._first_seen(kind)
-        order = np.argsort(ids, kind="stable")
-        epochs = self.positions(kind)[order]
-        counts = np.bincount(ids, minlength=len(self._ids[2]))
+        ids, keys = self.identities(kind)
+        epochs = self.positions(kind)[np.argsort(ids, kind="stable")]
+        counts = np.bincount(ids, minlength=len(keys))
         ends = np.cumsum(counts)
         starts = ends - counts
         n_epochs = len(self)
         return {
             key: ClusterTimeline.presorted(key, epochs[lo:hi], n_epochs)
-            for key, lo, hi in zip(
-                self.keys_of(distinct.tolist()),
-                starts[distinct].tolist(),
-                ends[distinct].tolist(),
-            )
+            for key, lo, hi in zip(keys, starts.tolist(), ends.tolist())
         }
 
     def attribution_totals(self) -> dict[ClusterKey, float]:
@@ -686,13 +685,11 @@ class ResultTable:
         of first appearance. Each identity's rows are summed in epoch
         order (``bincount`` adds in input order), as a running
         ``totals[key] += attribution`` over the epochs would."""
-        ids, distinct = self._first_seen("critical")
+        ids, keys = self.identities("critical")
         sums = np.bincount(
-            ids,
-            weights=self.critical["attributed_problems"],
-            minlength=len(self._ids[2]),
+            ids, weights=self.critical["attributed_problems"], minlength=len(keys)
         )
-        return dict(zip(self.keys_of(distinct.tolist()), sums[distinct].tolist()))
+        return dict(zip(keys, sums.tolist()))
 
     def epoch_analyses(self) -> list["EpochAnalysis"]:
         """One :class:`EpochAnalysis` per epoch position, its clusters

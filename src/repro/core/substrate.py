@@ -39,8 +39,10 @@ changes.
 
 There is one substrate class, batch or streamed:
 :meth:`AnalysisSubstrate.append` grows the table and index online (the
-online detector and the shard store builder use it), and epoch splits
-are always derived per grid from the table, never kept per epoch.
+shard store builder and loaded snapshots use it), and epoch splits
+are always derived per grid from the table, never kept per epoch. The
+online detector builds one substrate per epoch instead, so its state
+does not grow with the stream.
 
 This is the only analysis engine: ``analyze_trace`` is a one-config
 sweep, and :func:`_sweep_batch` (one view batch of epochs, then each
@@ -98,10 +100,9 @@ class AnalysisSubstrate:
     table and the index in place and drops the cached splits, so the
     batch path over everything appended so far stays bit-identical to
     a fresh build over the concatenated chunks (pinned by
-    ``tests/property/test_streaming_equivalence.py``). Streamed
-    per-chunk detection goes through :meth:`epoch_view` on the rows
-    :meth:`append` returned, the view the batch engine builds (this is
-    what :class:`~repro.core.online.OnlineDetector` does). Start a
+    ``tests/property/test_streaming_equivalence.py``). Per-chunk
+    detection can go through :meth:`epoch_view` on the rows
+    :meth:`append` returned, the view the batch engine builds. Start a
     stream from ``AnalysisSubstrate.build(SessionTable.empty(schema))``
     or from a loaded snapshot.
     """

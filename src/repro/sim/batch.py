@@ -11,15 +11,16 @@ steps *all* sessions of a batch through segment ``t`` together:
 * buffer fill/drain/stall is masked in-place array arithmetic
   (:class:`repro.sim.playerbuffer.BatchPlayerBuffer`), and the
   per-session totals accumulate with ``np.add(..., out=, where=)``;
-* join-failure / join-timeout / watch-limit exits are per-session done
-  masks: a finished row simply drops out of the active mask while the
-  rest of the batch keeps stepping.
+* join-timeout and watch-limit exits are per-session done masks: a
+  finished row simply drops out of the active mask while the rest of
+  the batch keeps stepping.
 
 Sessions in one call share the segment grid (``segment_durations_s``)
 — the engine groups sessions by live/VOD class, over a pass of several
 epochs — but each row carries its own ladder, RTT, watch limit, and
-join overhead, and may end its grid early via ``n_segments_per_row``
-(ragged batches).
+join overhead. Sessions whose join fails outright never reach the
+kernel: the engine draws that failure first and passes the surviving
+rows only.
 
 Each step reads one column of the ``(m, T)`` rates, once and in order.
 The engine hands in a stream that draws column ``t`` only when step
@@ -98,8 +99,6 @@ def simulate_batch(
     rtt_s: np.ndarray,
     watch_duration_s: np.ndarray,
     join_overhead_s: np.ndarray,
-    join_failed: np.ndarray | None = None,
-    n_segments_per_row: np.ndarray | None = None,
     startup_buffer_s: float = 4.0,
     buffer_capacity_s: float = 60.0,
     max_join_time_s: float = 120.0,
@@ -116,21 +115,14 @@ def simulate_batch(
     :func:`markov_rate_matrix`) or any object with that ``shape`` that
     serves its columns in order — the engine passes
     :class:`repro.sim.engine.StepDrawnRates`, which draws each column
-    when it is read. ``watch_duration_s`` must be finite. Rows already
-    ``join_failed`` never enter the active mask and come back as failed
-    outputs (the engine passes surviving rows only).
-
-    ``n_segments_per_row`` makes the batch *ragged*: row ``i`` only
-    participates in segments ``t < n_segments_per_row[i]`` — its video
-    simply ends earlier. This lets sessions on different grids share one
-    lockstep pass, provided the shorter grid's durations are a prefix of
-    ``segment_durations_s`` (the caller's responsibility). The engine
-    steps each class on its own grid and does not use it.
+    when it is read. ``watch_duration_s`` must be finite. Every row
+    starts active: the engine passes the rows whose join did not fail
+    outright.
 
     Exit semantics (DESIGN.md §9): a row leaves the active mask when its
-    join times out (``join_time > max_join_time_s`` → failed), when its
-    watch limit is reached, or when its own segment grid runs out; the
-    loop stops early once every row is done.
+    join times out (``join_time > max_join_time_s`` → failed) or when
+    its watch limit is reached; the loop ends with the grid, or early
+    once every row is done.
     """
     if startup_buffer_s <= 0:
         raise ValueError("startup_buffer_s must be positive")
@@ -140,13 +132,6 @@ def simulate_batch(
         raise ValueError("rates_kbps must be (m, n_segments)")
     if not np.all(np.isfinite(watch_duration_s)):
         raise ValueError("watch limits must be finite")
-    if n_segments_per_row is not None and m > 0 and not np.all(
-        (n_segments_per_row >= 1) & (n_segments_per_row <= n_segments)
-    ):
-        raise ValueError("n_segments_per_row must lie in [1, n_segments]")
-    fail0 = (
-        np.zeros(m, dtype=bool) if join_failed is None else join_failed.astype(bool)
-    )
 
     # Fortran order: each rung column the ABR step reads is contiguous.
     ladders = np.asfortranarray(effective_ladders)
@@ -163,11 +148,11 @@ def simulate_batch(
     last_bitrate = np.zeros(m)
     segments = 0
 
-    # Rows only ever leave `active` (join timeout, watch limit, end of
-    # their own grid), so it is updated in place: each exit mask is a
-    # subset of `active` and is cleared from it with one xor.
-    active = ~fail0
-    n_active = int(np.count_nonzero(active))
+    # Rows only ever leave `active` (join timeout, watch limit), so it
+    # is updated in place: each exit mask is a subset of `active` and is
+    # cleared from it with one xor.
+    active = np.ones(m, dtype=bool)
+    n_active = m
     ewma_rest = 1.0 - abr_ewma_alpha
     # Once the startup phase is globally over it never restarts (rows
     # only leave the active mask, `joined` only grows), so the phase
@@ -226,13 +211,8 @@ def simulate_batch(
 
         if in_startup:
             wall = np.where(startup, wall + dl_time, wall)
-            last_seg = (
-                t == n_segments - 1
-                if n_segments_per_row is None
-                else n_segments_per_row == t + 1
-            )
             complete = startup & (
-                (buf.level_s >= startup_buffer_s) | last_seg
+                (buf.level_s >= startup_buffer_s) | (t == n_segments - 1)
             )
             # A row joining on its very last segment never plays a
             # steady segment; its average-bitrate fallback is the rung
@@ -244,12 +224,9 @@ def simulate_batch(
             timed_out |= late
             active ^= late
 
-        if n_segments_per_row is not None:
-            active &= n_segments_per_row > t + 1
         n_active = int(np.count_nonzero(active))
 
-    failed = fail0 | timed_out
-    ok = ~failed
+    ok = ~timed_out
     # Drain whatever is left in each buffer (up to the watch limit).
     remaining = np.maximum(watch_duration_s - watched, 0.0)
     drainable = np.minimum(buf.level_s, remaining)
@@ -258,7 +235,7 @@ def simulate_batch(
     np.divide(bitrate_time, steady_time, out=avg_bitrate, where=steady_time > 0)
 
     return BatchPlaybackResult(
-        failed=failed,
+        failed=timed_out,
         join_time_s=np.where(ok, join_time, np.nan),
         played_s=np.where(ok, played, 0.0),
         buffering_s=np.where(ok, buf.total_stall_s, 0.0),

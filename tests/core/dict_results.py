@@ -16,6 +16,9 @@ This module is the old path, slow and plain:
   critical dict;
 * :func:`type_breakdown` and :func:`single_attribute_shares` — Figure
   10's running sums per attribute-type signature, over the same dicts;
+* :func:`alleviation_matrix` and :func:`cluster_economics` — the
+  what-if alleviation index and the cost-benefit economics, one pass
+  over every epoch's critical dict;
 * :func:`dict_sweep` — a whole trace through the three, one epoch
   view at a time.
 
@@ -37,6 +40,8 @@ from repro.analysis.breakdown import (
     signature_label,
     single_attribute_share,
 )
+from repro.analysis.costbenefit import CostModel, _cluster_economics
+from repro.analysis.whatif import AlleviationIndex, alleviation_index, cluster_alleviation
 from repro.core.attributes import DEFAULT_SCHEMA
 from repro.core.epoching import EpochGrid
 from repro.core.critical import detect_critical_clusters
@@ -151,6 +156,45 @@ def single_attribute_shares(
     return {a: v / attributed for a, v in totals.items()}
 
 
+def alleviation_matrix(epochs: Sequence[EpochAnalysis]) -> AlleviationIndex:
+    """The what-if alleviation index: each critical key's alleviation
+    per epoch, keys in order of first appearance."""
+    key_index: dict = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    vals: list[float] = []
+    for e, epoch in enumerate(epochs):
+        g = epoch.global_ratio
+        for key, att in epoch.critical_clusters.items():
+            rows.append(key_index.setdefault(key, len(key_index)))
+            cols.append(e)
+            vals.append(max(att.attributed_problems - g * att.attributed_sessions, 0.0))
+    value = np.zeros((len(key_index), len(epochs)))
+    flagged = np.zeros((len(key_index), len(epochs)), dtype=bool)
+    if rows:
+        value[rows, cols] = vals
+        flagged[rows, cols] = True
+    return AlleviationIndex(
+        keys=tuple(key_index), key_index=key_index, value=value, flagged=flagged
+    )
+
+
+def cluster_economics(epochs: Sequence[EpochAnalysis], cost_model: CostModel) -> list:
+    """Per critical key, in order of first appearance: (key, alleviation
+    summed over the epochs in order, fix cost of its attributed
+    sessions summed the same way)."""
+    alleviation: dict = {}
+    sessions: dict = {}
+    for epoch in epochs:
+        for key, attribution in epoch.critical_clusters.items():
+            alleviation[key] = alleviation.get(key, 0.0) + cluster_alleviation(epoch, key)
+            sessions[key] = sessions.get(key, 0.0) + attribution.attributed_sessions
+    return [
+        (key, gain, cost_model.cost_of(key, sessions[key]))
+        for key, gain in alleviation.items()
+    ]
+
+
 def dict_sweep(
     table, configs: Sequence[AnalysisConfig], grid: EpochGrid | None = None
 ) -> list[dict[str, list[EpochAnalysis]]]:
@@ -235,8 +279,9 @@ def assert_epochs_match(got: Sequence[EpochAnalysis], want: Sequence[EpochAnalys
 def assert_matches_dicts(ma, want: Sequence[EpochAnalysis]) -> None:
     """A metric analysis against the dict path over the same epochs:
     decoded epochs, timelines (ordered keys, epochs, dtypes), the
-    prevalence and persistence values, the attribution totals and the
-    Figure 10 breakdowns."""
+    prevalence and persistence values, the attribution totals, the
+    Figure 10 breakdowns, the what-if alleviation index and the
+    cost-benefit economics."""
     assert_epochs_match(ma.epochs, want)
     n = len(want)
     for kind, timelines in (
@@ -271,6 +316,18 @@ def assert_matches_dicts(ma, want: Sequence[EpochAnalysis]) -> None:
     assert list(shares.items()) == list(expected_shares.items())
     for name, value in shares.items():
         _same(value, expected_shares[name])
+    index, expected_index = alleviation_index(ma), alleviation_matrix(want)
+    assert index.keys == expected_index.keys
+    assert list(index.key_index.items()) == list(expected_index.key_index.items())
+    _same(index.value, expected_index.value)
+    _same(index.flagged, expected_index.flagged)
+    cost_model = CostModel()
+    economics = _cluster_economics(ma, cost_model)
+    expected_economics = cluster_economics(want, cost_model)
+    assert economics == expected_economics
+    for got_item, want_item in zip(economics, expected_economics):
+        for g, w in zip(got_item, want_item):
+            _same(g, w)
 
 
 def assert_analysis_matches_dicts(

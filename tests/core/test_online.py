@@ -5,10 +5,13 @@ import pytest
 
 from repro.core.clusters import ClusterKey
 from repro.core.epoching import split_into_epochs
-from repro.core.metrics import JOIN_FAILURE
+from repro.core.metrics import ALL_METRICS, JOIN_FAILURE
 from repro.core.online import OnlineDetector
 from repro.core.problems import ProblemClusterConfig
 from repro.core.sessions import SessionTable
+from repro.core.substrate import AnalysisSubstrate, epoch_floor
+from repro.obs import MetricsRegistry, Tracer, use_metrics, use_tracer
+from repro.trace import StandardWorkloads, generate_trace
 from tests.conftest import make_session
 
 
@@ -150,15 +153,14 @@ class TestOnlineMatchesBatch:
 
 class TestSchemaChange:
     def test_schema_change_starts_a_new_stream(self, tiny_trace):
-        """An epoch whose schema differs from the stream's (8 attributes
-        after 7) starts a new stream, which the next 7-attribute epoch
-        replaces in turn. Each epoch's observation equals the direct
-        oracle's."""
+        """Every epoch is indexed under its own table's schema, 8
+        attributes after 7 and 7 again after 8: the detector's
+        substrate holds that epoch alone, and each epoch's observation
+        equals the direct oracle's."""
         from dataclasses import replace
 
         from repro.core.critical import find_critical_clusters
         from repro.core.problems import find_problem_clusters
-        from repro.trace import StandardWorkloads, generate_trace
         from tests.core.direct_aggregate import aggregate_epoch
 
         table = tiny_trace.table
@@ -186,12 +188,7 @@ class TestSchemaChange:
             assert critical.n_clusters > 0
             assert detector.critical_keys_at(epoch) == set(critical.decoded())
             assert detector.substrate.table.schema == source.schema
-            if epoch == 2:
-                assert len(detector.substrate) == sum(
-                    per_epoch[e].size for e in range(3)
-                )
-            elif epoch >= 3:
-                assert len(detector.substrate) == rows.size
+            assert len(detector.substrate) == rows.size
 
     def test_alert_lifecycle_carries_over(self):
         """Alerts key on decoded identities: a cluster critical on both
@@ -218,6 +215,125 @@ class TestSchemaChange:
         (alert,) = [a for a in detector.all_alerts if a.key == BAD_KEY]
         assert alert.is_open and alert.consecutive_epochs == 4
         assert detector.substrate.table.schema == DEFAULT_SCHEMA
+
+
+def replay_alerts(epochs, confirm_after: int = 2) -> dict:
+    """Per alert, keyed ``(key, raised epoch)``: its attributed problems
+    and its actionable alleviation as running sums, in epoch order,
+    over a batch analysis's critical attributions. With ``clear_after=1``
+    an alert is one streak of consecutive critical epochs, confirmed
+    from its ``confirm_after``-th epoch on."""
+    streaks: dict = {}
+    alerts: dict = {}
+    for e, epoch in enumerate(epochs):
+        for key, att in epoch.critical_clusters.items():
+            raised, length, attributed, saved = streaks.get(key, (e, 0, 0.0, 0.0))
+            length += 1
+            attributed += att.attributed_problems
+            if length >= confirm_after:
+                baseline = epoch.global_ratio * att.attributed_sessions
+                saved += max(att.attributed_problems - baseline, 0.0)
+            streaks[key] = (raised, length, attributed, saved)
+        for key in [k for k in streaks if k not in epoch.critical_clusters]:
+            raised, _, attributed, saved = streaks.pop(key)
+            alerts[key, raised] = (attributed, saved)
+    for key, (raised, _, attributed, saved) in streaks.items():
+        alerts[key, raised] = (attributed, saved)
+    return alerts
+
+
+class TestEpochScoped:
+    def test_alert_floats_equal_the_batch_running_sums(
+        self, tiny_trace, tiny_analysis
+    ):
+        """Each epoch's rows keep the trace's vocabularies, so its leaf
+        order, and hence every attribution's summation order, is the
+        batch analysis's: every alert's sums equal the running sums
+        over ``analyze_trace``'s attributions, float for float."""
+        table = tiny_trace.table
+        _, per_epoch = split_into_epochs(table, tiny_trace.grid)
+        assert len(per_epoch) == 24
+        for metric in ALL_METRICS:
+            detector = OnlineDetector(metric)
+            for rows in per_epoch:
+                detector.observe_epoch(table, rows)
+            got = {
+                (a.key, a.raised_epoch): (
+                    a.total_attributed_problems,
+                    a.actionable_alleviation,
+                )
+                for a in detector.all_alerts
+            }
+            want = replay_alerts(tiny_analysis[metric.name].epochs)
+            assert got == want, metric.name
+            assert any(saved > 0 for _, saved in want.values()), metric.name
+
+    def test_state_is_the_last_epoch_alone(self):
+        """After every epoch of a 72-epoch trace, the detector holds that
+        epoch's substrate and nothing more: as many rows, and the bytes
+        of a fresh build over them with the metric's masks warmed. The
+        ``online.state_bytes`` gauge reads those bytes."""
+        trace = generate_trace(StandardWorkloads.small(seed=42))
+        _, per_epoch = split_into_epochs(trace.table, trace.grid)
+        assert len(per_epoch) == 72
+        detector = OnlineDetector(JOIN_FAILURE)
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            for rows in per_epoch:
+                detector.observe_epoch(trace.table, rows)
+                fresh = AnalysisSubstrate.build(trace.table.select(rows))
+                fresh.index.warm_metric_masks([JOIN_FAILURE], detector.thresholds)
+                assert len(detector.substrate) == rows.size
+                assert detector.substrate.memory_bytes() == fresh.memory_bytes()
+                assert registry.gauges["online.state_bytes"] == fresh.memory_bytes()
+
+    def test_span_records_the_view_size(self, tiny_trace):
+        """The ``online.observe_epoch`` span carries the leaves and kept
+        clusters of the epoch's view."""
+        table = tiny_trace.table
+        _, per_epoch = split_into_epochs(table, tiny_trace.grid)
+        detector = OnlineDetector(JOIN_FAILURE)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            for rows in per_epoch[:3]:
+                detector.observe_epoch(table, rows)
+        spans = tracer.find("online.observe_epoch")
+        assert len(spans) == 3
+        served = [(detector.problem_config, JOIN_FAILURE)]
+        for epoch, (span, rows) in enumerate(zip(spans, per_epoch)):
+            fresh = AnalysisSubstrate.build(table.select(rows))
+            every = np.arange(rows.size)
+            view = fresh.epoch_view(
+                every, epoch, floor=epoch_floor(fresh.index, every, served)
+            )
+            assert span.attrs["leaves"] == view.n_leaves > 0
+            assert span.attrs["clusters"] == view.lattice.n_clusters > 0
+
+    @pytest.mark.parametrize("clear_after", [1, 2])
+    def test_empty_epoch_mid_stream(self, clear_after):
+        """An empty epoch is observed like any other: no sessions and no
+        clusters, and one epoch of absence for every open alert."""
+        detector = OnlineDetector(
+            JOIN_FAILURE, problem_config=CONFIG, clear_after=clear_after
+        )
+        detector.observe_epoch(epoch_table(0.5, seed=110))
+        empty = detector.observe_epoch(
+            epoch_table(0.5, seed=111), np.empty(0, dtype=np.int64)
+        )
+        assert (empty.epoch, empty.total_sessions, empty.total_problems) == (1, 0, 0)
+        assert empty.n_problem_clusters == 0
+        assert empty.critical_keys == frozenset()
+        assert len(detector.substrate) == 0
+        detector.observe_epoch(epoch_table(0.5, seed=112))
+        bad = [a for a in detector.all_alerts if a.key == BAD_KEY]
+        if clear_after == 1:
+            assert [(a.raised_epoch, a.cleared_epoch) for a in bad] == [
+                (0, 1), (2, None),
+            ]
+        else:
+            (alert,) = bad
+            assert alert.is_open and alert.total_active_epochs == 2
+        assert detector.critical_keys_at(1) == set()
 
 
 class TestHysteresis:

@@ -3,9 +3,13 @@
 A session's attribute codes pack into one ``int64`` of at most 62 bits
 (:class:`~repro.core.aggregation.KeyCodec`). At the limit every path
 returns the reference answer; one bit past it, every path fails loudly
-— a ``ValueError`` from the library, exit 2 from the CLI — and a
-stream that rejects a chunk is left as it was.
+— a ``ValueError`` from the library, exit 2 from the CLI — and an
+index that rejects a chunk, or an online detector that rejects an
+epoch, is left as it was. The online detector indexes each epoch on
+its own, so only the epoch's own vocabularies count toward the limit.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,12 +17,15 @@ import pytest
 from repro.cli import main
 from repro.core.aggregation import KeyCodec
 from repro.core.attributes import DEFAULT_SCHEMA
+from repro.core.critical import find_critical_clusters
 from repro.core.index import TraceClusterIndex
 from repro.core.metrics import ALL_METRICS, JOIN_FAILURE, MetricThresholds
 from repro.core.online import OnlineDetector
 from repro.core.pipeline import analyze_trace
+from repro.core.problems import find_problem_clusters
 from repro.core.sessions import SessionTable
 from repro.io.traceio import write_sessions_csv, write_sessions_jsonl
+from tests.core.direct_aggregate import aggregate_epoch
 from tests.property.test_parallel_equivalence import (
     ALL_METRICS_CONFIG,
     SMALL_CONFIG,
@@ -36,19 +43,21 @@ MULTIPLIERS = (1, 3, 5, 7, 11, 13)
 
 
 def wide_table(
-    n_last: int = 256, n_rows: int = 2048, start: float = 0.0
+    n_last: int = 256, n_rows: int = 2048, start: float = 0.0, tag: str = ""
 ) -> SessionTable:
     """Six attributes with 512 labels and the last with ``n_last``:
     ``6 * 9 + 8 = 62`` bits at the default ``n_last``. Every session
     whose last attribute is one of its first four labels fails to
-    join, so those four clusters are problem and critical clusters."""
+    join, so those four clusters are problem and critical clusters.
+    ``tag`` goes into every label of the last attribute, so tables
+    with different tags share no label there."""
     i = np.arange(n_rows)
     codes = np.empty((n_rows, len(DEFAULT_SCHEMA)), dtype=np.int32)
     for k, mult in enumerate(MULTIPLIERS):
         codes[:, k] = (i * mult + k) % 512
     codes[:, -1] = i % n_last
     vocabs = [[f"{name}{c}" for c in range(512)] for name in DEFAULT_SCHEMA.names]
-    vocabs[-1] = vocabs[-1][:n_last]
+    vocabs[-1] = [f"{DEFAULT_SCHEMA.names[-1]}{tag}{c}" for c in range(n_last)]
     failed = codes[:, -1] < 4
     return SessionTable(
         schema=DEFAULT_SCHEMA,
@@ -164,9 +173,16 @@ class TestRejectedAppend:
         detector = OnlineDetector(JOIN_FAILURE, problem_config=config)
         first, second = wide_table(), wide_table(start=7200.0)
         detector.observe_epoch(first)
+        substrate = detector.substrate
+        history = list(detector.history)
+        alerts = [replace(alert) for alert in detector.all_alerts]
+        assert len(alerts) == 4
         with pytest.raises(ValueError, match="63 bits"):
-            detector.observe_epoch(one_session("connection_type_new", 3600.0))
+            detector.observe_epoch(wide_table(n_last=257, start=3600.0))
         assert detector.epochs_observed == 1
+        assert detector.history == history
+        assert detector.all_alerts == alerts
+        assert detector.substrate is substrate
         assert_equal_tables(detector.substrate.table, first)
 
         observation = detector.observe_epoch(second)
@@ -182,3 +198,45 @@ class TestRejectedAppend:
         assert observation.n_critical_clusters == len(expected.critical_clusters)
         assert detector.critical_keys_at(1) == set(expected.critical_clusters)
         assert len(expected.critical_clusters) == 4
+
+        # A label no earlier epoch had fits the epoch's own 62 bits.
+        observation = detector.observe_epoch(
+            one_session("connection_type_new", 10800.0)
+        )
+        assert (observation.epoch, observation.total_sessions) == (2, 1)
+        assert len(detector.substrate) == 1
+
+
+class TestOnlineEpochs:
+    def test_epochs_past_62_bits_together_are_each_observed(self):
+        """Three epochs that fit 62 bits each, with 768 labels of the
+        last attribute between them (64 bits as one vocabulary): every
+        epoch is observed and equals the direct per-epoch oracle."""
+        tags = ("", "_b", "_c")
+        epochs = [
+            wide_table(start=3600.0 * e, tag=tag) for e, tag in enumerate(tags)
+        ]
+        for table in epochs:
+            assert int(KeyCodec.from_table(table).widths.sum()) == 62
+        with pytest.raises(ValueError, match="64 bits"):
+            KeyCodec.layout([512] * 6 + [3 * 256])
+
+        config = SMALL_CONFIG.problem_config
+        detector = OnlineDetector(JOIN_FAILURE, problem_config=config)
+        for epoch, (table, tag) in enumerate(zip(epochs, tags)):
+            observation = detector.observe_epoch(table)
+            agg = aggregate_epoch(
+                table, np.arange(len(table)), JOIN_FAILURE, epoch=epoch,
+                thresholds=detector.thresholds,
+            )
+            problems = find_problem_clusters(agg, config)
+            critical = find_critical_clusters(problems)
+            assert observation.epoch == epoch
+            assert observation.total_sessions == agg.total_sessions
+            assert observation.total_problems == agg.total_problems
+            assert observation.n_problem_clusters == problems.n_clusters
+            assert detector.critical_keys_at(epoch) == set(critical.decoded())
+            assert {key.label() for key in observation.critical_keys} == {
+                f"[connection_type=connection_type{tag}{c}]" for c in range(4)
+            }
+        assert detector.epochs_observed == 3

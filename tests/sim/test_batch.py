@@ -3,8 +3,9 @@
 The batch engine's end-to-end bit-identity lives in
 ``tests/property/test_sim_batch_equivalence.py``; these tests pin down
 each vectorized kernel in isolation — degenerate shapes (empty batch,
-all-failed batch, one-segment grids), the ragged ``n_segments_per_row``
-mode, and the hand-checkable single-session arithmetic.
+one-segment grids), the join forced on the last segment, the
+join-timeout and watch-limit exits, and the hand-checkable
+single-session arithmetic.
 """
 
 import numpy as np
@@ -122,16 +123,6 @@ class TestSimulateBatchShapes:
         assert len(result) == 0
         assert result.segments_downloaded == 0
 
-    def test_all_failed_batch(self):
-        result = run_batch(
-            [[500.0, np.inf]] * 3, [4.0] * 5, np.full((3, 5), 2000.0),
-            join_failed=np.array([True, True, True]),
-        )
-        assert np.all(result.failed)
-        assert np.all(np.isnan(result.join_time_s))
-        assert np.all(result.played_s == 0.0)
-        assert result.segments_downloaded == 0
-
     def test_one_segment_grid(self):
         """One 4 s segment at 2000 kbps: the session must join on it
         (last-segment forcing) and drain the single banked segment."""
@@ -148,6 +139,20 @@ class TestSimulateBatchShapes:
         assert result.buffering_s[0] == 0.0
         assert result.avg_bitrate_kbps[0] == 1500.0  # startup-rung fallback
         assert result.segments_downloaded == 1
+
+    def test_last_segment_forces_the_join(self):
+        """Two 4 s segments never fill a 10 s startup buffer: the
+        session joins on its last segment and drains both."""
+        result = run_batch(
+            [[500.0]], [4.0, 4.0], [[2000.0, 2000.0]],
+            watch_duration_s=np.array([300.0]), startup_buffer_s=10.0,
+        )
+        assert not result.failed[0]
+        dl = 0.05 + 4.0 * 500.0 / 2000.0
+        assert result.join_time_s[0] == dl + dl
+        assert result.played_s[0] == 8.0
+        assert result.avg_bitrate_kbps[0] == 500.0
+        assert result.segments_downloaded == 2
 
     def test_join_timeout_marks_failed(self):
         result = run_batch(
@@ -169,49 +174,6 @@ class TestSimulateBatchShapes:
         # Played wall time is bounded by watch + one final buffer drain.
         assert result.played_s[0] <= 20.0 + 60.0
         assert result.segments_downloaded < 100
-
-
-class TestRaggedBatches:
-    def test_ragged_equals_separate_uniform_runs(self):
-        """A ragged two-row batch == each row run alone on its own grid."""
-        rng = np.random.default_rng(42)
-        durations = np.full(8, 4.0)
-        ladders = np.array([[300.0, 900.0], [500.0, 2500.0]])
-        rates = rng.uniform(500.0, 8000.0, size=(2, 8))
-        n_seg = np.array([3, 8])
-        watch = np.array([500.0, 500.0])
-        ragged = run_batch(
-            ladders, durations, rates,
-            n_segments_per_row=n_seg, watch_duration_s=watch,
-        )
-        singles = [
-            run_batch(
-                ladders[i : i + 1], durations[: n_seg[i]],
-                rates[i : i + 1, : n_seg[i]],
-                watch_duration_s=watch[i : i + 1],
-            )
-            for i in range(2)
-        ]
-        for attr in ("failed", "join_time_s", "played_s", "buffering_s",
-                     "avg_bitrate_kbps"):
-            got = getattr(ragged, attr)
-            want = [getattr(s, attr)[0] for s in singles]
-            assert np.array_equal(got, want, equal_nan=got.dtype.kind == "f"), attr
-        assert ragged.segments_downloaded == sum(
-            s.segments_downloaded for s in singles
-        )
-
-    def test_ragged_bounds_validated(self):
-        with pytest.raises(ValueError, match="n_segments_per_row"):
-            run_batch(
-                [[500.0]], [4.0, 4.0], [[1000.0, 1000.0]],
-                n_segments_per_row=np.array([0]),
-            )
-        with pytest.raises(ValueError, match="n_segments_per_row"):
-            run_batch(
-                [[500.0]], [4.0, 4.0], [[1000.0, 1000.0]],
-                n_segments_per_row=np.array([3]),
-            )
 
 
 class TestSimulateBatchValidation:
@@ -269,7 +231,13 @@ class TestAgainstScalarLoop:
             rates = markov_rate_matrix(
                 np.array([6000.0]), uniforms, jitter, CUM, FACTORS
             )
+            # The engine draws the join failure before the kernel and
+            # passes surviving sessions only.
             p = 1e-4
+            join_failed = u_join < p / (1.0 - p) / (1.0 + p / (1.0 - p))
+            assert join_failed == scalar.failed
+            if join_failed:
+                continue
             result = simulate_batch(
                 effective_ladders=np.array(
                     [[300.0, 800.0, 2000.0, 4500.0]]
@@ -279,11 +247,8 @@ class TestAgainstScalarLoop:
                 rtt_s=np.array([0.08]),
                 watch_duration_s=np.array([90.0]),
                 join_overhead_s=np.array([0.0]),
-                join_failed=np.array([u_join < p / (1.0 - p) / (1.0 + p / (1.0 - p))]),
             )
             assert result.failed[0] == scalar.failed
-            if scalar.failed:
-                continue
             assert result.join_time_s[0] == scalar.join_time_s
             assert result.played_s[0] == scalar.played_s
             assert result.buffering_s[0] == scalar.buffering_s
