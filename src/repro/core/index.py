@@ -11,8 +11,9 @@ sessions are packed once and reduced to the trace's sorted leaf
 universe (``leaf_keys`` + a row -> leaf inverse), and per-metric
 validity/problem masks over the whole table are computed once and
 sliced per epoch. Nothing per attribute mask is kept at this level, so
-building is one pack plus one ``np.unique`` and appending a chunk is
-one sorted leaf merge plus a ``row_to_leaf`` remap.
+building is one pack plus one ``np.unique``. That build is the index's
+only construction path: a table that grows is indexed again, lazily,
+on the next read (:attr:`repro.core.substrate.AnalysisSubstrate.index`).
 
 **Epoch level** (:class:`EpochClusterView`, one per epoch, shared by
 every metric): the *iceberg* lattice of the epoch's active leaves —
@@ -78,30 +79,8 @@ import numpy as np
 from repro.core.aggregation import EpochAggregate, EpochLattice, KeyCodec
 from repro.core.attributes import popcount
 from repro.core.metrics import MetricThresholds, QualityMetric
-from repro.core.sessions import Session, SessionTable, grow_append
+from repro.core.sessions import SessionTable
 from repro.obs import current_metrics, current_tracer
-
-
-def _merge_sorted_unique(
-    old: np.ndarray, fresh: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge two disjoint sorted unique key arrays.
-
-    Returns ``(merged, old_to_new)`` where ``merged[old_to_new] == old``.
-    ``merged`` is exactly what ``np.unique`` over the concatenation
-    would produce, so incremental maintenance stays bit-identical to a
-    from-scratch build.
-    """
-    old_to_new = np.arange(old.size, dtype=np.int64) + np.searchsorted(
-        fresh, old
-    )
-    fresh_to_new = np.arange(fresh.size, dtype=np.int64) + np.searchsorted(
-        old, fresh
-    )
-    merged = np.empty(old.size + fresh.size, dtype=old.dtype)
-    merged[old_to_new] = old
-    merged[fresh_to_new] = fresh
-    return merged, old_to_new
 
 
 class TraceClusterIndex:
@@ -111,7 +90,9 @@ class TraceClusterIndex:
     rows subset of the same table.
     The index snapshots the table's vocabularies through its
     :class:`KeyCodec`, so decoded cluster identities are stable across
-    epochs.
+    epochs. It covers the table as it was built and is never updated:
+    :meth:`~repro.core.substrate.AnalysisSubstrate.append` drops it and
+    the next read of ``substrate.index`` builds a new one.
     """
 
     __slots__ = (
@@ -121,8 +102,6 @@ class TraceClusterIndex:
         "row_to_leaf",
         "_valid_masks",
         "_problem_masks",
-        "_metric_objs",
-        "_grow",
     )
 
     def __init__(
@@ -140,13 +119,6 @@ class TraceClusterIndex:
         self._problem_masks: dict[
             tuple[str, MetricThresholds], np.ndarray
         ] = {}
-        # Metric objects behind the cached masks: append() needs them to
-        # extend the masks chunk-wise. Entries without a tracked object
-        # (e.g. masks restored from a snapshot) are dropped on append
-        # and lazily recomputed.
-        self._metric_objs: dict[str, QualityMetric] = {}
-        # Doubling buffers for append-grown arrays (row_to_leaf, masks).
-        self._grow: dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -174,121 +146,6 @@ class TraceClusterIndex:
         return index
 
     # ------------------------------------------------------------------
-    # Incremental maintenance
-    # ------------------------------------------------------------------
-    def append(self, chunk: "SessionTable | Iterable[Session]") -> np.ndarray:
-        """Fold a chunk of new sessions into the table and the index.
-
-        Extends the table in place (:meth:`SessionTable.extend`), then
-        merges the chunk's unseen leaves into the sorted leaf universe
-        and extends ``row_to_leaf`` and the warmed metric masks —
-        without rebuilding from scratch. The result is bit-identical to
-        ``TraceClusterIndex.build`` over the concatenated table (pinned
-        by ``tests/property/test_streaming_equivalence.py``).
-
-        Cost: O(chunk rows) when the chunk brings no unseen leaf;
-        otherwise one sorted merge of the leaf keys plus a gather that
-        renumbers ``row_to_leaf`` (no re-packing of old rows). A full
-        key rebuild happens only when a vocabulary crosses a
-        power-of-two size boundary and changes the packed-key bit
-        layout — O(log V) times over a stream's lifetime. Array storage
-        grows by doubling, so repeated epoch-sized appends are
-        amortized O(total appended rows).
-
-        Outstanding :class:`EpochClusterView` objects reference the
-        pre-append arrays and must not be used after an append; build
-        views per epoch, as the batch engine does.
-        :meth:`~repro.core.substrate.AnalysisSubstrate.append` wraps
-        this call and also drops the substrate's cached epoch splits.
-
-        A chunk whose labels would push the packed key past 62 bits
-        raises ``ValueError`` before anything changes, so the table and
-        the index stay as they were and later chunks still append.
-
-        Returns the appended row indices.
-        """
-        if not isinstance(chunk, SessionTable):
-            chunk = SessionTable.from_sessions(chunk, schema=self.table.schema)
-        widths, _ = KeyCodec.layout(self.table.merged_vocab_sizes(chunk))
-        rows = self.table.extend(chunk)
-        if rows.size:
-            current_metrics().inc("index.appends")
-            current_metrics().inc("index.appended_rows", int(rows.size))
-            self._extend_metric_masks(rows)
-        if not np.array_equal(widths, self.codec.widths):
-            # A vocabulary crossed a power-of-two boundary (even through
-            # an empty chunk's labels), so every packed key changes
-            # layout. The (already extended) metric masks are
-            # key-independent and carry over unchanged.
-            fresh = TraceClusterIndex.build(self.table)
-            self.codec = fresh.codec
-            self.leaf_keys = fresh.leaf_keys
-            self.row_to_leaf = fresh.row_to_leaf
-        elif rows.size:
-            self._append_keys(rows)
-        return rows
-
-    def _extend_metric_masks(self, rows: np.ndarray) -> None:
-        """Extend cached metric masks over the appended rows.
-
-        Every registered metric's validity/problem predicate is
-        row-elementwise, so evaluating it on the chunk alone equals the
-        corresponding slice of a whole-table evaluation. Cached masks
-        whose metric object is unknown (restored from a snapshot) are
-        dropped and recomputed lazily on next use.
-        """
-        if not self._valid_masks and not self._problem_masks:
-            return
-        chunk = self.table.select(rows)
-        for name in list(self._valid_masks):
-            metric = self._metric_objs.get(name)
-            if metric is None:
-                del self._valid_masks[name]
-                continue
-            self._valid_masks[name] = grow_append(
-                self._grow,
-                ("valid", name),
-                self._valid_masks[name],
-                metric.valid_mask(chunk),
-            )
-        for key in list(self._problem_masks):
-            name, thresholds = key
-            metric = self._metric_objs.get(name)
-            if metric is None:
-                del self._problem_masks[key]
-                continue
-            self._problem_masks[key] = grow_append(
-                self._grow,
-                ("problem",) + key,
-                self._problem_masks[key],
-                metric.problem_mask(chunk, thresholds),
-            )
-
-    def _append_keys(self, rows: np.ndarray) -> None:
-        """Merge the appended rows' packed keys into the leaf universe."""
-        packed = self.codec.pack(self.table.codes[rows])
-        chunk_keys, chunk_inv = np.unique(packed, return_inverse=True)
-
-        n_old = self.leaf_keys.size
-        pos = np.searchsorted(self.leaf_keys, chunk_keys)
-        known = np.zeros(chunk_keys.size, dtype=bool)
-        if n_old:
-            known = (pos < n_old) & (
-                self.leaf_keys[np.minimum(pos, n_old - 1)] == chunk_keys
-            )
-        row_to_leaf = self.row_to_leaf
-        if not known.all():
-            merged, old_to_new = _merge_sorted_unique(
-                self.leaf_keys, chunk_keys[~known]
-            )
-            row_to_leaf = old_to_new[row_to_leaf].astype(np.int32, copy=False)
-            pos = np.searchsorted(merged, chunk_keys)
-            self.leaf_keys = merged
-        self.row_to_leaf = grow_append(
-            self._grow, "row_to_leaf", row_to_leaf, pos[chunk_inv]
-        )
-
-    # ------------------------------------------------------------------
     # Precomputed structure
     # ------------------------------------------------------------------
     @property
@@ -306,7 +163,6 @@ class TraceClusterIndex:
         if cached is None:
             cached = metric.valid_mask(self.table)
             self._valid_masks[metric.name] = cached
-        self._metric_objs[metric.name] = metric
         return cached
 
     def problem_mask(
@@ -319,7 +175,6 @@ class TraceClusterIndex:
         if cached is None:
             cached = metric.problem_mask(self.table, thresholds)
             self._problem_masks[key] = cached
-        self._metric_objs[metric.name] = metric
         return cached
 
     def metric_masks(

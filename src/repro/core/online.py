@@ -144,6 +144,9 @@ class OnlineDetector:
         self.clear_after = clear_after
         self.open_alerts: dict[ClusterKey, ClusterAlert] = {}
         self.closed_alerts: list[ClusterAlert] = []
+        # Running total of the closed alerts' alleviation, in closing
+        # order, so the total never re-reads the history.
+        self._closed_alleviation = 0.0
         self.history: list[EpochObservation] = []
         self._substrate: AnalysisSubstrate | None = None
 
@@ -282,6 +285,7 @@ class OnlineDetector:
                 self.open_alerts.pop(key)
                 alert.cleared_epoch = epoch - alert.absent_epochs + 1
                 self.closed_alerts.append(alert)
+                self._closed_alleviation += alert.actionable_alleviation
                 observation.events.append(AlertEvent("cleared", epoch, alert))
 
         self.history.append(observation)
@@ -300,8 +304,13 @@ class OnlineDetector:
     @property
     def total_actionable_alleviation(self) -> float:
         """Problem sessions that acting on confirmed alerts would have
-        saved so far."""
-        return float(sum(a.actionable_alleviation for a in self.all_alerts))
+        saved so far: the left-to-right sum over :attr:`all_alerts`,
+        read off a running total of the closed ones plus the open ones,
+        so its cost does not grow with the history."""
+        total = self._closed_alleviation
+        for alert in self.open_alerts.values():
+            total += alert.actionable_alleviation
+        return total
 
     def critical_keys_at(self, epoch: int) -> set[ClusterKey]:
         """Identities critical at ``epoch`` (empty if not yet observed).

@@ -16,7 +16,7 @@ measurements (Section 2). Two representations are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -124,38 +124,6 @@ def _grow_capacity(needed: int) -> int:
     while cap < needed:
         cap <<= 1
     return cap
-
-
-def grow_append(
-    buffers: dict, key: "Hashable", current: np.ndarray, part: np.ndarray
-) -> np.ndarray:
-    """Append ``part`` behind ``current`` with an amortized doubling buffer.
-
-    ``buffers[key]`` holds the over-allocated backing array; the return
-    value is the exact-length view to publish. When ``current`` already
-    fronts the buffer (the steady-state append pattern) only ``part``
-    is copied; when it does not — first append, dtype change, or the
-    caller rewrote the prefix (e.g. a leaf-id remap) — the prefix is
-    (re)copied into the buffer. Works for read-only inputs (e.g.
-    mmap-backed views): the buffer is always freshly owned storage.
-    """
-    n, m = current.shape[0], part.shape[0]
-    buf = buffers.get(key)
-    if (
-        buf is None
-        or buf.shape[0] < n + m
-        or buf.dtype != current.dtype
-        or buf.shape[1:] != current.shape[1:]
-    ):
-        buf = np.empty(
-            (_grow_capacity(n + m),) + current.shape[1:], dtype=current.dtype
-        )
-        buffers[key] = buf
-        buf[:n] = current
-    elif current.base is not buf:
-        buf[:n] = current
-    buf[n : n + m] = part
-    return buf[: n + m]
 
 
 class SessionTable:
@@ -395,10 +363,28 @@ class SessionTable:
         return self._encoders
 
     def _append_column(self, name: str, current: np.ndarray, part: np.ndarray) -> np.ndarray:
-        """Append ``part`` behind ``current`` using a doubling buffer."""
+        """Append ``part`` behind ``current`` using a doubling buffer.
+
+        ``self._buffers[name]`` holds the over-allocated backing array;
+        the return value is the exact-length view to publish. When
+        ``current`` already fronts the buffer (every append after the
+        first) only ``part`` is copied; otherwise the prefix is copied
+        in too. Works for read-only inputs (e.g. mmap-backed views of a
+        loaded snapshot): the buffer is always freshly owned storage.
+        """
         if self._buffers is None:
             self._buffers = {}
-        return grow_append(self._buffers, name, current, part)
+        n, m = current.shape[0], part.shape[0]
+        buf = self._buffers.get(name)
+        if buf is None or buf.shape[0] < n + m:
+            buf = np.empty(
+                (_grow_capacity(n + m),) + current.shape[1:], dtype=current.dtype
+            )
+            self._buffers[name] = buf
+        if current.base is not buf:
+            buf[:n] = current
+        buf[n : n + m] = part
+        return buf[: n + m]
 
     def extend(self, chunk: "SessionTable | Iterable[Session]") -> np.ndarray:
         """Append a chunk of sessions in place; returns the new row indices.

@@ -237,7 +237,7 @@ class ShardStore:
             n_epochs=shard.n_epochs,
         )
 
-    def load_shard(self, shard_index: int, mmap: bool = True) -> AnalysisSubstrate:
+    def load_shard(self, shard_index: int) -> AnalysisSubstrate:
         """mmap-load one shard's substrate snapshot (zero-copy views).
 
         Its rows split on :meth:`shard_grid` by the store grid's epoch
@@ -249,7 +249,7 @@ class ShardStore:
         the result cache keys on.
         """
         path = self.shard_path(shard_index)
-        substrate = load_substrate(path, mmap=mmap)
+        substrate = load_substrate(path)
         shard = self.shards[shard_index]
         epochs = self.grid.epoch_of(substrate.table.start_time) - shard.epoch_lo
         outside = int(np.count_nonzero((epochs < 0) | (epochs >= shard.n_epochs)))

@@ -38,11 +38,13 @@ to N independent ``analyze_trace`` calls (pinned by
 changes.
 
 There is one substrate class, batch or streamed:
-:meth:`AnalysisSubstrate.append` grows the table and index online (the
-shard store builder and loaded snapshots use it), and epoch splits
-are always derived per grid from the table, never kept per epoch. The
-online detector builds one substrate per epoch instead, so its state
-does not grow with the stream.
+:meth:`AnalysisSubstrate.append` extends the table in place (the shard
+store builder and loaded snapshots use it) and drops the index, which
+the next read of :attr:`AnalysisSubstrate.index` builds afresh, so N
+appends cost N table extends plus one build. Epoch splits are always
+derived per grid from the table, never kept per epoch. The online
+detector builds one substrate per epoch instead, so its state does not
+grow with the stream.
 
 This is the only analysis engine: ``analyze_trace`` is a one-config
 sweep, and :func:`_sweep_batch` (one view batch of epochs, then each
@@ -95,23 +97,23 @@ class AnalysisSubstrate:
     and cached, so sweeping thresholds variants at the same epoch
     length re-uses the row partition too.
 
-    The substrate also grows online: :meth:`append` folds a chunk of
-    sessions (epoch-sized or otherwise, in any arrival order) into the
-    table and the index in place and drops the cached splits, so the
-    batch path over everything appended so far stays bit-identical to
-    a fresh build over the concatenated chunks (pinned by
-    ``tests/property/test_streaming_equivalence.py``). Per-chunk
-    detection can go through :meth:`epoch_view` on the rows
-    :meth:`append` returned, the view the batch engine builds. Start a
-    stream from ``AnalysisSubstrate.build(SessionTable.empty(schema))``
-    or from a loaded snapshot.
+    The substrate also grows: :meth:`append` extends the table in
+    place with a chunk of sessions (epoch-sized or otherwise, in any
+    arrival order) and drops the index and the cached splits, and the
+    next read of :attr:`index` builds the index over everything
+    appended so far, so the batch path stays bit-identical to a fresh
+    build over the concatenated chunks (pinned by
+    ``tests/property/test_streaming_equivalence.py``). Start a stream
+    from ``AnalysisSubstrate.build(SessionTable.empty(schema))`` or
+    from a loaded snapshot.
     """
 
-    __slots__ = ("index", "build_seconds", "_splits")
+    __slots__ = ("table", "build_seconds", "_index", "_splits")
 
     def __init__(self, index: TraceClusterIndex, build_seconds: float = 0.0) -> None:
-        self.index = index
+        self.table = index.table
         self.build_seconds = build_seconds
+        self._index: TraceClusterIndex | None = index
         self._splits: dict[EpochGrid, list[np.ndarray]] = {}
 
     @classmethod
@@ -123,27 +125,41 @@ class AnalysisSubstrate:
             return cls(index=index, build_seconds=time.perf_counter() - t0)
 
     @property
-    def table(self) -> SessionTable:
-        return self.index.table
+    def index(self) -> TraceClusterIndex:
+        """The table's cluster index, built on the first read after an
+        :meth:`append` (one pack and one ``np.unique``); the build's
+        seconds become :attr:`build_seconds`."""
+        if self._index is None:
+            t0 = time.perf_counter()
+            self._index = TraceClusterIndex.build(self.table)
+            self.build_seconds = time.perf_counter() - t0
+        return self._index
 
     @property
     def codec(self) -> KeyCodec:
         return self.index.codec
 
     def __len__(self) -> int:
-        return len(self.index.table)
+        return len(self.table)
 
     def append(self, chunk: "SessionTable | Iterable[Session]") -> np.ndarray:
-        """Fold a chunk into the table and the index
-        (:meth:`TraceClusterIndex.append`) and drop the cached epoch
-        splits, which the next :meth:`epoch_rows` derives afresh. The
-        table grows in place, so a substrate built over a caller's
-        table extends that table object.
+        """Extend the table in place with a chunk of sessions and drop
+        the index (with its warmed metric masks) and the cached epoch
+        splits, which the next :attr:`index` and :meth:`epoch_rows`
+        derive afresh. A substrate built over a caller's table extends
+        that table object. Appends between two analyses cost one
+        build, but a view built after every append pays one
+        whole-table build each time.
 
-        Returns the appended row indices — pass them straight to
-        :meth:`epoch_view` for streamed per-chunk detection.
+        A chunk whose labels would push the packed key past 62 bits
+        raises ``ValueError`` before anything changes, so later chunks
+        still append. Returns the appended row indices.
         """
-        rows = self.index.append(chunk)
+        if not isinstance(chunk, SessionTable):
+            chunk = SessionTable.from_sessions(chunk, schema=self.table.schema)
+        KeyCodec.layout(self.table.merged_vocab_sizes(chunk))  # the 62-bit check
+        rows = self.table.extend(chunk)
+        self._index = None
         self._splits.clear()
         return rows
 
@@ -175,9 +191,10 @@ class AnalysisSubstrate:
         """Bytes held by the whole substrate: packed session-table
         columns, index arrays (incl. caches) and cached per-grid
         epoch-row splits — the true footprint shard-size budgeting
-        needs, not just the index. Doubling growth buffers of an
-        appended-to substrate can transiently hold up to 2x the column
-        bytes beyond this logical figure."""
+        needs, not just the index, which it builds if an append dropped
+        it. Doubling growth buffers of an appended-to substrate can
+        transiently hold up to 2x the column bytes beyond this logical
+        figure."""
         total = _table_nbytes(self.table)
         total += self.index.memory_bytes()
         total += sum(

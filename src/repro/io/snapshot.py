@@ -50,9 +50,11 @@ ignores those entries (the content stamp still covers their bytes), so
 such files keep loading and analyze to the same results.
 
 ``load_substrate`` maps the file read-only; restored arrays are views
-into the mapping. An appended-to substrate allocates fresh buffers on
-first growth, so :meth:`~repro.core.substrate.AnalysisSubstrate.append`
-works on a loaded snapshot.
+into the mapping. A loaded snapshot stays appendable:
+:meth:`~repro.core.substrate.AnalysisSubstrate.append` copies the
+mapped columns into fresh buffers on first growth and drops the
+restored index, and the next read of ``substrate.index`` builds one
+over the grown table.
 """
 
 from __future__ import annotations

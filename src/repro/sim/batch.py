@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sim.abr import rate_based_bitrates
+from repro.sim.abr import RateBasedABR, rate_based_bitrates
 from repro.sim.bandwidth import markov_rates_step
 from repro.sim.playerbuffer import BatchPlayerBuffer
 
@@ -100,11 +100,7 @@ def simulate_batch(
     watch_duration_s: np.ndarray,
     join_overhead_s: np.ndarray,
     startup_buffer_s: float = 4.0,
-    buffer_capacity_s: float = 60.0,
     max_join_time_s: float = 120.0,
-    throughput_cap_kbps: float = 1e9,
-    abr_safety: float = 0.85,
-    abr_ewma_alpha: float = 0.4,
 ) -> BatchPlaybackResult:
     """Simulate ``m`` sessions in lockstep over ``T`` segments.
 
@@ -118,6 +114,12 @@ def simulate_batch(
     when it is read. ``watch_duration_s`` must be finite. Every row
     starts active: the engine passes the rows whose join did not fail
     outright.
+
+    The player is the scalar twin's: :class:`~repro.sim.abr.RateBasedABR`'s
+    default safety margin and EWMA weight, and
+    :class:`~repro.sim.playerbuffer.BatchPlayerBuffer`'s default
+    capacity. The rates are the download throughput as drawn: the
+    engine models no CDN throughput cap.
 
     Exit semantics (DESIGN.md §9): a row leaves the active mask when its
     join times out (``join_time > max_join_time_s`` → failed) or when
@@ -136,7 +138,7 @@ def simulate_batch(
     # Fortran order: each rung column the ABR step reads is contiguous.
     ladders = np.asfortranarray(effective_ladders)
     est = np.full(m, np.nan)
-    buf = BatchPlayerBuffer(m, capacity_s=buffer_capacity_s)
+    buf = BatchPlayerBuffer(m)
     wall = np.array(join_overhead_s, dtype=np.float64, copy=True)
     join_time = np.full(m, np.nan)
     joined = np.zeros(m, dtype=bool)
@@ -153,7 +155,8 @@ def simulate_batch(
     # cleared from it with one xor.
     active = np.ones(m, dtype=bool)
     n_active = m
-    ewma_rest = 1.0 - abr_ewma_alpha
+    safety, alpha = RateBasedABR.safety, RateBasedABR.ewma_alpha
+    ewma_rest = 1.0 - alpha
     # Once the startup phase is globally over it never restarts (rows
     # only leave the active mask, `joined` only grows), so the phase
     # masks collapse to `steady == active`.
@@ -174,13 +177,13 @@ def simulate_batch(
             steady = active
             in_startup = False
 
-        throughput = np.minimum(rates_kbps[:, t], throughput_cap_kbps)
+        throughput = rates_kbps[:, t]
         # Every row still in play observed a goodput at t == 0, so the
         # NaN fallback to the instantaneous throughput (the scalar
         # estimator "starts from the first observation") only matters
         # on the first segment.
         est_now = np.where(np.isnan(est), throughput, est) if t == 0 else est
-        bitrate = rate_based_bitrates(ladders, est_now, abr_safety)
+        bitrate = rate_based_bitrates(ladders, est_now, safety)
         size_kbits = dur * bitrate
         dl_time = rtt_s + size_kbits / throughput
         goodput = size_kbits / np.maximum(dl_time, 1e-9)
@@ -188,7 +191,7 @@ def simulate_batch(
         # same term order): its start-from-the-first-observation branch
         # can only fire at t == 0, so the isnan/where pair is skipped
         # after it.
-        blended = abr_ewma_alpha * goodput + ewma_rest * est
+        blended = alpha * goodput + ewma_rest * est
         if t == 0:
             blended = np.where(np.isnan(est), goodput, blended)
         np.copyto(est, blended, where=active)

@@ -287,6 +287,26 @@ class TestEpochScoped:
                 assert detector.substrate.memory_bytes() == fresh.memory_bytes()
                 assert registry.gauges["online.state_bytes"] == fresh.memory_bytes()
 
+    def test_alleviation_total_is_the_left_to_right_sum(self):
+        """After every epoch of ``small``, for every metric, the total
+        equals a left-to-right loop over ``all_alerts`` (closed, then
+        open), and the ``online.actionable_alleviation`` gauge reads it."""
+        trace = generate_trace(StandardWorkloads.small(seed=42))
+        _, per_epoch = split_into_epochs(trace.table, trace.grid)
+        for metric in ALL_METRICS:
+            detector = OnlineDetector(metric)
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                for rows in per_epoch:
+                    detector.observe_epoch(trace.table, rows)
+                    total = 0.0
+                    for alert in detector.all_alerts:
+                        total += alert.actionable_alleviation
+                    assert detector.total_actionable_alleviation == total
+                    gauge = registry.gauges["online.actionable_alleviation"]
+                    assert gauge == total
+            assert detector.closed_alerts and total > 0, metric.name
+
     def test_span_records_the_view_size(self, tiny_trace):
         """The ``online.observe_epoch`` span carries the leaves and kept
         clusters of the epoch's view."""

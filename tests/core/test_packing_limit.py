@@ -24,6 +24,7 @@ from repro.core.online import OnlineDetector
 from repro.core.pipeline import analyze_trace
 from repro.core.problems import find_problem_clusters
 from repro.core.sessions import SessionTable
+from repro.core.substrate import AnalysisSubstrate
 from repro.io.traceio import write_sessions_csv, write_sessions_jsonl
 from tests.core.direct_aggregate import aggregate_epoch
 from tests.property.test_parallel_equivalence import (
@@ -128,7 +129,8 @@ class TestRejectedAppend:
 
     def test_index_state_survives_and_later_chunks_append(self):
         base = wide_table()
-        index = TraceClusterIndex.build(wide_table())  # extended in place
+        substrate = AnalysisSubstrate.build(wide_table())  # extended in place
+        index = substrate.index
         thresholds = MetricThresholds()
         index.warm_metric_masks(ALL_METRICS, thresholds)
         before = {
@@ -144,8 +146,9 @@ class TestRejectedAppend:
         }
 
         with pytest.raises(ValueError, match="63 bits"):
-            index.append(one_session("connection_type_new", 3600.0))
+            substrate.append(one_session("connection_type_new", 3600.0))
 
+        assert substrate.index is index
         assert len(index.table) == before["n"]
         assert index.table.vocabs == before["vocabs"]
         assert np.array_equal(index.table.codes, before["codes"])
@@ -156,10 +159,11 @@ class TestRejectedAppend:
                 assert np.array_equal(now, then)
 
         # An in-range chunk (labels the table already has) appends, and
-        # the index equals a build over the accepted chunks.
+        # the next index equals a build over the accepted chunks.
         accepted = wide_table(start=7200.0)
-        index.append(accepted)
+        substrate.append(accepted)
         fresh = TraceClusterIndex.build(SessionTable.concat([base, accepted]))
+        index = substrate.index
         assert_equal_indexes(index, fresh)
         for metric in ALL_METRICS:
             for now, cold in zip(

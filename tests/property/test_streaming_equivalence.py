@@ -6,12 +6,14 @@ different computation:
 * ``SessionTable.extend`` over any chunking is bit-identical to
   building the table from all rows at once (same vocabularies in
   first-appearance order, same codes, same metric columns);
-* ``TraceClusterIndex.append`` leaves the leaf-level index — codec,
-  leaf universe, row -> leaf inverse, warmed metric masks — and its
-  byte footprint bit-identical to a from-scratch ``build`` over the
+* ``AnalysisSubstrate.append`` extends the table and drops the index;
+  the index the next read builds — codec, leaf universe, row -> leaf
+  inverse, metric masks warmed after the appends — and its byte
+  footprint are bit-identical to a from-scratch ``build`` over the
   concatenated table, including across vocabulary growth that changes
-  the packed key widths, and every epoch's view over the streamed index
-  has the same cluster keys and counts as the batch index's;
+  the packed key widths, and every epoch's view over it has the same
+  cluster keys and counts as the batch index's. A stream of appends
+  builds no index until it is read, then one;
 * an ``AnalysisSubstrate`` grown by ``append`` from epoch-sized (or
   arbitrary) chunks yields the same analysis as batch ``analyze_trace``;
 * substrate snapshots round-trip exactly, and corrupted or
@@ -33,6 +35,7 @@ from repro.core.pipeline import analyze_trace
 from repro.core.sessions import METRIC_COLUMNS, SessionTable
 from repro.core.substrate import AnalysisSubstrate
 from repro.io.snapshot import MAGIC, load_substrate, save_substrate
+from repro.obs import MetricsRegistry, use_metrics
 from tests.property.test_parallel_equivalence import (
     ALL_METRICS_CONFIG,
     SMALL_CONFIG,
@@ -115,22 +118,23 @@ def test_extend_accepts_session_iterables(tiny_trace):
 
 
 # ---------------------------------------------------------------------------
-# TraceClusterIndex.append == build over the concatenated table
+# The index after AnalysisSubstrate.append == build over the concatenation
 # ---------------------------------------------------------------------------
 @settings(
     max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(session_rows, chunk_counts)
 def test_index_append_equals_fresh_build(rows, n_chunks):
-    incremental = TraceClusterIndex.build(SessionTable.empty())
-    incremental.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
+    stream = AnalysisSubstrate.build(SessionTable.empty())
     for chunk in chunked_tables(rows, n_chunks):
-        incremental.append(chunk)
+        stream.append(chunk)
+    incremental = stream.index
     batch = TraceClusterIndex.build(build_table(rows))
     assert_equal_indexes(incremental, batch)
-    # warmed masks were maintained chunk-wise; they must equal a cold
-    # recomputation on the batch index
+    # masks warmed after the appends equal a cold recomputation on the
+    # batch index
     thresholds = MetricThresholds()
+    incremental.warm_metric_masks([JOIN_FAILURE], thresholds)
     assert np.array_equal(
         incremental.valid_mask(JOIN_FAILURE), batch.valid_mask(JOIN_FAILURE)
     )
@@ -142,8 +146,8 @@ def test_index_append_equals_fresh_build(rows, n_chunks):
 
 def test_index_append_across_width_growth():
     """Appends that push a vocabulary past a power of two change the
-    packed key widths; append() must transparently re-key."""
-    incremental = TraceClusterIndex.build(SessionTable.empty())
+    packed key widths; the index built after each append re-keys."""
+    stream = AnalysisSubstrate.build(SessionTable.empty())
     tables = []
     from tests.conftest import make_session
 
@@ -159,28 +163,32 @@ def test_index_append_across_width_growth():
             for i in range(12)
         )
         tables.append(chunk)
-        incremental.append(chunk)
+        stream.append(chunk)
         assert np.array_equal(
-            incremental.codec.widths, KeyCodec.from_table(incremental.table).widths
+            stream.codec.widths, KeyCodec.from_table(stream.table).widths
         )
     batch = TraceClusterIndex.build(SessionTable.concat(tables))
-    assert_equal_indexes(incremental, batch)
+    assert_equal_indexes(stream.index, batch)
 
 
 def test_index_append_label_only_chunk_rekeys(tmp_path):
     """A row-less chunk still merges its labels (a ``select`` shares its
-    parent's vocabularies); when they widen a field the index re-keys
-    at once, so its codec always matches the vocabularies — which is
+    parent's vocabularies); when they widen a field the next index
+    re-keys, so its codec always matches the vocabularies — which is
     what a snapshot load checks."""
     wide = build_table([(0, a, a % 2, a % 3 == 0) for a in range(6)])
     narrow = wide.select(np.arange(2))
     assert narrow.vocabs == wide.vocabs
-    index = TraceClusterIndex.build(build_table([(0, a, 0, False) for a in range(2)]))
-    index.append(narrow.select(np.arange(0)))
+    substrate = AnalysisSubstrate.build(
+        build_table([(0, a, 0, False) for a in range(2)])
+    )
+    widths = substrate.codec.widths.tolist()
+    substrate.append(narrow.select(np.arange(0)))
+    index = substrate.index
+    assert index.codec.widths.tolist() != widths
     assert np.array_equal(
         index.codec.widths, KeyCodec.from_table(index.table).widths
     )
-    substrate = AnalysisSubstrate(index)
     loaded = load_substrate(save_substrate(substrate, tmp_path / "s.sub"))
     assert_equal_indexes(index, loaded.index)
     assert_equal_indexes(index, TraceClusterIndex.build(index.table))
@@ -191,10 +199,10 @@ def test_index_append_single_sessions():
     rows = [(e, a % 3, a % 2, (a + e) % 4 == 0) for e in range(2)
             for a in range(15)]
     full = build_table(rows)
-    incremental = TraceClusterIndex.build(SessionTable.empty())
+    stream = AnalysisSubstrate.build(SessionTable.empty())
     for i in range(len(full)):
-        incremental.append(full.select(np.array([i])))
-    assert_equal_indexes(incremental, TraceClusterIndex.build(full))
+        stream.append(full.select(np.array([i])))
+    assert_equal_indexes(stream.index, TraceClusterIndex.build(full))
 
 
 @pytest.mark.parametrize("n_chunks", [1, 3, 7])
@@ -203,10 +211,11 @@ def test_streamed_index_memory_equals_fresh_build(n_chunks):
     index streamed over N chunks equals a build over the same table."""
     rows = [(e, a % 5, a % 3, (a + e) % 4 == 0) for e in range(3)
             for a in range(60)]
-    incremental = TraceClusterIndex.build(SessionTable.empty())
-    incremental.warm_metric_masks(ALL_METRICS, MetricThresholds())
+    stream = AnalysisSubstrate.build(SessionTable.empty())
     for chunk in chunked_tables(rows, n_chunks):
-        incremental.append(chunk)
+        stream.append(chunk)
+    incremental = stream.index
+    incremental.warm_metric_masks(ALL_METRICS, MetricThresholds())
     batch = TraceClusterIndex.build(build_table(rows))
     batch.warm_metric_masks(ALL_METRICS, MetricThresholds())
     assert incremental.memory_bytes() == batch.memory_bytes()
@@ -222,10 +231,10 @@ def test_streaming_substrate_memory_counts_everything(tiny_trace):
     reports exactly what a batch substrate holding the same state does."""
     table, grid = tiny_trace.table, tiny_trace.grid
     stream = AnalysisSubstrate.build(SessionTable.empty(table.schema))
-    stream.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
     epoch_of = np.floor(table.start_time / grid.epoch_seconds).astype(np.int64)
     for epoch in np.unique(epoch_of):
         stream.append(table.select(np.flatnonzero(epoch_of == epoch)))
+    stream.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
     stream.epoch_rows(grid)
     batch = AnalysisSubstrate.build(table)
     batch.index.warm_metric_masks([JOIN_FAILURE], MetricThresholds())
@@ -251,12 +260,50 @@ def test_append_drops_cached_splits():
 
 def test_index_append_empty_chunk_is_noop():
     table = build_table([(0, 0, 0, True)] * 8)
-    index = TraceClusterIndex.build(table)
-    leaf_keys = index.leaf_keys.copy()
-    rows = index.append(SessionTable.empty(table.schema))
+    substrate = AnalysisSubstrate.build(table)
+    leaf_keys = substrate.index.leaf_keys.copy()
+    rows = substrate.append(SessionTable.empty(table.schema))
     assert rows.size == 0
-    assert np.array_equal(index.leaf_keys, leaf_keys)
-    assert len(index.table) == 8
+    assert np.array_equal(substrate.index.leaf_keys, leaf_keys)
+    assert len(substrate.table) == 8
+
+
+def test_stream_builds_the_index_once(tiny_trace):
+    """Appends and ``len`` build no index; the analysis after them
+    builds exactly one, over every appended row."""
+    table = tiny_trace.table
+    registry = MetricsRegistry()
+    with use_metrics(registry):
+        stream = AnalysisSubstrate.build(SessionTable.empty(table.schema))
+        builds = registry.get("index.builds")
+        epoch_of = np.floor(
+            table.start_time / tiny_trace.grid.epoch_seconds
+        ).astype(np.int64)
+        for epoch in np.unique(epoch_of):
+            stream.append(table.select(np.flatnonzero(epoch_of == epoch)))
+        assert len(stream) == len(table)
+        assert registry.get("index.builds") == builds
+        analysis = stream.analyze(config=SMALL_CONFIG)
+        assert registry.get("index.builds") == builds + 1
+    assert_equal_analyses(
+        analyze_trace(stream.table, config=SMALL_CONFIG), analysis
+    )
+
+
+def test_append_after_an_analysis_reindexes_every_row():
+    rows = [(e, a % 3, a % 2, (a + e) % 4 == 0) for e in range(3)
+            for a in range(20)]
+    full = build_table(rows)
+    stream = AnalysisSubstrate.build(full.select(np.arange(30)))
+    stream.analyze(config=SMALL_CONFIG)
+    index = stream.index
+    stream.append(full.select(np.arange(30, len(full))))
+    assert stream.index is not index
+    assert stream.index.row_to_leaf.size == len(full)
+    assert_equal_analyses(
+        AnalysisSubstrate.build(full).analyze(config=SMALL_CONFIG),
+        stream.analyze(config=SMALL_CONFIG),
+    )
 
 
 # ---------------------------------------------------------------------------
