@@ -107,12 +107,6 @@ class ValidationReport:
         return sum(r.detected for r in self.recoveries) / len(self.recoveries)
 
     @property
-    def mean_epoch_recall(self) -> float:
-        if not self.recoveries:
-            return 0.0
-        return float(np.mean([r.exact_recall for r in self.recoveries]))
-
-    @property
     def detectable_event_recall(self) -> float:
         """Event recall restricted to events that were ever detectable."""
         detectable = [r for r in self.recoveries if r.detectable]

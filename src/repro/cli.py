@@ -115,9 +115,9 @@ def _add_workers_arg(parser: argparse.ArgumentParser) -> None:
 def _add_substrate_cache_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--substrate-cache", metavar="PATH", default=None,
-        help="persistent substrate snapshot: load PATH when it exists "
-        "(mmap, milliseconds) instead of re-packing and re-indexing "
-        "the trace, otherwise build once and save to PATH; stale or "
+        help="persistent session-table snapshot: map PATH when it "
+        "exists (milliseconds) instead of parsing the trace, otherwise "
+        "read the trace once and save its table to PATH; stale or "
         "corrupt snapshots are rebuilt and overwritten; results are "
         "identical either way",
     )
@@ -473,8 +473,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_substrate(args: argparse.Namespace, table=None):
     """Load-or-build for ``--substrate-cache``: returns ``(table, substrate)``.
 
-    Cache hit: the snapshot is mmapped in milliseconds and — when no
-    ``table`` was supplied — the trace file is not read at all. Before
+    Cache hit: the snapshot's table is mmapped in milliseconds and —
+    when no ``table`` was supplied — the trace file is not read at all;
+    the analysis then indexes it as it would a parsed table. Before
     loading, the snapshot's recorded source provenance (trace path,
     size, mtime) is checked against the trace on disk; a stale,
     corrupt, or mismatched snapshot is rebuilt and overwritten rather
@@ -1175,6 +1176,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         build_run_manifest,
         manifest_path_for,
         render_histograms,
+        render_tree,
         use_metrics,
         use_tracer,
         write_run_manifest,
@@ -1188,7 +1190,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     tracer.finish()
     if wants_timings and code == 0:
         print()
-        print(tracer.render())
+        print(render_tree(tracer.as_dict()))
         decoded = int(metrics.get("results.keys_decoded"))
         print(f"cluster keys decoded: {decoded}")
         histograms = render_histograms(metrics)

@@ -298,10 +298,6 @@ class OnlineDetector:
         return self.closed_alerts + list(self.open_alerts.values())
 
     @property
-    def confirmed_alerts(self) -> list[ClusterAlert]:
-        return [a for a in self.all_alerts if a.is_confirmed]
-
-    @property
     def total_actionable_alleviation(self) -> float:
         """Problem sessions that acting on confirmed alerts would have
         saved so far: the left-to-right sum over :attr:`all_alerts`,

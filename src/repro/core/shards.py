@@ -6,17 +6,21 @@ monolithic engine assumes the packed table, the
 splits all fit in one process. This module removes that assumption by
 partitioning a trace into **epoch-range shards**:
 
-* :func:`build_shard_store` (batch) and :class:`ShardStoreBuilder`
-  (streaming chunks, any arrival order) write each shard as an ordinary
-  RPROSUB1 substrate snapshot (:mod:`repro.io.snapshot`) plus one
-  store-level JSON manifest (``manifest.json``: epoch grid, shard
-  boundaries, schema hash, per-shard session counts).
+* :func:`build_shard_store` (a whole in-memory table) and
+  :class:`ShardStoreBuilder` (chunks in any arrival order, held in
+  memory until :meth:`~ShardStoreBuilder.finalize`) cut the trace into
+  ``(epoch_lo, epoch_hi, table)`` parts and hand them to one writer,
+  which saves each part as an ordinary substrate snapshot
+  (:mod:`repro.io.snapshot`: the shard's session table, nothing derived
+  from it) and then one store-level JSON manifest (``manifest.json``:
+  epoch grid, shard boundaries, schema hash, per-shard session counts
+  and split digests). Writing a store packs and indexes nothing.
 * :func:`analyze_shards` / :func:`sweep_shards` map shards across the
   process pool of :func:`~repro.core.fanout.fan_out` — each worker
-  mmap-loads only its shard's snapshot
-  (the zero-copy load path), so the parent's peak memory stays
-  O(largest shard), not O(trace) — then fold the per-shard results
-  through the exact **merge layer**:
+  mmap-loads only its shard's snapshot (the zero-copy load path) and
+  indexes it, so the parent's peak memory stays O(largest shard), not
+  O(trace) — then fold the per-shard results through the exact
+  **merge layer**:
 
   - each metric's result tables concatenate by manifest offsets
     (epochs are renumbered ``shard.epoch_lo + local``), after checking
@@ -89,9 +93,10 @@ from repro.obs import (
 STORE_MANIFEST = "manifest.json"
 
 #: Store manifest format marker and version; version-mismatched stores
-#: must be rebuilt, not migrated.
+#: must be rebuilt, not migrated. Version 3 stores table-only shard
+#: snapshots.
 STORE_KIND = "repro-shard-store"
-STORE_VERSION = 2
+STORE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -319,9 +324,9 @@ class ShardStore:
         """Open and validate an existing store directory.
 
         Raises :class:`ValueError` on anything that is not a
-        well-formed version-2 shard store (missing/corrupt manifest,
-        unknown kind or version, non-contiguous shard ranges, missing
-        shard files).
+        well-formed shard store of :data:`STORE_VERSION` (missing or
+        corrupt manifest, unknown kind or version, non-contiguous shard
+        ranges, missing shard files).
         """
         path = Path(path)
         manifest_path = path / STORE_MANIFEST
@@ -388,6 +393,42 @@ class ShardStore:
         return store
 
 
+def _write_store(
+    path: Path,
+    grid: EpochGrid,
+    schema: AttributeSchema,
+    parts: Iterable[tuple[int, int, SessionTable]],
+) -> ShardStore:
+    """Write a store: one snapshot per ``(epoch_lo, epoch_hi, table)``
+    part, in epoch order, then the manifest, last and atomically, so a
+    crashed write never leaves a store that :meth:`ShardStore.open`
+    would accept. Packs and indexes nothing; a part whose vocabularies
+    need more than 62 bits raises ``ValueError`` from its save."""
+    tracer = current_tracer()
+    shards: list[ShardInfo] = []
+    for k, (lo, hi, table) in enumerate(parts):
+        filename = _shard_filename(k)
+        save_substrate(AnalysisSubstrate(table), path / filename)
+        tracer.record("shard.write", shard=k, sessions=len(table), epochs=hi - lo)
+        shards.append(
+            ShardInfo(
+                file=filename, epoch_lo=lo, epoch_hi=hi, sessions=len(table),
+                split_sha256=split_sha256(grid.epoch_of(table.start_time) - lo),
+            )
+        )
+    store = ShardStore(
+        path=path,
+        grid=grid,
+        schema=schema,
+        shards=shards,
+        total_sessions=sum(s.sessions for s in shards),
+    )
+    store.write_manifest()
+    current_metrics().inc("shards.stores_built")
+    current_metrics().inc("shards.shards_written", len(shards))
+    return store
+
+
 def build_shard_store(
     table: SessionTable,
     path: str | Path,
@@ -398,11 +439,9 @@ def build_shard_store(
 ) -> ShardStore:
     """Partition a whole in-memory trace into an on-disk shard store.
 
-    Each shard's rows keep their original relative order, its substrate
-    (packed columns + cluster index) is built independently and saved
-    as a snapshot stamped with the shard's epoch range, and the store
-    manifest is written last (atomically), so a crashed build never
-    leaves a store that :meth:`ShardStore.open` would accept.
+    Each shard's rows keep their original relative order (and the
+    table's vocabularies); the parts go to the one store writer, one
+    shard table at a time.
     """
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
@@ -412,84 +451,36 @@ def build_shard_store(
     bounds = shard_boundaries(
         grid.n_epochs, epochs_per_shard=epochs_per_shard, n_shards=n_shards
     )
-    tracer = current_tracer()
-    shards: list[ShardInfo] = []
-    total = 0
-    with tracer.span(
+    parts = (
+        (lo, hi, table.select(np.sort(np.concatenate(per_epoch_rows[lo:hi]))))
+        for lo, hi in bounds
+    )
+    with current_tracer().span(
         "shards.build",
         sessions=len(table),
         epochs=grid.n_epochs,
         shards=len(bounds),
     ):
-        for k, (lo, hi) in enumerate(bounds):
-            rows = (
-                np.sort(np.concatenate(per_epoch_rows[lo:hi]))
-                if hi > lo
-                else np.empty(0, dtype=np.int64)
-            )
-            shard_table = table.select(rows)
-            substrate = AnalysisSubstrate.build(shard_table)
-            filename = _shard_filename(k)
-            save_substrate(
-                substrate,
-                path / filename,
-                extra=_shard_extra(grid, lo, hi),
-            )
-            tracer.record(
-                "shard.write", shard=k, sessions=len(shard_table), epochs=hi - lo
-            )
-            shards.append(
-                ShardInfo(
-                    file=filename, epoch_lo=lo, epoch_hi=hi,
-                    sessions=len(shard_table),
-                    split_sha256=split_sha256(
-                        grid.epoch_of(shard_table.start_time) - lo
-                    ),
-                )
-            )
-            total += len(shard_table)
-    store = ShardStore(
-        path=path,
-        grid=grid,
-        schema=table.schema,
-        shards=shards,
-        total_sessions=total,
-    )
-    store.write_manifest()
-    current_metrics().inc("shards.stores_built")
-    current_metrics().inc("shards.shards_written", len(shards))
-    return store
-
-
-def _shard_extra(grid: EpochGrid, lo: int, hi: int) -> dict:
-    """Per-snapshot provenance stamped into the RPROSUB1 manifest."""
-    return {
-        "shard": {
-            "epoch_lo": lo,
-            "epoch_hi": hi,
-            "store_origin": grid.origin,
-            "epoch_seconds": grid.epoch_seconds,
-        }
-    }
+        return _write_store(path, grid, table.schema, parts)
 
 
 class ShardStoreBuilder:
     """Streaming shard-store construction from chunks of sessions.
 
-    The out-of-core ingest twin of :func:`build_shard_store`: chunks
-    arrive in any time order and are bucketed by absolute epoch block
+    The chunked twin of :func:`build_shard_store`: chunks arrive in any
+    time order and are bucketed by absolute epoch block
     (``floor(floor(start / epoch_seconds) / epochs_per_shard)``) into
-    per-shard :class:`~repro.core.substrate.AnalysisSubstrate`\\ s grown
-    by :meth:`~repro.core.substrate.AnalysisSubstrate.append`, so
-    at no point does the builder hold more state than the shards the
-    data actually spans. :meth:`finalize` derives the store grid
+    per-block :class:`~repro.core.substrate.AnalysisSubstrate`\\ s grown
+    by :meth:`~repro.core.substrate.AnalysisSubstrate.append`, which
+    never index. It is not out-of-core: every block stays in memory
+    until :meth:`finalize`, which derives the store grid
     (:meth:`EpochGrid.spanning`, as ``EpochGrid.covering`` over the
     concatenated table), moves the rare session whose store-grid epoch
-    falls in a neighbouring block, and writes one snapshot per block
-    (plus empty shards for any gap blocks, keeping the store's epoch
-    coverage contiguous) and the store manifest.
+    falls in a neighbouring block, and hands one part per block (an
+    empty table for any gap block, keeping the store's epoch coverage
+    contiguous) to the store writer.
 
-    Shard substrates built this way grow their vocabularies in arrival
+    Shard tables built this way grow their vocabularies in arrival
     order — different codes than a batch build, but identical decoded
     cluster identities, so analysis output is still bit-identical
     (cluster keys are label-based; pinned by the shard property suite).
@@ -542,7 +533,7 @@ class ShardStoreBuilder:
             rows = order[bounds[i] : bounds[i + 1]]
             substrate = self._blocks.get(block)
             if substrate is None:
-                substrate = AnalysisSubstrate.build(SessionTable.empty(self.schema))
+                substrate = AnalysisSubstrate(SessionTable.empty(self.schema))
                 self._blocks[block] = substrate
             substrate.append(chunk.select(np.sort(rows)))
 
@@ -553,7 +544,7 @@ class ShardStoreBuilder:
         grid is known; at epoch lengths that are not exact in binary a
         session at an epoch edge can land one epoch away from its
         store-grid epoch, hence in the neighbouring block. Such rows
-        move, and the blocks they leave are rebuilt without them.
+        move to it, and the blocks they leave keep the rest.
         """
         strays = []
         for block, substrate in list(self._blocks.items()):
@@ -561,7 +552,7 @@ class ShardStoreBuilder:
             epochs = grid.epoch_of(table.start_time) + first
             stray = epochs // self.epochs_per_shard != block
             if stray.any():
-                self._blocks[block] = AnalysisSubstrate.build(table.select(~stray))
+                self._blocks[block] = AnalysisSubstrate(table.select(~stray))
                 strays.append((table.select(stray), epochs[stray]))
         for chunk, epochs in strays:
             self._bucket(chunk, epochs)
@@ -574,15 +565,8 @@ class ShardStoreBuilder:
         self.path.mkdir(parents=True, exist_ok=True)
         es = self.epoch_seconds
         if not self._blocks:
-            store = ShardStore(
-                path=self.path,
-                grid=EpochGrid(origin=0.0, epoch_seconds=es, n_epochs=0),
-                schema=self.schema,
-                shards=(),
-                total_sessions=0,
-            )
-            store.write_manifest()
-            return store
+            grid = EpochGrid(origin=0.0, epoch_seconds=es, n_epochs=0)
+            return _write_store(self.path, grid, self.schema, [])
         # The grid EpochGrid.covering gives the concatenated table, so
         # the store grid matches the monolithic analysis grid exactly.
         grid = EpochGrid.spanning(
@@ -597,51 +581,20 @@ class ShardStoreBuilder:
         eps = self.epochs_per_shard
         n_epochs = grid.n_epochs
         blocks = range(first // eps, (first + n_epochs - 1) // eps + 1)
-        tracer = current_tracer()
-        shards: list[ShardInfo] = []
-        total = 0
-        with tracer.span("shards.finalize", epochs=n_epochs, shards=len(blocks)):
-            for k, block in enumerate(blocks):
-                lo = max(block * eps - first, 0)
-                hi = min((block + 1) * eps - first, n_epochs)
-                substrate = self._blocks.get(block)
-                if substrate is None:
-                    # Gap block: an empty shard keeps epoch coverage
-                    # contiguous so merge offsets stay exact.
-                    substrate = AnalysisSubstrate.build(
-                        SessionTable.empty(self.schema)
-                    )
-                filename = _shard_filename(k)
-                save_substrate(
-                    substrate,
-                    self.path / filename,
-                    extra=_shard_extra(grid, lo, hi),
-                )
-                tracer.record(
-                    "shard.write", shard=k, sessions=len(substrate.table),
-                    epochs=hi - lo,
-                )
-                shards.append(
-                    ShardInfo(
-                        file=filename, epoch_lo=lo, epoch_hi=hi,
-                        sessions=len(substrate.table),
-                        split_sha256=split_sha256(
-                            grid.epoch_of(substrate.table.start_time) - lo
-                        ),
-                    )
-                )
-                total += len(substrate.table)
-        store = ShardStore(
-            path=self.path,
-            grid=grid,
-            schema=self.schema,
-            shards=shards,
-            total_sessions=total,
-        )
-        store.write_manifest()
-        current_metrics().inc("shards.stores_built")
-        current_metrics().inc("shards.shards_written", len(shards))
-        return store
+        empty = SessionTable.empty(self.schema)
+        parts = [
+            (
+                max(block * eps - first, 0),
+                min((block + 1) * eps - first, n_epochs),
+                # A gap block is an empty shard, so merge offsets stay exact.
+                self._blocks[block].table if block in self._blocks else empty,
+            )
+            for block in blocks
+        ]
+        with current_tracer().span(
+            "shards.finalize", epochs=n_epochs, shards=len(parts)
+        ):
+            return _write_store(self.path, grid, self.schema, parts)
 
 
 # ---------------------------------------------------------------------------

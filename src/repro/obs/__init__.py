@@ -12,7 +12,8 @@
   degraded paths);
 * **sinks**: ``--trace-out`` JSON (:func:`write_trace_json`), the run
   manifest written next to results (:func:`write_run_manifest`), and
-  the human span tree (``Tracer.render``, the upgraded ``--timings``).
+  the human span tree (:func:`render_tree`, what ``--timings`` and
+  ``obs view`` print).
 
 The analytics half (DESIGN.md §10) works over what those sinks wrote:
 span aggregation and the critical path (:mod:`repro.obs.analyze`), the

@@ -155,8 +155,10 @@ def top_spans(tree: Any, n: int = 10) -> list[SpanStats]:
 
 
 def render_tree(tree: Any, max_depth: int = 6) -> str:
-    """Indented span tree from the JSON form (mirrors ``Tracer.render``,
-    which needs a live tracer)."""
+    """Indented span tree, one line per span down to ``max_depth``: its
+    name, seconds and attributes. What ``--timings`` prints after a run
+    (from ``Tracer.as_dict()``) and ``obs view`` prints from a saved
+    trace."""
     tree = normalize_tree(tree)
     lines: list[str] = []
     for span, depth in walk_tree(tree):

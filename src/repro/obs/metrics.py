@@ -142,7 +142,7 @@ class MetricsRegistry:
 def render_histograms(metrics: "MetricsRegistry") -> str:
     """Human-readable histogram table (count/mean/p50/p95/p99/max).
 
-    The tail-latency companion to ``Tracer.render`` — the CLI prints it
+    The tail-latency companion to the span tree — the CLI prints it
     under the span tree when ``--timings`` is given and histograms were
     observed. Empty string when there is nothing to show.
     """

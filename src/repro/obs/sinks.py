@@ -8,8 +8,8 @@ Three machine/human read-outs of one instrumented run:
   *what ran and how it went* (command, arguments, environment, top-level
   timings, degradations), written next to a run's results so a fleet of
   runs stays auditable without parsing logs;
-* ``Tracer.render()`` (in :mod:`repro.obs.trace`) — the indented tree
-  the upgraded ``--timings`` prints.
+* :func:`~repro.obs.analyze.render_tree` — the indented tree
+  ``--timings`` and ``obs view`` print.
 """
 
 from __future__ import annotations

@@ -146,37 +146,6 @@ class Tracer:
             self.finish()
         return self.root.as_dict()
 
-    def render(self, max_depth: int = 6) -> str:
-        """Human-readable indented span tree (the upgraded ``--timings``)."""
-        if self.root.duration_s == 0.0:
-            self.finish()
-        lines: list[str] = []
-
-        def visit(span: Span, depth: int) -> None:
-            if depth > max_depth:
-                return
-            attrs = {
-                k: v for k, v in span.attrs.items() if k != "started_unix"
-            }
-            detail = ""
-            if attrs:
-                parts = ", ".join(f"{k}={_compact(v)}" for k, v in attrs.items())
-                detail = f"  [{parts}]"
-            lines.append(
-                f"{'  ' * depth}{span.name:<24s} {span.duration_s:9.4f} s{detail}"
-            )
-            for child in span.children:
-                visit(child, depth + 1)
-
-        visit(self.root, 0)
-        return "\n".join(lines)
-
-
-def _compact(value: Any) -> str:
-    if isinstance(value, float):
-        return f"{value:.4g}"
-    return str(value)
-
 
 class _NullSpan:
     """Shared do-nothing span: context manager and attribute sink."""

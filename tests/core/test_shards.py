@@ -72,6 +72,15 @@ class TestShardStoreOpen:
         with pytest.raises(ValueError, match="unsupported shard-store version"):
             ShardStore.open(store.path)
 
+    def test_version_2_store_is_refused(self, store):
+        """Version-2 stores hold snapshots of the older format; they are
+        rebuilt, never read."""
+        manifest = store.manifest_dict()
+        manifest["version"] = 2
+        (store.path / STORE_MANIFEST).write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="rebuild"):
+            ShardStore.open(store.path)
+
     def test_missing_field(self, store):
         manifest = store.manifest_dict()
         del manifest["total_sessions"]
@@ -161,14 +170,37 @@ class TestShardStoreContents:
     def test_session_counts_sum(self, store):
         assert sum(s.sessions for s in store.shards) == store.total_sessions
 
-    def test_snapshot_carries_shard_provenance(self, store):
-        from repro.io.snapshot import read_snapshot_manifest
 
-        manifest = read_snapshot_manifest(store.shard_path(1))
-        shard = manifest["extra"]["shard"]
-        assert shard["epoch_lo"] == store.shards[1].epoch_lo
-        assert shard["epoch_hi"] == store.shards[1].epoch_hi
-        assert shard["epoch_seconds"] == store.grid.epoch_seconds
+class TestWriter:
+    """Both builders hand their parts to one writer, which stores each
+    shard's table and nothing derived from it."""
+
+    def test_writing_a_store_builds_no_index(self, tmp_path, tiny_trace):
+        from repro.obs import MetricsRegistry, use_metrics
+
+        table = tiny_trace.table
+        grid = EpochGrid.covering(table, epoch_seconds=3600.0)
+        metrics = MetricsRegistry()
+        with use_metrics(metrics):
+            batch = build_shard_store(table, tmp_path / "b", epochs_per_shard=8)
+            builder = ShardStoreBuilder(tmp_path / "s", epochs_per_shard=8)
+            epochs = grid.epoch_of(table.start_time)
+            for epoch in reversed(range(grid.n_epochs)):
+                builder.append(table.select(epochs == epoch))
+            streamed = builder.finalize()
+        counters = metrics.as_dict()["counters"]
+        assert counters.get("index.builds", 0) == 0
+        assert counters["shards.stores_built"] == 2
+        assert [s.sessions for s in streamed.shards] == [
+            s.sessions for s in batch.shards
+        ]
+
+    def test_an_unpackable_table_writes_no_manifest(self, tmp_path):
+        from tests.core.test_packing_limit import wide_table
+
+        with pytest.raises(ValueError, match="63 bits"):
+            build_shard_store(wide_table(n_last=257), tmp_path / "w", n_shards=2)
+        assert not (tmp_path / "w" / STORE_MANIFEST).exists()
 
 
 class TestBuilder:

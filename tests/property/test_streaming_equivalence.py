@@ -20,9 +20,6 @@ different computation:
   version-mismatched files are rejected with ``ValueError``.
 """
 
-import json
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -374,11 +371,16 @@ def small_substrate():
     return substrate
 
 
-@pytest.mark.parametrize("mmap", [True, False])
-def test_snapshot_round_trip(tmp_path, small_substrate, mmap):
+def test_snapshot_round_trip(tmp_path, small_substrate):
+    """A snapshot holds the table alone: loading builds no index, and
+    the first read of ``loaded.index`` is an ordinary build."""
     path = save_substrate(small_substrate, tmp_path / "trace.sub")
-    loaded = load_substrate(path, mmap=mmap)
-    assert_equal_indexes(small_substrate.index, loaded.index)
+    metrics = MetricsRegistry()
+    with use_metrics(metrics):
+        loaded = load_substrate(path)
+    assert metrics.get("index.builds") == 0
+    assert_equal_tables(small_substrate.table, loaded.table)
+    assert_equal_indexes(loaded.index, TraceClusterIndex.build(loaded.table))
     assert_equal_analyses(
         small_substrate.analyze(config=SMALL_CONFIG),
         loaded.analyze(config=SMALL_CONFIG),
@@ -411,32 +413,20 @@ def test_snapshot_rejects_truncation(tmp_path, small_substrate):
     data = path.read_bytes()
     path.write_bytes(data[: len(data) // 2])
     with pytest.raises(ValueError, match="truncated"):
-        load_substrate(path, mmap=False)
+        load_substrate(path)
     path.write_bytes(data[:10])
     with pytest.raises(ValueError, match="not a substrate snapshot"):
-        load_substrate(path, mmap=False)
-
-
-def test_snapshot_rejects_version_mismatch(tmp_path, small_substrate):
-    path = save_substrate(small_substrate, tmp_path / "trace.sub")
-    data = bytearray(path.read_bytes())
-    _, length = struct.unpack_from("<8sQ", data)
-    manifest = json.loads(bytes(data[16 : 16 + length]))
-    assert manifest["version"] == 1
-    patched = bytes(data).replace(b'"version":1', b'"version":9', 1)
-    path.write_bytes(patched)
-    with pytest.raises(ValueError, match="version"):
         load_substrate(path)
 
 
-def test_snapshot_rejects_key_layout_mismatch(tmp_path, small_substrate):
-    """The codec is derived from the vocabularies; stored widths that
-    disagree with them fail loudly instead of misdecoding the keys."""
+def test_snapshot_rejects_version_mismatch(tmp_path, small_substrate):
+    """The magic is the version: a file of the previous format is
+    refused, never migrated."""
     path = save_substrate(small_substrate, tmp_path / "trace.sub")
     data = path.read_bytes()
-    assert b'"widths":[2,' in data
-    path.write_bytes(data.replace(b'"widths":[2,', b'"widths":[3,', 1))
-    with pytest.raises(ValueError, match="key layout"):
+    assert data.startswith(MAGIC)
+    path.write_bytes(b"RPROSUB1" + data[8:])
+    with pytest.raises(ValueError, match="rebuilt, not migrated"):
         load_substrate(path)
 
 
@@ -450,4 +440,4 @@ def test_snapshot_rejects_corrupt_manifest(tmp_path, small_substrate):
 
 
 def test_snapshot_magic_is_stable():
-    assert MAGIC == b"RPROSUB1"
+    assert MAGIC == b"RPROSUB2"

@@ -221,6 +221,34 @@ class TestSubstrateCache:
         assert "built and saved" in out
 
 
+    def test_manifest_missing_a_field_is_rebuilt(self, tmp_path, capsys):
+        """A manifest that parses but lacks ``n_rows`` is a corrupt
+        snapshot: rebuilt and overwritten, not a ``KeyError``."""
+        import json
+
+        from tests.test_snapshot import rewrite_manifest
+
+        trace = tmp_path / "trace.npz"
+        cache = tmp_path / "trace.sub"
+        main(["generate", "--workload", "tiny", "--seed", "3",
+              "-o", str(trace)])
+        assert main(["analyze", str(trace),
+                     "--substrate-cache", str(cache)]) == 0
+        rewrite_manifest(cache, lambda manifest: manifest.pop("n_rows"))
+        capsys.readouterr()
+        run = tmp_path / "run.json"
+        assert main(["analyze", str(trace), "--substrate-cache", str(cache),
+                     "--trace-out", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "'n_rows'" in out and "rebuilding" in out
+        assert "built and saved" in out
+        counters = json.loads(run.read_text())["metrics"]["counters"]
+        assert counters["degraded.snapshot_rebuild"] == 1
+        assert main(["analyze", str(trace),
+                     "--substrate-cache", str(cache)]) == 0
+        assert "loaded" in capsys.readouterr().out
+
+
 class TestTraceOut:
     def _span_names(self, node, names=None):
         names = set() if names is None else names
@@ -337,6 +365,26 @@ class TestShardCLI:
                                             "  ", "shard"))
         ]
         assert strip(sharded)[:6] == strip(monolithic)[:6]
+
+    def test_shard_manifest_missing_a_field_exits_2(self, tmp_path, capsys):
+        """A shard whose snapshot manifest lacks a field fails the run
+        with exit 2 and one error naming the file, after the pool's
+        serial fallback as well."""
+        from tests.test_snapshot import rewrite_manifest
+
+        trace = self._trace(tmp_path)
+        store = tmp_path / "trace.shards"
+        assert main(["shard", "build", str(trace), "-o", str(store),
+                     "--epochs-per-shard", "8"]) == 0
+        shard = store / "shard-0001.sub"
+        rewrite_manifest(shard, lambda manifest: manifest.pop("n_rows"))
+        capsys.readouterr()
+        for workers in ("0", "2"):
+            assert main(["analyze", "--shard-dir", str(store),
+                         "--workers", workers]) == 2
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[-1].startswith("error:")
+            assert str(shard) in err[-1] and "'n_rows'" in err[-1]
 
     def test_build_n_shards_flag(self, tmp_path, capsys):
         trace = self._trace(tmp_path)

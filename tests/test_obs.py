@@ -16,6 +16,7 @@ from repro.obs import (
     manifest_path_for,
     peak_rss_bytes,
     record_degradation,
+    render_tree,
     use_metrics,
     use_tracer,
     write_run_manifest,
@@ -65,7 +66,7 @@ class TestTracer:
         with tracer.span("a"):
             with tracer.span("b"):
                 pass
-        text = tracer.render()
+        text = render_tree(tracer.as_dict())
         lines = text.splitlines()
         assert any(line.lstrip().startswith("a") for line in lines)
         assert any(line.startswith("    b") for line in lines)

@@ -1,10 +1,11 @@
-"""Snapshot provenance, staleness detection, load-failure hygiene, and
-compatibility with the older per-mask snapshot layout."""
+"""Snapshot provenance, staleness detection, load-failure hygiene,
+manifest checking and atomic replacement."""
 
-import hashlib
 import json
 import os
 import struct
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -101,9 +102,8 @@ class TestLoadHygiene:
             loaded.index.leaf_keys, substrate.index.leaf_keys
         )
 
-    @pytest.mark.parametrize("mmap", [True, False])
     def test_corrupt_load_raises_without_resource_warning(
-        self, tmp_path, substrate, mmap
+        self, tmp_path, substrate
     ):
         path = save_substrate(substrate, tmp_path / "s.sub")
         raw = bytearray(path.read_bytes())
@@ -112,7 +112,7 @@ class TestLoadHygiene:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ResourceWarning)
             with pytest.raises(ValueError):
-                load_substrate(path, mmap=mmap)
+                load_substrate(path)
             import gc
 
             gc.collect()
@@ -160,143 +160,122 @@ class TestContentAddress:
         with pytest.raises(ValueError, match="content"):
             load_substrate(path)
 
-    def test_verify_opt_out_skips_the_check(self, tmp_path, substrate):
-        path = save_substrate(substrate, tmp_path / "s.sub")
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        loaded = load_substrate(path, verify=False)
-        assert len(loaded.table) == len(substrate.table)
-
     def test_intact_snapshot_loads_with_verification(
         self, tmp_path, substrate
     ):
         path = save_substrate(substrate, tmp_path / "s.sub")
-        loaded = load_substrate(path, verify=True)
+        loaded = load_substrate(path)
         assert len(loaded.table) == len(substrate.table)
 
-    def test_pre_stamp_manifest_is_accepted_unverified(self):
-        from repro.io.snapshot import _verify_content
 
-        # Snapshots written before the stamp existed carry no
-        # content_sha256 — nothing to verify against, never an error.
-        _verify_content(
-            __import__("pathlib").Path("old.sub"), b"anything", {}, 0
-        )
-
-
-def legacy_lattice(index) -> tuple[dict, dict[int, int], list[int]]:
-    """The per-mask state older snapshots persisted beside the leaves:
-    cluster tables, leaf -> cluster inverses, one-attribute lattice
-    projections and the fold tables."""
-    codec = index.codec
-    field_masks, full = codec.field_masks(), codec.full_mask
-    arrays, mask_keys = {}, {full: index.leaf_keys}
-    arrays[("index", "mask_keys", full)] = index.leaf_keys
-    arrays[("index", "leaf_to_cluster", full)] = np.arange(
-        index.leaf_keys.size, dtype=np.int32
-    )
-    for m in range(1, full):
-        keys, inverse = np.unique(index.leaf_keys & field_masks[m], return_inverse=True)
-        mask_keys[m] = keys
-        arrays[("index", "mask_keys", m)] = keys
-        arrays[("index", "leaf_to_cluster", m)] = inverse.astype(np.int32)
-    fold_source = {}
-    for m in range(1, full):
-        finer = [m | 1 << i for i in range(codec.n_attrs) if not m >> i & 1]
-        fold_source[m] = min(finer, key=lambda f: mask_keys[f].size)
-        for f in finer:
-            arrays[("index", "project", f, m)] = np.searchsorted(
-                mask_keys[m], mask_keys[f] & field_masks[m]
-            ).astype(np.int32)
-    fold_order = sorted(range(1, full), key=lambda m: -bin(m).count("1"))
-    return arrays, fold_source, fold_order
-
-
-def to_legacy_layout(path) -> None:
-    """Rewrite a snapshot in place in the older layout: the per-mask
-    arrays appended to the data section, fold tables in the manifest,
-    and a content stamp over the grown data section."""
+def rewrite_manifest(path, edit) -> None:
+    """Re-encode a snapshot's manifest after ``edit(manifest)``, moving
+    the data section to the first aligned offset after it."""
     raw = path.read_bytes()
     _, length = struct.unpack_from("<8sQ", raw)
     manifest = json.loads(raw[16 : 16 + length])
-    start = -(-(16 + length) // 64) * 64
-    data = bytearray(raw[start : start + manifest["content_bytes"]])
-    arrays, fold_source, fold_order = legacy_lattice(load_substrate(path).index)
-    for key, arr in arrays.items():
-        offset = -(-len(data) // 64) * 64
-        data += bytes(offset - len(data)) + arr.tobytes()
-        manifest["arrays"].append({
-            "key": list(key), "dtype": arr.dtype.str,
-            "shape": list(arr.shape), "offset": offset,
-        })
-    manifest["fold_source"] = [[m, s] for m, s in fold_source.items()]
-    manifest["fold_order"] = fold_order
-    manifest["content_sha256"] = hashlib.sha256(data).hexdigest()
-    manifest["content_bytes"] = len(data)
-    payload = json.dumps(manifest, separators=(",", ":")).encode("utf-8")
+    data = raw[-(-(16 + length) // 64) * 64 :]
+    edit(manifest)
+    payload = json.dumps(manifest).encode("utf-8")
     start = -(-(16 + len(payload)) // 64) * 64
     path.write_bytes(
         struct.pack("<8sQ", MAGIC, len(payload)) + payload
-        + bytes(start - 16 - len(payload)) + bytes(data)
+        + bytes(start - 16 - len(payload)) + data
     )
 
 
-class TestLegacyLayout:
-    """Snapshots and shard stores written before the index became
-    leaf-only still load, verify and analyze to the same results."""
+def _drop(field):
+    return lambda manifest: manifest.pop(field)
 
-    def test_snapshot_loads_verifies_and_analyzes_identically(
-        self, tmp_path, substrate
+
+def _set(field, value):
+    return lambda manifest: manifest.__setitem__(field, value)
+
+
+def _drop_array_field(manifest):
+    del manifest["arrays"][0]["dtype"]
+
+
+class TestManifestFields:
+    """A manifest that parses but lacks a field, or holds one of the
+    wrong type, is a ``ValueError`` naming the file, never a
+    ``KeyError`` or ``TypeError`` from deep in the loader."""
+
+    @pytest.mark.parametrize("edit", [
+        _drop("n_rows"),
+        _drop("schema"),
+        _drop("vocabs"),
+        _drop("content_sha256"),
+        _drop("content_bytes"),
+        _drop("arrays"),
+        _set("n_rows", "12"),
+        _set("n_rows", True),
+        _set("vocabs", "asn"),
+        _set("source", "trace.npz"),
+        _drop_array_field,
+    ], ids=[
+        "no-n_rows", "no-schema", "no-vocabs", "no-content_sha256",
+        "no-content_bytes", "no-arrays", "n_rows-string", "n_rows-bool",
+        "vocabs-string", "source-string", "array-without-dtype",
+    ])
+    def test_malformed_manifest_raises_value_error_naming_the_file(
+        self, tmp_path, substrate, edit
     ):
-        from repro.core.pipeline import AnalysisConfig
-        from tests.property.test_parallel_equivalence import assert_equal_analyses
+        from repro.io.snapshot import snapshot_content_sha256
 
         path = save_substrate(substrate, tmp_path / "s.sub")
-        to_legacy_layout(path)
+        rewrite_manifest(path, edit)
+        for read in (load_substrate, read_snapshot_manifest,
+                     snapshot_content_sha256):
+            with pytest.raises(ValueError, match=str(path)):
+                read(path)
+        assert "unreadable" in snapshot_staleness(path)
+
+    def test_rewritten_manifest_still_loads(self, tmp_path, substrate):
+        """The helper itself moves the data section correctly."""
+        path = save_substrate(substrate, tmp_path / "s.sub")
+        rewrite_manifest(path, _set("schema_sha256", "0" * 64))
+        assert len(load_substrate(path).table) == len(substrate.table)
+
+    def test_arrays_are_the_table_columns(self, tmp_path, substrate):
+        from repro.core.sessions import METRIC_COLUMNS
+
+        path = save_substrate(substrate, tmp_path / "s.sub")
         manifest = read_snapshot_manifest(path)
-        assert "fold_source" in manifest
-        assert any(e["key"][1] == "project" for e in manifest["arrays"])
+        assert [e["key"] for e in manifest["arrays"]] == ["codes", *METRIC_COLUMNS]
+        assert not {"version", "widths", "codec_offsets", "extra"} & set(manifest)
 
-        loaded = load_substrate(path, verify=True)
-        np.testing.assert_array_equal(
-            loaded.index.row_to_leaf, substrate.index.row_to_leaf
-        )
-        config = AnalysisConfig()
-        assert_equal_analyses(substrate.analyze(config), loaded.analyze(config))
 
-    def test_corrupted_legacy_snapshot_still_fails_verification(
-        self, tmp_path, substrate
+class TestAtomicReplace:
+    def test_save_over_a_mapped_snapshot_keeps_the_mapping(
+        self, tmp_path, trace_table
     ):
-        path = save_substrate(substrate, tmp_path / "s.sub")
-        to_legacy_layout(path)
-        blob = bytearray(path.read_bytes())
-        blob[-1] ^= 0xFF  # inside the last legacy projection array
-        path.write_bytes(bytes(blob))
-        with pytest.raises(ValueError, match="content"):
-            load_substrate(path)
-
-    def test_shard_store_analyzes_identically(self, tmp_path):
-        from repro.core.pipeline import analyze_trace
-        from repro.core.resultcache import ResultCache
-        from repro.core.shards import ShardStore, analyze_shards, build_shard_store
-        from tests.property.test_parallel_equivalence import (
-            ALL_METRICS_CONFIG,
-            assert_equal_analyses,
-            build_table,
+        """Saving over a path that a live substrate maps replaces the
+        file, so the mapping keeps reading the bytes it was loaded from
+        (a rewrite in place would cut the file under it: SIGBUS)."""
+        path = save_substrate(
+            AnalysisSubstrate(trace_table), tmp_path / "s.sub"
         )
-
-        table = build_table(
-            [(e, a % 3, a % 2, (a + e) % 4 == 0) for e in range(3) for a in range(30)]
+        child = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from repro.core.sessions import METRIC_COLUMNS\n"
+            "from repro.core.substrate import AnalysisSubstrate\n"
+            "from repro.io.snapshot import load_substrate, save_substrate\n"
+            "path = sys.argv[1]\n"
+            "live = load_substrate(path).table\n"
+            "cols = ('codes',) + METRIC_COLUMNS\n"
+            "before = [getattr(live, c).copy() for c in cols]\n"
+            "save_substrate(AnalysisSubstrate(live.select(np.arange(3))), path)\n"
+            "for col, old in zip(cols, before):\n"
+            "    assert np.array_equal(getattr(live, col), old, equal_nan=True), col\n"
+            "assert len(load_substrate(path).table) == 3\n"
         )
-        store = build_shard_store(table, tmp_path / "store", n_shards=3)
-        for i in range(len(store.shards)):
-            to_legacy_layout(store.shard_path(i))
-        store = ShardStore.open(store.path)
-        expected = analyze_trace(table, config=ALL_METRICS_CONFIG, grid=store.grid)
-        cache = ResultCache(tmp_path / "rc")
-        for _ in range(2):  # cold, then warm from the cache
-            assert_equal_analyses(
-                expected,
-                analyze_shards(store, config=ALL_METRICS_CONFIG, result_cache=cache),
-            )
+        from tests.test_cli import _cli_env
+
+        done = subprocess.run(
+            [sys.executable, "-c", child, str(path)],
+            env=_cli_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.sub"]
